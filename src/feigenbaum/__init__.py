@@ -46,11 +46,9 @@ from .errors import (
     WrongBranch,
 )
 from .families import (
-    ExtremumOrder,
     FamilyComparison,
     FamilyMember,
     default_seed,
-    describe_extremum,
     family_member,
     family_spectrum_check,
     solve_extremum_order,

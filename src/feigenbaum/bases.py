@@ -34,10 +34,9 @@ from mpmath import mp
 
 from .chebyshev import (
     ChebSeries,
-    GridFn,
     _eval,
+    _tables,
     cheb_nodes,
-    grid_to_series,
     monomial_to_series,
 )
 from .errors import ConfigError, ExactlySingular
@@ -156,19 +155,32 @@ class Discretization:
     def dim(self) -> int:
         return len(self.nodes)
 
+    def _combine(self, acc, weights) -> ChebSeries:
+        """acc + sum_j weights[j] * cardinal_j; caller holds the precision."""
+        for j, card in enumerate(self.cardinals):
+            w = weights[j]
+            if w:
+                for i, c in enumerate(card.coeffs):
+                    acc[i] += w * c
+        return ChebSeries(tuple(acc))
+
     def to_series(self, values, ctx: PrecisionCtx) -> ChebSeries:
-        """Polynomial through the given node values, as a ChebSeries."""
+        """Polynomial through the given node values, as a ChebSeries
+        (affine: the fixed part plus the cardinal combination)."""
         with ctx.activate():
             acc = [mp.mpf(0)] * self.series_len
             if self.fixed_series is not None:
                 for i, c in enumerate(self.fixed_series.coeffs):
                     acc[i] = mp.mpf(c)
-            for j, card in enumerate(self.cardinals):
-                w = values[j] - self.fixed_at_nodes[j]
-                if w:
-                    for i, c in enumerate(card.coeffs):
-                        acc[i] += w * c
-            return ChebSeries(tuple(acc))
+            return self._combine(
+                acc, [values[j] - self.fixed_at_nodes[j] for j in range(self.dim)])
+
+    def direction_series(self, vector, ctx: PrecisionCtx) -> ChebSeries:
+        """Linear part of :meth:`to_series`: sum_j vector[j] * cardinal_j,
+        without the fixed part.  Eigenvectors and other tangent directions
+        (real or complex) map to functions through this."""
+        with ctx.activate():
+            return self._combine([mp.mpf(0)] * self.series_len, vector)
 
     def describe(self, ctx: PrecisionCtx) -> dict:
         d = {
@@ -190,8 +202,6 @@ def chebgrid(n: int, ctx: PrecisionCtx) -> Discretization:
     nodes = cheb_nodes(n, ctx)
     with ctx.activate():
         two_over_n = mp.mpf(2) / n
-        from .chebyshev import _tables
-
         _, cosk = _tables(n, ctx.prec_bits)
         cards = tuple(
             ChebSeries(tuple(two_over_n * cosk[k][j] for k in range(n)))

@@ -88,7 +88,8 @@ def cheb_nodes(n: int, ctx: PrecisionCtx):
 
 
 def _eval(coeffs, x):
-    """Clenshaw recurrence; caller holds the precision context."""
+    """Clenshaw recurrence over real or complex coefficients; caller
+    holds the precision context."""
     m = len(coeffs)
     if m == 1:
         return coeffs[0] / 2

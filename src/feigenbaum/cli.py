@@ -208,9 +208,7 @@ def _run_newton(args, ctx):
         if BasisKind(args.basis) is not BasisKind.CHEB_GRID:
             raise ConfigError("higher extremum orders run on the Chebyshev grid")
         result, report = solve_extremum_order(
-            args.extremum_order, args.nodes, ctx, config=config,
-            seed=_load_coefficients(args.seed_file, ctx) if args.seed_file else None,
-        )
+            args.extremum_order, args.nodes, ctx, config=config, seed=seed)
         if spec != result.spec:
             report = spectrum_at(result.solution_series, spec, ctx, basis=result.basis)
         return result, report
@@ -376,7 +374,7 @@ def _verify_checks(args, ctx):
         for r in lead:
             if r.tag == "alpha_power" and r.k == -1:
                 continue
-            h = basis.to_series([v.real for v in r.vector], ctx)
+            h = basis.direction_series([v.real for v in r.vector], ctx)
             worst = max(worst,
                         abs(eval_series(h, 0, ctx)) / max(abs(v) for v in r.vector))
         rows.append(("h(0) dichotomy (non-alpha^2)", worst, ctx.ten_pow(-10)))
@@ -465,7 +463,7 @@ def cmd_plotdata(args) -> int:
                         "eigenvector length %d does not match basis dimension %d; "
                         "pass the flags the spectrum ran with" % (len(vec), basis.dim)
                     )
-                h = basis.to_series(vec, ctx)
+                h = basis.direction_series(vec, ctx)
                 _tsv(os.path.join(out, "eigenfunction_%02d.tsv" % (i + 1)),
                      ["x", "h(x)"],
                      [(ctx.to_str(x), ctx.to_str(eval_series(h, x, ctx))) for x in pts])

@@ -11,7 +11,7 @@ k = 2, 3, ...; the quartic branch (k = 2) has its own constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from mpmath import mp
 
@@ -31,12 +31,11 @@ from .operators import (
     Linearization,
     OperatorSpec,
     Variant,
-    apply_at_points,
     linearized_apply_at,
     scaling_of,
 )
-from .solver import JacobianMode, NewtonConfig, newton_solve
-from .spectrum import SpectrumReport, compute_spectrum, spectrum_at
+from .solver import JacobianMode, NewtonConfig, newton_solve, residual
+from .spectrum import compute_spectrum, spectrum_at
 
 
 @dataclass(frozen=True)
@@ -45,21 +44,7 @@ class FamilyMember:
 
     mu: object
     series: ChebSeries
-    beta: object            # family scaling: alpha on the fixed-point family
     extrapolated: bool = False
-
-
-@dataclass(frozen=True)
-class ExtremumOrder:
-    """Branch descriptor for a fixed point with g(x) - g(0) = O(x^(2k))."""
-
-    k: int
-    alpha: object
-    delta: object
-
-    @property
-    def extremum_degree(self) -> int:
-        return 2 * self.k
 
 
 def family_member(g: ChebSeries, mu, ctx: PrecisionCtx,
@@ -125,15 +110,13 @@ def family_spectrum_check(g: ChebSeries, mu_list, variant: Variant,
 
     members, reports, scalings, residuals, unit_res = [], [], [], [], []
     with ctx.activate():
-        beta = scaling_of(Variant.T, g, ctx).value
         one = mp.mpf(1)
         for mu in mu_list:
             gm = family_member(g, mu, ctx, allow_extrapolation=allow_extrapolation)
-            members.append(FamilyMember(ctx.mpf(mu), gm, beta, abs(ctx.mpf(mu)) < 1))
+            members.append(FamilyMember(ctx.mpf(mu), gm, abs(ctx.mpf(mu)) < 1))
             scalings.append(scaling_of(variant, gm, ctx).value)
-            image = apply_at_points(variant, gm, pts, ctx)
+            residuals.append(vec_norm_inf(residual(variant, gm, n, ctx).values))
             gv = [_eval(gm.coeffs, x) for x in pts]
-            residuals.append(vec_norm_inf([gv[i] - image[i] for i in range(n)]))
             reports.append(spectrum_at(gm, spec, ctx, n=n))
             gp = series_derivative(gm, ctx)
             hv = [gv[i] - pts[i] * _eval(gp.coeffs, pts[i]) for i in range(n)]
@@ -193,17 +176,9 @@ def solve_extremum_order(k: int, n: int, ctx: PrecisionCtx,
     shows order-one coefficients, 16 orders away.)  Returns
     (NewtonResult, SpectrumReport).
     """
-    if config is None:
-        mode = JacobianMode.EXACT if k >= 2 else JacobianMode.FINITE_DIFFERENCE
-        config = NewtonConfig(jacobian_mode=mode)
-    elif k >= 2:
-        config = NewtonConfig(
-            max_iterations=config.max_iterations,
-            fd_step=config.fd_step,
-            update_tol=config.update_tol,
-            jacobian_mode=JacobianMode.EXACT,
-            pin=config.pin,
-        )
+    config = config or NewtonConfig()
+    if k >= 2:
+        config = replace(config, jacobian_mode=JacobianMode.EXACT)
     seed = seed if seed is not None else default_seed(k, ctx)
     spec = OperatorSpec(Variant.T, Linearization.FULL_DERIVATIVE)
     result = newton_solve(spec, None, seed, config, ctx, n=n)
@@ -219,7 +194,3 @@ def solve_extremum_order(k: int, n: int, ctx: PrecisionCtx,
         )
     report = compute_spectrum(result, None, ctx)
     return result, report
-
-
-def describe_extremum(k: int, report: SpectrumReport) -> ExtremumOrder:
-    return ExtremumOrder(k=k, alpha=report.alpha, delta=report.delta)

@@ -31,7 +31,6 @@ from .chebyshev import (
     cheb_nodes,
     grid_to_series,
     series_derivative,
-    series_to_grid,
 )
 from .errors import DivideByZero, InvalidIndex
 from .numerics import PrecisionCtx

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from mpmath import mp
 
 from .bases import BasisSpec, Discretization, build_basis, chebgrid
-from .chebyshev import ChebSeries, GridFn, _eval, series_to_monomial
+from .chebyshev import ChebSeries, GridFn, _eval, cheb_nodes, series_to_monomial
 from .errors import NoConvergence, SingularJacobian, SingularMatrix
 from .numerics import DEGENERACY_RATIO, PrecisionCtx, lu_factor, lu_solve_factored, vec_norm_inf
 from .operators import (
@@ -38,33 +38,25 @@ class JacobianMode(enum.Enum):
 
 @dataclass
 class NewtonConfig:
-    """Iteration knobs.  None fields derive from the precision context:
-    fd_step = 10**(-D/2), update_tol = 10**(-D+10)."""
+    """Iteration knobs.  The finite-difference step and the update
+    tolerance derive from the precision context: see :meth:`resolved`."""
 
     max_iterations: int = 40
-    fd_step: object = None
-    update_tol: object = None
     jacobian_mode: JacobianMode = JacobianMode.FINITE_DIFFERENCE
     pin: tuple = ()  # ((taylor power, value), ...)
 
     def resolved(self, ctx: PrecisionCtx):
+        """(finite-difference step, update tolerance) = (10**(-D//2), 10**(-D+10))."""
         D = ctx.decimal_digits
-        step = ctx.mpf(self.fd_step) if self.fd_step is not None else ctx.ten_pow(-(D // 2))
-        tol = ctx.mpf(self.update_tol) if self.update_tol is not None else ctx.ten_pow(-D + 10)
-        if not (ctx.ten_pow(-D) < step < ctx.mpf("1e-4")):
-            raise ValueError("fd_step outside (10^-D, 10^-4)")
-        if tol <= 0:
-            raise ValueError("update_tol must be positive")
-        return step, tol
+        return ctx.ten_pow(-(D // 2)), ctx.ten_pow(-D + 10)
 
 
 @dataclass
 class NewtonResult:
-    """Converged solution plus the final Jacobian and iteration trace."""
+    """Converged solution plus the iteration trace."""
 
     solution_grid: GridFn
     solution_series: ChebSeries
-    jacobian_at_solution: list
     iteration_history: tuple
     converged: bool
     scaling: object
@@ -77,76 +69,73 @@ class NewtonResult:
     def n(self) -> int:
         return self.basis.dim
 
+    @property
+    def jacobian_at_solution(self) -> list:
+        """I - dT(g) at the solution under ``spec.linearization``, exact
+        mode and unpinned: the matrix the spectrum is taken of."""
+        return _jacobian(self.spec, self.basis, self.solution_grid.values,
+                         self.solution_series,
+                         NewtonConfig(jacobian_mode=JacobianMode.EXACT), self.ctx)
+
 
 def residual(variant: Variant, g: ChebSeries, n: int, ctx: PrecisionCtx) -> GridFn:
     """g(x_i) - T(g)(x_i) at the n Chebyshev roots."""
-    from .chebyshev import cheb_nodes
+    return GridFn(tuple(_residual(variant, g, cheb_nodes(n, ctx), ctx)))
 
-    pts = cheb_nodes(n, ctx)
-    image = apply_at_points(variant, g, pts, ctx)
+
+def _residual(variant, g, points, ctx, values=None):
+    """g(x) - T(g)(x) over the points; ``values`` supplies g there when the
+    caller carries it (the Newton state), else it is evaluated."""
+    image = apply_at_points(variant, g, points, ctx)
     with ctx.activate():
-        gv = [_eval(g.coeffs, x) for x in pts]
-        return GridFn(tuple(gv[i] - image[i] for i in range(n)))
+        if values is None:
+            values = [_eval(g.coeffs, x) for x in points]
+        return [values[i] - image[i] for i in range(len(points))]
 
 
-def _residual_values(variant, basis, values, series, ctx):
-    image = apply_at_points(variant, series, basis.nodes, ctx)
-    with ctx.activate():
-        return [values[i] - image[i] for i in range(basis.dim)]
-
-
-def _perturbed_series(series: ChebSeries, card: ChebSeries, step) -> ChebSeries:
-    return ChebSeries(tuple(c + step * e for c, e in zip(series.coeffs, card.coeffs)))
-
-
-def _fd_jacobian(variant, basis, values, series, step, ctx):
-    # centered differences: the forward one-sided quotient carries a
-    # (step/2)|d2 Phi| truncation term with constants near 10^2 here,
-    # which would dominate the cross-mode agreement budget
-    d = basis.dim
-    cols = []
-    with ctx.activate():
-        for j in range(d):
-            res = []
-            for sgn in (1, -1):
-                pert = _perturbed_series(series, basis.cardinals[j], sgn * step)
-                pvals = list(values)
-                pvals[j] = pvals[j] + sgn * step
-                res.append(_residual_values(variant, basis, pvals, pert, ctx))
-            cols.append([(res[0][i] - res[1][i]) / (2 * step) for i in range(d)])
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
-
-
-def _exact_jacobian(spec, basis, series, ctx):
-    d = basis.dim
-    cols = []
-    with ctx.activate():
-        one, zero = mp.mpf(1), mp.mpf(0)
-        for j in range(d):
-            img = linearized_apply_at(spec, series, basis.cardinals[j], basis.nodes, ctx)
-            cols.append([(one if i == j else zero) - img[i] for i in range(d)])
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
-
-
-def assemble_jacobian(spec: OperatorSpec, g: ChebSeries, n: int, config: NewtonConfig,
-                      ctx: PrecisionCtx, basis: Discretization = None) -> list:
-    """Matrix of I - dT(g) in the active basis.
+def _jacobian(spec, basis, values, series, config, ctx):
+    """Matrix of I - dT(g) in the basis; g is ``series``, with node
+    values ``values``.
 
     Finite-difference mode differentiates Phi = I - T directly, so it
     always captures the full derivative (the scaling constant varies with
     the perturbed g); a frozen linearization therefore always goes through
     the exact column formula.
     """
-    basis = basis if basis is not None else chebgrid(n, ctx)
-    if (
-        config.jacobian_mode is JacobianMode.EXACT
-        or spec.linearization is Linearization.FROZEN_ALPHA
-    ):
-        return _exact_jacobian(spec, basis, g, ctx)
+    d = basis.dim
+    exact = (config.jacobian_mode is JacobianMode.EXACT
+             or spec.linearization is Linearization.FROZEN_ALPHA)
     step, _ = config.resolved(ctx)
+    cols = []
+    with ctx.activate():
+        one, zero = mp.mpf(1), mp.mpf(0)
+        for j, card in enumerate(basis.cardinals):
+            if exact:
+                img = linearized_apply_at(spec, series, card, basis.nodes, ctx)
+                cols.append([(one if i == j else zero) - img[i] for i in range(d)])
+            else:
+                # centered differences: the forward one-sided quotient carries a
+                # (step/2)|d2 Phi| truncation term with constants near 10^2 here,
+                # which would dominate the cross-mode agreement budget
+                res = []
+                for sgn in (1, -1):
+                    h = sgn * step
+                    pert = ChebSeries(tuple(c + h * e for c, e in zip(series.coeffs, card.coeffs)))
+                    pvals = list(values)
+                    pvals[j] = pvals[j] + h
+                    res.append(_residual(spec.variant, pert, basis.nodes, ctx, pvals))
+                cols.append([(res[0][i] - res[1][i]) / (2 * step) for i in range(d)])
+    return [[cols[j][i] for j in range(d)] for i in range(d)]
+
+
+def assemble_jacobian(spec: OperatorSpec, g: ChebSeries, n: int, config: NewtonConfig,
+                      ctx: PrecisionCtx, basis: Discretization = None) -> list:
+    """Matrix of I - dT(g) in the active basis (Chebyshev grid of size n
+    by default); see :func:`_jacobian` for the mode choice."""
+    basis = basis if basis is not None else chebgrid(n, ctx)
     with ctx.activate():
         values = [_eval(g.coeffs, x) for x in basis.nodes]
-    return _fd_jacobian(spec.variant, basis, values, g, step, ctx)
+    return _jacobian(spec, basis, values, g, config, ctx)
 
 
 def _pin_rows(basis: Discretization, pins, ctx: PrecisionCtx):
@@ -178,15 +167,15 @@ def newton_solve(spec: OperatorSpec, basis, seed: ChebSeries,
     Raises :class:`SingularJacobian` when the Jacobian degenerates (the
     operator keeps a solution family: unpinned T3/T4) and
     :class:`NoConvergence` (history attached) when the budget runs out.
-    On success the final Jacobian is re-assembled in exact mode under
-    ``spec.linearization`` and stored unpinned.
+    The result's :attr:`NewtonResult.jacobian_at_solution` rebuilds the
+    final Jacobian in exact mode under ``spec.linearization``, unpinned.
     """
     config = config or NewtonConfig()
     if basis is None:
         basis = chebgrid(n if n else 32, ctx)
     elif isinstance(basis, BasisSpec):
         basis = build_basis(basis, ctx)
-    step, update_tol = config.resolved(ctx)
+    _, update_tol = config.resolved(ctx)
     D = ctx.decimal_digits
     with ctx.activate():
         values = [_eval(seed.coeffs, x) for x in basis.nodes]
@@ -199,15 +188,9 @@ def newton_solve(spec: OperatorSpec, basis, seed: ChebSeries,
     plateau_gate = ctx.ten_pow(-(D // 2))
     for _ in range(config.max_iterations):
         series = basis.to_series(values, ctx)
-        base_res = _residual_values(spec.variant, basis, values, series, ctx)
-        if config.jacobian_mode is JacobianMode.EXACT:
-            A = _exact_jacobian(
-                OperatorSpec(spec.variant, Linearization.FULL_DERIVATIVE),
-                basis, series, ctx,
-            )
-        else:
-            A = _fd_jacobian(spec.variant, basis, values, series, step, ctx)
-        rhs = list(base_res)
+        rhs = _residual(spec.variant, series, basis.nodes, ctx, values)
+        A = _jacobian(OperatorSpec(spec.variant, Linearization.FULL_DERIVATIVE),
+                      basis, values, series, config, ctx)
         with ctx.activate():
             for ridx, row, power, value in pins:
                 A[ridx] = list(row)
@@ -241,7 +224,7 @@ def newton_solve(spec: OperatorSpec, basis, seed: ChebSeries,
         prev_u = u
 
     series = basis.to_series(values, ctx)
-    final_res = _residual_values(spec.variant, basis, values, series, ctx)
+    final_res = _residual(spec.variant, series, basis.nodes, ctx, values)
     with ctx.activate():
         # judge convergence on the system actually solved: pinned rows carry
         # the constraint residual (the displaced collocation row re-acquires
@@ -255,12 +238,9 @@ def newton_solve(spec: OperatorSpec, basis, seed: ChebSeries,
             "Newton did not converge (last residual %s)" % mp.nstr(res_norm, 5),
             history=tuple(history),
         )
-    # the spectral matrix must carry maximal precision: exact mode, no pins
-    final_jac = _exact_jacobian(spec, basis, series, ctx)
     return NewtonResult(
         solution_grid=GridFn(tuple(values)),
         solution_series=series,
-        jacobian_at_solution=final_jac,
         iteration_history=tuple(history),
         converged=converged,
         scaling=scaling_of(spec.variant, series, ctx),

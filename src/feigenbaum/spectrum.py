@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from mpmath import mp
 
-from .chebyshev import ChebSeries, _eval
+from .bases import chebgrid
+from .chebyshev import ChebSeries, _eval, cheb_nodes
 from .errors import AmbiguousMatch, NoExplicitForm
 from .numerics import PrecisionCtx, eig_dense
 from .operators import (
@@ -28,6 +29,7 @@ from .operators import (
     linearized_apply_at,
     scaling_of,
 )
+from .solver import JacobianMode, NewtonConfig, assemble_jacobian
 
 K_RANGE = range(-3, 13)
 
@@ -153,16 +155,11 @@ def eigenfunction_parity(vector, basis, ctx: PrecisionCtx, samples: int = 16) ->
     ``vector`` holds the eigenvector components in node coordinates; the
     basis reconstructs the polynomial they represent.
     """
+    h = basis.direction_series(vector, ctx).coeffs
     with ctx.activate():
-        h = [mp.mpc(0)] * basis.series_len
-        for j, card in enumerate(basis.cardinals):
-            vj = vector[j]
-            if vj:
-                for i, c in enumerate(card.coeffs):
-                    h[i] += vj * c
         pts = [mp.mpf(j) / samples for j in range(samples + 1)]
-        plus = [_ceval(h, x) for x in pts]
-        minus = [_ceval(h, -x) for x in pts]
+        plus = [_eval(h, x) for x in pts]
+        minus = [_eval(h, -x) for x in pts]
         scale = max(max(abs(v) for v in plus), max(abs(v) for v in minus))
         if scale == 0:
             return "even"
@@ -174,37 +171,19 @@ def eigenfunction_parity(vector, basis, ctx: PrecisionCtx, samples: int = 16) ->
         return "mixed"
 
 
-def _ceval(coeffs, x):
-    # Clenshaw over complex coefficients
-    m = len(coeffs)
-    if m == 1:
-        return coeffs[0] / 2
-    b1 = b2 = mp.mpc(0)
-    x2 = 2 * x
-    for k in range(m - 1, 0, -1):
-        b1, b2 = coeffs[k] + x2 * b1 - b2, b1
-    return coeffs[0] / 2 + x * b1 - b2
-
-
 def spectrum_at(g: ChebSeries, spec: OperatorSpec, ctx: PrecisionCtx,
-                basis=None, n: int = None, eig_tol=None,
-                basis_matrix=None) -> SpectrumReport:
+                basis=None, n: int = None, eig_tol=None) -> SpectrumReport:
     """Spectrum of the linearized operator at a given (fixed-point) g.
 
-    Builds the collocation matrix of the linearization directly, without
-    a Newton run; used for operators whose unpinned Newton cannot
-    converge and for scaling-family members.
+    Builds the exact collocation matrix of the linearization at g; needs
+    no Newton run, so it also serves operators whose unpinned Newton
+    cannot converge and scaling-family members.
     """
-    from .bases import chebgrid
-    from .solver import _exact_jacobian
-
     if basis is None:
         basis = chebgrid(n if n else max(len(g.coeffs), 8), ctx)
-    if basis_matrix is None:
-        A = _exact_jacobian(spec, basis, g, ctx)
-    else:
-        A = basis_matrix
     d = basis.dim
+    A = assemble_jacobian(spec, g, d, NewtonConfig(jacobian_mode=JacobianMode.EXACT),
+                          ctx, basis=basis)
     D = ctx.decimal_digits
     with ctx.activate():
         M = [
@@ -240,11 +219,8 @@ def spectrum_at(g: ChebSeries, spec: OperatorSpec, ctx: PrecisionCtx,
 
 
 def compute_spectrum(result, tol=None, ctx: PrecisionCtx = None) -> SpectrumReport:
-    """Spectrum of the linearization from a converged Newton result.
-
-    The stored matrix is A = I - dT(g) (exact mode), so the eigenvalues
-    reported are those of I - A.
-    """
+    """Spectrum of the linearization at a converged Newton solution, in
+    the result's basis and under its operator spec."""
     ctx = ctx or result.ctx
     return spectrum_at(
         result.solution_series,
@@ -252,7 +228,6 @@ def compute_spectrum(result, tol=None, ctx: PrecisionCtx = None) -> SpectrumRepo
         ctx,
         basis=result.basis,
         eig_tol=tol,
-        basis_matrix=result.jacobian_at_solution,
     )
 
 
@@ -282,8 +257,6 @@ def verify_explicit(g: ChebSeries, spec: OperatorSpec, k: int, lam_expected,
     kind = _explicit_kind_for(spec, k)
     h = explicit_eigenfunction(kind, g, max(k, 0), ctx)
     n = len(h.coeffs)
-    from .chebyshev import cheb_nodes
-
     pts = cheb_nodes(n, ctx)
     image = linearized_apply_at(spec, g, h, pts, ctx)
     with ctx.activate():

@@ -18,6 +18,23 @@ def test_lanford_matrix_is_exact_inverse(ctx):
     assert all(v == 0 for row in res for v in row)
 
 
+def test_direction_series_is_the_linear_part_of_to_series(ctx):
+    # Lanford's fixed part 1 enters g once; directions carry none of it
+    basis = fb.build_basis(fb.BasisSpec(fb.BasisKind.LANFORD, 6), ctx)
+    rng = random.Random(5)
+    v = [ctx.mpf(rng.uniform(-1, 1)) for _ in range(basis.dim)]
+    affine = basis.to_series(v, ctx)
+    fixed = basis.to_series([ctx.mpf(0)] * basis.dim, ctx)
+    linear = basis.direction_series(v, ctx)
+    with ctx.activate():
+        assert abs(fb.eval_series(fixed, 0, ctx) - 1) < ctx.ten_pow(-60)
+        assert fb.eval_series(basis.direction_series([0] * basis.dim, ctx), 0, ctx) == 0
+        for a, f, d in zip(affine.coeffs, fixed.coeffs, linear.coeffs):
+            assert abs(a - f - d) < ctx.ten_pow(-60)
+        for j, x in enumerate(basis.nodes):
+            assert abs(fb.eval_series(linear, x, ctx) - v[j]) < ctx.ten_pow(-55)
+
+
 def test_lanford_rejects_extra_constraints():
     with pytest.raises(fb.ConfigError):
         fb.BasisSpec(fb.BasisKind.LANFORD, 15, ((0, 1),))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 import feigenbaum as fb
-from feigenbaum.chebyshev import ChebSeries, GridFn
+from feigenbaum.chebyshev import ChebSeries, GridFn, _eval
 
 
 def _series(ctx, *vals):
@@ -102,6 +102,23 @@ def test_even_functions_have_even_series(seed):
         scale = max(abs(v) for v in vals)
         for k in range(1, 12, 2):
             assert abs(s.coeffs[k]) <= ctx.ten_pow(-64 + 6) * max(scale, mp.mpf(1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(16, 100), st.integers(1, 40), st.integers(0, 10 ** 9))
+def test_eval_complex_coefficients_match_real_and_imaginary_parts(digits, m, seed):
+    # one Clenshaw serves eigenvectors too: on complex coefficients it must
+    # give bit for bit the pair of real evaluations
+    ctx = fb.PrecisionCtx(digits)
+    rng = random.Random(seed)
+    with ctx.activate():
+        re = [mp.mpf(rng.uniform(-2, 2)) / rng.randint(1, 999) for _ in range(m)]
+        im = [mp.mpf(rng.uniform(-2, 2)) / rng.randint(1, 999) for _ in range(m)]
+        x = mp.mpf(rng.uniform(-1.5, 1.5)) / 3
+        z = _eval([mp.mpc(a, b) for a, b in zip(re, im)], x)
+        want = mp.mpc(_eval(re, x), _eval(im, x))
+    assert isinstance(z, mp.mpc)
+    assert z._mpc_ == want._mpc_
 
 
 def test_eval_pure_t1(ctx):

@@ -148,6 +148,18 @@ def test_verify_t2_skips_even_k_forms(capsys, tmp_path):
     assert any("NoExplicitForm" in n for n in skipped)
 
 
+def test_verify_lanford_eigenfunctions_carry_no_fixed_part(capsys, tmp_path):
+    # eigenvectors are directions: rebuilt with Lanford's fixed part 1 - p(x)
+    # added, every eigenfunction would read h(0) = 1
+    out = tmp_path / "verify.json"
+    run(capsys, "verify", "--digits", "24", "--basis", "lanford", "--dim", "8",
+        "--out", str(out))
+    data = json.loads(out.read_text())
+    row = next(c for c in data["checks"] if "dichotomy" in c["check"])
+    assert row["ok"] is True
+    assert float(row["residual"]) < 1e-20
+
+
 def test_plotdata_decay_and_samples(capsys, tmp_path, quad32, ctx):
     sol = tmp_path / "sol.json"
     code, _, _ = run(capsys, "solve", "--out", str(sol))

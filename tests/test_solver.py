@@ -132,11 +132,6 @@ def test_newton_budget_exhaustion(quad_seed, ctx):
     assert len(err.value.history) == 2
 
 
-def test_fd_step_validation(ctx):
-    with pytest.raises(ValueError):
-        fb.NewtonConfig(fd_step="0.1").resolved(ctx)
-
-
 def test_diagnostics_quadratic_run(quad32):
     rep = fb.convergence_diagnostics(quad32)
     assert rep.exponent is not None
