@@ -30,8 +30,6 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp
-
 from .chebyshev import (
     ChebSeries,
     _eval,
@@ -167,20 +165,18 @@ class Discretization:
     def to_series(self, values, ctx: PrecisionCtx) -> ChebSeries:
         """Polynomial through the given node values, as a ChebSeries
         (affine: the fixed part plus the cardinal combination)."""
-        with ctx.activate():
-            acc = [mp.mpf(0)] * self.series_len
-            if self.fixed_series is not None:
-                for i, c in enumerate(self.fixed_series.coeffs):
-                    acc[i] = mp.mpf(c)
-            return self._combine(
-                acc, [values[j] - self.fixed_at_nodes[j] for j in range(self.dim)])
+        acc = [ctx.mpf(0)] * self.series_len
+        if self.fixed_series is not None:
+            for i, c in enumerate(self.fixed_series.coeffs):
+                acc[i] = ctx.mpf(c)
+        return self._combine(
+            acc, [values[j] - self.fixed_at_nodes[j] for j in range(self.dim)])
 
     def direction_series(self, vector, ctx: PrecisionCtx) -> ChebSeries:
         """Linear part of :meth:`to_series`: sum_j vector[j] * cardinal_j,
         without the fixed part.  Eigenvectors and other tangent directions
         (real or complex) map to functions through this."""
-        with ctx.activate():
-            return self._combine([mp.mpf(0)] * self.series_len, vector)
+        return self._combine([ctx.mpf(0)] * self.series_len, vector)
 
     def describe(self, ctx: PrecisionCtx) -> dict:
         d = {
@@ -200,22 +196,20 @@ def chebgrid(n: int, ctx: PrecisionCtx) -> Discretization:
     """The identity pairing with the Chebyshev-root grid."""
     spec = BasisSpec(BasisKind.CHEB_GRID, n)
     nodes = cheb_nodes(n, ctx)
-    with ctx.activate():
-        two_over_n = mp.mpf(2) / n
-        _, cosk = _tables(n, ctx.prec_bits)
-        cards = tuple(
-            ChebSeries(tuple(two_over_n * cosk[k][j] for k in range(n)))
-            for j in range(n)
-        )
-        zero = mp.mpf(0)
+    two_over_n = ctx.mpf(2) / n
+    _, cosk = _tables(n, ctx.prec_bits)
+    cards = tuple(
+        ChebSeries(tuple(two_over_n * cosk[k][j] for k in range(n)))
+        for j in range(n)
+    )
+    zero = ctx.mpf(0)
     mat = InterpolationMatrix(
         entries=tuple(tuple(c.coeffs[k] for c in cards) for k in range(n)),
         exact=False,
         nodes=nodes,
         powers=tuple(range(n)),
     )
-    with ctx.activate():
-        cond = mat_norm_inf([[cosk[k][j] for k in range(n)] for j in range(n)]) * mat_norm_inf(mat.entries)
+    cond = mat_norm_inf([[cosk[k][j] for k in range(n)] for j in range(n)]) * mat_norm_inf(mat.entries)
     return Discretization(spec, nodes, None, mat, cards, None, (zero,) * n, n, cond)
 
 
@@ -285,27 +279,24 @@ def build_basis(spec: BasisSpec, ctx: PrecisionCtx) -> Discretization:
         col = lambda j: {p: ctx.mpf(entries[k][j]) for k, p in enumerate(powers)}
     else:
         nodes = tuple(float_nodes)
-        with ctx.activate():
-            V = [[x ** p for p in powers] for x in nodes]
-            fac = lu_factor(V, ctx)
-            eye = identity_rows(d, ctx)
-            cols = [lu_solve_factored(fac, [eye[i][j] for i in range(d)], ctx) for j in range(d)]
+        V = [[x ** p for p in powers] for x in nodes]
+        fac = lu_factor(V, ctx)
+        eye = identity_rows(d, ctx)
+        cols = [lu_solve_factored(fac, [eye[i][j] for i in range(d)], ctx) for j in range(d)]
         entries = tuple(tuple(cols[j][k] for j in range(d)) for k in range(d))
         exact = False
         col = lambda j: {p: entries[k][j] for k, p in enumerate(powers)}
 
     mat = InterpolationMatrix(entries, exact, tuple(exact_nodes) if exact_nodes else nodes, powers)
-    with ctx.activate():
-        cond = mat_norm_inf([[ctx.mpf(x) for x in row] for row in V]) * mat_norm_inf(
-            [[ctx.mpf(x) for x in row] for row in entries]
-        )
+    cond = mat_norm_inf([[ctx.mpf(x) for x in row] for row in V]) * mat_norm_inf(
+        [[ctx.mpf(x) for x in row] for row in entries]
+    )
     cards = tuple(_monomial_series(col(j), degree, ctx) for j in range(d))
     series_len = degree + 1
-    cards = tuple(_pad(c, series_len) for c in cards)
+    cards = tuple(_pad(c, series_len, ctx) for c in cards)
     if fixed:
-        fixed_series = _pad(_monomial_series(fixed, max(fixed), ctx), series_len)
-        with ctx.activate():
-            fixed_at_nodes = tuple(_eval(fixed_series.coeffs, x) for x in nodes)
+        fixed_series = _pad(_monomial_series(fixed, max(fixed), ctx), series_len, ctx)
+        fixed_at_nodes = tuple(_eval(fixed_series.coeffs, x) for x in nodes)
     else:
         fixed_series = None
         fixed_at_nodes = (ctx.mpf(0),) * d
@@ -315,10 +306,10 @@ def build_basis(spec: BasisSpec, ctx: PrecisionCtx) -> Discretization:
     )
 
 
-def _pad(s: ChebSeries, length: int) -> ChebSeries:
+def _pad(s: ChebSeries, length: int, ctx: PrecisionCtx) -> ChebSeries:
     if len(s.coeffs) >= length:
         return s
-    return ChebSeries(s.coeffs + (mp.mpf(0),) * (length - len(s.coeffs)))
+    return ChebSeries(s.coeffs + (ctx.mpf(0),) * (length - len(s.coeffs)))
 
 
 def coeffs_from_values(basis: Discretization, values, ctx: PrecisionCtx):
@@ -330,13 +321,12 @@ def coeffs_from_values(basis: Discretization, values, ctx: PrecisionCtx):
     """
     M = basis.matrix
     d = basis.dim
-    with ctx.activate():
-        rhs = [values[i] - basis.fixed_at_nodes[i] for i in range(d)]
-        out = []
-        for k in range(d):
-            row = M.entries[k]
-            out.append(mp.fsum(ctx.mpf(row[j]) * rhs[j] for j in range(d)))
-        return tuple(out)
+    rhs = [values[i] - basis.fixed_at_nodes[i] for i in range(d)]
+    out = []
+    for k in range(d):
+        row = M.entries[k]
+        out.append(ctx.mp.fsum(ctx.mpf(row[j]) * rhs[j] for j in range(d)))
+    return tuple(out)
 
 
 def spectrum_in_basis(op_spec, basis_spec: BasisSpec, ctx: PrecisionCtx,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from mpmath import mp
+import mpmath
 
 from .numerics import PrecisionCtx, vec_norm_inf
 
@@ -70,13 +70,17 @@ class DecayReport:
 
 @lru_cache(maxsize=64)
 def _tables(n: int, prec_bits: int):
-    """Nodes x_i and cosine table cos(k theta_i) at the given precision."""
-    with mp.workprec(prec_bits):
-        thetas = [(2 * i - 1) * mp.pi / (2 * n) for i in range(1, n + 1)]
-        nodes = tuple(mp.cos(t) for t in thetas)
-        cosk = tuple(
-            tuple(mp.cos(k * t) for t in thetas) for k in range(n)
-        )
+    """Nodes x_i and cosine table cos(k theta_i) at the given precision.
+
+    Every context of that precision shares the entries, so they are made
+    in a context private to this cache."""
+    private = mpmath.MPContext()
+    private.prec = prec_bits
+    thetas = [(2 * i - 1) * private.pi / (2 * n) for i in range(1, n + 1)]
+    nodes = tuple(private.cos(t) for t in thetas)
+    cosk = tuple(
+        tuple(private.cos(k * t) for t in thetas) for k in range(n)
+    )
     return nodes, cosk
 
 
@@ -88,12 +92,12 @@ def cheb_nodes(n: int, ctx: PrecisionCtx):
 
 
 def _eval(coeffs, x):
-    """Clenshaw recurrence over real or complex coefficients; caller
-    holds the precision context."""
+    """Clenshaw recurrence over real or complex coefficients, at the
+    precision the coefficients carry."""
     m = len(coeffs)
     if m == 1:
         return coeffs[0] / 2
-    b1 = b2 = mp.mpf(0)
+    b1 = b2 = coeffs[0] * 0
     x2 = 2 * x
     for k in range(m - 1, 0, -1):
         b1, b2 = coeffs[k] + x2 * b1 - b2, b1
@@ -102,21 +106,19 @@ def _eval(coeffs, x):
 
 def eval_series(s: ChebSeries, x, ctx: PrecisionCtx):
     """Value of the series at x (polynomial continuation outside [-1,1])."""
-    with ctx.activate():
-        return _eval(s.coeffs, mp.mpf(x))
+    return _eval(s.coeffs, ctx.mpf(x))
 
 
 def grid_to_series(f: GridFn, ctx: PrecisionCtx) -> ChebSeries:
     """Discrete Fourier-Chebyshev transform: a_k = (2/n) sum_i f_i T_k(x_i)."""
     n = f.n
     _, cosk = _tables(n, ctx.prec_bits)
-    with ctx.activate():
-        two_over_n = mp.mpf(2) / n
-        vals = f.values
-        coeffs = tuple(
-            two_over_n * mp.fsum(vals[i] * cosk[k][i] for i in range(n))
-            for k in range(n)
-        )
+    two_over_n = ctx.mpf(2) / n
+    vals = f.values
+    coeffs = tuple(
+        two_over_n * ctx.mp.fsum(vals[i] * cosk[k][i] for i in range(n))
+        for k in range(n)
+    )
     return ChebSeries(coeffs)
 
 
@@ -125,22 +127,20 @@ def series_to_grid(s: ChebSeries, n: int, ctx: PrecisionCtx) -> GridFn:
     if n < len(s):
         raise ValueError("grid must be at least as fine as the series")
     nodes = cheb_nodes(n, ctx)
-    with ctx.activate():
-        return GridFn(tuple(_eval(s.coeffs, x) for x in nodes))
+    return GridFn(tuple(_eval(s.coeffs, x) for x in nodes))
 
 
 def series_derivative(s: ChebSeries, ctx: PrecisionCtx) -> ChebSeries:
     """Coefficients of f' via the backward recurrence c'_{k-1} = c'_{k+1} + 2k c_k."""
     m = len(s.coeffs)
-    with ctx.activate():
-        if m == 1:
-            return ChebSeries((mp.mpf(0),))
-        # the recurrence is self-consistent in the halved-a0 convention:
-        # c0 never enters (k >= 1) and d0 comes out already halved
-        d = [mp.mpf(0)] * (m + 1)
-        for k in range(m - 1, 0, -1):
-            d[k - 1] = d[k + 1] + 2 * k * s.coeffs[k]
-        out = d[: m - 1]
+    if m == 1:
+        return ChebSeries((ctx.mpf(0),))
+    # the recurrence is self-consistent in the halved-a0 convention:
+    # c0 never enters (k >= 1) and d0 comes out already halved
+    d = [ctx.mpf(0)] * (m + 1)
+    for k in range(m - 1, 0, -1):
+        d[k - 1] = d[k + 1] + 2 * k * s.coeffs[k]
+    out = d[: m - 1]
     return ChebSeries(tuple(out))
 
 
@@ -150,21 +150,20 @@ def decay_report(s: ChebSeries, ctx: PrecisionCtx) -> DecayReport:
     if m < 8:
         raise ValueError("decay diagnostics need at least 8 coefficients")
     D = ctx.decimal_digits
-    with ctx.activate():
-        floor = ctx.ten_pow(-2 * D)
-        mags = tuple(
-            mp.log10(1 / max(abs(c), floor)) for c in s.coeffs
-        )
-        # least-squares slope of log10(1/|a_k|) against k, k >= 1
-        ks = list(range(1, m))
-        ys = mags[1:]
-        kbar = mp.fsum(ks) / len(ks)
-        ybar = mp.fsum(ys) / len(ys)
-        num = mp.fsum((k - kbar) * (y - ybar) for k, y in zip(ks, ys))
-        den = mp.fsum((k - kbar) ** 2 for k in ks)
-        rate = num / den
-        tail = max(abs(s.coeffs[-1]), abs(s.coeffs[-2]))
-        healthy = bool(rate > 0 and tail <= mp.mpf(10) ** (-mp.mpf(D) / 3))
+    floor = ctx.ten_pow(-2 * D)
+    mags = tuple(
+        ctx.mp.log10(1 / max(abs(c), floor)) for c in s.coeffs
+    )
+    # least-squares slope of log10(1/|a_k|) against k, k >= 1
+    ks = list(range(1, m))
+    ys = mags[1:]
+    kbar = ctx.mp.fsum(ks) / len(ks)
+    ybar = ctx.mp.fsum(ys) / len(ys)
+    num = ctx.mp.fsum((k - kbar) * (y - ybar) for k, y in zip(ks, ys))
+    den = ctx.mp.fsum((k - kbar) ** 2 for k in ks)
+    rate = num / den
+    tail = max(abs(s.coeffs[-1]), abs(s.coeffs[-2]))
+    healthy = bool(rate > 0 and tail <= ctx.mpf(10) ** (-ctx.mpf(D) / 3))
     return DecayReport(mags, rate, tail, healthy)
 
 
@@ -192,17 +191,16 @@ def _cheb_monomial_coeffs(k: int):
 def series_to_monomial(s: ChebSeries, ctx: PrecisionCtx):
     """Taylor coefficients (low power first) of the series polynomial."""
     m = len(s.coeffs)
-    with ctx.activate():
-        out = [mp.mpf(0)] * m
-        out[0] = s.coeffs[0] / 2
-        for k in range(1, m):
-            ck = s.coeffs[k]
-            if ck == 0:
-                continue
-            for j, t in enumerate(_cheb_monomial_coeffs(k)):
-                if t:
-                    out[j] += ck * t
-        return tuple(out)
+    out = [ctx.mpf(0)] * m
+    out[0] = s.coeffs[0] / 2
+    for k in range(1, m):
+        ck = s.coeffs[k]
+        if ck == 0:
+            continue
+        for j, t in enumerate(_cheb_monomial_coeffs(k)):
+            if t:
+                out[j] += ck * t
+    return tuple(out)
 
 
 def monomial_to_series(coeffs, ctx: PrecisionCtx) -> ChebSeries:
@@ -212,20 +210,18 @@ def monomial_to_series(coeffs, ctx: PrecisionCtx) -> ChebSeries:
         coeffs.pop()
     n = max(len(coeffs), 2)
     nodes = cheb_nodes(n, ctx)
-    with ctx.activate():
-        vals = []
-        for x in nodes:
-            acc = mp.mpf(0)
-            for c in reversed(coeffs):
-                acc = acc * x + c
-            vals.append(acc)
-        return grid_to_series(GridFn(tuple(vals)), ctx)
+    vals = []
+    for x in nodes:
+        acc = ctx.mpf(0)
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        vals.append(acc)
+    return grid_to_series(GridFn(tuple(vals)), ctx)
 
 
 def sup_distance(a: ChebSeries, b: ChebSeries, ctx: PrecisionCtx, samples: int = 201):
     """Max |a-b| over a uniform sample of [-1, 1]."""
-    with ctx.activate():
-        pts = [mp.mpf(-1) + mp.mpf(2) * i / (samples - 1) for i in range(samples)]
-        return vec_norm_inf([
-            _eval(a.coeffs, x) - _eval(b.coeffs, x) for x in pts
-        ])
+    pts = [ctx.mpf(-1) + ctx.mpf(2) * i / (samples - 1) for i in range(samples)]
+    return vec_norm_inf([
+        _eval(a.coeffs, x) - _eval(b.coeffs, x) for x in pts
+    ])

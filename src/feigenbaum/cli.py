@@ -32,8 +32,6 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
-from mpmath import mp
-
 from . import __version__
 from .bases import BasisKind, BasisSpec, build_basis
 from .chebyshev import (
@@ -61,7 +59,6 @@ from .solver import (
     newton_solve,
 )
 from .spectrum import (
-    compute_spectrum,
     expected_explicit_eigenvalue,
     spectrum_at,
     verify_explicit,
@@ -199,26 +196,21 @@ def _warn_family(args):
 
 
 def _run_newton(args, ctx):
-    """(NewtonResult, SpectrumReport or None) for the configured run."""
-    spec = _operator_spec(args)
+    """NewtonResult of the configured run."""
     config = _newton_config(args, ctx)
     seed = (_load_coefficients(args.seed_file, ctx) if args.seed_file
             else default_seed(args.extremum_order, ctx))
     if args.extremum_order != 1:
         if BasisKind(args.basis) is not BasisKind.CHEB_GRID:
             raise ConfigError("higher extremum orders run on the Chebyshev grid")
-        result, report = solve_extremum_order(
+        return solve_extremum_order(
             args.extremum_order, args.nodes, ctx, config=config, seed=seed)
-        if spec != result.spec:
-            report = spectrum_at(result.solution_series, spec, ctx, basis=result.basis)
-        return result, report
     basis = build_basis(_basis_spec(args), ctx)
-    return newton_solve(spec, basis, seed, config, ctx), None
+    return newton_solve(_operator_spec(args), basis, seed, config, ctx)
 
 
 def _canonical_alpha(series: ChebSeries, ctx):
-    with ctx.activate():
-        return 1 / eval_series(series, 1, ctx)
+    return 1 / eval_series(series, 1, ctx)
 
 
 def _coefficient_strings(coeffs, ctx) -> list:
@@ -232,8 +224,7 @@ def _coefficient_strings(coeffs, ctx) -> list:
     that print the same strings again.
     """
     D = ctx.decimal_digits
-    with ctx.activate():
-        exact = [mpf_to_fraction(c) for c in coeffs]
+    exact = [mpf_to_fraction(c) for c in coeffs]
     top = max(abs(x) for x in exact)
     if top == 0:
         place = D - 1
@@ -293,7 +284,7 @@ def _emit(payload: dict, args, csv_rows=None):
 def cmd_solve(args) -> int:
     ctx = PrecisionCtx(args.digits)
     _warn_family(args)
-    result, _ = _run_newton(args, ctx)
+    result = _run_newton(args, ctx)
     payload = _solution_payload(result, ctx)
     rows = [["index", "cheb_coefficient", "taylor_coefficient"]]
     for i in range(len(result.solution_series.coeffs)):
@@ -305,12 +296,12 @@ def cmd_solve(args) -> int:
 def cmd_spectrum(args) -> int:
     ctx = PrecisionCtx(args.digits)
     _warn_family(args)
+    spec = _operator_spec(args)
     if args.mu:
-        spec = _operator_spec(args)
         if spec.variant not in (Variant.T3, Variant.T4):
             raise ConfigError("--mu family comparison pairs with T3/T4")
         base_args = argparse.Namespace(**{**vars(args), "operator": "T", "pin": []})
-        base, _ = _run_newton(base_args, ctx)
+        base = _run_newton(base_args, ctx)
         cmp = family_spectrum_check(
             base.solution_series, [ctx.mpf(m) for m in args.mu], spec.variant,
             ctx, n=args.nodes,
@@ -320,9 +311,8 @@ def cmd_spectrum(args) -> int:
               + [[ctx.to_str(m.mu), ctx.to_str(cmp.max_pairwise_deviation)]
                  for m in cmp.members])
         return EXIT_OK
-    result, report = _run_newton(args, ctx)
-    if report is None:
-        report = compute_spectrum(result, None, ctx)
+    result = _run_newton(args, ctx)
+    report = spectrum_at(result.solution_series, spec, ctx, basis=result.basis)
     payload = report.to_json_dict(ctx, include_vectors=getattr(args, "include_vectors", False))
     rows = [["index", "re", "im", "modulus", "residual", "tag", "k", "parity", "match_error"]]
     for i, r in enumerate(payload["eigenvalues"]):
@@ -340,53 +330,49 @@ def _verify_checks(args, ctx):
         g = _load_coefficients(args.seed_file, ctx)
         n = len(g.coeffs)
         result = None
-        report = None
     else:
-        result, report = _run_newton(args, ctx)
+        result = _run_newton(args, ctx)
         g = result.solution_series
         n = result.n
 
     rows = []
-    with ctx.activate():
-        alpha = _canonical_alpha(g, ctx)
-        gp = series_derivative(g, ctx)
-        rows.append(("g'(1) = alpha", abs(eval_series(gp, 1, ctx) - alpha),
-                     ctx.ten_pow(-20)))
+    alpha = _canonical_alpha(g, ctx)
+    gp = series_derivative(g, ctx)
+    rows.append(("g'(1) = alpha", abs(eval_series(gp, 1, ctx) - alpha),
+                 ctx.ten_pow(-20)))
 
-        bound = ctx.ten_pow(-15)
-        for k in (-1, 0, 2, 3, 4, 5):
-            for lin in (Linearization.FULL_DERIVATIVE, Linearization.FROZEN_ALPHA):
-                sp = OperatorSpec(spec.variant, lin)
-                name = "eigenfunction k=%s (%s)" % (k, lin.value)
-                try:
-                    lam = expected_explicit_eigenvalue(sp, k, alpha, ctx)
-                    rows.append((name, verify_explicit(g, sp, k, lam, ctx), bound))
-                except FeigenbaumError as exc:
-                    rows.append((name + " [skipped: %s]" % type(exc).__name__, None, None))
+    bound = ctx.ten_pow(-15)
+    for k in (-1, 0, 2, 3, 4, 5):
+        for lin in (Linearization.FULL_DERIVATIVE, Linearization.FROZEN_ALPHA):
+            sp = OperatorSpec(spec.variant, lin)
+            name = "eigenfunction k=%s (%s)" % (k, lin.value)
+            try:
+                lam = expected_explicit_eigenvalue(sp, k, alpha, ctx)
+                rows.append((name, verify_explicit(g, sp, k, lam, ctx), bound))
+            except FeigenbaumError as exc:
+                rows.append((name + " [skipped: %s]" % type(exc).__name__, None, None))
 
-        if report is None:
-            report = spectrum_at(g, spec, ctx,
-                                 basis=result.basis if result else None, n=n)
-        basis = result.basis if result else build_basis(
-            BasisSpec(BasisKind.CHEB_GRID, n), ctx)
-        lead = report.records[: (2 * n) // 3]
-        worst = ctx.mpf(0)
-        for r in lead:
-            if r.tag == "alpha_power" and r.k == -1:
-                continue
-            h = basis.direction_series([v.real for v in r.vector], ctx)
-            worst = max(worst,
-                        abs(eval_series(h, 0, ctx)) / max(abs(v) for v in r.vector))
-        rows.append(("h(0) dichotomy (non-alpha^2)", worst, ctx.ten_pow(-10)))
+    report = spectrum_at(g, spec, ctx, basis=result.basis if result else None, n=n)
+    basis = result.basis if result else build_basis(
+        BasisSpec(BasisKind.CHEB_GRID, n), ctx)
+    lead = report.records[: (2 * n) // 3]
+    worst = ctx.mpf(0)
+    for r in lead:
+        if r.tag == "alpha_power" and r.k == -1:
+            continue
+        h = basis.direction_series([v.real for v in r.vector], ctx)
+        worst = max(worst,
+                    abs(eval_series(h, 0, ctx)) / max(abs(v) for v in r.vector))
+    rows.append(("h(0) dichotomy (non-alpha^2)", worst, ctx.ten_pow(-10)))
 
-        step, _ = NewtonConfig().resolved(ctx)
-        full = OperatorSpec(spec.variant, Linearization.FULL_DERIVATIVE)
-        fd = assemble_jacobian(full, g, n, NewtonConfig(), ctx, basis=basis)
-        ex = assemble_jacobian(full, g, n,
-                               NewtonConfig(jacobian_mode=JacobianMode.EXACT),
-                               ctx, basis=basis)
-        dmax = max(abs(fd[i][j] - ex[i][j]) for i in range(n) for j in range(n))
-        rows.append(("finite-difference vs exact Jacobian", dmax, 10 * step))
+    step, _ = NewtonConfig().resolved(ctx)
+    full = OperatorSpec(spec.variant, Linearization.FULL_DERIVATIVE)
+    fd = assemble_jacobian(full, g, n, NewtonConfig(), ctx, basis=basis)
+    ex = assemble_jacobian(full, g, n,
+                           NewtonConfig(jacobian_mode=JacobianMode.EXACT),
+                           ctx, basis=basis)
+    dmax = max(abs(fd[i][j] - ex[i][j]) for i in range(n) for j in range(n))
+    rows.append(("finite-difference vs exact Jacobian", dmax, 10 * step))
     return rows
 
 
@@ -439,34 +425,33 @@ def cmd_plotdata(args) -> int:
          list(enumerate(_coefficient_strings(coeffs.coeffs, ctx))))
     _tsv(os.path.join(out, "decay.tsv"), ["k", "log10_inv_coefficient"],
          [(k, ctx.to_str(v)) for k, v in enumerate(decay.log_inv_magnitudes)])
-    with ctx.activate():
-        pts = [mp.mpf(-1) + mp.mpf(2) * i / 200 for i in range(201)]
-        _tsv(os.path.join(out, "solution.tsv"), ["x", "g(x)"],
-             [(ctx.to_str(x), ctx.to_str(eval_series(coeffs, x, ctx))) for x in pts])
-        if args.spectrum_file:
-            try:
-                with open(args.spectrum_file) as fh:
-                    srep = json.load(fh)
-            except OSError as exc:
-                raise MissingArtifact("cannot read spectrum artifact: %s" % exc) from exc
-            rows = srep.get("eigenvalues", [])
-            if not rows or "vector_re" not in rows[0]:
+    pts = [ctx.mpf(-1) + ctx.mpf(2) * i / 200 for i in range(201)]
+    _tsv(os.path.join(out, "solution.tsv"), ["x", "g(x)"],
+         [(ctx.to_str(x), ctx.to_str(eval_series(coeffs, x, ctx))) for x in pts])
+    if args.spectrum_file:
+        try:
+            with open(args.spectrum_file) as fh:
+                srep = json.load(fh)
+        except OSError as exc:
+            raise MissingArtifact("cannot read spectrum artifact: %s" % exc) from exc
+        rows = srep.get("eigenvalues", [])
+        if not rows or "vector_re" not in rows[0]:
+            raise MissingArtifact(
+                "spectrum artifact lacks eigenvectors; rerun spectrum "
+                "with --include-vectors"
+            )
+        basis = build_basis(_basis_spec(args), ctx)
+        for i, r in enumerate(rows):
+            vec = [ctx.mpf(v) for v in r["vector_re"]]
+            if len(vec) != basis.dim:
                 raise MissingArtifact(
-                    "spectrum artifact lacks eigenvectors; rerun spectrum "
-                    "with --include-vectors"
+                    "eigenvector length %d does not match basis dimension %d; "
+                    "pass the flags the spectrum ran with" % (len(vec), basis.dim)
                 )
-            basis = build_basis(_basis_spec(args), ctx)
-            for i, r in enumerate(rows):
-                vec = [ctx.mpf(v) for v in r["vector_re"]]
-                if len(vec) != basis.dim:
-                    raise MissingArtifact(
-                        "eigenvector length %d does not match basis dimension %d; "
-                        "pass the flags the spectrum ran with" % (len(vec), basis.dim)
-                    )
-                h = basis.direction_series(vec, ctx)
-                _tsv(os.path.join(out, "eigenfunction_%02d.tsv" % (i + 1)),
-                     ["x", "h(x)"],
-                     [(ctx.to_str(x), ctx.to_str(eval_series(h, x, ctx))) for x in pts])
+            h = basis.direction_series(vec, ctx)
+            _tsv(os.path.join(out, "eigenfunction_%02d.tsv" % (i + 1)),
+                 ["x", "h(x)"],
+                 [(ctx.to_str(x), ctx.to_str(eval_series(h, x, ctx))) for x in pts])
     return EXIT_OK
 
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from mpmath import mp
-
 from .chebyshev import (
     ChebSeries,
     GridFn,
@@ -35,7 +33,7 @@ from .operators import (
     scaling_of,
 )
 from .solver import JacobianMode, NewtonConfig, newton_solve, residual
-from .spectrum import compute_spectrum, spectrum_at
+from .spectrum import spectrum_at
 
 
 @dataclass(frozen=True)
@@ -54,15 +52,14 @@ def family_member(g: ChebSeries, mu, ctx: PrecisionCtx,
     |mu| < 1 evaluates g outside [-1, 1] (polynomial continuation) and is
     refused unless ``allow_extrapolation`` is set.
     """
-    with ctx.activate():
-        mu = ctx.mpf(mu)
-        if mu == 0:
-            raise ValueError("mu must be nonzero")
-        if abs(mu) < 1 and not allow_extrapolation:
-            raise ValueError("|mu| < 1 extrapolates g; pass allow_extrapolation=True")
-        n = max(len(g.coeffs), 2)
-        vals = tuple(mu * _eval(g.coeffs, x / mu) for x in cheb_nodes(n, ctx))
-        return grid_to_series(GridFn(vals), ctx)
+    mu = ctx.mpf(mu)
+    if mu == 0:
+        raise ValueError("mu must be nonzero")
+    if abs(mu) < 1 and not allow_extrapolation:
+        raise ValueError("|mu| < 1 extrapolates g; pass allow_extrapolation=True")
+    n = max(len(g.coeffs), 2)
+    vals = tuple(mu * _eval(g.coeffs, x / mu) for x in cheb_nodes(n, ctx))
+    return grid_to_series(GridFn(vals), ctx)
 
 
 @dataclass(frozen=True)
@@ -109,29 +106,28 @@ def family_spectrum_check(g: ChebSeries, mu_list, variant: Variant,
     pts = cheb_nodes(n, ctx)
 
     members, reports, scalings, residuals, unit_res = [], [], [], [], []
-    with ctx.activate():
-        one = mp.mpf(1)
-        for mu in mu_list:
-            gm = family_member(g, mu, ctx, allow_extrapolation=allow_extrapolation)
-            members.append(FamilyMember(ctx.mpf(mu), gm, abs(ctx.mpf(mu)) < 1))
-            scalings.append(scaling_of(variant, gm, ctx).value)
-            residuals.append(vec_norm_inf(residual(variant, gm, n, ctx).values))
-            gv = [_eval(gm.coeffs, x) for x in pts]
-            reports.append(spectrum_at(gm, spec, ctx, n=n))
-            gp = series_derivative(gm, ctx)
-            hv = [gv[i] - pts[i] * _eval(gp.coeffs, pts[i]) for i in range(n)]
-            h = grid_to_series(GridFn(tuple(hv)), ctx)
-            himg = linearized_apply_at(spec, gm, h, pts, ctx)
-            unit_res.append(
-                vec_norm_inf([himg[i] - one * hv[i] for i in range(n)])
-                / vec_norm_inf(hv)
-            )
-        dev = mp.mpf(0)
-        for a in range(len(reports)):
-            for b in range(a + 1, len(reports)):
-                ea, eb = reports[a].eigenvalues, reports[b].eigenvalues
-                for i in range(min(compared, len(ea), len(eb))):
-                    dev = max(dev, abs(ea[i] - eb[i]))
+    one = ctx.mpf(1)
+    for mu in mu_list:
+        gm = family_member(g, mu, ctx, allow_extrapolation=allow_extrapolation)
+        members.append(FamilyMember(ctx.mpf(mu), gm, abs(ctx.mpf(mu)) < 1))
+        scalings.append(scaling_of(variant, gm, ctx).value)
+        residuals.append(vec_norm_inf(residual(variant, gm, n, ctx).values))
+        gv = [_eval(gm.coeffs, x) for x in pts]
+        reports.append(spectrum_at(gm, spec, ctx, n=n))
+        gp = series_derivative(gm, ctx)
+        hv = [gv[i] - pts[i] * _eval(gp.coeffs, pts[i]) for i in range(n)]
+        h = grid_to_series(GridFn(tuple(hv)), ctx)
+        himg = linearized_apply_at(spec, gm, h, pts, ctx)
+        unit_res.append(
+            vec_norm_inf([himg[i] - one * hv[i] for i in range(n)])
+            / vec_norm_inf(hv)
+        )
+    dev = ctx.mpf(0)
+    for a in range(len(reports)):
+        for b in range(a + 1, len(reports)):
+            ea, eb = reports[a].eigenvalues, reports[b].eigenvalues
+            for i in range(min(compared, len(ea), len(eb))):
+                dev = max(dev, abs(ea[i] - eb[i]))
     return FamilyComparison(
         variant=variant,
         members=tuple(members),
@@ -173,8 +169,7 @@ def solve_extremum_order(k: int, n: int, ctx: PrecisionCtx,
     :class:`WrongBranch`.  (The interpolant's truncation tail amplified
     by ~n^3 lands near 1e-20 in those coefficients at n = 70, so a
     10**(-D/2) cut would reject genuine branch members; the wrong branch
-    shows order-one coefficients, 16 orders away.)  Returns
-    (NewtonResult, SpectrumReport).
+    shows order-one coefficients, 16 orders away.)
     """
     config = config or NewtonConfig()
     if k >= 2:
@@ -184,13 +179,11 @@ def solve_extremum_order(k: int, n: int, ctx: PrecisionCtx,
     result = newton_solve(spec, None, seed, config, ctx, n=n)
 
     taylor = series_to_monomial(result.solution_series, ctx)
-    with ctx.activate():
-        bound = ctx.ten_pow(-(ctx.decimal_digits // 4))
-        bad = [j for j in range(1, 2 * k) if abs(taylor[j]) > bound]
+    bound = ctx.ten_pow(-(ctx.decimal_digits // 4))
+    bad = [j for j in range(1, 2 * k) if abs(taylor[j]) > bound]
     if bad:
         raise WrongBranch(
             "converged solution has nonvanishing Taylor coefficients at "
             "orders %s; not an order-%d extremum" % (bad, 2 * k)
         )
-    report = compute_spectrum(result, None, ctx)
-    return result, report
+    return result

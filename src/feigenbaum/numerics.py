@@ -1,13 +1,17 @@
 """Numeric substrate: precision contexts, dense linear algebra, exact
 rational elimination, and a dense nonsymmetric eigensolver.
 
-All floating-point work runs on mpmath ``mpf``/``mpc`` scalars inside a
-:class:`PrecisionCtx`.  Matrices are plain lists of rows; mpmath's
-``matrix`` type appears only at the eigensolver boundary.  Exact work
-uses ``fractions.Fraction``.
+All floating-point work runs on mpmath ``mpf``/``mpc`` scalars made by a
+:class:`PrecisionCtx`.  Each context owns a private mpmath context at its
+precision, and a value computes at the precision of the context that
+made it (in a binary operation, the left operand's), so package code
+never consults mpmath's process-global precision.  Matrices are plain
+lists of rows; mpmath's ``matrix`` type appears only at the eigensolver
+boundary.  Exact work uses ``fractions.Fraction``.
 
 Everything here is a pure function of its inputs given a context, so
-values can move freely between threads.
+values can move freely between threads.  They do not pickle; exchange
+results as reports.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp
 
 from .errors import ExactlySingular, NoConvergence, SingularMatrix
 
@@ -34,6 +37,8 @@ class PrecisionCtx:
     ``decimal_digits`` is the number of decimal digits all reported
     quantities are carried to; the binary working precision adds
     :data:`GUARD_BITS` guard bits on top of the exact conversion.
+    ``mp`` is the mpmath context at that precision that makes every value
+    of this context; its precision is never changed.
     """
 
     def __init__(self, decimal_digits: int = 64):
@@ -41,35 +46,36 @@ class PrecisionCtx:
             raise ValueError("decimal_digits must be at least 16")
         self.decimal_digits = int(decimal_digits)
         self.prec_bits = math.ceil(self.decimal_digits * math.log2(10)) + GUARD_BITS
+        self.mp = mpmath.MPContext()
+        self.mp.prec = self.prec_bits
 
     def activate(self):
-        """Context manager switching mpmath to this precision."""
-        return mp.workprec(self.prec_bits)
+        """Context manager putting mpmath's global ``mp`` at this precision,
+        for a caller's own arithmetic on global ``mp`` values; the package
+        itself does not need it."""
+        return mpmath.mp.workprec(self.prec_bits)
 
-    def mpf(self, x) -> mpmath.mpf:
-        with self.activate():
-            if isinstance(x, Fraction):
-                return mp.mpf(x.numerator) / x.denominator
-            return mp.mpf(x)
+    def mpf(self, x):
+        if isinstance(x, Fraction):
+            return self.mp.mpf(x.numerator) / x.denominator
+        return self.mp.mpf(x)
 
-    def ten_pow(self, e: int) -> mpmath.mpf:
+    def ten_pow(self, e: int):
         """10**e at context precision (e may be negative)."""
-        with self.activate():
-            return mp.mpf(10) ** e
+        return self.mp.mpf(10) ** e
 
     def to_str(self, x) -> str:
         """Decimal string with ``decimal_digits`` significant digits."""
-        with self.activate():
-            if isinstance(x, mpmath.mpc):
-                if x.imag == 0:
-                    x = x.real
-                else:
-                    return "(%s %s %sj)" % (
-                        mp.nstr(x.real, self.decimal_digits, strip_zeros=False),
-                        "+" if x.imag >= 0 else "-",
-                        mp.nstr(abs(x.imag), self.decimal_digits, strip_zeros=False),
-                    )
-            return mp.nstr(mp.mpf(x), self.decimal_digits, strip_zeros=False)
+        if hasattr(x, "_mpc_"):
+            if x.imag == 0:
+                x = x.real
+            else:
+                return "(%s %s %sj)" % (
+                    self.mp.nstr(x.real, self.decimal_digits, strip_zeros=False),
+                    "+" if x.imag >= 0 else "-",
+                    self.mp.nstr(abs(x.imag), self.decimal_digits, strip_zeros=False),
+                )
+        return self.mp.nstr(self.mp.mpf(x), self.decimal_digits, strip_zeros=False)
 
     def __repr__(self):
         return "PrecisionCtx(decimal_digits=%d)" % self.decimal_digits
@@ -86,9 +92,6 @@ class PrecisionCtx:
 
 def mpf_to_fraction(x) -> Fraction:
     """Exact rational value of an mpf (binary float), as a Fraction."""
-    x = mp.mpf(x)
-    if x == 0:
-        return Fraction(0)
     sign, man, exp, _ = x._mpf_
     man = -man if sign else man
     if exp >= 0:
@@ -100,12 +103,12 @@ def mpf_to_fraction(x) -> Fraction:
 # Dense linear solves at context precision
 
 
-def mat_norm_inf(A) -> mpmath.mpf:
-    return max(sum(abs(x) for x in row) for row in A) if A else mp.mpf(0)
+def mat_norm_inf(A):
+    return max((sum(abs(x) for x in row) for row in A), default=0)
 
 
-def vec_norm_inf(v) -> mpmath.mpf:
-    return max(abs(x) for x in v) if len(v) else mp.mpf(0)
+def vec_norm_inf(v):
+    return max((abs(x) for x in v), default=0)
 
 
 def identity_rows(n, ctx: PrecisionCtx):
@@ -119,12 +122,12 @@ class LUFactors:
 
     lu: list
     perm: list
-    min_pivot: mpmath.mpf
-    norm: mpmath.mpf
+    min_pivot: object
+    norm: object
 
     @property
-    def pivot_ratio(self) -> mpmath.mpf:
-        return self.min_pivot / self.norm if self.norm > 0 else mp.mpf(0)
+    def pivot_ratio(self):
+        return self.min_pivot / self.norm if self.norm > 0 else 0
 
 
 def lu_factor(A, ctx: PrecisionCtx, pivot_floor=None) -> LUFactors:
@@ -135,51 +138,49 @@ def lu_factor(A, ctx: PrecisionCtx, pivot_floor=None) -> LUFactors:
     either genuine rank loss or a solution family.
     """
     n = len(A)
-    with ctx.activate():
-        lu = [list(row) for row in A]
-        norm = mat_norm_inf(lu)
-        if pivot_floor is None:
-            pivot_floor = ctx.ten_pow(-ctx.decimal_digits + 8) * norm
-        perm = list(range(n))
-        min_pivot = mp.inf
-        for k in range(n):
-            piv, prow = abs(lu[k][k]), k
-            for r in range(k + 1, n):
-                if abs(lu[r][k]) > piv:
-                    piv, prow = abs(lu[r][k]), r
-            if piv <= pivot_floor:
-                raise SingularMatrix(
-                    "pivot %s at column %d below tolerance %s"
-                    % (mp.nstr(piv, 5), k, mp.nstr(pivot_floor, 5))
-                )
-            if prow != k:
-                lu[k], lu[prow] = lu[prow], lu[k]
-                perm[k], perm[prow] = perm[prow], perm[k]
-            if piv < min_pivot:
-                min_pivot = piv
-            pk = lu[k][k]
-            for r in range(k + 1, n):
-                f = lu[r][k] / pk
-                lu[r][k] = f
-                if f:
-                    rowr, rowk = lu[r], lu[k]
-                    for c in range(k + 1, n):
-                        rowr[c] -= f * rowk[c]
-        return LUFactors(lu, perm, min_pivot, norm)
+    lu = [list(row) for row in A]
+    norm = mat_norm_inf(lu)
+    if pivot_floor is None:
+        pivot_floor = ctx.ten_pow(-ctx.decimal_digits + 8) * norm
+    perm = list(range(n))
+    min_pivot = ctx.mp.inf
+    for k in range(n):
+        piv, prow = abs(lu[k][k]), k
+        for r in range(k + 1, n):
+            if abs(lu[r][k]) > piv:
+                piv, prow = abs(lu[r][k]), r
+        if piv <= pivot_floor:
+            raise SingularMatrix(
+                "pivot %s at column %d below tolerance %s"
+                % (ctx.mp.nstr(piv, 5), k, ctx.mp.nstr(pivot_floor, 5))
+            )
+        if prow != k:
+            lu[k], lu[prow] = lu[prow], lu[k]
+            perm[k], perm[prow] = perm[prow], perm[k]
+        if piv < min_pivot:
+            min_pivot = piv
+        pk = lu[k][k]
+        for r in range(k + 1, n):
+            f = lu[r][k] / pk
+            lu[r][k] = f
+            if f:
+                rowr, rowk = lu[r], lu[k]
+                for c in range(k + 1, n):
+                    rowr[c] -= f * rowk[c]
+    return LUFactors(lu, perm, min_pivot, norm)
 
 
 def lu_solve_factored(fac: LUFactors, b, ctx: PrecisionCtx):
     n = len(fac.lu)
-    with ctx.activate():
-        y = [b[fac.perm[i]] for i in range(n)]
-        for i in range(n):
-            row = fac.lu[i]
-            y[i] -= sum(row[j] * y[j] for j in range(i))
-        x = y
-        for i in range(n - 1, -1, -1):
-            row = fac.lu[i]
-            x[i] = (x[i] - sum(row[j] * x[j] for j in range(i + 1, n))) / row[i]
-        return x
+    y = [b[fac.perm[i]] for i in range(n)]
+    for i in range(n):
+        row = fac.lu[i]
+        y[i] -= sum(row[j] * y[j] for j in range(i))
+    x = y
+    for i in range(n - 1, -1, -1):
+        row = fac.lu[i]
+        x[i] = (x[i] - sum(row[j] * x[j] for j in range(i + 1, n))) / row[i]
+    return x
 
 
 def solve_linear(A, b, ctx: PrecisionCtx):
@@ -255,9 +256,9 @@ class EigenPair:
     (unit sup-norm, largest component rotated to +1) and the residual
     ``||M v - lambda v||_inf``."""
 
-    value: mpmath.mpc
+    value: object
     vector: tuple
-    residual: mpmath.mpf
+    residual: object
 
 
 def eig_dense(M, tol, ctx: PrecisionCtx):
@@ -269,36 +270,35 @@ def eig_dense(M, tol, ctx: PrecisionCtx):
     a violation or an exhausted QR budget raises :class:`NoConvergence`.
     """
     n = len(M)
-    with ctx.activate():
-        tol = mp.mpf(tol)
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        A = mp.matrix([[mp.mpf(x) for x in row] for row in M])
-        norm = mat_norm_inf(M)
-        try:
-            E, ER = mpmath.eig(A, left=False, right=True)
-        except Exception as exc:  # mpmath signals QR stagnation via RuntimeError
-            raise NoConvergence("eigensolver failed: %s" % exc) from exc
+    tol = ctx.mpf(tol)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    A = ctx.mp.matrix([[ctx.mpf(x) for x in row] for row in M])
+    norm = mat_norm_inf(M)
+    try:
+        E, ER = ctx.mp.eig(A, left=False, right=True)
+    except Exception as exc:  # mpmath signals QR stagnation via RuntimeError
+        raise NoConvergence("eigensolver failed: %s" % exc) from exc
 
-        pairs = []
-        for idx in range(n):
-            vec = [ER[i, idx] for i in range(n)]
-            big = max(vec, key=abs)
-            if abs(big) == 0:
-                raise NoConvergence("zero eigenvector", index=idx)
-            vec = [v / big for v in vec]
-            lam = E[idx]
-            res = mp.mpf(0)
-            for i in range(n):
-                r = abs(sum(A[i, j] * vec[j] for j in range(n)) - lam * vec[i])
-                if r > res:
-                    res = r
-            if norm > 0 and res > tol * norm:
-                raise NoConvergence(
-                    "eigenpair %d residual %s exceeds tolerance" % (idx, mp.nstr(res, 5)),
-                    index=idx,
-                )
-            pairs.append(EigenPair(lam, tuple(vec), res))
+    pairs = []
+    for idx in range(n):
+        vec = [ER[i, idx] for i in range(n)]
+        big = max(vec, key=abs)
+        if abs(big) == 0:
+            raise NoConvergence("zero eigenvector", index=idx)
+        vec = [v / big for v in vec]
+        lam = E[idx]
+        res = ctx.mpf(0)
+        for i in range(n):
+            r = abs(sum(A[i, j] * vec[j] for j in range(n)) - lam * vec[i])
+            if r > res:
+                res = r
+        if norm > 0 and res > tol * norm:
+            raise NoConvergence(
+                "eigenpair %d residual %s exceeds tolerance" % (idx, ctx.mp.nstr(res, 5)),
+                index=idx,
+            )
+        pairs.append(EigenPair(lam, tuple(vec), res))
 
-        pairs.sort(key=lambda p: (-abs(p.value), -p.value.real, -p.value.imag))
-        return pairs
+    pairs.sort(key=lambda p: (-abs(p.value), -p.value.real, -p.value.imag))
+    return pairs

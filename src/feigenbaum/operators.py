@@ -22,8 +22,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from mpmath import mp
-
 from .chebyshev import (
     ChebSeries,
     GridFn,
@@ -76,30 +74,28 @@ def uses_inverse_g1(variant: Variant) -> bool:
 
 def scaling_of(variant: Variant, g: ChebSeries, ctx: PrecisionCtx) -> ScalingConstant:
     """c = 1/g(1) for T/T2, c = -g(0)/g(g(0)) for T3/T4."""
-    with ctx.activate():
-        if uses_inverse_g1(variant):
-            g1 = _eval(g.coeffs, mp.mpf(1))
-            if g1 == 0:
-                raise DivideByZero("g(1) = 0: scaling 1/g(1) undefined")
-            return ScalingConstant(1 / g1, "1/g(1)")
-        g0 = _eval(g.coeffs, mp.mpf(0))
-        gg0 = _eval(g.coeffs, g0)
-        if gg0 == 0:
-            raise DivideByZero("g(g(0)) = 0: scaling -g(0)/g(g(0)) undefined")
-        return ScalingConstant(-g0 / gg0, "-g(0)/g(g(0))")
+    if uses_inverse_g1(variant):
+        g1 = _eval(g.coeffs, ctx.mpf(1))
+        if g1 == 0:
+            raise DivideByZero("g(1) = 0: scaling 1/g(1) undefined")
+        return ScalingConstant(1 / g1, "1/g(1)")
+    g0 = _eval(g.coeffs, ctx.mpf(0))
+    gg0 = _eval(g.coeffs, g0)
+    if gg0 == 0:
+        raise DivideByZero("g(g(0)) = 0: scaling -g(0)/g(g(0)) undefined")
+    return ScalingConstant(-g0 / gg0, "-g(0)/g(g(0))")
 
 
 def apply_at_points(variant: Variant, g: ChebSeries, points, ctx: PrecisionCtx):
     """Values of the doubling operator at arbitrary points."""
     s_out, s_in = _SIGNS[variant]
     c = scaling_of(variant, g, ctx).value
-    with ctx.activate():
-        gc = g.coeffs
-        out = []
-        for x in points:
-            y = s_in * x / c
-            out.append(s_out * c * _eval(gc, _eval(gc, y)))
-        return out
+    gc = g.coeffs
+    out = []
+    for x in points:
+        y = s_in * x / c
+        out.append(s_out * c * _eval(gc, _eval(gc, y)))
+    return out
 
 
 def apply(variant: Variant, g: ChebSeries, n: int, ctx: PrecisionCtx) -> GridFn:
@@ -111,17 +107,17 @@ def _scaling_variation(variant, g, gp, h, ctx):
     """Directional derivative of the scaling constant c along h."""
     gc, gpc, hc = g.coeffs, gp.coeffs, h.coeffs
     if uses_inverse_g1(variant):
-        g1 = _eval(gc, mp.mpf(1))
+        g1 = _eval(gc, ctx.mpf(1))
         if g1 == 0:
             raise DivideByZero("g(1) = 0")
         c = 1 / g1
-        return c, -(c ** 2) * _eval(hc, mp.mpf(1))
-    u = _eval(gc, mp.mpf(0))          # g(0)
+        return c, -(c ** 2) * _eval(hc, ctx.mpf(1))
+    u = _eval(gc, ctx.mpf(0))          # g(0)
     w = _eval(gc, u)                  # g(g(0))
     if w == 0:
         raise DivideByZero("g(g(0)) = 0")
     c = -u / w
-    h0 = _eval(hc, mp.mpf(0))
+    h0 = _eval(hc, ctx.mpf(0))
     dw = _eval(gpc, u) * h0 + _eval(hc, u)
     return c, -h0 / w + u * dw / w ** 2
 
@@ -137,22 +133,21 @@ def linearized_apply_at(
     """
     s_out, s_in = _SIGNS[spec.variant]
     full = spec.linearization is Linearization.FULL_DERIVATIVE
-    with ctx.activate():
-        gp = series_derivative(g, ctx)
-        c, dc = _scaling_variation(spec.variant, g, gp, h, ctx)
-        gc, gpc, hc = g.coeffs, gp.coeffs, h.coeffs
-        out = []
-        for x in points:
-            y = s_in * x / c
-            gy = _eval(gc, y)
-            val = s_out * c * (_eval(gpc, gy) * _eval(hc, y) + _eval(hc, gy))
-            if full:
-                dF_dc = s_out * (
-                    _eval(gc, gy) - _eval(gpc, gy) * _eval(gpc, y) * (s_in * x / c)
-                )
-                val += dc * dF_dc
-            out.append(val)
-        return out
+    gp = series_derivative(g, ctx)
+    c, dc = _scaling_variation(spec.variant, g, gp, h, ctx)
+    gc, gpc, hc = g.coeffs, gp.coeffs, h.coeffs
+    out = []
+    for x in points:
+        y = s_in * x / c
+        gy = _eval(gc, y)
+        val = s_out * c * (_eval(gpc, gy) * _eval(hc, y) + _eval(hc, gy))
+        if full:
+            dF_dc = s_out * (
+                _eval(gc, gy) - _eval(gpc, gy) * _eval(gpc, y) * (s_in * x / c)
+            )
+            val += dc * dF_dc
+        out.append(val)
+    return out
 
 
 def linearized_apply(
@@ -192,19 +187,18 @@ def explicit_eigenfunction(
             raise InvalidIndex("k must be a non-negative integer")
     n = max(len(g.coeffs), 2)
     nodes = cheb_nodes(n, ctx)
-    with ctx.activate():
-        gp = series_derivative(g, ctx)
-        vals = []
-        for x in nodes:
-            gx = _eval(g.coeffs, x)
-            gpx = _eval(gp.coeffs, x)
-            if kind is EigenfunctionKind.DILATION:
-                vals.append(gx - x * gpx)
-            elif kind is EigenfunctionKind.FULL_POWER:
-                vals.append(gx - x * gpx - gx ** k + x ** k * gpx)
-            else:
-                vals.append(gx ** k - x ** k * gpx)
-        return grid_to_series(GridFn(tuple(vals)), ctx)
+    gp = series_derivative(g, ctx)
+    vals = []
+    for x in nodes:
+        gx = _eval(g.coeffs, x)
+        gpx = _eval(gp.coeffs, x)
+        if kind is EigenfunctionKind.DILATION:
+            vals.append(gx - x * gpx)
+        elif kind is EigenfunctionKind.FULL_POWER:
+            vals.append(gx - x * gpx - gx ** k + x ** k * gpx)
+        else:
+            vals.append(gx ** k - x ** k * gpx)
+    return grid_to_series(GridFn(tuple(vals)), ctx)
 
 
 def explicit_eigenvalue(kind: EigenfunctionKind, spec: OperatorSpec, k: int, alpha, ctx):
@@ -216,11 +210,10 @@ def explicit_eigenvalue(kind: EigenfunctionKind, spec: OperatorSpec, k: int, alp
     scaling family exists (T3/T4, and every frozen linearization, whose
     dilation mode is the k = 1 power form).
     """
-    with ctx.activate():
-        alpha = mp.mpf(alpha)
-        if kind is EigenfunctionKind.DILATION:
-            full = spec.linearization is Linearization.FULL_DERIVATIVE
-            if full and spec.variant in (Variant.T, Variant.T2):
-                return alpha ** 2
-            return mp.mpf(1)
-        return alpha ** (1 - k)
+    alpha = ctx.mpf(alpha)
+    if kind is EigenfunctionKind.DILATION:
+        full = spec.linearization is Linearization.FULL_DERIVATIVE
+        if full and spec.variant in (Variant.T, Variant.T2):
+            return alpha ** 2
+        return ctx.mpf(1)
+    return alpha ** (1 - k)

@@ -15,8 +15,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from mpmath import mp
-
 from .bases import BasisSpec, Discretization, build_basis, chebgrid
 from .chebyshev import ChebSeries, GridFn, _eval, cheb_nodes, series_to_monomial
 from .errors import NoConvergence, SingularJacobian, SingularMatrix
@@ -87,10 +85,9 @@ def _residual(variant, g, points, ctx, values=None):
     """g(x) - T(g)(x) over the points; ``values`` supplies g there when the
     caller carries it (the Newton state), else it is evaluated."""
     image = apply_at_points(variant, g, points, ctx)
-    with ctx.activate():
-        if values is None:
-            values = [_eval(g.coeffs, x) for x in points]
-        return [values[i] - image[i] for i in range(len(points))]
+    if values is None:
+        values = [_eval(g.coeffs, x) for x in points]
+    return [values[i] - image[i] for i in range(len(points))]
 
 
 def _jacobian(spec, basis, values, series, config, ctx):
@@ -107,24 +104,23 @@ def _jacobian(spec, basis, values, series, config, ctx):
              or spec.linearization is Linearization.FROZEN_ALPHA)
     step, _ = config.resolved(ctx)
     cols = []
-    with ctx.activate():
-        one, zero = mp.mpf(1), mp.mpf(0)
-        for j, card in enumerate(basis.cardinals):
-            if exact:
-                img = linearized_apply_at(spec, series, card, basis.nodes, ctx)
-                cols.append([(one if i == j else zero) - img[i] for i in range(d)])
-            else:
-                # centered differences: the forward one-sided quotient carries a
-                # (step/2)|d2 Phi| truncation term with constants near 10^2 here,
-                # which would dominate the cross-mode agreement budget
-                res = []
-                for sgn in (1, -1):
-                    h = sgn * step
-                    pert = ChebSeries(tuple(c + h * e for c, e in zip(series.coeffs, card.coeffs)))
-                    pvals = list(values)
-                    pvals[j] = pvals[j] + h
-                    res.append(_residual(spec.variant, pert, basis.nodes, ctx, pvals))
-                cols.append([(res[0][i] - res[1][i]) / (2 * step) for i in range(d)])
+    one, zero = ctx.mpf(1), ctx.mpf(0)
+    for j, card in enumerate(basis.cardinals):
+        if exact:
+            img = linearized_apply_at(spec, series, card, basis.nodes, ctx)
+            cols.append([(one if i == j else zero) - img[i] for i in range(d)])
+        else:
+            # centered differences: the forward one-sided quotient carries a
+            # (step/2)|d2 Phi| truncation term with constants near 10^2 here,
+            # which would dominate the cross-mode agreement budget
+            res = []
+            for sgn in (1, -1):
+                h = sgn * step
+                pert = ChebSeries(tuple(c + h * e for c, e in zip(series.coeffs, card.coeffs)))
+                pvals = list(values)
+                pvals[j] = pvals[j] + h
+                res.append(_residual(spec.variant, pert, basis.nodes, ctx, pvals))
+            cols.append([(res[0][i] - res[1][i]) / (2 * step) for i in range(d)])
     return [[cols[j][i] for j in range(d)] for i in range(d)]
 
 
@@ -133,8 +129,7 @@ def assemble_jacobian(spec: OperatorSpec, g: ChebSeries, n: int, config: NewtonC
     """Matrix of I - dT(g) in the active basis (Chebyshev grid of size n
     by default); see :func:`_jacobian` for the mode choice."""
     basis = basis if basis is not None else chebgrid(n, ctx)
-    with ctx.activate():
-        values = [_eval(g.coeffs, x) for x in basis.nodes]
+    values = [_eval(g.coeffs, x) for x in basis.nodes]
     return _jacobian(spec, basis, values, g, config, ctx)
 
 
@@ -142,17 +137,18 @@ def _pin_rows(basis: Discretization, pins, ctx: PrecisionCtx):
     """(row index, jacobian row, power, value) per pin.
 
     The replaced rows are those whose nodes sit nearest the origin, the
-    point the constraints address.
+    point the constraints address.  Mirror-image nodes are equally near in
+    exact arithmetic; distances compare in double precision so that
+    round-off in the nodes does not break that tie: the lower index wins.
     """
     if not pins:
         return []
-    order = sorted(range(basis.dim), key=lambda i: (abs(basis.nodes[i]), i))
+    order = sorted(range(basis.dim), key=lambda i: (float(abs(basis.nodes[i])), i))
     rows = []
-    with ctx.activate():
-        taylor_of_card = [series_to_monomial(c, ctx) for c in basis.cardinals]
-        for slot, (power, value) in enumerate(pins):
-            row = [taylor_of_card[j][power] for j in range(basis.dim)]
-            rows.append((order[slot], row, int(power), ctx.mpf(value)))
+    taylor_of_card = [series_to_monomial(c, ctx) for c in basis.cardinals]
+    for slot, (power, value) in enumerate(pins):
+        row = [taylor_of_card[j][power] for j in range(basis.dim)]
+        rows.append((order[slot], row, int(power), ctx.mpf(value)))
     return rows
 
 
@@ -177,8 +173,7 @@ def newton_solve(spec: OperatorSpec, basis, seed: ChebSeries,
         basis = build_basis(basis, ctx)
     _, update_tol = config.resolved(ctx)
     D = ctx.decimal_digits
-    with ctx.activate():
-        values = [_eval(seed.coeffs, x) for x in basis.nodes]
+    values = [_eval(seed.coeffs, x) for x in basis.nodes]
     pins = _pin_rows(basis, config.pin, ctx)
 
     history = []
@@ -191,10 +186,9 @@ def newton_solve(spec: OperatorSpec, basis, seed: ChebSeries,
         rhs = _residual(spec.variant, series, basis.nodes, ctx, values)
         A = _jacobian(OperatorSpec(spec.variant, Linearization.FULL_DERIVATIVE),
                       basis, values, series, config, ctx)
-        with ctx.activate():
-            for ridx, row, power, value in pins:
-                A[ridx] = list(row)
-                rhs[ridx] = series_to_monomial(series, ctx)[power] - value
+        for ridx, row, power, value in pins:
+            A[ridx] = list(row)
+            rhs[ridx] = series_to_monomial(series, ctx)[power] - value
         try:
             fac = lu_factor(A, ctx)
         except SingularMatrix as exc:
@@ -206,12 +200,11 @@ def newton_solve(spec: OperatorSpec, basis, seed: ChebSeries,
             raise SingularJacobian(
                 "Newton Jacobian degenerate (pivot ratio %s): the operator "
                 "has eigenvalue 1, i.e. a one-parameter solution family; "
-                "pin g(0) to select a member" % mp.nstr(fac.pivot_ratio, 3)
+                "pin g(0) to select a member" % ctx.mp.nstr(fac.pivot_ratio, 3)
             )
         delta = lu_solve_factored(fac, rhs, ctx)
-        with ctx.activate():
-            values = [values[i] - delta[i] for i in range(basis.dim)]
-            u = vec_norm_inf(delta)
+        values = [values[i] - delta[i] for i in range(basis.dim)]
+        u = vec_norm_inf(delta)
         history.append(u)
         if u <= update_tol:
             converged = True
@@ -225,17 +218,16 @@ def newton_solve(spec: OperatorSpec, basis, seed: ChebSeries,
 
     series = basis.to_series(values, ctx)
     final_res = _residual(spec.variant, series, basis.nodes, ctx, values)
-    with ctx.activate():
-        # judge convergence on the system actually solved: pinned rows carry
-        # the constraint residual (the displaced collocation row re-acquires
-        # truncation-scale error, which is not a convergence failure)
-        for ridx, _row, power, value in pins:
-            final_res[ridx] = series_to_monomial(series, ctx)[power] - value
-        res_norm = vec_norm_inf(final_res)
-        scale = max(mp.mpf(1), vec_norm_inf(values))
+    # judge convergence on the system actually solved: pinned rows carry
+    # the constraint residual (the displaced collocation row re-acquires
+    # truncation-scale error, which is not a convergence failure)
+    for ridx, _row, power, value in pins:
+        final_res[ridx] = series_to_monomial(series, ctx)[power] - value
+    res_norm = vec_norm_inf(final_res)
+    scale = max(ctx.mpf(1), vec_norm_inf(values))
     if not converged or res_norm > ctx.ten_pow(-D + 12) * scale:
         raise NoConvergence(
-            "Newton did not converge (last residual %s)" % mp.nstr(res_norm, 5),
+            "Newton did not converge (last residual %s)" % ctx.mp.nstr(res_norm, 5),
             history=tuple(history),
         )
     return NewtonResult(
@@ -263,7 +255,8 @@ def convergence_diagnostics(result) -> ConvergenceReport:
     """Quadratic-convergence check from the update-norm history.
 
     Fits the slope of log u_{k+1} against log u_k over consecutive
-    pre-plateau updates already in the asymptotic regime (u_k <= 1e-2).
+    pre-plateau updates already in the asymptotic regime (u_k <= 1e-2),
+    at the precision the update norms carry.
     """
     if isinstance(result, (tuple, list)):
         history, stopped_by = list(result), "update_tol"
@@ -271,16 +264,19 @@ def convergence_diagnostics(result) -> ConvergenceReport:
         history, stopped_by = list(result.iteration_history), result.stopped_by
     if stopped_by == "plateau" and len(history) > 1:
         history = history[:-1]
-    cut = mp.mpf("1e-2")
+    if not history:
+        return ConvergenceReport(None, 0)
+    mpx = history[0].context
+    cut = mpx.mpf("1e-2")
     pairs = [
-        (mp.log(history[i]), mp.log(history[i + 1]))
+        (mpx.log(history[i]), mpx.log(history[i + 1]))
         for i in range(len(history) - 1)
         if 0 < history[i] <= cut and history[i + 1] > 0
     ]
     if len(pairs) < 2:
         return ConvergenceReport(None, len(pairs))
-    xb = mp.fsum(x for x, _ in pairs) / len(pairs)
-    yb = mp.fsum(y for _, y in pairs) / len(pairs)
-    num = mp.fsum((x - xb) * (y - yb) for x, y in pairs)
-    den = mp.fsum((x - xb) ** 2 for x, y in pairs)
+    xb = mpx.fsum(x for x, _ in pairs) / len(pairs)
+    yb = mpx.fsum(y for _, y in pairs) / len(pairs)
+    num = mpx.fsum((x - xb) * (y - yb) for x, y in pairs)
+    den = mpx.fsum((x - xb) ** 2 for x, y in pairs)
     return ConvergenceReport(num / den, len(pairs))

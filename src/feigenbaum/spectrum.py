@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import mp
-
 from .bases import chebgrid
 from .chebyshev import ChebSeries, _eval, cheb_nodes
 from .errors import AmbiguousMatch, NoExplicitForm
@@ -109,44 +107,43 @@ def classify_spectrum(eigs, alpha, ctx: PrecisionCtx, tol_rel=None, parities=Non
     one with an even eigenfunction (all of them, when no parities are
     supplied) becomes delta.
     """
-    with ctx.activate():
-        tol = mp.mpf("1e-6") if tol_rel is None else mp.mpf(tol_rel)
-        alpha = mp.mpf(alpha)
-        powers = {k: alpha ** (1 - k) for k in K_RANGE}
-        tags = []
-        for lam in eigs:
-            cands = [
-                (k, abs(lam - powers[k]))
-                for k in K_RANGE
-                if abs(lam - powers[k]) <= tol * abs(powers[k])
-            ]
-            if len(cands) > 1:
-                vals = [powers[k] for k, _ in cands]
-                spread = max(abs(a - b) for a in vals for b in vals)
-                if spread > tol * max(abs(v) for v in vals):
-                    raise AmbiguousMatch(
-                        "eigenvalue %s matches several powers" % mp.nstr(lam, 10),
-                        candidates=[k for k, _ in cands],
-                    )
-                cands.sort(key=lambda t: (abs(t[0]), t[0]))  # smallest |k|, then sign
-            if cands:
-                k, err = cands[0]
-                tags.append(Classification("alpha_power", k, err))
-            else:
-                tags.append(Classification("unexplained", None, None))
+    tol = ctx.mpf("1e-6") if tol_rel is None else ctx.mpf(tol_rel)
+    alpha = ctx.mpf(alpha)
+    powers = {k: alpha ** (1 - k) for k in K_RANGE}
+    tags = []
+    for lam in eigs:
+        cands = [
+            (k, abs(lam - powers[k]))
+            for k in K_RANGE
+            if abs(lam - powers[k]) <= tol * abs(powers[k])
+        ]
+        if len(cands) > 1:
+            vals = [powers[k] for k, _ in cands]
+            spread = max(abs(a - b) for a in vals for b in vals)
+            if spread > tol * max(abs(v) for v in vals):
+                raise AmbiguousMatch(
+                    "eigenvalue %s matches several powers" % ctx.mp.nstr(lam, 10),
+                    candidates=[k for k, _ in cands],
+                )
+            cands.sort(key=lambda t: (abs(t[0]), t[0]))  # smallest |k|, then sign
+        if cands:
+            k, err = cands[0]
+            tags.append(Classification("alpha_power", k, err))
+        else:
+            tags.append(Classification("unexplained", None, None))
 
-        delta_idx = None
-        best = None
-        for i, (lam, tag) in enumerate(zip(eigs, tags)):
-            if tag.tag != "unexplained":
-                continue
-            if parities is not None and parities[i] != "even":
-                continue
-            if best is None or abs(lam) > best:
-                best, delta_idx = abs(lam), i
-        if delta_idx is not None:
-            tags[delta_idx] = Classification("delta", None, None)
-        return tags
+    delta_idx = None
+    best = None
+    for i, (lam, tag) in enumerate(zip(eigs, tags)):
+        if tag.tag != "unexplained":
+            continue
+        if parities is not None and parities[i] != "even":
+            continue
+        if best is None or abs(lam) > best:
+            best, delta_idx = abs(lam), i
+    if delta_idx is not None:
+        tags[delta_idx] = Classification("delta", None, None)
+    return tags
 
 
 def eigenfunction_parity(vector, basis, ctx: PrecisionCtx, samples: int = 16) -> str:
@@ -156,19 +153,18 @@ def eigenfunction_parity(vector, basis, ctx: PrecisionCtx, samples: int = 16) ->
     basis reconstructs the polynomial they represent.
     """
     h = basis.direction_series(vector, ctx).coeffs
-    with ctx.activate():
-        pts = [mp.mpf(j) / samples for j in range(samples + 1)]
-        plus = [_eval(h, x) for x in pts]
-        minus = [_eval(h, -x) for x in pts]
-        scale = max(max(abs(v) for v in plus), max(abs(v) for v in minus))
-        if scale == 0:
-            return "even"
-        tol = mp.mpf("1e-8") * scale
-        if max(abs(p - m) for p, m in zip(plus, minus)) <= tol:
-            return "even"
-        if max(abs(p + m) for p, m in zip(plus, minus)) <= tol:
-            return "odd"
-        return "mixed"
+    pts = [ctx.mpf(j) / samples for j in range(samples + 1)]
+    plus = [_eval(h, x) for x in pts]
+    minus = [_eval(h, -x) for x in pts]
+    scale = max(max(abs(v) for v in plus), max(abs(v) for v in minus))
+    if scale == 0:
+        return "even"
+    tol = ctx.mpf("1e-8") * scale
+    if max(abs(p - m) for p, m in zip(plus, minus)) <= tol:
+        return "even"
+    if max(abs(p + m) for p, m in zip(plus, minus)) <= tol:
+        return "odd"
+    return "mixed"
 
 
 def spectrum_at(g: ChebSeries, spec: OperatorSpec, ctx: PrecisionCtx,
@@ -185,27 +181,25 @@ def spectrum_at(g: ChebSeries, spec: OperatorSpec, ctx: PrecisionCtx,
     A = assemble_jacobian(spec, g, d, NewtonConfig(jacobian_mode=JacobianMode.EXACT),
                           ctx, basis=basis)
     D = ctx.decimal_digits
-    with ctx.activate():
-        M = [
-            [(mp.mpf(1) if i == j else mp.mpf(0)) - A[i][j] for j in range(d)]
-            for i in range(d)
-        ]
+    M = [
+        [(ctx.mpf(1) if i == j else ctx.mpf(0)) - A[i][j] for j in range(d)]
+        for i in range(d)
+    ]
     tol = eig_tol if eig_tol is not None else ctx.ten_pow(-(D // 2) - 4)
     pairs = eig_dense(M, tol, ctx)
 
-    with ctx.activate():
-        alpha = scaling_of(Variant.T, g, ctx).value
-        parities = [eigenfunction_parity(p.vector, basis, ctx) for p in pairs]
-        base = classification_base(spec.variant, alpha)
-        tags = classify_spectrum([p.value for p in pairs], base, ctx, parities=parities)
-        delta = None
-        records = []
-        for p, tag, par in zip(pairs, tags, parities):
-            if tag.tag == "delta":
-                delta = p.value.real
-            records.append(
-                EigRecord(p.value, p.residual, tag.tag, tag.k, par, tag.match_error, p.vector)
-            )
+    alpha = scaling_of(Variant.T, g, ctx).value
+    parities = [eigenfunction_parity(p.vector, basis, ctx) for p in pairs]
+    base = classification_base(spec.variant, alpha)
+    tags = classify_spectrum([p.value for p in pairs], base, ctx, parities=parities)
+    delta = None
+    records = []
+    for p, tag, par in zip(pairs, tags, parities):
+        if tag.tag == "delta":
+            delta = p.value.real
+        records.append(
+            EigRecord(p.value, p.residual, tag.tag, tag.k, par, tag.match_error, p.vector)
+        )
     return SpectrumReport(
         operator=spec.variant,
         linearization=spec.linearization,
@@ -259,11 +253,10 @@ def verify_explicit(g: ChebSeries, spec: OperatorSpec, k: int, lam_expected,
     n = len(h.coeffs)
     pts = cheb_nodes(n, ctx)
     image = linearized_apply_at(spec, g, h, pts, ctx)
-    with ctx.activate():
-        lam = mp.mpf(lam_expected)
-        hv = [_eval(h.coeffs, x) for x in pts]
-        hn = max(abs(v) for v in hv)
-        return max(abs(image[i] - lam * hv[i]) for i in range(n)) / hn
+    lam = ctx.mpf(lam_expected)
+    hv = [_eval(h.coeffs, x) for x in pts]
+    hn = max(abs(v) for v in hv)
+    return max(abs(image[i] - lam * hv[i]) for i in range(n)) / hn
 
 
 def expected_explicit_eigenvalue(spec: OperatorSpec, k: int, alpha, ctx):

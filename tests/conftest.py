@@ -7,7 +7,6 @@ n = 70 behind their own fixtures.
 """
 
 import pytest
-from mpmath import mp
 
 import feigenbaum as fb
 
@@ -107,7 +106,8 @@ def t4_report(g32, ctx):
 @pytest.fixture(scope="session")
 def quartic70(ctx):
     """Quartic branch at n = 70: (NewtonResult, SpectrumReport)."""
-    return fb.solve_extremum_order(2, 70, ctx)
+    result = fb.solve_extremum_order(2, 70, ctx)
+    return result, fb.compute_spectrum(result, None, ctx)
 
 
 @pytest.fixture(scope="session")
@@ -120,8 +120,3 @@ def lanford_report(ctx):
 def even_report(ctx):
     spec = fb.OperatorSpec(fb.Variant.T, FULL)
     return fb.spectrum_in_basis(spec, fb.BasisSpec(fb.BasisKind.EVEN_MONOMIAL, 15), ctx)
-
-
-def approx_mpf(value, expected, tol, ctx=None):
-    """Absolute-tolerance comparison that keeps mpf precision."""
-    return abs(mp.mpf(value) - mp.mpf(expected)) <= mp.mpf(tol)
