@@ -175,8 +175,11 @@ class Discretization:
     def direction_series(self, vector, ctx: PrecisionCtx) -> ChebSeries:
         """Linear part of :meth:`to_series`: sum_j vector[j] * cardinal_j,
         without the fixed part.  Eigenvectors and other tangent directions
-        (real or complex) map to functions through this."""
-        return self._combine([ctx.mpf(0)] * self.series_len, vector)
+        (real or complex) map to functions through this; the entries are
+        converted to the context first, so values from mpmath's global
+        ``mp`` compute at context precision."""
+        return self._combine([ctx.mpf(0)] * self.series_len,
+                             [ctx.mp.convert(v) for v in vector])
 
     def describe(self, ctx: PrecisionCtx) -> dict:
         d = {

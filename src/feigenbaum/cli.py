@@ -14,11 +14,13 @@ Outputs are deterministic and no timestamps enter the data sections.
 Coefficient vectors (``cheb_coefficients`` of ``solve`` and the
 ``coefficients.tsv`` dump) print as fixed-point decimals to the absolute
 resolution 10^-D * max|c_k|, D the configured digits, so entries below it
-(the odd coefficients of the even g, say) print as an unsigned zero;
-every other number carries D significant digits.  Failures print a
-structured JSON object {code, message, hint} on stderr.  Exit codes:
-0 success, 2 configuration error, 3 solver failure, 4 verification
-failure, 5 eigensolver failure.
+(the odd coefficients of the even g, say) print as an unsigned zero.
+The ``taylor_coefficients`` t_j print the same way, each to the
+resolution 10^-D * max|c_k| * sum_k |T_k[j]| that the conversion from
+Chebyshev coefficients leaves it.  Every other number carries D
+significant digits.  Failures print a structured JSON object
+{code, message, hint} on stderr.  Exit codes: 0 success, 2 configuration
+error, 3 solver failure, 4 verification failure, 5 eigensolver failure.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from . import __version__
 from .bases import BasisKind, BasisSpec, build_basis
 from .chebyshev import (
     ChebSeries,
+    _cheb_monomial_coeffs,
     decay_report,
     eval_series,
     series_derivative,
@@ -213,39 +216,60 @@ def _canonical_alpha(series: ChebSeries, ctx):
     return 1 / eval_series(series, 1, ctx)
 
 
-def _coefficient_strings(coeffs, ctx) -> list:
-    """Fixed-point strings of one coefficient vector, all rounded to the
-    decimal place of 10^-D * max|c_k| (D = ``ctx.decimal_digits``).
+def _floor_log10(x: Fraction) -> int:
+    """floor(log10 x) of a positive rational, exactly."""
+    e = len(str(x.numerator)) - len(str(x.denominator))
+    while Fraction(10) ** e > x:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= x:
+        e += 1
+    return e
 
-    Only that absolute resolution means anything for the coefficients of
-    one function: digits below it are round-off and would change from
-    one solve to the next.  Entries below it print as an unsigned zero.
-    The strings are exact and parse back through ``ctx.mpf`` to values
-    that print the same strings again.
+
+def _coefficient_strings(coeffs, ctx, resolutions=None) -> list:
+    """Fixed-point strings of one coefficient vector, entry j rounded to
+    the decimal place of its absolute resolution r_j: a value of size
+    10^D * r_j keeps D significant digits (D = ``ctx.decimal_digits``).
+
+    By default every r_j is 10^-D * max|c_k|: only that absolute
+    resolution means anything for the coefficients of one function, and
+    digits below it are round-off that would change from one solve to the
+    next.  Entries below their resolution print as an unsigned zero.  The
+    strings are exact and parse back through ``ctx.mpf`` to values that
+    print the same strings again.
     """
     D = ctx.decimal_digits
     exact = [mpf_to_fraction(c) for c in coeffs]
-    top = max(abs(x) for x in exact)
-    if top == 0:
-        place = D - 1
-    else:
-        e = len(str(top.numerator)) - len(str(top.denominator))
-        while Fraction(10) ** e > top:
-            e -= 1
-        while Fraction(10) ** (e + 1) <= top:
-            e += 1
-        place = D - 1 - e
+    if resolutions is None:
+        top = max(abs(x) for x in exact)
+        place = D - 1 - _floor_log10(top) if top else D - 1
         # the largest entry rounds up to a power of ten: one digit fewer,
         # so that the printed strings give back the same place
-        if round(top * Fraction(10) ** place) >= 10 ** D:
+        if top and round(top * Fraction(10) ** place) >= 10 ** D:
             place -= 1
-    scale = Fraction(10) ** place
-    return [format(Decimal("%de%d" % (round(x * scale), -place)), "f") for x in exact]
+        places = [place] * len(exact)
+    else:
+        places = [-1 - _floor_log10(r) if r else D - 1 for r in resolutions]
+    return [format(Decimal("%de%d" % (round(x * Fraction(10) ** p), -p)), "f")
+            for x, p in zip(exact, places)]
+
+
+def _taylor_resolutions(series: ChebSeries, ctx) -> list:
+    """Absolute resolution of each Taylor coefficient t_j of the series:
+    r_j = 10^-D * max_k|c_k| * sum_k |T_k[j]|, the most that errors of
+    10^-D * max|c_k| in the Chebyshev coefficients carry into t_j through
+    the integer monomial coefficients T_k[j] of T_k."""
+    m = len(series.coeffs)
+    growth = [0] * m
+    for k in range(m):
+        for j, t in enumerate(_cheb_monomial_coeffs(k)):
+            growth[j] += abs(t)
+    unit = max(abs(mpf_to_fraction(c)) for c in series.coeffs) / 10 ** ctx.decimal_digits
+    return [unit * g for g in growth]
 
 
 def _solution_payload(result, ctx) -> dict:
     series = result.solution_series
-    taylor = series_to_monomial(series, ctx)
     decay = decay_report(series, ctx)
     diag = convergence_diagnostics(result)
     return {
@@ -260,7 +284,8 @@ def _solution_payload(result, ctx) -> dict:
         "iteration_history": [ctx.to_str(u) for u in result.iteration_history],
         "convergence_exponent": None if diag.exponent is None else ctx.to_str(diag.exponent),
         "cheb_coefficients": _coefficient_strings(series.coeffs, ctx),
-        "taylor_coefficients": [ctx.to_str(c) for c in taylor],
+        "taylor_coefficients": _coefficient_strings(
+            series_to_monomial(series, ctx), ctx, _taylor_resolutions(series, ctx)),
         "decay": {
             "log10_inverse_magnitudes": [ctx.to_str(v) for v in decay.log_inv_magnitudes],
             "rate": ctx.to_str(decay.rate),

@@ -6,8 +6,14 @@ All floating-point work runs on mpmath ``mpf``/``mpc`` scalars made by a
 precision, and a value computes at the precision of the context that
 made it (in a binary operation, the left operand's), so package code
 never consults mpmath's process-global precision.  Matrices are plain
-lists of rows; mpmath's ``matrix`` type appears only at the eigensolver
-boundary.  Exact work uses ``fractions.Fraction``.
+lists of rows.  Exact work uses ``fractions.Fraction``.
+
+The eigensolver works in real arithmetic: Householder reduction to
+Hessenberg form, Francis double-shift QR to real Schur form (Golub & Van
+Loan, *Matrix Computations*, section 7.5), and one rotation per 2x2
+block to a triangular factor, complex only in the rows and columns of
+complex-conjugate pairs.  Real eigenvalues therefore come out as ``mpf``
+with real eigenvectors.
 
 Everything here is a pure function of its inputs given a context, so
 values can move freely between threads.  They do not pickle; exchange
@@ -252,53 +258,270 @@ def solve_linear_exact(A, B):
 
 @dataclass
 class EigenPair:
-    """One eigenvalue (complex scalar) with its right eigenvector
-    (unit sup-norm, largest component rotated to +1) and the residual
-    ``||M v - lambda v||_inf``."""
+    """One eigenvalue with its right eigenvector (unit sup-norm, largest
+    component rotated to +1) and the residual ``||M v - lambda v||_inf``.
+
+    A real eigenvalue is an ``mpf`` with a real vector.  A complex one is
+    an ``mpc``; its conjugate is a pair of its own with the conjugate
+    vector and the same residual.
+    """
 
     value: object
     vector: tuple
     residual: object
 
 
-def eig_dense(M, tol, ctx: PrecisionCtx):
-    """All eigenpairs of a square matrix, sorted by descending modulus.
+def _hessenberg(H, ctx: PrecisionCtx):
+    """Reduce H (rows, overwritten) to upper Hessenberg form by Householder
+    reflectors; returns the orthogonal Z with H_in = Z H_out Z^T."""
+    n = len(H)
+    mp = ctx.mp
+    zero = ctx.mpf(0)
+    Z = identity_rows(n, ctx)
+    for k in range(n - 2):
+        v = [H[i][k] for i in range(k + 1, n)]
+        if not any(v[1:]):
+            continue
+        s = mp.sqrt(mp.fdot(v, v))
+        if v[0] < 0:
+            s = -s
+        v[0] += s
+        beta = 1 / (s * v[0])  # P = I - beta v v^T sends column k to -s e_(k+1)
+        rows = H[k + 1:]
+        for j in range(k + 1, n):
+            t = beta * mp.fdot(v, [row[j] for row in rows])
+            for row, vi in zip(rows, v):
+                row[j] -= t * vi
+        for row in H + Z:
+            t = beta * mp.fdot(v, row[k + 1:])
+            if t:
+                for i, vi in enumerate(v, k + 1):
+                    row[i] -= t * vi
+        H[k + 1][k] = -s
+        for i in range(k + 2, n):
+            H[i][k] = zero
+    return Z
 
-    Hessenberg reduction plus shifted QR at context precision (mpmath's
-    dense eigensolver), eigenvectors from the Schur factor.  Each pair is
-    checked against ``||M v - lambda v||_inf <= tol * ||M||_inf * ||v||_inf``;
-    a violation or an exhausted QR budget raises :class:`NoConvergence`.
+
+def _francis_step(H, Z, l, hi, exceptional, ctx: PrecisionCtx):
+    """One implicit double-shift QR sweep on the active block H[l..hi]
+    (Golub & Van Loan, Algorithm 7.5.1, in the scaling of EISPACK's
+    hqr2): 3-element Householder reflectors chase the bulge down the
+    block.  They act on whole rows and columns of H and on Z, so that
+    Z H Z^T stays the input matrix."""
+    n = len(H)
+    zero = ctx.mpf(0)
+    x, y = H[hi][hi], H[hi - 1][hi - 1]
+    w = H[hi][hi - 1] * H[hi - 1][hi]
+    if exceptional:  # EISPACK's ad hoc shifts, which break a cycle of sweeps
+        e = abs(H[hi][hi - 1]) + abs(H[hi - 1][hi - 2])
+        x = y = x + 3 * e / 4
+        w = -7 * e * e / 16
+    # first column of (H - s1)(H - s2), s1 + s2 = x + y, s1 s2 = x y - w,
+    # divided by H[l+1][l]
+    a = H[l][l]
+    p = ((x - a) * (y - a) - w) / H[l + 1][l] + H[l][l + 1]
+    q = H[l + 1][l + 1] - a - (x - a) - (y - a)
+    r = H[l + 2][l + 1]
+    for k in range(l, hi):
+        last = k == hi - 1
+        if k > l:
+            p, q = H[k][k - 1], H[k + 1][k - 1]
+            r = zero if last else H[k + 2][k - 1]
+        s = ctx.mp.sqrt(p * p + q * q + r * r)
+        if not s:
+            continue
+        if p < 0:
+            s = -s
+        if k > l:
+            H[k][k - 1], H[k + 1][k - 1] = -s, zero
+            if not last:
+                H[k + 2][k - 1] = zero
+        # P = I - u v^T with u = (p+s, q, r)/s, v = (p+s, q, r)/(p+s)
+        p += s
+        x, y, z = p / s, q / s, r / s
+        q, r = q / p, r / p
+        h0, h1 = H[k], H[k + 1]
+        if last:
+            for j in range(k, n):
+                t = h0[j] + q * h1[j]
+                h0[j] -= t * x
+                h1[j] -= t * y
+            for row in H[:hi + 1] + Z:
+                t = x * row[k] + y * row[k + 1]
+                row[k] -= t
+                row[k + 1] -= t * q
+        else:
+            h2 = H[k + 2]
+            for j in range(k, n):
+                t = h0[j] + q * h1[j] + r * h2[j]
+                h0[j] -= t * x
+                h1[j] -= t * y
+                h2[j] -= t * z
+            for row in H[:min(hi, k + 3) + 1] + Z:
+                t = x * row[k] + y * row[k + 1] + z * row[k + 2]
+                row[k] -= t
+                row[k + 1] -= t * q
+                row[k + 2] -= t * r
+
+
+def _real_schur(H, Z, ctx: PrecisionCtx):
+    """Francis QR of the Hessenberg H (overwritten) to real Schur form:
+    upper triangular but for 2x2 diagonal blocks, each the last of its
+    active block to converge.
+
+    The deflation test is mpmath's (``hessenberg_qr``): H[k+1][k] becomes 0
+    when below eps / (100 n) * (|H[k][k]| + |H[k+1][k+1]|), that sum
+    replaced by the norm ||H||_F / n when below eps / (100 n) times it.
+    Every tenth sweep without deflation takes exceptional shifts; after
+    4 * dps sweeps without one (mpmath's budget), :class:`NoConvergence`
+    names the bottom row of the active block.
+    """
+    n = len(H)
+    mp = ctx.mp
+    norm = mp.sqrt(mp.fsum(
+        x * x for i, row in enumerate(H) for x in row[max(i - 1, 0):])) / n
+    if not norm:
+        return
+    eps = mp.eps / (100 * n)
+    zero = ctx.mpf(0)
+    budget = 4 * mp.dps
+    hi, lo, its = n - 1, 0, 0
+    while hi > 0:
+        l = hi
+        while l > 0:
+            s = abs(H[l - 1][l - 1]) + abs(H[l][l])
+            if s < eps * norm:
+                s = norm
+            if abs(H[l][l - 1]) < eps * s:
+                H[l][l - 1] = zero
+                break
+            l -= 1
+        if l != lo:  # a new deflation: a new budget
+            lo, its = l, 0
+        if l >= hi - 1:
+            hi = l - 1
+            continue
+        if its == budget:
+            raise NoConvergence(
+                "QR found no deflation in %d sweeps at row %d" % (its, hi), index=hi)
+        its += 1
+        _francis_step(H, Z, l, hi, its % 10 == 0, ctx)
+
+
+def _rotate(T, Z, k, cs, sn):
+    """T <- U^H T U and Z <- Z U for the rotation U = [[cs, -sn], [sn, conj(cs)]]
+    in the plane (k, k+1), with sn real and |cs|^2 + sn^2 = 1."""
+    cc = cs.conjugate()
+    t0, t1 = T[k], T[k + 1]
+    for j in range(k, len(T)):
+        a, b = t0[j], t1[j]
+        t0[j] = cc * a + sn * b
+        t1[j] = cs * b - sn * a
+    for row in T[:k + 2] + Z:
+        a, b = row[k], row[k + 1]
+        row[k] = cs * a + sn * b
+        row[k + 1] = cc * b - sn * a
+
+
+def _triangularize(T, Z, ctx: PrecisionCtx):
+    """Make the real Schur form T triangular.  A 2x2 block with real
+    eigenvalues splits by one real rotation; a complex pair by one unitary
+    complex rotation (``rsf2csf``), which makes only those two rows and
+    columns of T and those two columns of Z complex.  Returns the
+    positions k holding the +im eigenvalue of a pair; T[k+1][k+1] is its
+    exact conjugate."""
+    mp = ctx.mp
+    zero = ctx.mpf(0)
+    tops = set()
+    for k in range(len(T) - 1):
+        c = T[k + 1][k]
+        if not c:
+            continue
+        a, b, d = T[k][k], T[k][k + 1], T[k + 1][k + 1]
+        p = (a - d) / 2
+        disc = p * p + b * c
+        if disc >= 0:
+            # eigenvalue d + z with no cancellation in z; eigenvector (z, c)
+            z = p + mp.sqrt(disc) if p >= 0 else p - mp.sqrt(disc)
+            tau = mp.hypot(z, c)
+            _rotate(T, Z, k, z / tau, c / tau)
+        else:
+            # eigenvalue d + mu, mu = p + i omega; eigenvector (mu, c)
+            mu = mp.mpc(p, mp.sqrt(-disc))
+            tau = mp.hypot(abs(mu), c)
+            _rotate(T, Z, k, mu / tau, c / tau)
+            T[k][k] = d + mu
+            T[k + 1][k + 1] = T[k][k].conjugate()
+            tops.add(k)
+        T[k + 1][k] = zero
+    return tops
+
+
+def _eigenvector(T, Z, i, ctx: PrecisionCtx):
+    """Z x, where x solves (T - T[i][i]) x = 0 with x[i] = 1 by back
+    substitution on the triangular T.  Divisors smaller than
+    smin = max(eps |T[i][i]|, smlnum) are replaced by smin, the guard of
+    mpmath's ``eig_tr_r`` (after LAPACK's ``ctrevc``)."""
+    mp = ctx.mp
+    s = T[i][i]
+    smin = max(mp.eps * abs(s), mp.ldexp(mp.one, -30 * mp.prec) * len(T) / mp.eps)
+    x = [mp.one] * (i + 1)
+    for j in range(i - 1, -1, -1):
+        t = T[j][j] - s
+        if abs(t) < smin:
+            t = smin
+        x[j] = -mp.fdot(T[j][j + 1:i + 1], x[j + 1:]) / t
+    return [mp.fdot(row[:i + 1], x) for row in Z]
+
+
+def eig_dense(M, tol, ctx: PrecisionCtx):
+    """All eigenpairs of a square real matrix, sorted by descending
+    modulus, then descending real and imaginary part (so a conjugate pair
+    comes +im first).
+
+    Real arithmetic at context precision on lists of rows: Householder
+    reduction to Hessenberg form, Francis double-shift QR to real Schur
+    form, one rotation per remaining 2x2 block to a triangular factor, and
+    eigenvectors by back substitution.  Real eigenvalues come back as
+    ``mpf`` with real vectors, complex ones as exact conjugate pairs.  Each
+    pair is checked against
+    ``||M v - lambda v||_inf <= tol * ||M||_inf * ||v||_inf``; a violation
+    or an exhausted QR budget raises :class:`NoConvergence`.
     """
     n = len(M)
     tol = ctx.mpf(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    A = ctx.mp.matrix([[ctx.mpf(x) for x in row] for row in M])
+    mp = ctx.mp
+    A = [[ctx.mpf(x) for x in row] for row in M]
     norm = mat_norm_inf(M)
-    try:
-        E, ER = ctx.mp.eig(A, left=False, right=True)
-    except Exception as exc:  # mpmath signals QR stagnation via RuntimeError
-        raise NoConvergence("eigensolver failed: %s" % exc) from exc
+    T = [list(row) for row in A]
+    Z = _hessenberg(T, ctx)
+    _real_schur(T, Z, ctx)
+    tops = _triangularize(T, Z, ctx)
 
     pairs = []
-    for idx in range(n):
-        vec = [ER[i, idx] for i in range(n)]
+    for i in range(n):
+        if i - 1 in tops:
+            continue  # the conjugate of the pair at i - 1
+        lam = T[i][i]
+        vec = _eigenvector(T, Z, i, ctx)
+        if i not in tops:
+            vec = [v.real for v in vec]  # real up to round-off
         big = max(vec, key=abs)
         if abs(big) == 0:
-            raise NoConvergence("zero eigenvector", index=idx)
+            raise NoConvergence("zero eigenvector", index=i)
         vec = [v / big for v in vec]
-        lam = E[idx]
-        res = ctx.mpf(0)
-        for i in range(n):
-            r = abs(sum(A[i, j] * vec[j] for j in range(n)) - lam * vec[i])
-            if r > res:
-                res = r
+        res = max(abs(mp.fdot(row, vec) - lam * v) for row, v in zip(A, vec))
         if norm > 0 and res > tol * norm:
             raise NoConvergence(
-                "eigenpair %d residual %s exceeds tolerance" % (idx, ctx.mp.nstr(res, 5)),
-                index=idx,
+                "eigenpair %d residual %s exceeds tolerance" % (i, mp.nstr(res, 5)),
+                index=i,
             )
         pairs.append(EigenPair(lam, tuple(vec), res))
+        if i in tops:
+            pairs.append(EigenPair(lam.conjugate(), tuple(v.conjugate() for v in vec), res))
 
     pairs.sort(key=lambda p: (-abs(p.value), -p.value.real, -p.value.imag))
     return pairs

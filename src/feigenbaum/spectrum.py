@@ -41,7 +41,7 @@ class Classification:
 
 @dataclass(frozen=True)
 class EigRecord:
-    value: object        # mpc
+    value: object        # mpf when real, else mpc
     residual: object
     tag: str
     k: object
@@ -105,8 +105,11 @@ def classify_spectrum(eigs, alpha, ctx: PrecisionCtx, tol_rel=None, parities=Non
     A value matches power k when |lambda - alpha**(1-k)| <= tol * |alpha**(1-k)|
     for integer k in -3..12; among non-matching eigenvalues the largest
     one with an even eigenfunction (all of them, when no parities are
-    supplied) becomes delta.
+    supplied) becomes delta.  The eigenvalues are converted to the
+    context first, so values from mpmath's global ``mp`` compare at
+    context precision.
     """
+    eigs = [ctx.mp.convert(lam) for lam in eigs]
     tol = ctx.mpf("1e-6") if tol_rel is None else ctx.mpf(tol_rel)
     alpha = ctx.mpf(alpha)
     powers = {k: alpha ** (1 - k) for k in K_RANGE}

@@ -13,6 +13,13 @@ import feigenbaum as fb
 pytest_plugins = ()
 
 
+def pytest_collection_modifyitems(items):
+    """Mark every test that needs the quartic70 fixture as slow."""
+    for item in items:
+        if "quartic70" in getattr(item, "fixturenames", ()):
+            item.add_marker(pytest.mark.slow)
+
+
 @pytest.fixture(scope="session")
 def ctx():
     return fb.PrecisionCtx(64)

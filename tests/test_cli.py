@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp
 
 import feigenbaum as fb
-from feigenbaum.cli import _coefficient_strings, main
+from feigenbaum.cli import _coefficient_strings, _taylor_resolutions, main
 
 
 def run(capsys, *argv):
@@ -252,3 +252,19 @@ def test_coefficient_strings_absolute_resolution(values):
     assert strs[1] == zero
     assert "-" + zero not in strs
     assert _coefficient_strings([ctx.mpf(s) for s in strs], ctx) == strs
+
+
+def test_solve_taylor_coefficients_print_to_their_resolution(capsys):
+    ctx = fb.PrecisionCtx(24)
+    code, out, _ = run(capsys, "solve", "--digits", "24", "--nodes", "12")
+    assert code == 0
+    data = json.loads(out)
+    taylor = data["taylor_coefficients"]
+    # g is even: its odd Taylor coefficients are round-off that the
+    # Chebyshev-to-monomial conversion amplifies, and print as zero
+    for s in taylor[1::2]:
+        assert ctx.mpf(s) == 0 and not s.startswith("-")
+    assert abs(float(taylor[0]) - 1) < 1e-6 and float(taylor[2]) < -1
+    series = fb.ChebSeries(tuple(ctx.mpf(c) for c in data["cheb_coefficients"]))
+    resolutions = _taylor_resolutions(series, ctx)
+    assert _coefficient_strings([ctx.mpf(s) for s in taylor], ctx, resolutions) == taylor

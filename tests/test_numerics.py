@@ -177,3 +177,111 @@ def test_mpf_to_fraction_roundtrip(ctx):
         x = mp.mpf("1.375")
         assert fb.mpf_to_fraction(x) == Fraction(11, 8)
         assert fb.mpf_to_fraction(mp.mpf(0)) == 0
+
+
+def _integer_similarity(B, rng):
+    """S B S^-1 with S a random unimodular integer matrix, exactly."""
+    n = len(B)
+    L = [[int(i == j) or (rng.randint(-2, 2) if i > j else 0) for j in range(n)]
+         for i in range(n)]
+    U = [[int(i == j) or (rng.randint(-2, 2) if i < j else 0) for j in range(n)]
+         for i in range(n)]
+    S = [[sum(L[i][k] * U[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    Sinv = fb.solve_linear_exact(S, [[int(i == j) for j in range(n)] for i in range(n)])
+    SB = [[sum(S[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return [[sum(SB[i][k] * Sinv[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def _rotation_scaling_matrix(n, rng):
+    """Integer matrix with known eigenvalues: diagonal blocks [[a, -b], [b, a]]
+    (eigenvalues a +- ib) and 1x1 blocks [c], under an integer similarity."""
+    B = [[0] * n for _ in range(n)]
+    known = []
+    i = 0
+    while i < n:
+        if i + 1 < n and rng.random() < 0.7:
+            a, b = rng.randint(-5, 5), rng.randint(1, 5)
+            B[i][i] = B[i + 1][i + 1] = a
+            B[i][i + 1], B[i + 1][i] = -b, b
+            known += [complex(a, b), complex(a, -b)]
+            i += 2
+        else:
+            B[i][i] = rng.randint(-5, 5)
+            known.append(complex(B[i][i]))
+            i += 1
+    return _integer_similarity(B, rng), known
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(16, 80), st.integers(1, 10), st.booleans(), st.integers(0, 10 ** 9))
+def test_eig_dense_matches_mpmath_oracle(D, n, known_pairs, seed):
+    ctx = fb.PrecisionCtx(D)
+    rng = random.Random(seed)
+    if known_pairs:
+        rows, known = _rotation_scaling_matrix(n, rng)
+        A = [[ctx.mpf(x) for x in row] for row in rows]
+    else:
+        known = None
+        A = [[ctx.mpf(rng.uniform(-3, 3)) for _ in range(n)] for _ in range(n)]
+    norm = mat_norm_inf(A)
+    tol = ctx.ten_pow(-(D // 2))
+    pairs = fb.eig_dense(A, tol, ctx)
+    oracle, _ = ctx.mp.eig(ctx.mp.matrix(A))
+
+    match = ctx.mpf(10) ** (-ctx.mpf(D) / 3) * max(1, norm)
+    values = [p.value for p in pairs]
+    assert len(values) == n
+    for lam in values:
+        assert min(abs(lam - mu) for mu in oracle) <= match
+    for mu in oracle:
+        assert min(abs(lam - mu) for lam in values) <= match
+    if known is not None:
+        for lam in values:
+            assert min(abs(lam - ctx.mp.mpc(z.real, z.imag)) for z in known) <= match
+
+    for i, p in enumerate(pairs):
+        assert p.residual <= tol * norm
+        assert len(p.vector) == n and 1 in p.vector
+        assert max(abs(v) for v in p.vector) <= 1 + ctx.ten_pow(-D)
+        if isinstance(p.value, ctx.mp.mpf):
+            assert all(isinstance(v, ctx.mp.mpf) for v in p.vector)
+            continue
+        assert isinstance(p.value, ctx.mp.mpc) and p.value.imag != 0
+        # the partner is the exact conjugate, listed after the +im member
+        partners = [j for j, q in enumerate(pairs)
+                    if q.value == p.value.conjugate()
+                    and q.vector == tuple(v.conjugate() for v in p.vector)]
+        assert len(partners) == 1
+        assert pairs[partners[0]].residual == p.residual
+        assert (partners[0] > i) == (p.value.imag > 0)
+
+
+def test_eig_dense_names_the_row_that_never_deflates(ctx, monkeypatch):
+    # with the sweeps disabled nothing deflates: the budget runs out at the
+    # bottom row of the active block
+    monkeypatch.setattr(fb.numerics, "_francis_step", lambda *args: None)
+    A = [[ctx.mpf((i + 2) ** j) for j in range(4)] for i in range(4)]
+    with pytest.raises(fb.NoConvergence) as info:
+        fb.eig_dense(A, ctx.ten_pow(-30), ctx)
+    assert info.value.index == 3
+
+
+def test_spectrum_at_matches_mpmath_oracle():
+    D, n = 24, 12
+    ctx = fb.PrecisionCtx(D)
+    spec = fb.OperatorSpec(fb.Variant.T, fb.Linearization.FULL_DERIVATIVE)
+    seed = fb.monomial_to_series([ctx.mpf(1), ctx.mpf(0), ctx.mpf("-1.5")], ctx)
+    g = fb.newton_solve(spec, None, seed, fb.NewtonConfig(), ctx, n=n).solution_series
+    report = fb.spectrum_at(g, spec, ctx, n=n)
+    A = fb.assemble_jacobian(spec, g, n, fb.NewtonConfig(jacobian_mode=fb.JacobianMode.EXACT),
+                             ctx, basis=fb.chebgrid(n, ctx))
+    M = [[int(i == j) - A[i][j] for j in range(n)] for i in range(n)]
+    oracle, _ = ctx.mp.eig(ctx.mp.matrix(M))
+    tol = ctx.ten_pow(-(D // 2))
+    values = report.eigenvalues
+    assert len(values) == n
+    for lam in values:
+        assert min(abs(lam - mu) for mu in oracle) <= tol
+    for mu in oracle:
+        assert min(abs(lam - mu) for lam in values) <= tol

@@ -117,3 +117,9 @@ def test_package_never_switches_global_precision():
             if bad:
                 offenders.append("%s:%d" % (path.name, node.lineno))
     assert offenders == []
+
+
+def test_direction_series_converts_caller_values(ctx):
+    # a global-mp mpc as left operand used to give the sum its context
+    coeffs = fb.chebgrid(8, ctx).direction_series([mp.mpc(1)] * 8, ctx).coeffs
+    assert all(c.context is ctx.mp for c in coeffs)
