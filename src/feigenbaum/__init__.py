@@ -71,6 +71,7 @@ from .operators import (
     apply_at_points,
     explicit_eigenfunction,
     explicit_eigenvalue,
+    linearization_matrix,
     linearized_apply,
     linearized_apply_at,
     scaling_of,

@@ -34,6 +34,7 @@ from .chebyshev import (
     ChebSeries,
     _eval,
     _tables,
+    barycentric_rows,
     cheb_nodes,
     monomial_to_series,
 )
@@ -180,6 +181,15 @@ class Discretization:
         ``mp`` compute at context precision."""
         return self._combine([ctx.mpf(0)] * self.series_len,
                              [ctx.mp.convert(v) for v in vector])
+
+    def cardinal_rows(self, points, ctx: PrecisionCtx) -> list:
+        """Matrix E with E[i][j] = cardinal_j(points[i]): row i maps node
+        values to the value of the direction they span at points[i].  The
+        Chebyshev grid sums each row barycentrically in O(n); the
+        coefficient bases evaluate each cardinal series by Clenshaw."""
+        if self.spec.kind is BasisKind.CHEB_GRID:
+            return barycentric_rows(points, self.dim, ctx)
+        return [[_eval(card.coeffs, z) for card in self.cardinals] for z in points]
 
     def describe(self, ctx: PrecisionCtx) -> dict:
         d = {

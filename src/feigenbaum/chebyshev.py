@@ -54,12 +54,15 @@ class ChebSeries:
 class DecayReport:
     """Exponential-decay diagnostic of a coefficient sequence.
 
-    ``log_inv_magnitudes[k]`` is log10(1/|a_k|) (clamped at 2D digits),
-    ``rate`` the least-squares slope of that sequence over k >= 1, and
+    ``log_inv_magnitudes[k]`` is log10(1/|a_k|), ``rate`` the
+    least-squares slope of that sequence over k >= 1, and
     ``tail_magnitude`` the larger of the last two |a_k| (for functions of
     pure parity the very last coefficient vanishes identically, so the
     pair captures the meaningful tail).  healthy <=> rate > 0 and
-    tail <= 10**(-D/3).
+    tail <= 10**(-D/3).  In the logarithms |a_k| is clamped from below at
+    the absolute resolution 10^-D * max|a_j| (10^-2D for the zero series):
+    coefficients under it are round-off, such as the odd ones of an even
+    function, and must not steer the fit.
     """
 
     log_inv_magnitudes: tuple
@@ -89,6 +92,38 @@ def cheb_nodes(n: int, ctx: PrecisionCtx):
     if n < 2:
         raise ValueError("need n >= 2 nodes")
     return _tables(n, ctx.prec_bits)[0]
+
+
+@lru_cache(maxsize=64)
+def _barycentric_weights(n: int, prec_bits: int):
+    """Barycentric weights (-1)^i sin(theta_i) of the n Chebyshev roots,
+    made like :func:`_tables`."""
+    private = mpmath.MPContext()
+    private.prec = prec_bits
+    return tuple((-1) ** i * private.sin((2 * i - 1) * private.pi / (2 * n))
+                 for i in range(1, n + 1))
+
+
+def barycentric_rows(points, n: int, ctx: PrecisionCtx):
+    """Values l_j(z) of the n Lagrange cardinals of the Chebyshev roots at
+    each point z, one row per point, from the second (true) barycentric
+    formula l_j(z) = (w_j/(z - x_j)) / sum_k w_k/(z - x_k) (Berrut &
+    Trefethen, SIAM Rev. 46 (2004) 501-517).  O(n) per point, and
+    forward stable near the nodes (Higham, IMA J. Numer. Anal. 24 (2004)
+    547-556); a point equal to a node gives that node's unit row."""
+    nodes = cheb_nodes(n, ctx)
+    weights = [ctx.mpf(w) for w in _barycentric_weights(n, ctx.prec_bits)]
+    one, zero = ctx.mpf(1), ctx.mpf(0)
+    rows = []
+    for z in points:
+        try:
+            terms = [w / (z - x) for w, x in zip(weights, nodes)]
+        except ZeroDivisionError:
+            rows.append([one if z == x else zero for x in nodes])
+            continue
+        total = ctx.mp.fsum(terms)
+        rows.append([t / total for t in terms])
+    return rows
 
 
 def _eval(coeffs, x):
@@ -150,7 +185,7 @@ def decay_report(s: ChebSeries, ctx: PrecisionCtx) -> DecayReport:
     if m < 8:
         raise ValueError("decay diagnostics need at least 8 coefficients")
     D = ctx.decimal_digits
-    floor = ctx.ten_pow(-2 * D)
+    floor = ctx.ten_pow(-D) * max(abs(c) for c in s.coeffs) or ctx.ten_pow(-2 * D)
     mags = tuple(
         ctx.mp.log10(1 / max(abs(c), floor)) for c in s.coeffs
     )

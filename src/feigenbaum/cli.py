@@ -121,7 +121,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="scaling-family parameter (repeatable; spectrum command)")
         sp.add_argument("--seed-file", default=None, dest="seed_file",
                         help="coefficient file: index TAB value per line")
-        sp.add_argument("--jacobian", choices=["fd", "exact"], default="fd")
+        sp.add_argument("--jacobian", choices=["exact", "fd"], default="exact",
+                        help="Newton Jacobian: exact (default) or centered "
+                             "finite differences (a cross-check)")
         sp.add_argument("--format", choices=["json", "csv"], default="json")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         return sp
@@ -392,7 +394,9 @@ def _verify_checks(args, ctx):
 
     step, _ = NewtonConfig().resolved(ctx)
     full = OperatorSpec(spec.variant, Linearization.FULL_DERIVATIVE)
-    fd = assemble_jacobian(full, g, n, NewtonConfig(), ctx, basis=basis)
+    fd = assemble_jacobian(full, g, n,
+                           NewtonConfig(jacobian_mode=JacobianMode.FINITE_DIFFERENCE),
+                           ctx, basis=basis)
     ex = assemble_jacobian(full, g, n,
                            NewtonConfig(jacobian_mode=JacobianMode.EXACT),
                            ctx, basis=basis)

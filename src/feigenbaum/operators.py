@@ -14,7 +14,9 @@ variation of c with g; the frozen linearization drops it.
 Compositions are evaluated pointwise through Clenshaw from the series
 of g, g' and h, never by resampling intermediate results, so every
 nodal value of the (degree ~ m^2) image polynomial is exact up to
-round-off.
+round-off.  The collocation matrix of a linearization takes the same
+formula once per point, with h(z) replaced by the row of cardinal
+values the discretization gives at z.
 """
 
 from __future__ import annotations
@@ -103,51 +105,71 @@ def apply(variant: Variant, g: ChebSeries, n: int, ctx: PrecisionCtx) -> GridFn:
     return GridFn(tuple(apply_at_points(variant, g, cheb_nodes(n, ctx), ctx)))
 
 
-def _scaling_variation(variant, g, gp, h, ctx):
-    """Directional derivative of the scaling constant c along h."""
-    gc, gpc, hc = g.coeffs, gp.coeffs, h.coeffs
+def _scaling_variation(variant, g, gp, ctx):
+    """The scaling constant c and its directional derivative along h as a
+    linear functional dc(h) = sum_k beta_k h(z_k): (c, z, beta)."""
+    c = scaling_of(variant, g, ctx).value
     if uses_inverse_g1(variant):
-        g1 = _eval(gc, ctx.mpf(1))
-        if g1 == 0:
-            raise DivideByZero("g(1) = 0")
-        c = 1 / g1
-        return c, -(c ** 2) * _eval(hc, ctx.mpf(1))
-    u = _eval(gc, ctx.mpf(0))          # g(0)
-    w = _eval(gc, u)                  # g(g(0))
-    if w == 0:
-        raise DivideByZero("g(g(0)) = 0")
-    c = -u / w
-    h0 = _eval(hc, ctx.mpf(0))
-    dw = _eval(gpc, u) * h0 + _eval(hc, u)
-    return c, -h0 / w + u * dw / w ** 2
+        return c, (ctx.mpf(1),), (-(c ** 2),)
+    zero = ctx.mpf(0)
+    u = _eval(g.coeffs, zero)          # g(0)
+    w = _eval(g.coeffs, u)             # g(g(0))
+    # c = -u/w, and w varies by g'(u) h(0) + h(u)
+    return c, (zero, u), (-1 / w + u * _eval(gp.coeffs, u) / w ** 2, u / w ** 2)
+
+
+def _linearized_rows(spec, g, points, rows_at, ctx):
+    """Values of the linearized operator on several directions h_j at once:
+    entry [i][j] is (L h_j)(points[i]), where ``rows_at(zs)`` gives one
+    row (h_j(z))_j per point z.
+
+    Frozen: s_out c (g'(g(y)) h(y) + h(g(y))), y = s_in x / c.
+    Full:   adds dc(h) * dF/dc, the rank-one correction from the variation
+    dc of the scaling constant, with dF/dc = d/dc [s_out c g(g(s_in x / c))]
+    = s_out (g(g(y)) - g'(g(y)) g'(y) y).
+
+    Everything that does not depend on h is computed once per point.
+    """
+    s_out, s_in = _SIGNS[spec.variant]
+    gp = series_derivative(g, ctx)
+    c, z, beta = _scaling_variation(spec.variant, g, gp, ctx)
+    gc, gpc = g.coeffs, gp.coeffs
+    sc = s_out * c
+    ys = [s_in * x / c for x in points]
+    gys = [_eval(gc, y) for y in ys]
+    at_y, at_gy = rows_at(ys), rows_at(gys)
+    full = spec.linearization is Linearization.FULL_DERIVATIVE
+    if full:
+        at_z = rows_at(z)
+        dc = [sum(b * hz for b, hz in zip(beta, col)) for col in zip(*at_z)]
+    out = []
+    for i, (y, gy) in enumerate(zip(ys, gys)):
+        gpgy = _eval(gpc, gy)
+        row = [sc * (gpgy * hy + hgy) for hy, hgy in zip(at_y[i], at_gy[i])]
+        if full:
+            dF_dc = s_out * (_eval(gc, gy) - gpgy * _eval(gpc, y) * y)
+            row = [v + dcj * dF_dc for v, dcj in zip(row, dc)]
+        out.append(row)
+    return out
 
 
 def linearized_apply_at(
     spec: OperatorSpec, g: ChebSeries, h: ChebSeries, points, ctx: PrecisionCtx
 ):
-    """Values of the linearized operator applied to h, at given points.
+    """Values of the linearized operator applied to h, at given points
+    (see :func:`_linearized_rows` for the formula)."""
+    hc = h.coeffs
+    rows = _linearized_rows(spec, g, points,
+                            lambda zs: [[_eval(hc, z)] for z in zs], ctx)
+    return [row[0] for row in rows]
 
-    Frozen: s_out c (g'(g(y)) h(y) + h(g(y))), y = s_in x / c.
-    Full:   adds dc * d/dc [s_out c g(g(s_in x / c))], the rank-one
-    correction from the variation of the scaling constant.
-    """
-    s_out, s_in = _SIGNS[spec.variant]
-    full = spec.linearization is Linearization.FULL_DERIVATIVE
-    gp = series_derivative(g, ctx)
-    c, dc = _scaling_variation(spec.variant, g, gp, h, ctx)
-    gc, gpc, hc = g.coeffs, gp.coeffs, h.coeffs
-    out = []
-    for x in points:
-        y = s_in * x / c
-        gy = _eval(gc, y)
-        val = s_out * c * (_eval(gpc, gy) * _eval(hc, y) + _eval(hc, gy))
-        if full:
-            dF_dc = s_out * (
-                _eval(gc, gy) - _eval(gpc, gy) * _eval(gpc, y) * (s_in * x / c)
-            )
-            val += dc * dF_dc
-        out.append(val)
-    return out
+
+def linearization_matrix(spec: OperatorSpec, g: ChebSeries, basis, ctx: PrecisionCtx):
+    """Collocation matrix of the linearization at g in a discretization:
+    entry [i][j] is (L cardinal_j)(node_i), with the cardinal values coming
+    from :meth:`Discretization.cardinal_rows`."""
+    return _linearized_rows(spec, g, basis.nodes,
+                            lambda zs: basis.cardinal_rows(zs, ctx), ctx)
 
 
 def linearized_apply(

@@ -24,7 +24,7 @@ from .operators import (
     OperatorSpec,
     Variant,
     apply_at_points,
-    linearized_apply_at,
+    linearization_matrix,
     scaling_of,
 )
 
@@ -94,33 +94,32 @@ def _jacobian(spec, basis, values, series, config, ctx):
     """Matrix of I - dT(g) in the basis; g is ``series``, with node
     values ``values``.
 
+    Exact mode is I - L with L from :func:`linearization_matrix`.
     Finite-difference mode differentiates Phi = I - T directly, so it
     always captures the full derivative (the scaling constant varies with
-    the perturbed g); a frozen linearization therefore always goes through
-    the exact column formula.
+    the perturbed g); a frozen linearization therefore always goes
+    through the exact matrix.
     """
     d = basis.dim
-    exact = (config.jacobian_mode is JacobianMode.EXACT
-             or spec.linearization is Linearization.FROZEN_ALPHA)
+    if (config.jacobian_mode is JacobianMode.EXACT
+            or spec.linearization is Linearization.FROZEN_ALPHA):
+        L = linearization_matrix(spec, series, basis, ctx)
+        one, zero = ctx.mpf(1), ctx.mpf(0)
+        return [[(one if i == j else zero) - L[i][j] for j in range(d)] for i in range(d)]
     step, _ = config.resolved(ctx)
     cols = []
-    one, zero = ctx.mpf(1), ctx.mpf(0)
     for j, card in enumerate(basis.cardinals):
-        if exact:
-            img = linearized_apply_at(spec, series, card, basis.nodes, ctx)
-            cols.append([(one if i == j else zero) - img[i] for i in range(d)])
-        else:
-            # centered differences: the forward one-sided quotient carries a
-            # (step/2)|d2 Phi| truncation term with constants near 10^2 here,
-            # which would dominate the cross-mode agreement budget
-            res = []
-            for sgn in (1, -1):
-                h = sgn * step
-                pert = ChebSeries(tuple(c + h * e for c, e in zip(series.coeffs, card.coeffs)))
-                pvals = list(values)
-                pvals[j] = pvals[j] + h
-                res.append(_residual(spec.variant, pert, basis.nodes, ctx, pvals))
-            cols.append([(res[0][i] - res[1][i]) / (2 * step) for i in range(d)])
+        # centered differences: the forward one-sided quotient carries a
+        # (step/2)|d2 Phi| truncation term with constants near 10^2 here,
+        # which would dominate the cross-mode agreement budget
+        res = []
+        for sgn in (1, -1):
+            h = sgn * step
+            pert = ChebSeries(tuple(c + h * e for c, e in zip(series.coeffs, card.coeffs)))
+            pvals = list(values)
+            pvals[j] = pvals[j] + h
+            res.append(_residual(spec.variant, pert, basis.nodes, ctx, pvals))
+        cols.append([(res[0][i] - res[1][i]) / (2 * step) for i in range(d)])
     return [[cols[j][i] for j in range(d)] for i in range(d)]
 
 

@@ -24,10 +24,10 @@ from .operators import (
     Variant,
     explicit_eigenfunction,
     explicit_eigenvalue,
+    linearization_matrix,
     linearized_apply_at,
     scaling_of,
 )
-from .solver import JacobianMode, NewtonConfig, assemble_jacobian
 
 K_RANGE = range(-3, 13)
 
@@ -180,16 +180,9 @@ def spectrum_at(g: ChebSeries, spec: OperatorSpec, ctx: PrecisionCtx,
     """
     if basis is None:
         basis = chebgrid(n if n else max(len(g.coeffs), 8), ctx)
-    d = basis.dim
-    A = assemble_jacobian(spec, g, d, NewtonConfig(jacobian_mode=JacobianMode.EXACT),
-                          ctx, basis=basis)
     D = ctx.decimal_digits
-    M = [
-        [(ctx.mpf(1) if i == j else ctx.mpf(0)) - A[i][j] for j in range(d)]
-        for i in range(d)
-    ]
     tol = eig_tol if eig_tol is not None else ctx.ten_pow(-(D // 2) - 4)
-    pairs = eig_dense(M, tol, ctx)
+    pairs = eig_dense(linearization_matrix(spec, g, basis, ctx), tol, ctx)
 
     alpha = scaling_of(Variant.T, g, ctx).value
     parities = [eigenfunction_parity(p.vector, basis, ctx) for p in pairs]
@@ -208,7 +201,7 @@ def spectrum_at(g: ChebSeries, spec: OperatorSpec, ctx: PrecisionCtx,
         linearization=spec.linearization,
         basis_descriptor=basis.describe(ctx),
         digits=D,
-        n=d,
+        n=basis.dim,
         alpha=alpha,
         delta=delta,
         records=tuple(records),

@@ -159,3 +159,28 @@ def test_chebgrid_identity_pairing(ctx, g32):
     with ctx.activate():
         err = max(abs(a - b) for a, b in zip(series.coeffs, g32.coeffs))
     assert err < ctx.ten_pow(-60)
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_chebgrid_cardinal_rows_at_nodes_are_the_identity(n, ctx):
+    basis = fb.chebgrid(n, ctx)
+    E = basis.cardinal_rows(basis.nodes, ctx)
+    assert E == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_chebgrid_cardinal_rows_sum_to_one(n, ctx):
+    basis = fb.chebgrid(n, ctx)
+    rng = random.Random(n)
+    pts = [ctx.mpf(rng.uniform(-1, 1)) for _ in range(20)] + [ctx.mpf(0), ctx.mpf(1)]
+    for row in basis.cardinal_rows(pts, ctx):
+        assert abs(ctx.mp.fsum(row) - 1) <= ctx.ten_pow(-ctx.decimal_digits + 5)
+
+
+def test_chebgrid_cardinal_rows_match_cardinal_series(ctx):
+    basis = fb.chebgrid(12, ctx)
+    rng = random.Random(3)
+    pts = [ctx.mpf(rng.uniform(-1.5, 1.5)) for _ in range(10)]
+    for z, row in zip(pts, basis.cardinal_rows(pts, ctx)):
+        for card, v in zip(basis.cardinals, row):
+            assert abs(v - fb.eval_series(card, z, ctx)) <= ctx.ten_pow(-ctx.decimal_digits + 8)

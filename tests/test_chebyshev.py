@@ -220,6 +220,20 @@ def test_decay_noise_injection_degrades(g32, ctx):
     assert rep.tail_magnitude > ctx.ten_pow(-11)
 
 
+def test_decay_ignores_round_off_below_the_resolution(g32, ctx):
+    # the odd coefficients of the even g are round-off: noise below the
+    # absolute resolution 10^-D max|a_k| must not move the diagnostic
+    rng = random.Random(11)
+    noise = ctx.ten_pow(-ctx.decimal_digits - 5)
+    noisy = ChebSeries(tuple(
+        c + noise * ctx.mpf(rng.uniform(-1, 1)) if k % 2 else c
+        for k, c in enumerate(g32.coeffs)
+    ))
+    clean, rep = fb.decay_report(g32, ctx), fb.decay_report(noisy, ctx)
+    assert rep.rate == clean.rate
+    assert rep.log_inv_magnitudes == clean.log_inv_magnitudes
+
+
 def test_monomial_round_trip(ctx):
     mono = [ctx.mpf(v) for v in (1, 0, -3, 2, 0, 5)]
     s = fb.monomial_to_series(mono, ctx)

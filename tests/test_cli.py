@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp
 
 import feigenbaum as fb
-from feigenbaum.cli import _coefficient_strings, _taylor_resolutions, main
+from feigenbaum.cli import _build_parser, _coefficient_strings, _taylor_resolutions, main
 
 
 def run(capsys, *argv):
@@ -268,3 +268,32 @@ def test_solve_taylor_coefficients_print_to_their_resolution(capsys):
     series = fb.ChebSeries(tuple(ctx.mpf(c) for c in data["cheb_coefficients"]))
     resolutions = _taylor_resolutions(series, ctx)
     assert _coefficient_strings([ctx.mpf(s) for s in taylor], ctx, resolutions) == taylor
+
+
+@pytest.mark.parametrize("command", ["solve", "spectrum", "verify"])
+def test_newton_defaults_to_the_exact_jacobian(command):
+    assert _build_parser().parse_args([command]).jacobian == "exact"
+
+
+def test_fd_jacobian_runs_agree_with_the_default(capsys, tmp_path):
+    digits = 24
+    ctx = fb.PrecisionCtx(digits)
+    num = ctx.mpf
+    tol = ctx.ten_pow(-digits // 2)
+    flags = ["--digits", str(digits), "--nodes", "12"]
+    reports = {}
+    for command in ("solve", "spectrum"):
+        for mode in ([], ["--jacobian", "fd"]):
+            out = tmp_path / ("%s%d.json" % (command, len(mode)))
+            code, _, _ = run(capsys, command, *flags, *mode, "--out", str(out))
+            assert code == 0
+            reports[command, bool(mode)] = json.loads(out.read_text())
+    for command in ("solve", "spectrum"):
+        exact, fd = reports[command, False], reports[command, True]
+        assert abs(num(exact["alpha"]) - num(fd["alpha"])) <= tol
+    exact, fd = reports["spectrum", False]["eigenvalues"], reports["spectrum", True]["eigenvalues"]
+    assert len(exact) == len(fd)
+    for a, b in zip(exact, fd):
+        assert (a["tag"], a["k"], a["parity"]) == (b["tag"], b["k"], b["parity"])
+        assert abs(num(a["re"]) - num(b["re"])) <= tol * max(1, abs(num(a["re"])))
+        assert abs(num(a["im"]) - num(b["im"])) <= tol * max(1, abs(num(a["modulus"])))

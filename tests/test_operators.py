@@ -171,3 +171,36 @@ def test_explicit_eigenvalue_dilation_values(g32, alpha64, ctx):
         assert fb.explicit_eigenvalue(kind, full_t, 0, alpha64, ctx) == want
     assert fb.explicit_eigenvalue(kind, full_t4, 0, alpha64, ctx) == 1
     assert fb.explicit_eigenvalue(kind, froz_t, 0, alpha64, ctx) == 1
+
+
+def _matrix_bases(ctx):
+    specs = (
+        fb.BasisSpec(fb.BasisKind.LANFORD, 8),
+        fb.BasisSpec(fb.BasisKind.EVEN_MONOMIAL, 8),
+        fb.BasisSpec(fb.BasisKind.MONOMIAL_FULL, 11),
+        fb.BasisSpec(fb.BasisKind.RATIONAL_NODE_MONOMIAL, 11),
+        fb.BasisSpec(fb.BasisKind.RATIONAL_NODE_MONOMIAL, 11, ((0, 1), (1, 0))),
+    )
+    # odd n puts a node within round-off of 0, the T3/T4 dc point
+    return [fb.chebgrid(12, ctx), fb.chebgrid(13, ctx)] + [fb.build_basis(s, ctx) for s in specs]
+
+
+@pytest.mark.parametrize("lin", [FULL, FROZEN])
+@pytest.mark.parametrize("variant", list(fb.Variant))
+def test_linearization_matrix_matches_columns(variant, lin, ctx32):
+    """The one-pass matrix equals the linearization applied to each
+    cardinal in turn, in every basis; g has odd terms, so no parity
+    symmetry hides a misplaced sign."""
+    ctx = ctx32
+    g = fb.monomial_to_series(
+        [ctx.mpf(1), ctx.mpf("0.05"), ctx.mpf("-1.5"), ctx.mpf("0.02")], ctx)
+    spec = fb.OperatorSpec(variant, lin)
+    for basis in _matrix_bases(ctx):
+        L = fb.linearization_matrix(spec, g, basis, ctx)
+        cols = [fb.linearized_apply_at(spec, g, card, basis.nodes, ctx)
+                for card in basis.cardinals]
+        d = basis.dim
+        assert len(L) == d and all(len(row) == d for row in L)
+        norm = max(sum(abs(cols[j][i]) for j in range(d)) for i in range(d))
+        err = max(abs(L[i][j] - cols[j][i]) for i in range(d) for j in range(d))
+        assert err <= ctx.ten_pow(-ctx.decimal_digits + 8) * norm, basis.spec
