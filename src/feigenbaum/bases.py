@@ -154,6 +154,12 @@ class Discretization:
     def dim(self) -> int:
         return len(self.nodes)
 
+    @property
+    def mirror_nodes(self) -> bool:
+        """Node i mirrors node n-1-i (to round-off) and mirrored node values
+        give the reflected function h(-x): true of the Chebyshev grid."""
+        return self.spec.kind is BasisKind.CHEB_GRID
+
     def _combine(self, acc, weights) -> ChebSeries:
         """acc + sum_j weights[j] * cardinal_j; caller holds the precision."""
         for j, card in enumerate(self.cardinals):
@@ -344,7 +350,8 @@ def coeffs_from_values(basis: Discretization, values, ctx: PrecisionCtx):
 
 def spectrum_in_basis(op_spec, basis_spec: BasisSpec, ctx: PrecisionCtx,
                       config=None, seed=None, eig_tol=None):
-    """Full pipeline in a basis: Newton solve, exact Jacobian, spectrum.
+    """Full pipeline in a basis: Newton solve (with the exact Jacobian
+    unless ``config`` says otherwise), spectrum.
 
     The reported spectrum is that of the finite-dimensional projection
     of the linearized operator onto the basis subset, which is the whole
@@ -356,5 +363,6 @@ def spectrum_in_basis(op_spec, basis_spec: BasisSpec, ctx: PrecisionCtx,
     basis = build_basis(basis_spec, ctx)
     if seed is None:
         seed = monomial_to_series([ctx.mpf(1), ctx.mpf(0), ctx.mpf("-1.5")], ctx)
+    config = config or solver.NewtonConfig(jacobian_mode=solver.JacobianMode.EXACT)
     result = solver.newton_solve(op_spec, basis, seed, config, ctx)
     return spectrum.compute_spectrum(result, eig_tol, ctx)

@@ -8,7 +8,8 @@ Four subcommands drive the pipelines and write machine-readable files:
 * ``verify``    residual table for the closed-form eigenfunctions and
                 the internal consistency checks; exit 4 on failure.
 * ``plotdata``  TSV emitters (coefficient decay, function and
-                eigenfunction samples) for external plotting.
+                eigenfunction samples) for external plotting, at the
+                solution artifact's digits unless ``--digits`` is given.
 
 Outputs are deterministic and no timestamps enter the data sections.
 Coefficient vectors (``cheb_coefficients`` of ``solve`` and the
@@ -103,8 +104,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version="%(prog)s " + __version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--digits", type=int, default=64, help="decimal digits (default 64)")
+    def common(sp, digits=64):
+        sp.add_argument("--digits", type=int, default=digits,
+                        help="decimal digits (default %s)" % (digits or "the solution's"))
         sp.add_argument("--nodes", type=int, default=32, help="Chebyshev grid size (default 32)")
         sp.add_argument("--operator", choices=[v.value for v in Variant], default="T")
         sp.add_argument("--linearization", choices=["full", "frozen"], default="full")
@@ -133,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--include-vectors", action="store_true", dest="include_vectors",
                     help="embed eigenvector node values in the report")
     common(sub.add_parser("verify", help="closed-form eigenfunction and consistency checks"))
-    pd = common(sub.add_parser("plotdata", help="emit TSV plot data"))
+    pd = common(sub.add_parser("plotdata", help="emit TSV plot data"), digits=None)
     pd.add_argument("--solution", default=None, help="solution artifact from `solve`")
     pd.add_argument("--spectrum", default=None, dest="spectrum_file",
                     help="spectrum artifact from `spectrum --include-vectors`")
@@ -436,7 +438,6 @@ def _tsv(path, header, rows):
 
 
 def cmd_plotdata(args) -> int:
-    ctx = PrecisionCtx(args.digits)
     if not args.solution:
         raise MissingArtifact("plotdata needs --solution (and optionally --spectrum)")
     try:
@@ -446,6 +447,7 @@ def cmd_plotdata(args) -> int:
         raise MissingArtifact("cannot read solution artifact: %s" % exc) from exc
     if "cheb_coefficients" not in sol:
         raise MissingArtifact("solution artifact lacks cheb_coefficients")
+    ctx = PrecisionCtx(sol.get("digits", 64) if args.digits is None else args.digits)
     coeffs = ChebSeries(tuple(ctx.mpf(c) for c in sol["cheb_coefficients"]))
     out = args.out or "."
     os.makedirs(out, exist_ok=True)

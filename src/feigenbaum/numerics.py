@@ -263,12 +263,15 @@ class EigenPair:
 
     A real eigenvalue is an ``mpf`` with a real vector.  A complex one is
     an ``mpc``; its conjugate is a pair of its own with the conjugate
-    vector and the same residual.
+    vector and the same residual.  ``even`` marks a pair of the even block
+    of a mirror split (see :func:`eig_dense`): its vector has
+    ``vector[i] == vector[n-1-i]`` exactly.
     """
 
     value: object
     vector: tuple
     residual: object
+    even: bool = False
 
 
 def _hessenberg(H, ctx: PrecisionCtx):
@@ -475,7 +478,30 @@ def _eigenvector(T, Z, i, ctx: PrecisionCtx):
     return [mp.fdot(row[:i + 1], x) for row in Z]
 
 
-def eig_dense(M, tol, ctx: PrecisionCtx):
+def _mirror(v, s):
+    """Q^T v for the orthogonal mirror transform Q: the even coordinates
+    (v[i] + v[n-1-i]) s for i < n // 2, then the middle entry of an odd
+    n, then the odd coordinates (v[i] - v[n-1-i]) s; s = 1/sqrt(2)."""
+    n = len(v)
+    m = n // 2
+    even = [(v[i] + v[n - 1 - i]) * s for i in range(m)]
+    if n % 2:
+        even.append(v[m])
+    return even + [(v[i] - v[n - 1 - i]) * s for i in range(m)]
+
+
+def _unmirror(Ze, Zo, s, ctx: PrecisionCtx):
+    """Rows of Q diag(Ze, Zo): node rows i and n-1-i are s (Ze[i], +-Zo[i]),
+    and the middle row of an odd n is (Ze[m], 0)."""
+    m = len(Zo)
+    Z = [[s * x for x in Ze[i]] + [s * x for x in Zo[i]] for i in range(m)]
+    if len(Ze) > m:
+        Z.append(Ze[m] + [ctx.mpf(0)] * m)
+    return Z + [[s * x for x in Ze[i]] + [-s * x for x in Zo[i]]
+                for i in range(m - 1, -1, -1)]
+
+
+def eig_dense(M, tol, ctx: PrecisionCtx, mirror=False):
     """All eigenpairs of a square real matrix, sorted by descending
     modulus, then descending real and imaginary part (so a conjugate pair
     comes +im first).
@@ -488,6 +514,17 @@ def eig_dense(M, tol, ctx: PrecisionCtx):
     pair is checked against
     ``||M v - lambda v||_inf <= tol * ||M||_inf * ||v||_inf``; a violation
     or an exhausted QR budget raises :class:`NoConvergence`.
+
+    With ``mirror`` the matrix is first written in the mirror coordinates
+    (v[i] +- v[n-1-i]) / sqrt(2), even ones first.  When M maps
+    mirror-symmetric vectors to mirror-symmetric vectors, that is when
+    the even-to-odd block L_oe satisfies ``||L_oe||_inf <= tol *
+    ||M||_inf``, M is block upper triangular there, [[L_ee, L_eo],
+    [0, L_oo]]: the two diagonal blocks are reduced to real Schur form
+    separately and the coupling Z_e^T L_eo Z_o completes the Schur form of
+    the whole.  Pairs of L_ee come back with ``even`` set; their vectors
+    are exactly mirror-symmetric.  Otherwise, and without ``mirror``, the
+    whole matrix is the one block.  The residual gate is always against M.
     """
     n = len(M)
     tol = ctx.mpf(tol)
@@ -496,9 +533,34 @@ def eig_dense(M, tol, ctx: PrecisionCtx):
     mp = ctx.mp
     A = [[ctx.mpf(x) for x in row] for row in M]
     norm = mat_norm_inf(M)
-    T = [list(row) for row in A]
-    Z = _hessenberg(T, ctx)
-    _real_schur(T, Z, ctx)
+    h, T = n, [list(row) for row in A]
+    if mirror:
+        s = 1 / mp.sqrt(2)
+        AQ = [_mirror(row, s) for row in A]
+        B = [list(row) for row in zip(*(_mirror(col, s) for col in zip(*AQ)))]
+        half = n - n // 2
+        if mat_norm_inf([row[:half] for row in B[half:]]) <= tol * norm:
+            h, T = half, B
+    blocks = [(0, h), (h, n)] if h < n else [(0, n)]
+    Zs = []
+    for lo, hi in blocks:
+        H = [row[lo:hi] for row in T[lo:hi]]
+        Zb = _hessenberg(H, ctx)
+        _real_schur(H, Zb, ctx)
+        for row, hrow in zip(T[lo:hi], H):
+            row[lo:hi] = hrow
+        Zs.append(Zb)
+    if h < n:
+        Ze, Zo = Zs
+        LZ = [[mp.fdot(row[h:], col) for col in zip(*Zo)] for row in T[:h]]
+        for row, col in zip(T, zip(*Ze)):
+            row[h:] = [mp.fdot(col, lz) for lz in zip(*LZ)]
+        zero = ctx.mpf(0)
+        for row in T[h:]:
+            row[:h] = [zero] * h
+        Z = _unmirror(Ze, Zo, s, ctx)
+    else:
+        Z = Zs[0]
     tops = _triangularize(T, Z, ctx)
 
     pairs = []
@@ -519,9 +581,10 @@ def eig_dense(M, tol, ctx: PrecisionCtx):
                 "eigenpair %d residual %s exceeds tolerance" % (i, mp.nstr(res, 5)),
                 index=i,
             )
-        pairs.append(EigenPair(lam, tuple(vec), res))
+        even = i < h < n
+        pairs.append(EigenPair(lam, tuple(vec), res, even))
         if i in tops:
-            pairs.append(EigenPair(lam.conjugate(), tuple(v.conjugate() for v in vec), res))
+            pairs.append(EigenPair(lam.conjugate(), tuple(v.conjugate() for v in vec), res, even))
 
     pairs.sort(key=lambda p: (-abs(p.value), -p.value.real, -p.value.imag))
     return pairs

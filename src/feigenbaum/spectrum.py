@@ -153,7 +153,9 @@ def eigenfunction_parity(vector, basis, ctx: PrecisionCtx, samples: int = 16) ->
     """even / odd / mixed, measured at 2*samples+1 symmetric points.
 
     ``vector`` holds the eigenvector components in node coordinates; the
-    basis reconstructs the polynomial they represent.
+    basis reconstructs the polynomial they represent.  :func:`spectrum_at`
+    samples every eigenvector this way except those of the even block of
+    a mirror split, which are even by construction.
     """
     h = basis.direction_series(vector, ctx).coeffs
     pts = [ctx.mpf(j) / samples for j in range(samples + 1)]
@@ -177,15 +179,24 @@ def spectrum_at(g: ChebSeries, spec: OperatorSpec, ctx: PrecisionCtx,
     Builds the exact collocation matrix of the linearization at g; needs
     no Newton run, so it also serves operators whose unpinned Newton
     cannot converge and scaling-family members.
+
+    On a basis with mirror nodes (the Chebyshev grid) the eigensolve splits
+    into even and odd blocks whenever g is even to the gate tolerance
+    (see :func:`eig_dense`); an eigenvalue of the even block gets parity
+    "even" from the block, every other one from
+    :func:`eigenfunction_parity`, which finds those of the odd block
+    "odd" or "mixed".
     """
     if basis is None:
         basis = chebgrid(n if n else max(len(g.coeffs), 8), ctx)
     D = ctx.decimal_digits
     tol = eig_tol if eig_tol is not None else ctx.ten_pow(-(D // 2) - 4)
-    pairs = eig_dense(linearization_matrix(spec, g, basis, ctx), tol, ctx)
+    pairs = eig_dense(linearization_matrix(spec, g, basis, ctx), tol, ctx,
+                      mirror=basis.mirror_nodes)
 
     alpha = scaling_of(Variant.T, g, ctx).value
-    parities = [eigenfunction_parity(p.vector, basis, ctx) for p in pairs]
+    parities = ["even" if p.even else eigenfunction_parity(p.vector, basis, ctx)
+                for p in pairs]
     base = classification_base(spec.variant, alpha)
     tags = classify_spectrum([p.value for p in pairs], base, ctx, parities=parities)
     delta = None

@@ -237,6 +237,32 @@ def test_plotdata_coefficient_dump_round_trips(capsys, tmp_path):
     assert a == b
 
 
+def test_plotdata_computes_at_the_solution_digits(capsys, tmp_path):
+    sol = tmp_path / "sol.json"
+    run(capsys, "solve", "--digits", "24", "--nodes", "12", "--out", str(sol))
+    coeffs = json.loads(sol.read_text())["cheb_coefficients"]
+
+    def plotdata(*flags):
+        outdir = tmp_path / ("plots" + "".join(flags))
+        code, _, _ = run(capsys, "plotdata", *flags, "--solution", str(sol),
+                         "--out", str(outdir))
+        assert code == 0
+        return [[line.split("\t") for line in
+                 (outdir / name).read_text().strip().splitlines()[1:]]
+                for name in ("coefficients.tsv", "decay.tsv")]
+
+    # without --digits: the artifact's 24 digits, so the dump repeats its
+    # strings and the odd round-off coefficients sit at the 24-digit floor
+    dump, decay = plotdata()
+    assert [c for _, c in dump] == coeffs
+    for k in range(1, 12, 2):
+        assert abs(float(decay[k][1]) - 24.15) < 0.01
+    # an explicit --digits still wins
+    dump, decay = plotdata("--digits", "36")
+    assert [c for _, c in dump] != coeffs
+    assert abs(float(decay[1][1]) - 36.15) < 0.01
+
+
 @pytest.mark.parametrize("values", [
     ["0.5657909435", "-8.6e-46", "-0.37", "3.1e-30", "0", "-2e-36"],
     # the largest entry rounds up to the next power of ten

@@ -285,3 +285,92 @@ def test_spectrum_at_matches_mpmath_oracle():
         assert min(abs(lam - mu) for mu in oracle) <= tol
     for mu in oracle:
         assert min(abs(lam - mu) for lam in values) <= tol
+
+
+# ----------------------------------------------------------------------
+# Parity split of the linearization on the Chebyshev grid
+
+FULL = fb.Linearization.FULL_DERIVATIVE
+FROZEN = fb.Linearization.FROZEN_ALPHA
+
+
+def _gate_tol(ctx):
+    """The tolerance spectrum_at hands eig_dense."""
+    return ctx.ten_pow(-(ctx.decimal_digits // 2) - 4)
+
+
+def _mirror_blocks(L, ctx):
+    """Q^T L Q with a dense mirror transform Q, even coordinates
+    (e_i + e_(n-1-i))/sqrt(2) first, and the even block size."""
+    n = len(L)
+    mpx = ctx.mp
+    Q, m, h = mpx.zeros(n), n // 2, n - n // 2
+    s = 1 / mpx.sqrt(2)
+    for i in range(m):
+        Q[i, i] = Q[n - 1 - i, i] = Q[i, h + i] = s
+        Q[n - 1 - i, h + i] = -s
+    if n % 2:
+        Q[m, m] = 1
+    return Q.T * mpx.matrix(L) * Q, h
+
+
+@pytest.fixture(scope="module")
+def g13_32(ctx32):
+    spec = fb.OperatorSpec(fb.Variant.T, FULL)
+    seed = fb.monomial_to_series([ctx32.mpf(1), ctx32.mpf(0), ctx32.mpf("-1.5")], ctx32)
+    config = fb.NewtonConfig(jacobian_mode=fb.JacobianMode.EXACT)
+    return fb.newton_solve(spec, None, seed, config, ctx32, n=13).solution_series
+
+
+@pytest.mark.parametrize("n", [12, 13])
+@pytest.mark.parametrize("lin", [FULL, FROZEN])
+@pytest.mark.parametrize("variant", list(fb.Variant))
+def test_even_to_odd_block_is_below_the_gate(g32, ctx, variant, lin, n):
+    L = fb.linearization_matrix(fb.OperatorSpec(variant, lin), g32, fb.chebgrid(n, ctx), ctx)
+    B, h = _mirror_blocks(L, ctx)
+    assert ctx.mp.mnorm(B[h:, :h], "inf") <= _gate_tol(ctx) * mat_norm_inf(L)
+
+
+def test_even_to_odd_block_is_below_the_gate_on_the_family(g32, ctx):
+    g = fb.family_member(g32, "1.5", ctx)
+    spec = fb.OperatorSpec(fb.Variant.T4, FULL)
+    L = fb.linearization_matrix(spec, g, fb.chebgrid(20, ctx), ctx)
+    B, h = _mirror_blocks(L, ctx)
+    assert ctx.mp.mnorm(B[h:, :h], "inf") <= _gate_tol(ctx) * mat_norm_inf(L)
+
+
+def _assert_matches_oracle(pairs, L, ctx):
+    oracle, _ = ctx.mp.eig(ctx.mp.matrix(L))
+    match = ctx.mpf(10) ** (-ctx.mpf(ctx.decimal_digits) / 3) * mat_norm_inf(L)
+    values = [p.value for p in pairs]
+    assert len(values) == len(L)
+    for lam in values:
+        assert min(abs(lam - mu) for mu in oracle) <= match
+    for mu in oracle:
+        assert min(abs(lam - mu) for lam in values) <= match
+
+
+@pytest.mark.parametrize("n", [12, 13])
+@pytest.mark.parametrize("variant", list(fb.Variant))
+def test_block_spectra_match_the_full_matrix(g13_32, ctx32, variant, n):
+    ctx = ctx32
+    L = fb.linearization_matrix(fb.OperatorSpec(variant, FULL), g13_32,
+                                fb.chebgrid(n, ctx), ctx)
+    pairs = fb.eig_dense(L, _gate_tol(ctx), ctx, mirror=True)
+    assert sum(p.even for p in pairs) == n - n // 2
+    for p in pairs:
+        if p.even:
+            assert p.vector == p.vector[::-1]
+    _assert_matches_oracle(pairs, L, ctx)
+
+
+def test_odd_fixed_point_term_keeps_one_block(g13_32, ctx32):
+    ctx = ctx32
+    coeffs = list(g13_32.coeffs)
+    coeffs[1] += ctx.mpf("0.1")
+    g = fb.ChebSeries(tuple(coeffs))
+    L = fb.linearization_matrix(fb.OperatorSpec(fb.Variant.T, FULL), g,
+                                fb.chebgrid(12, ctx), ctx)
+    pairs = fb.eig_dense(L, _gate_tol(ctx), ctx, mirror=True)
+    assert not any(p.even for p in pairs)
+    _assert_matches_oracle(pairs, L, ctx)

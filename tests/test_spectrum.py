@@ -160,3 +160,21 @@ def test_json_vector_embedding(spectrum32, ctx):
     d = spectrum32.to_json_dict(ctx, include_vectors=True)
     row = d["eigenvalues"][0]
     assert len(row["vector_re"]) == 32 and len(row["vector_im"]) == 32
+
+
+@pytest.mark.parametrize("spec", [fb.OperatorSpec(fb.Variant.T, FULL),
+                                  fb.OperatorSpec(fb.Variant.T, FROZEN),
+                                  fb.OperatorSpec(fb.Variant.T4, FULL)],
+                         ids=["T-full", "T-frozen", "T4-full"])
+def test_even_block_parity_agrees_with_sampling(g32, ctx, spec):
+    n = 20
+    basis = fb.chebgrid(n, ctx)
+    L = fb.linearization_matrix(spec, g32, basis, ctx)
+    pairs = fb.eig_dense(L, ctx.ten_pow(-36), ctx, mirror=True)
+    assert sum(p.even for p in pairs) == n // 2
+    for p in pairs:
+        parity = fb.eigenfunction_parity(p.vector, basis, ctx)
+        if p.even:
+            assert parity == "even"
+        else:
+            assert parity in ("odd", "mixed")
