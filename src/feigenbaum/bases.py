@@ -211,12 +211,25 @@ class Discretization:
         return d
 
 
+def spec_from_description(d: dict) -> BasisSpec:
+    """Inverse of :meth:`Discretization.describe`: the BasisSpec of a
+    descriptor's ``kind``, ``dimension`` and ``constraints``."""
+    kind = BasisKind(d["kind"])
+    constraints = tuple((int(p), Fraction(v)) for p, v in d["constraints"])
+    order = int(d["dimension"])
+    if kind is BasisKind.EVEN_MONOMIAL:
+        order -= 1
+    elif kind in (BasisKind.MONOMIAL_FULL, BasisKind.RATIONAL_NODE_MONOMIAL):
+        order += len(constraints) - 1
+    return BasisSpec(kind, order, constraints)
+
+
 def chebgrid(n: int, ctx: PrecisionCtx) -> Discretization:
     """The identity pairing with the Chebyshev-root grid."""
     spec = BasisSpec(BasisKind.CHEB_GRID, n)
     nodes = cheb_nodes(n, ctx)
     two_over_n = ctx.mpf(2) / n
-    _, cosk = _tables(n, ctx.prec_bits)
+    cosk = _tables(n, ctx.prec_bits)[1]
     cards = tuple(
         ChebSeries(tuple(two_over_n * cosk[k][j] for k in range(n)))
         for j in range(n)

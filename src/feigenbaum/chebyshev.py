@@ -73,7 +73,8 @@ class DecayReport:
 
 @lru_cache(maxsize=64)
 def _tables(n: int, prec_bits: int):
-    """Nodes x_i and cosine table cos(k theta_i) at the given precision.
+    """Nodes x_i, cosine table cos(k theta_i) and barycentric weights
+    (-1)^i sin(theta_i) at the given precision.
 
     Every context of that precision shares the entries, so they are made
     in a context private to this cache."""
@@ -84,7 +85,8 @@ def _tables(n: int, prec_bits: int):
     cosk = tuple(
         tuple(private.cos(k * t) for t in thetas) for k in range(n)
     )
-    return nodes, cosk
+    weights = tuple((-1) ** i * private.sin(t) for i, t in enumerate(thetas, 1))
+    return nodes, cosk, weights
 
 
 def cheb_nodes(n: int, ctx: PrecisionCtx):
@@ -94,16 +96,6 @@ def cheb_nodes(n: int, ctx: PrecisionCtx):
     return _tables(n, ctx.prec_bits)[0]
 
 
-@lru_cache(maxsize=64)
-def _barycentric_weights(n: int, prec_bits: int):
-    """Barycentric weights (-1)^i sin(theta_i) of the n Chebyshev roots,
-    made like :func:`_tables`."""
-    private = mpmath.MPContext()
-    private.prec = prec_bits
-    return tuple((-1) ** i * private.sin((2 * i - 1) * private.pi / (2 * n))
-                 for i in range(1, n + 1))
-
-
 def barycentric_rows(points, n: int, ctx: PrecisionCtx):
     """Values l_j(z) of the n Lagrange cardinals of the Chebyshev roots at
     each point z, one row per point, from the second (true) barycentric
@@ -111,8 +103,8 @@ def barycentric_rows(points, n: int, ctx: PrecisionCtx):
     Trefethen, SIAM Rev. 46 (2004) 501-517).  O(n) per point, and
     forward stable near the nodes (Higham, IMA J. Numer. Anal. 24 (2004)
     547-556); a point equal to a node gives that node's unit row."""
-    nodes = cheb_nodes(n, ctx)
-    weights = [ctx.mpf(w) for w in _barycentric_weights(n, ctx.prec_bits)]
+    nodes, _, weights = _tables(n, ctx.prec_bits)
+    weights = [ctx.mpf(w) for w in weights]
     one, zero = ctx.mpf(1), ctx.mpf(0)
     rows = []
     for z in points:
@@ -147,7 +139,7 @@ def eval_series(s: ChebSeries, x, ctx: PrecisionCtx):
 def grid_to_series(f: GridFn, ctx: PrecisionCtx) -> ChebSeries:
     """Discrete Fourier-Chebyshev transform: a_k = (2/n) sum_i f_i T_k(x_i)."""
     n = f.n
-    _, cosk = _tables(n, ctx.prec_bits)
+    cosk = _tables(n, ctx.prec_bits)[1]
     two_over_n = ctx.mpf(2) / n
     vals = f.values
     coeffs = tuple(

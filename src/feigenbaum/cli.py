@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Four subcommands drive the pipelines and write machine-readable files:
+Four subcommands drive the pipelines and write machine-readable files;
+each accepts only the flags it reads (``--help`` lists them):
 
 * ``solve``     Newton solve; writes coefficients, scaling constant,
                 iteration history, and the coefficient-decay report.
@@ -9,7 +10,8 @@ Four subcommands drive the pipelines and write machine-readable files:
                 the internal consistency checks; exit 4 on failure.
 * ``plotdata``  TSV emitters (coefficient decay, function and
                 eigenfunction samples) for external plotting, at the
-                solution artifact's digits unless ``--digits`` is given.
+                solution artifact's digits unless ``--digits`` is given,
+                in the basis the spectrum artifact's descriptor names.
 
 Outputs are deterministic and no timestamps enter the data sections.
 Coefficient vectors (``cheb_coefficients`` of ``solve`` and the
@@ -19,9 +21,10 @@ resolution 10^-D * max|c_k|, D the configured digits, so entries below it
 The ``taylor_coefficients`` t_j print the same way, each to the
 resolution 10^-D * max|c_k| * sum_k |T_k[j]| that the conversion from
 Chebyshev coefficients leaves it.  Every other number carries D
-significant digits.  Failures print a structured JSON object
-{code, message, hint} on stderr.  Exit codes: 0 success, 2 configuration
-error, 3 solver failure, 4 verification failure, 5 eigensolver failure.
+significant digits.  Failures, usage errors included, print a structured
+JSON object {code, message, hint} on stderr.  Exit codes: 0 success, 2
+configuration or usage error, 3 solver failure, 4 verification failure,
+5 eigensolver failure.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__
-from .bases import BasisKind, BasisSpec, build_basis
+from .bases import BasisKind, BasisSpec, build_basis, spec_from_description
 from .chebyshev import (
     ChebSeries,
     _cheb_monomial_coeffs,
@@ -54,7 +57,7 @@ from .errors import (
 )
 from .families import default_seed, family_spectrum_check, solve_extremum_order
 from .numerics import PrecisionCtx, mpf_to_fraction
-from .operators import Linearization, OperatorSpec, Variant
+from .operators import Linearization, OperatorSpec, Variant, scaling_of
 from .solver import (
     JacobianMode,
     NewtonConfig,
@@ -95,8 +98,15 @@ def _parse_assign(item: str, what: str):
     return name.strip(), value.strip()
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError: main's JSON error path, exit 2."""
+
+    def error(self, message):
+        raise ConfigError("%s: %s" % (self.prog, message))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="feigenbaum",
         description="Period-doubling fixed points and the spectrum of the "
                     "linearized doubling operator, at arbitrary precision.",
@@ -104,12 +114,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version="%(prog)s " + __version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, digits=64):
-        sp.add_argument("--digits", type=int, default=digits,
-                        help="decimal digits (default %s)" % (digits or "the solution's"))
+    def pipeline(sp, linearization=False):
+        sp.add_argument("--digits", type=int, default=64, help="decimal digits (default 64)")
         sp.add_argument("--nodes", type=int, default=32, help="Chebyshev grid size (default 32)")
         sp.add_argument("--operator", choices=[v.value for v in Variant], default="T")
-        sp.add_argument("--linearization", choices=["full", "frozen"], default="full")
+        if linearization:
+            sp.add_argument("--linearization", choices=["full", "frozen"], default="full")
         sp.add_argument("--basis", choices=[k.value for k in BasisKind], default="cheb")
         sp.add_argument("--dim", type=int, default=None,
                         help="expansion order m for the coefficient bases")
@@ -119,8 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         metavar="g0=V", help="pin g(0) in the Newton solve (repeatable)")
         sp.add_argument("--extremum-order", type=int, default=1, dest="extremum_order",
                         help="k for an order-2k extremum (default 1, quadratic)")
-        sp.add_argument("--mu", action="append", default=[],
-                        help="scaling-family parameter (repeatable; spectrum command)")
         sp.add_argument("--seed-file", default=None, dest="seed_file",
                         help="coefficient file: index TAB value per line")
         sp.add_argument("--jacobian", choices=["exact", "fd"], default="exact",
@@ -130,22 +138,27 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         return sp
 
-    common(sub.add_parser("solve", help="Newton solve of the fixed-point equation"))
-    sp = common(sub.add_parser("spectrum", help="spectrum of the linearized operator"))
+    pipeline(sub.add_parser("solve", help="Newton solve of the fixed-point equation"))
+    sp = pipeline(sub.add_parser("spectrum", help="spectrum of the linearized operator"),
+                  linearization=True)
+    sp.add_argument("--mu", action="append", default=[],
+                    help="scaling-family parameter (repeatable)")
     sp.add_argument("--include-vectors", action="store_true", dest="include_vectors",
                     help="embed eigenvector node values in the report")
-    common(sub.add_parser("verify", help="closed-form eigenfunction and consistency checks"))
-    pd = common(sub.add_parser("plotdata", help="emit TSV plot data"), digits=None)
+    pipeline(sub.add_parser("verify", help="closed-form eigenfunction and consistency checks"),
+             linearization=True)
+    pd = sub.add_parser("plotdata", help="emit TSV plot data")
     pd.add_argument("--solution", default=None, help="solution artifact from `solve`")
     pd.add_argument("--spectrum", default=None, dest="spectrum_file",
                     help="spectrum artifact from `spectrum --include-vectors`")
+    pd.add_argument("--digits", type=int, default=None,
+                    help="decimal digits (default the solution's)")
+    pd.add_argument("--out", default=None, help="output directory (default .)")
     return p
 
 
 def _operator_spec(args) -> OperatorSpec:
-    lin = (Linearization.FULL_DERIVATIVE if args.linearization == "full"
-           else Linearization.FROZEN_ALPHA)
-    return OperatorSpec(Variant(args.operator), lin)
+    return OperatorSpec(Variant(args.operator), Linearization(args.linearization))
 
 
 def _basis_spec(args) -> BasisSpec:
@@ -165,15 +178,15 @@ def _basis_spec(args) -> BasisSpec:
     return BasisSpec(kind, order, tuple(constraints))
 
 
-def _newton_config(args, ctx) -> NewtonConfig:
-    pins = []
-    for item in args.pin:
+def _newton_config(args, pins, ctx) -> NewtonConfig:
+    pinned = []
+    for item in pins:
         name, value = _parse_assign(item, "--pin")
         if name != "g0":
             raise ConfigError("--pin supports g0=VALUE (the value of g at 0)")
-        pins.append((0, ctx.mpf(value)))
+        pinned.append((0, ctx.mpf(value)))
     mode = JacobianMode.EXACT if args.jacobian == "exact" else JacobianMode.FINITE_DIFFERENCE
-    return NewtonConfig(jacobian_mode=mode, pin=tuple(pins))
+    return NewtonConfig(jacobian_mode=mode, pin=tuple(pinned))
 
 
 def _load_coefficients(path, ctx) -> ChebSeries:
@@ -202,9 +215,10 @@ def _warn_family(args):
         )
 
 
-def _run_newton(args, ctx):
-    """NewtonResult of the configured run."""
-    config = _newton_config(args, ctx)
+def _run_newton(args, ctx, variant: Variant, pins):
+    """NewtonResult of the configured run for the operator ``variant``,
+    with g(0) pinned by the ``--pin`` items ``pins``."""
+    config = _newton_config(args, pins, ctx)
     seed = (_load_coefficients(args.seed_file, ctx) if args.seed_file
             else default_seed(args.extremum_order, ctx))
     if args.extremum_order != 1:
@@ -213,11 +227,7 @@ def _run_newton(args, ctx):
         return solve_extremum_order(
             args.extremum_order, args.nodes, ctx, config=config, seed=seed)
     basis = build_basis(_basis_spec(args), ctx)
-    return newton_solve(_operator_spec(args), basis, seed, config, ctx)
-
-
-def _canonical_alpha(series: ChebSeries, ctx):
-    return 1 / eval_series(series, 1, ctx)
+    return newton_solve(OperatorSpec(variant), basis, seed, config, ctx)
 
 
 def _floor_log10(x: Fraction) -> int:
@@ -280,7 +290,7 @@ def _solution_payload(result, ctx) -> dict:
         "digits": ctx.decimal_digits,
         "operator": result.spec.variant.value,
         "basis": result.basis.describe(ctx),
-        "alpha": ctx.to_str(_canonical_alpha(series, ctx)),
+        "alpha": ctx.to_str(scaling_of(Variant.T, series, ctx).value),
         "scaling": {"value": ctx.to_str(result.scaling.value),
                     "definition": result.scaling.definition},
         "converged": result.converged,
@@ -313,7 +323,7 @@ def _emit(payload: dict, args, csv_rows=None):
 def cmd_solve(args) -> int:
     ctx = PrecisionCtx(args.digits)
     _warn_family(args)
-    result = _run_newton(args, ctx)
+    result = _run_newton(args, ctx, Variant(args.operator), args.pin)
     payload = _solution_payload(result, ctx)
     rows = [["index", "cheb_coefficient", "taylor_coefficient"]]
     for i in range(len(result.solution_series.coeffs)):
@@ -329,8 +339,7 @@ def cmd_spectrum(args) -> int:
     if args.mu:
         if spec.variant not in (Variant.T3, Variant.T4):
             raise ConfigError("--mu family comparison pairs with T3/T4")
-        base_args = argparse.Namespace(**{**vars(args), "operator": "T", "pin": []})
-        base = _run_newton(base_args, ctx)
+        base = _run_newton(args, ctx, Variant.T, [])
         cmp = family_spectrum_check(
             base.solution_series, [ctx.mpf(m) for m in args.mu], spec.variant,
             ctx, n=args.nodes,
@@ -340,9 +349,9 @@ def cmd_spectrum(args) -> int:
               + [[ctx.to_str(m.mu), ctx.to_str(cmp.max_pairwise_deviation)]
                  for m in cmp.members])
         return EXIT_OK
-    result = _run_newton(args, ctx)
+    result = _run_newton(args, ctx, spec.variant, args.pin)
     report = spectrum_at(result.solution_series, spec, ctx, basis=result.basis)
-    payload = report.to_json_dict(ctx, include_vectors=getattr(args, "include_vectors", False))
+    payload = report.to_json_dict(ctx, include_vectors=args.include_vectors)
     rows = [["index", "re", "im", "modulus", "residual", "tag", "k", "parity", "match_error"]]
     for i, r in enumerate(payload["eigenvalues"]):
         rows.append([i + 1, r["re"], r["im"], r["modulus"], r["residual"],
@@ -357,15 +366,15 @@ def _verify_checks(args, ctx):
     if args.seed_file:
         # verify a stored solution exactly as provided, without repair
         g = _load_coefficients(args.seed_file, ctx)
-        n = len(g.coeffs)
-        result = None
     else:
-        result = _run_newton(args, ctx)
+        result = _run_newton(args, ctx, spec.variant, args.pin)
         g = result.solution_series
-        n = result.n
+    alpha = scaling_of(Variant.T, g, ctx).value
+    basis = (build_basis(BasisSpec(BasisKind.CHEB_GRID, len(g.coeffs)), ctx)
+             if args.seed_file else result.basis)
+    n = basis.dim
 
     rows = []
-    alpha = _canonical_alpha(g, ctx)
     gp = series_derivative(g, ctx)
     rows.append(("g'(1) = alpha", abs(eval_series(gp, 1, ctx) - alpha),
                  ctx.ten_pow(-20)))
@@ -381,9 +390,7 @@ def _verify_checks(args, ctx):
             except FeigenbaumError as exc:
                 rows.append((name + " [skipped: %s]" % type(exc).__name__, None, None))
 
-    report = spectrum_at(g, spec, ctx, basis=result.basis if result else None, n=n)
-    basis = result.basis if result else build_basis(
-        BasisSpec(BasisKind.CHEB_GRID, n), ctx)
+    report = spectrum_at(g, spec, ctx, basis=basis)
     lead = report.records[: (2 * n) // 3]
     worst = ctx.mpf(0)
     for r in lead:
@@ -471,13 +478,16 @@ def cmd_plotdata(args) -> int:
                 "spectrum artifact lacks eigenvectors; rerun spectrum "
                 "with --include-vectors"
             )
-        basis = build_basis(_basis_spec(args), ctx)
+        try:
+            basis = build_basis(spec_from_description(srep["basis"]), ctx)
+        except (KeyError, TypeError) as exc:
+            raise MissingArtifact("spectrum artifact lacks a basis descriptor: %r" % exc) from exc
         for i, r in enumerate(rows):
             vec = [ctx.mpf(v) for v in r["vector_re"]]
             if len(vec) != basis.dim:
                 raise MissingArtifact(
-                    "eigenvector length %d does not match basis dimension %d; "
-                    "pass the flags the spectrum ran with" % (len(vec), basis.dim)
+                    "eigenvector length %d does not match the dimension %d of "
+                    "the artifact's basis" % (len(vec), basis.dim)
                 )
             h = basis.direction_series(vec, ctx)
             _tsv(os.path.join(out, "eigenfunction_%02d.tsv" % (i + 1)),
@@ -487,8 +497,6 @@ def cmd_plotdata(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "solve": cmd_solve,
         "spectrum": cmd_spectrum,
@@ -496,6 +504,7 @@ def main(argv=None) -> int:
         "plotdata": cmd_plotdata,
     }
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except (ConfigError, MissingArtifact, ValueError) as exc:
         return _error(EXIT_CONFIG, str(exc), "check flag combinations; --help lists them")

@@ -71,16 +71,8 @@ class PrecisionCtx:
         return self.mp.mpf(10) ** e
 
     def to_str(self, x) -> str:
-        """Decimal string with ``decimal_digits`` significant digits."""
-        if hasattr(x, "_mpc_"):
-            if x.imag == 0:
-                x = x.real
-            else:
-                return "(%s %s %sj)" % (
-                    self.mp.nstr(x.real, self.decimal_digits, strip_zeros=False),
-                    "+" if x.imag >= 0 else "-",
-                    self.mp.nstr(abs(x.imag), self.decimal_digits, strip_zeros=False),
-                )
+        """Decimal string of a real value with ``decimal_digits`` significant
+        digits (reports print complex values as their .real and .imag)."""
         return self.mp.nstr(self.mp.mpf(x), self.decimal_digits, strip_zeros=False)
 
     def __repr__(self):

@@ -1,5 +1,6 @@
 """Basis construction, exact interpolation matrices, constraint handling."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from mpmath import mp
 
 import feigenbaum as fb
+from feigenbaum.bases import spec_from_description
 
 
 def test_lanford_matrix_is_exact_inverse(ctx):
@@ -184,3 +186,22 @@ def test_chebgrid_cardinal_rows_match_cardinal_series(ctx):
     for z, row in zip(pts, basis.cardinal_rows(pts, ctx)):
         for card, v in zip(basis.cardinals, row):
             assert abs(v - fb.eval_series(card, z, ctx)) <= ctx.ten_pow(-ctx.decimal_digits + 8)
+
+
+@pytest.mark.parametrize("kind, order, constraints", [
+    ("cheb", 16, ()),
+    ("lanford", 8, ()),
+    ("even", 7, ()),
+    ("monomial", 11, ()),
+    ("monomial", 12, ((0, 1), (1, 0))),
+    ("rational", 15, ((0, 1), (1, 0))),
+    ("rational", 11, ((1, 0),)),
+])
+def test_basis_descriptor_round_trips(kind, order, constraints):
+    ctx = fb.PrecisionCtx(24)
+    spec = fb.BasisSpec(fb.BasisKind(kind), order, constraints)
+    described = fb.build_basis(spec, ctx).describe(ctx)
+    # as a report stores it: through JSON, constraints as [power, "value"]
+    rebuilt = spec_from_description(json.loads(json.dumps(described)))
+    assert rebuilt == spec
+    assert fb.build_basis(rebuilt, ctx).describe(ctx) == described

@@ -7,6 +7,7 @@ import pytest
 from mpmath import mp
 
 import feigenbaum as fb
+from feigenbaum import cli
 from feigenbaum.cli import _build_parser, _coefficient_strings, _taylor_resolutions, main
 
 
@@ -186,7 +187,7 @@ def test_plotdata_eigenfunction_nonzero_at_origin(capsys, tmp_path):
     run(capsys, "spectrum", "--digits", "36", "--nodes", "16",
         "--include-vectors", "--out", str(spec))
     outdir = tmp_path / "plots"
-    code, _, _ = run(capsys, "plotdata", "--digits", "36", "--nodes", "16",
+    code, _, _ = run(capsys, "plotdata", "--digits", "36",
                      "--solution", str(sol), "--spectrum", str(spec),
                      "--out", str(outdir))
     assert code == 0
@@ -323,3 +324,135 @@ def test_fd_jacobian_runs_agree_with_the_default(capsys, tmp_path):
         assert (a["tag"], a["k"], a["parity"]) == (b["tag"], b["k"], b["parity"])
         assert abs(num(a["re"]) - num(b["re"])) <= tol * max(1, abs(num(a["re"])))
         assert abs(num(a["im"]) - num(b["im"])) <= tol * max(1, abs(num(a["modulus"])))
+
+
+def _last_error(err):
+    """The {code, message, hint} object of the last stderr line."""
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert set(payload) == {"code", "message", "hint"}
+    return payload
+
+
+def _raise(exc):
+    def raising(*args, **kwargs):
+        raise exc
+    return raising
+
+
+# argv with {name} standing for an artifact that _exit_code_artifacts writes,
+# the expected exit code, and what _run_newton raises instead of solving
+EXIT_CASES = [
+    pytest.param(["solve", "--pin", "g0"], 2, None, id="assign-without-equals"),
+    pytest.param(["solve", "--basis", "monomial", "--constrain", "b1=0"], 2, None,
+                 id="constrain-not-a-coefficient"),
+    pytest.param(["solve", "--pin", "g1=0"], 2, None, id="pin-not-g0"),
+    pytest.param(["solve", "--seed-file", "{absent}"], 2, None, id="seed-file-missing"),
+    pytest.param(["solve", "--seed-file", "{empty}"], 2, None, id="seed-file-empty"),
+    pytest.param(["solve", "--extremum-order", "2", "--basis", "lanford"], 2, None,
+                 id="extremum-order-off-grid"),
+    pytest.param(["spectrum", "--mu", "1"], 2, None, id="mu-with-T"),
+    pytest.param(["plotdata"], 2, None, id="plotdata-without-solution"),
+    pytest.param(["plotdata", "--solution", "{nocoeffs}"], 2, None,
+                 id="solution-without-coefficients"),
+    pytest.param(["plotdata", "--solution", "{sol}", "--spectrum", "{novectors}",
+                  "--out", "{out}"], 2, None,
+                 id="spectrum-without-vectors"),
+    pytest.param(["plotdata", "--solution", "{sol}", "--spectrum", "{nobasis}",
+                  "--out", "{out}"], 2, None,
+                 id="spectrum-without-basis"),
+    pytest.param(["plotdata", "--solution", "{sol}", "--spectrum", "{short}",
+                  "--out", "{out}"], 2, None,
+                 id="vectors-off-the-basis-dimension"),
+    pytest.param(["solve"], 3, fb.NoConvergence("budget", history=(1, 2)),
+                 id="newton-no-convergence"),
+    pytest.param(["spectrum"], 5, fb.NoConvergence("QR sweep budget", index=3),
+                 id="eigensolver-no-convergence"),
+    pytest.param(["verify"], 3, fb.FeigenbaumError("plain"), id="plain-error"),
+    # usage errors leave through the same JSON path
+    pytest.param([], 2, None, id="no-subcommand"),
+    pytest.param(["frobnicate"], 2, None, id="unknown-subcommand"),
+    pytest.param(["spectrum", "--nodes", "abc"], 2, None, id="bad-int"),
+    pytest.param(["solve", "--include-vectors"], 2, None, id="flag-of-another-subcommand"),
+    pytest.param(["spectrum", "--basis", "chebyshev"], 2, None, id="bad-choice"),
+]
+
+
+def _exit_code_artifacts(tmp_path):
+    coeffs = ["1.0"] + ["0.0"] * 7
+    vector = {"re": "1", "vector_re": ["1"] * 8}
+    grid8 = {"kind": "cheb", "dimension": 8, "exact": False, "constraints": []}
+    files = {
+        "empty": "",
+        "nocoeffs": "{}",
+        "sol": json.dumps({"digits": 24, "cheb_coefficients": coeffs}),
+        "novectors": json.dumps({"basis": grid8, "eigenvalues": [{"re": "1"}]}),
+        "nobasis": json.dumps({"eigenvalues": [vector]}),
+        "short": json.dumps({"basis": dict(grid8, dimension=12), "eigenvalues": [vector]}),
+    }
+    paths = {"absent": str(tmp_path / "absent.txt"), "out": str(tmp_path / "plots")}
+    for name, text in files.items():
+        path = tmp_path / name
+        path.write_text(text)
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("argv, code, raises", EXIT_CASES)
+def test_exit_code_contract(capsys, tmp_path, monkeypatch, argv, code, raises):
+    paths = _exit_code_artifacts(tmp_path)
+    if raises is not None:
+        monkeypatch.setattr(cli, "_run_newton", _raise(raises))
+    got, out, err = run(capsys, *[a.format(**paths) for a in argv])
+    assert got == code and out == ""
+    assert _last_error(err)["code"] == code
+
+
+REMOVED_FLAGS = [
+    ("solve", ["--linearization", "frozen"]),
+    ("solve", ["--mu", "1"]),
+    ("verify", ["--mu", "1"]),
+] + [("plotdata", flag) for flag in (
+    ["--nodes", "8"], ["--operator", "T4"], ["--linearization", "frozen"],
+    ["--basis", "lanford"], ["--dim", "8"], ["--constrain", "a0=1"],
+    ["--pin", "g0=1"], ["--extremum-order", "2"], ["--mu", "1"],
+    ["--seed-file", "seed.txt"], ["--jacobian", "fd"], ["--format", "csv"],
+)]
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS,
+                         ids=["%s%s" % (c, f[0]) for c, f in REMOVED_FLAGS])
+def test_flags_a_subcommand_does_not_read_are_rejected(capsys, command, flag):
+    code, out, err = run(capsys, command, *flag)
+    assert code == 2 and out == ""
+    payload = _last_error(err)
+    assert payload["code"] == 2
+    assert "unrecognized arguments: " + " ".join(flag) in payload["message"]
+
+
+def test_plotdata_takes_the_basis_from_the_spectrum_artifact(capsys, tmp_path):
+    # a Lanford spectrum needs no basis flags: its descriptor rebuilds the
+    # Lanford cardinals, whose directions vanish at 0 (Chebyshev cardinals
+    # of the same dimension would not)
+    sol, spec = tmp_path / "sol.json", tmp_path / "spec.json"
+    lanford = ["--digits", "24", "--basis", "lanford", "--dim", "8"]
+    assert run(capsys, "solve", *lanford, "--out", str(sol))[0] == 0
+    assert run(capsys, "spectrum", *lanford, "--include-vectors", "--out", str(spec))[0] == 0
+    outdir = tmp_path / "plots"
+    code, _, _ = run(capsys, "plotdata", "--solution", str(sol), "--spectrum", str(spec),
+                     "--out", str(outdir))
+    assert code == 0
+    rows = json.loads(spec.read_text())["eigenvalues"]
+    assert len(list(outdir.glob("eigenfunction_*.tsv"))) == len(rows)
+    ef1 = (outdir / "eigenfunction_01.tsv").read_text().strip().splitlines()
+    x, h0 = (float(v) for v in ef1[1 + 100].split("\t"))
+    assert abs(x) < 1e-20
+    assert abs(h0) < 1e-20
+
+
+def test_verify_g1_zero_is_a_solver_error(capsys, tmp_path):
+    # g = 0.5 - 0.5 x has g(1) = 0: alpha = 1/g(1) is undefined
+    seed = tmp_path / "g.txt"
+    seed.write_text("0\t1\n1\t-0.5\n")
+    code, _, err = run(capsys, "verify", "--digits", "16", "--seed-file", str(seed))
+    assert code == 3
+    assert "g(1) = 0" in _last_error(err)["message"]
