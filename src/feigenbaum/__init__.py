@@ -16,7 +16,6 @@ from .bases import (
     build_basis,
     chebgrid,
     coeffs_from_values,
-    spectrum_in_basis,
 )
 from .chebyshev import (
     ChebSeries,
@@ -94,6 +93,7 @@ from .spectrum import (
     compute_spectrum,
     eigenfunction_parity,
     spectrum_at,
+    spectrum_in_basis,
     verify_explicit,
 )
 

@@ -6,7 +6,7 @@ n Chebyshev roots) or through explicit coefficient expansions:
 * ``LANFORD``           1 + a_1 x^2 + ... + a_m x^(2m), nodes i/m, i=1..m
 * ``EVEN_MONOMIAL``     a_0 + a_1 x^2 + ... + a_m x^(2m), nodes i/m, i=0..m
 * ``RATIONAL_NODE_MONOMIAL``  a_0 + ... + a_m x^m at Chebyshev nodes rounded
-  to nearby rationals (continued-fraction convergents, capped denominator)
+  to nearby rationals (continued-fraction convergents, denominators <= 1000)
 * ``MONOMIAL_FULL``     same powers at true Chebyshev nodes, float inverse
 
 For the rational-node kinds the map from node values to coefficients is
@@ -71,7 +71,6 @@ class BasisSpec:
     kind: BasisKind
     order: int
     constraints: tuple = ()
-    denominator_cap: int = 1000
 
     def __post_init__(self):
         if self.kind in (BasisKind.LANFORD, BasisKind.EVEN_MONOMIAL) and self.constraints:
@@ -252,8 +251,8 @@ def _monomial_series(powers_to_coeffs: dict, degree: int, ctx) -> ChebSeries:
     return monomial_to_series(dense, ctx)
 
 
-def _rationalize(x, cap: int) -> Fraction:
-    return mpf_to_fraction(x).limit_denominator(cap)
+def _rationalize(x) -> Fraction:
+    return mpf_to_fraction(x).limit_denominator(1000)
 
 
 def _monomial_nodes(spec: BasisSpec, ctx: PrecisionCtx):
@@ -293,7 +292,7 @@ def build_basis(spec: BasisSpec, ctx: PrecisionCtx) -> Discretization:
         fixed = {p: v for p, v in pinned.items() if v != 0}
         float_nodes = _monomial_nodes(spec, ctx)
         if spec.kind is BasisKind.RATIONAL_NODE_MONOMIAL:
-            exact_nodes = [_rationalize(x, spec.denominator_cap) for x in float_nodes]
+            exact_nodes = [_rationalize(x) for x in float_nodes]
         else:
             exact_nodes = None
 
@@ -359,23 +358,3 @@ def coeffs_from_values(basis: Discretization, values, ctx: PrecisionCtx):
         row = M.entries[k]
         out.append(ctx.mp.fsum(ctx.mpf(row[j]) * rhs[j] for j in range(d)))
     return tuple(out)
-
-
-def spectrum_in_basis(op_spec, basis_spec: BasisSpec, ctx: PrecisionCtx,
-                      config=None, seed=None, eig_tol=None):
-    """Full pipeline in a basis: Newton solve (with the exact Jacobian
-    unless ``config`` says otherwise), spectrum.
-
-    The reported spectrum is that of the finite-dimensional projection
-    of the linearized operator onto the basis subset, which is the whole
-    point of the exercise.
-    """
-    # imported here: the solver consumes Discretization objects from this module
-    from . import solver, spectrum
-
-    basis = build_basis(basis_spec, ctx)
-    if seed is None:
-        seed = monomial_to_series([ctx.mpf(1), ctx.mpf(0), ctx.mpf("-1.5")], ctx)
-    config = config or solver.NewtonConfig(jacobian_mode=solver.JacobianMode.EXACT)
-    result = solver.newton_solve(op_spec, basis, seed, config, ctx)
-    return spectrum.compute_spectrum(result, eig_tol, ctx)

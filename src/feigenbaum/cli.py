@@ -114,7 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version="%(prog)s " + __version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def pipeline(sp, linearization=False):
+    def pipeline(sp, linearization=False,
+                 seed_help="coefficient file: index TAB value per line"):
         sp.add_argument("--digits", type=int, default=64, help="decimal digits (default 64)")
         sp.add_argument("--nodes", type=int, default=32, help="Chebyshev grid size (default 32)")
         sp.add_argument("--operator", choices=[v.value for v in Variant], default="T")
@@ -126,11 +127,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--constrain", action="append", default=[],
                         metavar="aK=V", help="pin a monomial basis coefficient (repeatable)")
         sp.add_argument("--pin", action="append", default=[],
-                        metavar="g0=V", help="pin g(0) in the Newton solve (repeatable)")
+                        metavar="g0=V", help="pin g(0) in the Newton solve (once)")
         sp.add_argument("--extremum-order", type=int, default=1, dest="extremum_order",
                         help="k for an order-2k extremum (default 1, quadratic)")
-        sp.add_argument("--seed-file", default=None, dest="seed_file",
-                        help="coefficient file: index TAB value per line")
+        sp.add_argument("--seed-file", default=None, dest="seed_file", help=seed_help)
         sp.add_argument("--jacobian", choices=["exact", "fd"], default="exact",
                         help="Newton Jacobian: exact (default) or centered "
                              "finite differences (a cross-check)")
@@ -146,7 +146,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--include-vectors", action="store_true", dest="include_vectors",
                     help="embed eigenvector node values in the report")
     pipeline(sub.add_parser("verify", help="closed-form eigenfunction and consistency checks"),
-             linearization=True)
+             linearization=True,
+             seed_help="the g to check as given (index TAB value per line), on the grid "
+                       "of its length: with no Newton run, --nodes --basis --dim "
+                       "--constrain --pin --extremum-order --jacobian are ignored")
     pd = sub.add_parser("plotdata", help="emit TSV plot data")
     pd.add_argument("--solution", default=None, help="solution artifact from `solve`")
     pd.add_argument("--spectrum", default=None, dest="spectrum_file",
@@ -178,15 +181,17 @@ def _basis_spec(args) -> BasisSpec:
     return BasisSpec(kind, order, tuple(constraints))
 
 
-def _newton_config(args, pins, ctx) -> NewtonConfig:
-    pinned = []
-    for item in pins:
+def _newton_config(args, ctx) -> NewtonConfig:
+    pin_g0 = None
+    for item in args.pin:
         name, value = _parse_assign(item, "--pin")
         if name != "g0":
             raise ConfigError("--pin supports g0=VALUE (the value of g at 0)")
-        pinned.append((0, ctx.mpf(value)))
+        if pin_g0 is not None:
+            raise ConfigError("--pin g0=VALUE may be given once")
+        pin_g0 = ctx.mpf(value)
     mode = JacobianMode.EXACT if args.jacobian == "exact" else JacobianMode.FINITE_DIFFERENCE
-    return NewtonConfig(jacobian_mode=mode, pin=tuple(pinned))
+    return NewtonConfig(jacobian_mode=mode, pin_g0=pin_g0)
 
 
 def _load_coefficients(path, ctx) -> ChebSeries:
@@ -207,18 +212,20 @@ def _load_coefficients(path, ctx) -> ChebSeries:
     return ChebSeries(tuple(coeffs.get(i, ctx.mpf(0)) for i in range(n)))
 
 
-def _warn_family(args):
-    if args.operator in ("T3", "T4") and not args.pin:
+def _run_newton(args, ctx, variant: Variant):
+    """NewtonResult of the configured run for the operator ``variant``,
+    with g(0) pinned when ``--pin`` is given.  An unpinned T3/T4 run is
+    warned about first: its Newton system is degenerate."""
+    config = _newton_config(args, ctx)
+    if args.extremum_order >= 2 and (variant is not Variant.T
+                                     or config.jacobian_mode is not JacobianMode.EXACT):
+        raise ConfigError("higher extremum orders solve T with the exact Jacobian: "
+                          "--operator and --jacobian fd do not apply")
+    if variant in (Variant.T3, Variant.T4) and config.pin_g0 is None:
         sys.stderr.write(
             "warning: %s keeps a one-parameter solution family; Newton will "
-            "fail without --pin g0=1\n" % args.operator
+            "fail without --pin g0=1\n" % variant.value
         )
-
-
-def _run_newton(args, ctx, variant: Variant, pins):
-    """NewtonResult of the configured run for the operator ``variant``,
-    with g(0) pinned by the ``--pin`` items ``pins``."""
-    config = _newton_config(args, pins, ctx)
     seed = (_load_coefficients(args.seed_file, ctx) if args.seed_file
             else default_seed(args.extremum_order, ctx))
     if args.extremum_order != 1:
@@ -322,8 +329,7 @@ def _emit(payload: dict, args, csv_rows=None):
 
 def cmd_solve(args) -> int:
     ctx = PrecisionCtx(args.digits)
-    _warn_family(args)
-    result = _run_newton(args, ctx, Variant(args.operator), args.pin)
+    result = _run_newton(args, ctx, Variant(args.operator))
     payload = _solution_payload(result, ctx)
     rows = [["index", "cheb_coefficient", "taylor_coefficient"]]
     for i in range(len(result.solution_series.coeffs)):
@@ -334,12 +340,16 @@ def cmd_solve(args) -> int:
 
 def cmd_spectrum(args) -> int:
     ctx = PrecisionCtx(args.digits)
-    _warn_family(args)
     spec = _operator_spec(args)
     if args.mu:
         if spec.variant not in (Variant.T3, Variant.T4):
             raise ConfigError("--mu family comparison pairs with T3/T4")
-        base = _run_newton(args, ctx, Variant.T, [])
+        if (args.pin or args.include_vectors
+                or spec.linearization is not Linearization.FULL_DERIVATIVE):
+            raise ConfigError("--mu compares full-derivative spectra along the family of "
+                              "the unpinned T solution: --pin, --include-vectors and "
+                              "--linearization frozen do not apply")
+        base = _run_newton(args, ctx, Variant.T)
         cmp = family_spectrum_check(
             base.solution_series, [ctx.mpf(m) for m in args.mu], spec.variant,
             ctx, n=args.nodes,
@@ -349,7 +359,7 @@ def cmd_spectrum(args) -> int:
               + [[ctx.to_str(m.mu), ctx.to_str(cmp.max_pairwise_deviation)]
                  for m in cmp.members])
         return EXIT_OK
-    result = _run_newton(args, ctx, spec.variant, args.pin)
+    result = _run_newton(args, ctx, spec.variant)
     report = spectrum_at(result.solution_series, spec, ctx, basis=result.basis)
     payload = report.to_json_dict(ctx, include_vectors=args.include_vectors)
     rows = [["index", "re", "im", "modulus", "residual", "tag", "k", "parity", "match_error"]]
@@ -367,7 +377,7 @@ def _verify_checks(args, ctx):
         # verify a stored solution exactly as provided, without repair
         g = _load_coefficients(args.seed_file, ctx)
     else:
-        result = _run_newton(args, ctx, spec.variant, args.pin)
+        result = _run_newton(args, ctx, spec.variant)
         g = result.solution_series
     alpha = scaling_of(Variant.T, g, ctx).value
     basis = (build_basis(BasisSpec(BasisKind.CHEB_GRID, len(g.coeffs)), ctx)
@@ -416,8 +426,6 @@ def _verify_checks(args, ctx):
 
 def cmd_verify(args) -> int:
     ctx = PrecisionCtx(args.digits)
-    if args.seed_file is None:
-        _warn_family(args)
     rows = _verify_checks(args, ctx)
     table = []
     ok_all = True

@@ -11,7 +11,7 @@ k = 2, 3, ...; the quartic branch (k = 2) has its own constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .chebyshev import (
     ChebSeries,
@@ -83,8 +83,8 @@ class FamilyComparison:
 
 
 def family_spectrum_check(g: ChebSeries, mu_list, variant: Variant,
-                          ctx: PrecisionCtx, n: int = None, compared: int = 8,
-                          allow_extrapolation: bool = False) -> FamilyComparison:
+                          ctx: PrecisionCtx, n: int = None,
+                          compared: int = 8) -> FamilyComparison:
     """Spectra of the full derivative at each g_mu, with pairwise matching.
 
     Verifies that each member is a genuine fixed point of the family
@@ -93,7 +93,8 @@ def family_spectrum_check(g: ChebSeries, mu_list, variant: Variant,
     The spectra and fixed-point residuals are taken on the n-point grid;
     the tangent residual, ``verify_explicit``'s dilation mode with
     lambda = 1, on g_mu's own grid of len(g.coeffs) points, which is n
-    whenever g was solved at n.
+    whenever g was solved at n.  Each |mu| must be at least 1 (see
+    :func:`family_member`).
     """
     if variant not in (Variant.T3, Variant.T4):
         raise ValueError("scaling families pair with the T3/T4 forms")
@@ -102,7 +103,7 @@ def family_spectrum_check(g: ChebSeries, mu_list, variant: Variant,
 
     members, reports, scalings, residuals, unit_res = [], [], [], [], []
     for mu in mu_list:
-        gm = family_member(g, mu, ctx, allow_extrapolation=allow_extrapolation)
+        gm = family_member(g, mu, ctx)
         members.append(FamilyMember(ctx.mpf(mu), gm))
         scalings.append(scaling_of(variant, gm, ctx).value)
         residuals.append(vec_norm_inf(residual(variant, gm, n, ctx).values))
@@ -149,17 +150,15 @@ def solve_extremum_order(k: int, n: int, ctx: PrecisionCtx,
                          config: NewtonConfig = None, seed: ChebSeries = None):
     """Fixed point with extremum order 2k on the Chebyshev grid of size n.
 
-    Defaults to the exact Jacobian for k >= 2 (finite differences sit
-    badly with the flat extremum).  Checks the converged branch: Taylor
-    coefficients of x^1 .. x^(2k-1) must vanish to 10**(-D/4), else
-    :class:`WrongBranch`.  (The interpolant's truncation tail amplified
-    by ~n^3 lands near 1e-20 in those coefficients at n = 70, so a
-    10**(-D/2) cut would reject genuine branch members; the wrong branch
-    shows order-one coefficients, 16 orders away.)
+    ``config`` defaults to the exact Jacobian (finite differences sit
+    badly with the flat extremum of k >= 2).  Checks the converged
+    branch: Taylor coefficients of x^1 .. x^(2k-1) must vanish to
+    10**(-D/4), else :class:`WrongBranch`.  (The interpolant's truncation
+    tail amplified by ~n^3 lands near 1e-20 in those coefficients at
+    n = 70, so a 10**(-D/2) cut would reject genuine branch members; the
+    wrong branch shows order-one coefficients, 16 orders away.)
     """
-    config = config or NewtonConfig()
-    if k >= 2:
-        config = replace(config, jacobian_mode=JacobianMode.EXACT)
+    config = config or NewtonConfig(jacobian_mode=JacobianMode.EXACT)
     seed = seed if seed is not None else default_seed(k, ctx)
     spec = OperatorSpec(Variant.T, Linearization.FULL_DERIVATIVE)
     result = newton_solve(spec, None, seed, config, ctx, n=n)

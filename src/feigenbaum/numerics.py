@@ -128,18 +128,17 @@ class LUFactors:
         return self.min_pivot / self.norm if self.norm > 0 else 0
 
 
-def lu_factor(A, ctx: PrecisionCtx, pivot_floor=None) -> LUFactors:
+def lu_factor(A, ctx: PrecisionCtx) -> LUFactors:
     """Partial-pivoted LU of a square matrix (rows of mpf).
 
     Raises :class:`SingularMatrix` when a pivot falls below
-    ``pivot_floor`` (default ``10**(-D+8) * ||A||_inf``), which signals
-    either genuine rank loss or a solution family.
+    ``10**(-D+8) * ||A||_inf``, which signals either genuine rank loss or
+    a solution family.
     """
     n = len(A)
     lu = [list(row) for row in A]
     norm = mat_norm_inf(lu)
-    if pivot_floor is None:
-        pivot_floor = ctx.ten_pow(-ctx.decimal_digits + 8) * norm
+    pivot_floor = ctx.ten_pow(-ctx.decimal_digits + 8) * norm
     perm = list(range(n))
     min_pivot = ctx.mp.inf
     for k in range(n):

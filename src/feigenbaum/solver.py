@@ -1,13 +1,13 @@
 """Newton iteration on Phi(g) = g - T(g) over a chosen discretization,
 with finite-difference and exact Jacobians, convergence control, and
-coefficient pinning.
+g(0) pinning.
 
 The Newton state is the vector of function values at the discretization
 nodes; the reconstruction of the polynomial from those values is the
 basis's affair (:mod:`feigenbaum.bases`).  Pinning replaces one residual
-row with a (linear) constraint on a Taylor coefficient of the solution,
-which keeps the system square and selects one member when the operator
-carries a one-parameter solution family.
+row with the linear constraint g(0) = v, which keeps the system square
+and selects one member when the operator carries a one-parameter
+solution family.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .bases import BasisSpec, Discretization, build_basis, chebgrid
-from .chebyshev import ChebSeries, GridFn, _eval, cheb_nodes, series_to_monomial
+from .bases import Discretization, chebgrid
+from .chebyshev import ChebSeries, GridFn, _eval, cheb_nodes
 from .errors import NoConvergence, SingularJacobian, SingularMatrix
 from .numerics import DEGENERACY_RATIO, PrecisionCtx, lu_factor, lu_solve_factored, vec_norm_inf
 from .operators import (
@@ -36,12 +36,14 @@ class JacobianMode(enum.Enum):
 
 @dataclass
 class NewtonConfig:
-    """Iteration knobs.  The finite-difference step and the update
-    tolerance derive from the precision context: see :meth:`resolved`."""
+    """Iteration knobs.  ``pin_g0`` is the value g(0) is pinned to, or
+    None for the plain collocation system.  The finite-difference step
+    and the update tolerance derive from the precision context: see
+    :meth:`resolved`."""
 
     max_iterations: int = 40
     jacobian_mode: JacobianMode = JacobianMode.FINITE_DIFFERENCE
-    pin: tuple = ()  # ((taylor power, value), ...)
+    pin_g0: object = None
 
     def resolved(self, ctx: PrecisionCtx):
         """(finite-difference step, update tolerance) = (10**(-D//2), 10**(-D+10))."""
@@ -132,23 +134,16 @@ def assemble_jacobian(spec: OperatorSpec, g: ChebSeries, n: int, config: NewtonC
     return _jacobian(spec, basis, values, g, config, ctx)
 
 
-def _pin_rows(basis: Discretization, pins, ctx: PrecisionCtx):
-    """(row index, jacobian row, power, value) per pin.
+def _pin_row(basis: Discretization, value, ctx: PrecisionCtx):
+    """(row index, jacobian row, value) of the pin g(0) = value.
 
-    The replaced rows are those whose nodes sit nearest the origin, the
-    point the constraints address.  Mirror-image nodes are equally near in
-    exact arithmetic; distances compare in double precision so that
-    round-off in the nodes does not break that tie: the lower index wins.
+    The row, d g(0) / d values, replaces the collocation row of the node
+    nearest the origin.  Mirror-image nodes are equally near in exact
+    arithmetic; distances compare in double precision so that round-off
+    in the nodes does not break that tie: the lower index wins.
     """
-    if not pins:
-        return []
-    order = sorted(range(basis.dim), key=lambda i: (float(abs(basis.nodes[i])), i))
-    rows = []
-    taylor_of_card = [series_to_monomial(c, ctx) for c in basis.cardinals]
-    for slot, (power, value) in enumerate(pins):
-        row = [taylor_of_card[j][power] for j in range(basis.dim)]
-        rows.append((order[slot], row, int(power), ctx.mpf(value)))
-    return rows
+    ridx = min(range(basis.dim), key=lambda i: (float(abs(basis.nodes[i])), i))
+    return ridx, basis.cardinal_rows([ctx.mpf(0)], ctx)[0], ctx.mpf(value)
 
 
 def newton_solve(spec: OperatorSpec, basis, seed: ChebSeries,
@@ -157,8 +152,9 @@ def newton_solve(spec: OperatorSpec, basis, seed: ChebSeries,
     """Iterate g_{k+1} = g_k - A_k^{-1} Phi(g_k) until the update stalls
     at round-off or drops below the stop threshold.
 
-    ``basis`` may be a Discretization, a BasisSpec, or None (Chebyshev
-    grid of size n).
+    ``basis`` is a Discretization, or None for the Chebyshev grid of
+    size n (default 32).  With ``config.pin_g0`` set, one collocation row
+    is replaced by g(0) = pin_g0 (see :func:`_pin_row`).
     Raises :class:`SingularJacobian` when the Jacobian degenerates (the
     operator keeps a solution family: unpinned T3/T4) and
     :class:`NoConvergence` (history attached) when the budget runs out.
@@ -168,12 +164,10 @@ def newton_solve(spec: OperatorSpec, basis, seed: ChebSeries,
     config = config or NewtonConfig()
     if basis is None:
         basis = chebgrid(n if n else 32, ctx)
-    elif isinstance(basis, BasisSpec):
-        basis = build_basis(basis, ctx)
     _, update_tol = config.resolved(ctx)
     D = ctx.decimal_digits
     values = [_eval(seed.coeffs, x) for x in basis.nodes]
-    pins = _pin_rows(basis, config.pin, ctx)
+    pin = None if config.pin_g0 is None else _pin_row(basis, config.pin_g0, ctx)
 
     history = []
     converged = False
@@ -185,9 +179,10 @@ def newton_solve(spec: OperatorSpec, basis, seed: ChebSeries,
         rhs = _residual(spec.variant, series, basis.nodes, ctx, values)
         A = _jacobian(OperatorSpec(spec.variant, Linearization.FULL_DERIVATIVE),
                       basis, values, series, config, ctx)
-        for ridx, row, power, value in pins:
+        if pin:
+            ridx, row, g0 = pin
             A[ridx] = list(row)
-            rhs[ridx] = series_to_monomial(series, ctx)[power] - value
+            rhs[ridx] = _eval(series.coeffs, 0) - g0
         try:
             fac = lu_factor(A, ctx)
         except SingularMatrix as exc:
@@ -220,8 +215,9 @@ def newton_solve(spec: OperatorSpec, basis, seed: ChebSeries,
     # judge convergence on the system actually solved: pinned rows carry
     # the constraint residual (the displaced collocation row re-acquires
     # truncation-scale error, which is not a convergence failure)
-    for ridx, _row, power, value in pins:
-        final_res[ridx] = series_to_monomial(series, ctx)[power] - value
+    if pin:
+        ridx, _row, g0 = pin
+        final_res[ridx] = _eval(series.coeffs, 0) - g0
     res_norm = vec_norm_inf(final_res)
     scale = max(ctx.mpf(1), vec_norm_inf(values))
     if not converged or res_norm > ctx.ten_pow(-D + 12) * scale:

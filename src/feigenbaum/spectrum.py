@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bases import chebgrid
-from .chebyshev import ChebSeries, _eval, cheb_nodes
+from .bases import BasisSpec, build_basis, chebgrid
+from .chebyshev import ChebSeries, _eval, cheb_nodes, monomial_to_series
 from .errors import AmbiguousMatch, NoExplicitForm
 from .numerics import PrecisionCtx, eig_dense
 from .operators import (
@@ -28,6 +28,7 @@ from .operators import (
     linearized_apply_at,
     scaling_of,
 )
+from .solver import JacobianMode, NewtonConfig, newton_solve
 
 K_RANGE = range(-3, 13)
 
@@ -99,10 +100,10 @@ def classification_base(variant: Variant, alpha):
     return -alpha if variant in (Variant.T2, Variant.T3) else alpha
 
 
-def classify_spectrum(eigs, alpha, ctx: PrecisionCtx, tol_rel=None, parities=None):
+def classify_spectrum(eigs, alpha, ctx: PrecisionCtx, parities=None):
     """Tags for a sorted eigenvalue list against powers of ``alpha``.
 
-    A value matches power k when |lambda - alpha**(1-k)| <= tol * |alpha**(1-k)|
+    A value matches power k when |lambda - alpha**(1-k)| <= 1e-6 * |alpha**(1-k)|
     for integer k in -3..12; among non-matching eigenvalues the largest
     one with an even eigenfunction (all of them, when no parities are
     supplied) becomes delta.  The eigenvalues are converted to the
@@ -110,7 +111,7 @@ def classify_spectrum(eigs, alpha, ctx: PrecisionCtx, tol_rel=None, parities=Non
     context precision.
     """
     eigs = [ctx.mp.convert(lam) for lam in eigs]
-    tol = ctx.mpf("1e-6") if tol_rel is None else ctx.mpf(tol_rel)
+    tol = ctx.mpf("1e-6")
     alpha = ctx.mpf(alpha)
     powers = {k: alpha ** (1 - k) for k in K_RANGE}
     tags = []
@@ -149,8 +150,9 @@ def classify_spectrum(eigs, alpha, ctx: PrecisionCtx, tol_rel=None, parities=Non
     return tags
 
 
-def eigenfunction_parity(vector, basis, ctx: PrecisionCtx, samples: int = 16) -> str:
-    """even / odd / mixed, measured at 2*samples+1 symmetric points.
+def eigenfunction_parity(vector, basis, ctx: PrecisionCtx) -> str:
+    """even / odd / mixed, measured at the 33 symmetric points j/16,
+    j = -16..16.
 
     ``vector`` holds the eigenvector components in node coordinates; the
     basis reconstructs the polynomial they represent.  :func:`spectrum_at`
@@ -158,7 +160,7 @@ def eigenfunction_parity(vector, basis, ctx: PrecisionCtx, samples: int = 16) ->
     a mirror split, which are even by construction.
     """
     h = basis.direction_series(vector, ctx).coeffs
-    pts = [ctx.mpf(j) / samples for j in range(samples + 1)]
+    pts = [ctx.mpf(j) / 16 for j in range(17)]
     plus = [_eval(h, x) for x in pts]
     minus = [_eval(h, -x) for x in pts]
     scale = max(max(abs(v) for v in plus), max(abs(v) for v in minus))
@@ -173,7 +175,7 @@ def eigenfunction_parity(vector, basis, ctx: PrecisionCtx, samples: int = 16) ->
 
 
 def spectrum_at(g: ChebSeries, spec: OperatorSpec, ctx: PrecisionCtx,
-                basis=None, n: int = None, eig_tol=None) -> SpectrumReport:
+                basis=None, n: int = None) -> SpectrumReport:
     """Spectrum of the linearized operator at a given (fixed-point) g.
 
     Builds the exact collocation matrix of the linearization at g; needs
@@ -182,15 +184,15 @@ def spectrum_at(g: ChebSeries, spec: OperatorSpec, ctx: PrecisionCtx,
 
     On a basis with mirror nodes (the Chebyshev grid) the eigensolve splits
     into even and odd blocks whenever g is even to the gate tolerance
-    (see :func:`eig_dense`); an eigenvalue of the even block gets parity
-    "even" from the block, every other one from
+    10**(-D//2-4) (see :func:`eig_dense`); an eigenvalue of the even
+    block gets parity "even" from the block, every other one from
     :func:`eigenfunction_parity`, which finds those of the odd block
     "odd" or "mixed".
     """
     if basis is None:
         basis = chebgrid(n if n else max(len(g.coeffs), 8), ctx)
     D = ctx.decimal_digits
-    tol = eig_tol if eig_tol is not None else ctx.ten_pow(-(D // 2) - 4)
+    tol = ctx.ten_pow(-(D // 2) - 4)
     pairs = eig_dense(linearization_matrix(spec, g, basis, ctx), tol, ctx,
                       mirror=basis.mirror_nodes)
 
@@ -219,17 +221,27 @@ def spectrum_at(g: ChebSeries, spec: OperatorSpec, ctx: PrecisionCtx,
     )
 
 
-def compute_spectrum(result, tol=None, ctx: PrecisionCtx = None) -> SpectrumReport:
-    """Spectrum of the linearization at a converged Newton solution, in
-    the result's basis and under its operator spec."""
-    ctx = ctx or result.ctx
-    return spectrum_at(
-        result.solution_series,
-        result.spec,
-        ctx,
-        basis=result.basis,
-        eig_tol=tol,
-    )
+def compute_spectrum(result) -> SpectrumReport:
+    """:func:`spectrum_at` a converged Newton solution, in the result's
+    basis, under its operator spec and at its precision."""
+    return spectrum_at(result.solution_series, result.spec, result.ctx,
+                       basis=result.basis)
+
+
+def spectrum_in_basis(op_spec: OperatorSpec, basis_spec: BasisSpec,
+                      ctx: PrecisionCtx, seed: ChebSeries = None) -> SpectrumReport:
+    """Full pipeline in a basis: Newton solve with the exact Jacobian from
+    ``seed`` (default 1 - 1.5 x^2), then :func:`compute_spectrum`.
+
+    The reported spectrum is that of the finite-dimensional projection
+    of the linearized operator onto the basis subset, which is the whole
+    point of the exercise.
+    """
+    if seed is None:
+        seed = monomial_to_series([ctx.mpf(1), ctx.mpf(0), ctx.mpf("-1.5")], ctx)
+    result = newton_solve(op_spec, build_basis(basis_spec, ctx), seed,
+                          NewtonConfig(jacobian_mode=JacobianMode.EXACT), ctx)
+    return compute_spectrum(result)
 
 
 def _explicit_kind_for(spec: OperatorSpec, k: int):

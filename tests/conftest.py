@@ -63,7 +63,7 @@ def alpha64(quad32):
 @pytest.fixture(scope="session")
 def spectrum32(quad32, ctx):
     """Table-1 spectrum report at n = 32."""
-    return fb.compute_spectrum(quad32, None, ctx)
+    return fb.compute_spectrum(quad32)
 
 
 @pytest.fixture(scope="session")
@@ -78,12 +78,12 @@ def quad40(ctx, quad_seed):
 
 @pytest.fixture(scope="session")
 def spectrum24(quad24, ctx):
-    return fb.compute_spectrum(quad24, None, ctx)
+    return fb.compute_spectrum(quad24)
 
 
 @pytest.fixture(scope="session")
 def spectrum40(quad40, ctx):
-    return fb.compute_spectrum(quad40, None, ctx)
+    return fb.compute_spectrum(quad40)
 
 
 def _variant_report(g, variant, lin, ctx):
@@ -114,7 +114,7 @@ def t4_report(g32, ctx):
 def quartic70(ctx):
     """Quartic branch at n = 70: (NewtonResult, SpectrumReport)."""
     result = fb.solve_extremum_order(2, 70, ctx)
-    return result, fb.compute_spectrum(result, None, ctx)
+    return result, fb.compute_spectrum(result)
 
 
 @pytest.fixture(scope="session")

@@ -72,7 +72,7 @@ def test_dimension_floor_enforced():
 
 def test_rational_nodes_respect_denominator_cap(ctx):
     basis = fb.build_basis(
-        fb.BasisSpec(fb.BasisKind.RATIONAL_NODE_MONOMIAL, 19, denominator_cap=1000), ctx)
+        fb.BasisSpec(fb.BasisKind.RATIONAL_NODE_MONOMIAL, 19), ctx)
     assert basis.matrix.exact
     assert len(set(basis.exact_nodes)) == basis.dim
     for x in basis.exact_nodes:

@@ -100,6 +100,14 @@ def test_spectrum_family_comparison(capsys, tmp_path):
     assert all(abs(v - 4.669201609) < 1e-6 for v in top)
 
 
+def test_family_comparison_does_not_warn_about_the_pin(capsys):
+    # the base solve of --mu is the unpinned T solve, which needs no pin
+    code, _, err = run(capsys, "spectrum", "--operator", "T4", "--mu", "1", "--mu", "1.5",
+                       "--digits", "24", "--nodes", "12")
+    assert code == 0
+    assert err == ""
+
+
 def test_spectrum_determinism(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
@@ -346,11 +354,23 @@ EXIT_CASES = [
     pytest.param(["solve", "--basis", "monomial", "--constrain", "b1=0"], 2, None,
                  id="constrain-not-a-coefficient"),
     pytest.param(["solve", "--pin", "g1=0"], 2, None, id="pin-not-g0"),
+    pytest.param(["solve", "--operator", "T4", "--pin", "g0=1", "--pin", "g0=1"], 2, None,
+                 id="pin-twice"),
     pytest.param(["solve", "--seed-file", "{absent}"], 2, None, id="seed-file-missing"),
     pytest.param(["solve", "--seed-file", "{empty}"], 2, None, id="seed-file-empty"),
     pytest.param(["solve", "--extremum-order", "2", "--basis", "lanford"], 2, None,
                  id="extremum-order-off-grid"),
+    pytest.param(["solve", "--extremum-order", "2", "--operator", "T4"], 2, None,
+                 id="extremum-order-off-T"),
+    pytest.param(["verify", "--extremum-order", "2", "--jacobian", "fd"], 2, None,
+                 id="extremum-order-with-fd"),
     pytest.param(["spectrum", "--mu", "1"], 2, None, id="mu-with-T"),
+    pytest.param(["spectrum", "--operator", "T4", "--mu", "1", "--pin", "g0=1"], 2, None,
+                 id="mu-with-pin"),
+    pytest.param(["spectrum", "--operator", "T4", "--mu", "1", "--include-vectors"], 2, None,
+                 id="mu-with-vectors"),
+    pytest.param(["spectrum", "--operator", "T3", "--mu", "1", "--linearization", "frozen"],
+                 2, None, id="mu-with-frozen"),
     pytest.param(["plotdata"], 2, None, id="plotdata-without-solution"),
     pytest.param(["plotdata", "--solution", "{nocoeffs}"], 2, None,
                  id="solution-without-coefficients"),

@@ -103,7 +103,7 @@ def test_wrong_branch_detected(ctx):
 
 
 def test_extremum_order_k1_reproduces_quadratic(ctx):
-    report = fb.compute_spectrum(fb.solve_extremum_order(1, 20, ctx), None, ctx)
+    report = fb.compute_spectrum(fb.solve_extremum_order(1, 20, ctx))
     assert abs(report.alpha - mp.mpf("-2.502907875")) < mp.mpf("1e-8")
     assert abs(report.delta - mp.mpf("4.669201609")) < mp.mpf("1e-8")
 

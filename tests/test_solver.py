@@ -108,7 +108,7 @@ def test_unpinned_t3_raises_singular_jacobian(quad_seed, ctx):
 def test_pinned_t4_matches_plain_solution(quad32, quad_seed, ctx):
     spec = fb.OperatorSpec(fb.Variant.T4, FULL)
     res = fb.newton_solve(spec, None, quad_seed,
-                          fb.NewtonConfig(pin=((0, 1),)), ctx, n=32)
+                          fb.NewtonConfig(pin_g0=1), ctx, n=32)
     assert res.converged
     g0 = fb.eval_series(res.solution_series, 0, ctx)
     assert abs(g0 - 1) < ctx.ten_pow(-50)
@@ -119,7 +119,7 @@ def test_pinned_t4_matches_plain_solution(quad32, quad_seed, ctx):
 def test_pinned_t4_keeps_full_operator_residual_small(quad_seed, ctx):
     spec = fb.OperatorSpec(fb.Variant.T4, FULL)
     res = fb.newton_solve(spec, None, quad_seed,
-                          fb.NewtonConfig(pin=((0, 1),)), ctx, n=32)
+                          fb.NewtonConfig(pin_g0=1), ctx, n=32)
     r = fb.residual(fb.Variant.T4, res.solution_series, 32, ctx)
     assert max(abs(v) for v in r.values) < ctx.ten_pow(-20)
 
