@@ -244,6 +244,55 @@ def chebgrid(n: int, ctx: PrecisionCtx) -> Discretization:
     return Discretization(spec, nodes, None, mat, cards, None, (zero,) * n, n, cond)
 
 
+@dataclass(frozen=True)
+class EvenHalf(Discretization):
+    """Even functions on the Chebyshev grid ``full`` of n nodes.
+
+    The unknowns are the values at the m = ceil(n/2) non-negative nodes.
+    Cardinal j is the mirror sum l_j + l_(n-1-j) of the grid's cardinals,
+    with its odd Chebyshev coefficients exact zeros; the middle cardinal
+    of an odd n is kept as it is.  It carries no interpolation matrix.
+    """
+
+    full: Discretization = None
+
+    @property
+    def mirror_nodes(self) -> bool:
+        return False
+
+    def cardinal_rows(self, points, ctx: PrecisionCtx) -> list:
+        """The full grid's rows, folded: entry j is l_j(z) + l_(n-1-j)(z)."""
+        n = self.full.dim
+        return [[r[j] + r[n - 1 - j] if 2 * j + 1 < n else r[j]
+                 for j in range(self.dim)]
+                for r in self.full.cardinal_rows(points, ctx)]
+
+    def mirrored(self, values) -> tuple:
+        """The full grid's n node values of the even function with these
+        half values."""
+        n = self.full.dim
+        return tuple(values) + tuple(values[n - 1 - i] for i in range(self.dim, n))
+
+
+def even_half(grid: Discretization, ctx: PrecisionCtx) -> EvenHalf:
+    """The :class:`EvenHalf` of a Chebyshev grid, from the cached node
+    tables: the mirror sum of cardinals j and n-1-j has the coefficients
+    (4/n) cos(k theta_j) for even k.  Its condition estimate is the
+    grid's, which bounds it (the half maps are restrictions of the
+    grid's to even functions)."""
+    n = grid.dim
+    m = n - n // 2
+    cosk = _tables(n, ctx.prec_bits)[1]
+    four_over_n, zero = ctx.mpf(4) / n, ctx.mpf(0)
+    cards = tuple(
+        grid.cardinals[j] if 2 * j + 1 == n else ChebSeries(tuple(
+            zero if k % 2 else four_over_n * cosk[k][j] for k in range(n)))
+        for j in range(m)
+    )
+    return EvenHalf(grid.spec, grid.nodes[:m], None, None, cards, None, (zero,) * m,
+                    n, grid.condition_estimate, full=grid)
+
+
 def _monomial_series(powers_to_coeffs: dict, degree: int, ctx) -> ChebSeries:
     dense = [0] * (degree + 1)
     for p, c in powers_to_coeffs.items():

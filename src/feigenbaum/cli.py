@@ -142,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = pipeline(sub.add_parser("spectrum", help="spectrum of the linearized operator"),
                   linearization=True)
     sp.add_argument("--mu", action="append", default=[],
-                    help="scaling-family parameter (repeatable)")
+                    help="scaling-family parameter, |mu| >= 1 (repeatable)")
     sp.add_argument("--include-vectors", action="store_true", dest="include_vectors",
                     help="embed eigenvector node values in the report")
     pipeline(sub.add_parser("verify", help="closed-form eigenfunction and consistency checks"),
@@ -349,11 +349,12 @@ def cmd_spectrum(args) -> int:
             raise ConfigError("--mu compares full-derivative spectra along the family of "
                               "the unpinned T solution: --pin, --include-vectors and "
                               "--linearization frozen do not apply")
+        mus = [ctx.mpf(m) for m in args.mu]
+        if any(abs(m) < 1 for m in mus):
+            raise ConfigError("--mu needs |mu| >= 1: g_mu(x) = mu g(x/mu) would "
+                              "evaluate g outside [-1, 1]")
         base = _run_newton(args, ctx, Variant.T)
-        cmp = family_spectrum_check(
-            base.solution_series, [ctx.mpf(m) for m in args.mu], spec.variant,
-            ctx, n=args.nodes,
-        )
+        cmp = family_spectrum_check(base.solution_series, mus, spec.variant, ctx, n=args.nodes)
         _emit(cmp.to_json_dict(ctx), args,
               [["mu", "max_pairwise_deviation"]]
               + [[ctx.to_str(m.mu), ctx.to_str(cmp.max_pairwise_deviation)]

@@ -254,15 +254,18 @@ class EigenPair:
 
     A real eigenvalue is an ``mpf`` with a real vector.  A complex one is
     an ``mpc``; its conjugate is a pair of its own with the conjugate
-    vector and the same residual.  ``even`` marks a pair of the even block
-    of a mirror split (see :func:`eig_dense`): its vector has
-    ``vector[i] == vector[n-1-i]`` exactly.
+    vector and the same residual.  ``block`` names the diagonal block of a
+    mirror split the pair comes from (see :func:`eig_dense`), "even" or
+    "odd", and is None when the matrix was eigensolved as one block.  An
+    even-block vector has ``vector[i] == vector[n-1-i]`` exactly; an
+    odd-block one is mirror-antisymmetric only as far as the coupling
+    L_eo leaves it so.
     """
 
     value: object
     vector: tuple
     residual: object
-    even: bool = False
+    block: str = None
 
 
 def _hessenberg(H, ctx: PrecisionCtx):
@@ -513,9 +516,11 @@ def eig_dense(M, tol, ctx: PrecisionCtx, mirror=False):
     ||M||_inf``, M is block upper triangular there, [[L_ee, L_eo],
     [0, L_oo]]: the two diagonal blocks are reduced to real Schur form
     separately and the coupling Z_e^T L_eo Z_o completes the Schur form of
-    the whole.  Pairs of L_ee come back with ``even`` set; their vectors
-    are exactly mirror-symmetric.  Otherwise, and without ``mirror``, the
-    whole matrix is the one block.  The residual gate is always against M.
+    the whole.  Every pair is marked with its block, ``block`` "even" (an
+    eigenvalue of L_ee, with an exactly mirror-symmetric vector) or "odd"
+    (an eigenvalue of L_oo).  Otherwise, and without ``mirror``, the whole
+    matrix is the one block and ``block`` is None.  The residual gate is
+    always against M.
     """
     n = len(M)
     tol = ctx.mpf(tol)
@@ -572,10 +577,10 @@ def eig_dense(M, tol, ctx: PrecisionCtx, mirror=False):
                 "eigenpair %d residual %s exceeds tolerance" % (i, mp.nstr(res, 5)),
                 index=i,
             )
-        even = i < h < n
-        pairs.append(EigenPair(lam, tuple(vec), res, even))
+        block = None if h == n else "even" if i < h else "odd"
+        pairs.append(EigenPair(lam, tuple(vec), res, block))
         if i in tops:
-            pairs.append(EigenPair(lam.conjugate(), tuple(v.conjugate() for v in vec), res, even))
+            pairs.append(EigenPair(lam.conjugate(), tuple(v.conjugate() for v in vec), res, block))
 
     pairs.sort(key=lambda p: (-abs(p.value), -p.value.real, -p.value.imag))
     return pairs

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .bases import Discretization, chebgrid
+from .bases import Discretization, chebgrid, even_half
 from .chebyshev import ChebSeries, GridFn, _eval, cheb_nodes
 from .errors import NoConvergence, SingularJacobian, SingularMatrix
 from .numerics import DEGENERACY_RATIO, PrecisionCtx, lu_factor, lu_solve_factored, vec_norm_inf
@@ -146,6 +146,20 @@ def _pin_row(basis: Discretization, value, ctx: PrecisionCtx):
     return ridx, basis.cardinal_rows([ctx.mpf(0)], ctx)[0], ctx.mpf(value)
 
 
+def _even_half(basis: Discretization, values, ctx: PrecisionCtx):
+    """The :class:`~feigenbaum.bases.EvenHalf` of a mirror-node basis when
+    the node values are mirror-symmetric to the eigensolver gate
+    10**(-D//2-4) relative to their sup norm, else None (Newton keeps
+    ``basis``)."""
+    if not basis.mirror_nodes:
+        return None
+    n = basis.dim
+    gate = ctx.ten_pow(-(ctx.decimal_digits // 2) - 4) * vec_norm_inf(values)
+    if any(abs(values[i] - values[n - 1 - i]) > gate for i in range(n // 2)):
+        return None
+    return even_half(basis, ctx)
+
+
 def newton_solve(spec: OperatorSpec, basis, seed: ChebSeries,
                  config: NewtonConfig, ctx: PrecisionCtx,
                  n: int = None) -> NewtonResult:
@@ -155,6 +169,13 @@ def newton_solve(spec: OperatorSpec, basis, seed: ChebSeries,
     ``basis`` is a Discretization, or None for the Chebyshev grid of
     size n (default 32).  With ``config.pin_g0`` set, one collocation row
     is replaced by g(0) = pin_g0 (see :func:`_pin_row`).
+    Unpinned on a mirror-node basis (the Chebyshev grid) from a seed
+    whose node values are even to 10**(-D//2-4), the iteration runs on
+    the basis's :class:`~feigenbaum.bases.EvenHalf`, ceil(n/2) unknowns,
+    where T keeps g even; the result carries the mirrored n node values
+    and the full grid as its basis.  Any other seed, and a pinned solve,
+    iterates on the full basis, and so does a solve whose half Jacobian
+    degenerates.
     Raises :class:`SingularJacobian` when the Jacobian degenerates (the
     operator keeps a solution family: unpinned T3/T4) and
     :class:`NoConvergence` (history attached) when the budget runs out.
@@ -164,11 +185,39 @@ def newton_solve(spec: OperatorSpec, basis, seed: ChebSeries,
     config = config or NewtonConfig()
     if basis is None:
         basis = chebgrid(n if n else 32, ctx)
-    _, update_tol = config.resolved(ctx)
-    D = ctx.decimal_digits
     values = [_eval(seed.coeffs, x) for x in basis.nodes]
     pin = None if config.pin_g0 is None else _pin_row(basis, config.pin_g0, ctx)
+    half = None if pin else _even_half(basis, values, ctx)
+    if half is not None:
+        try:
+            values, series, history, stopped_by = _iterate(
+                spec, half, values[:half.dim], None, config, ctx)
+            values = half.mirrored(values)
+        except SingularJacobian:
+            # a solution family's tangent g - x g' is even, so the full
+            # system is degenerate too: solving it there reports the pivot
+            # of the n-node Jacobian the caller asked for
+            half = None
+    if half is None:
+        values, series, history, stopped_by = _iterate(spec, basis, values, pin, config, ctx)
+    return NewtonResult(
+        solution_grid=GridFn(tuple(values)),
+        solution_series=series,
+        iteration_history=tuple(history),
+        converged=True,
+        scaling=scaling_of(spec.variant, series, ctx),
+        spec=spec,
+        basis=basis,
+        ctx=ctx,
+        stopped_by=stopped_by,
+    )
 
+
+def _iterate(spec, basis, values, pin, config, ctx):
+    """The Newton loop of :func:`newton_solve` from the node values of the
+    seed: (node values, series, update norms, stop reason) at convergence."""
+    _, update_tol = config.resolved(ctx)
+    D = ctx.decimal_digits
     history = []
     converged = False
     stopped_by = "budget"
@@ -225,17 +274,7 @@ def newton_solve(spec: OperatorSpec, basis, seed: ChebSeries,
             "Newton did not converge (last residual %s)" % ctx.mp.nstr(res_norm, 5),
             history=tuple(history),
         )
-    return NewtonResult(
-        solution_grid=GridFn(tuple(values)),
-        solution_series=series,
-        iteration_history=tuple(history),
-        converged=converged,
-        scaling=scaling_of(spec.variant, series, ctx),
-        spec=spec,
-        basis=basis,
-        ctx=ctx,
-        stopped_by=stopped_by,
-    )
+    return values, series, history, stopped_by
 
 
 @dataclass

@@ -156,8 +156,9 @@ def eigenfunction_parity(vector, basis, ctx: PrecisionCtx) -> str:
 
     ``vector`` holds the eigenvector components in node coordinates; the
     basis reconstructs the polynomial they represent.  :func:`spectrum_at`
-    samples every eigenvector this way except those of the even block of
-    a mirror split, which are even by construction.
+    samples the eigenvectors of one-block spectra this way (the
+    coefficient bases, and a grid whose g is not even); the pairs of a
+    mirror split take their parity from their block instead.
     """
     h = basis.direction_series(vector, ctx).coeffs
     pts = [ctx.mpf(j) / 16 for j in range(17)]
@@ -174,6 +175,16 @@ def eigenfunction_parity(vector, basis, ctx: PrecisionCtx) -> str:
     return "mixed"
 
 
+def _block_parity(pair, tol) -> str:
+    """Parity of a pair from a mirror split (see :func:`spectrum_at`)."""
+    if pair.block == "even":
+        return "even"
+    v = pair.vector
+    if max(abs(a + b) for a, b in zip(v, reversed(v))) <= tol * max(abs(a) for a in v):
+        return "odd"
+    return "mixed"
+
+
 def spectrum_at(g: ChebSeries, spec: OperatorSpec, ctx: PrecisionCtx,
                 basis=None, n: int = None) -> SpectrumReport:
     """Spectrum of the linearized operator at a given (fixed-point) g.
@@ -184,10 +195,11 @@ def spectrum_at(g: ChebSeries, spec: OperatorSpec, ctx: PrecisionCtx,
 
     On a basis with mirror nodes (the Chebyshev grid) the eigensolve splits
     into even and odd blocks whenever g is even to the gate tolerance
-    10**(-D//2-4) (see :func:`eig_dense`); an eigenvalue of the even
-    block gets parity "even" from the block, every other one from
-    :func:`eigenfunction_parity`, which finds those of the odd block
-    "odd" or "mixed".
+    tol = 10**(-D//2-4) (see :func:`eig_dense`), and each pair's parity
+    comes from its block without sampling: "even" for the even block; for
+    the odd block "odd" when its node vector v has ||v + Rv||_inf <=
+    tol ||v||_inf, R reversing the node order, else "mixed".  One-block
+    spectra take every parity from :func:`eigenfunction_parity`.
     """
     if basis is None:
         basis = chebgrid(n if n else max(len(g.coeffs), 8), ctx)
@@ -197,8 +209,8 @@ def spectrum_at(g: ChebSeries, spec: OperatorSpec, ctx: PrecisionCtx,
                       mirror=basis.mirror_nodes)
 
     alpha = scaling_of(Variant.T, g, ctx).value
-    parities = ["even" if p.even else eigenfunction_parity(p.vector, basis, ctx)
-                for p in pairs]
+    parities = [_block_parity(p, tol) if p.block
+                else eigenfunction_parity(p.vector, basis, ctx) for p in pairs]
     base = classification_base(spec.variant, alpha)
     tags = classify_spectrum([p.value for p in pairs], base, ctx, parities=parities)
     delta = None

@@ -348,52 +348,55 @@ def _raise(exc):
 
 
 # argv with {name} standing for an artifact that _exit_code_artifacts writes,
-# the expected exit code, and what _run_newton raises instead of solving
+# the expected exit code, what _run_newton raises instead of solving, and a
+# part of the error message the case checks
 EXIT_CASES = [
-    pytest.param(["solve", "--pin", "g0"], 2, None, id="assign-without-equals"),
-    pytest.param(["solve", "--basis", "monomial", "--constrain", "b1=0"], 2, None,
+    pytest.param(["solve", "--pin", "g0"], 2, None, None, id="assign-without-equals"),
+    pytest.param(["solve", "--basis", "monomial", "--constrain", "b1=0"], 2, None, None,
                  id="constrain-not-a-coefficient"),
-    pytest.param(["solve", "--pin", "g1=0"], 2, None, id="pin-not-g0"),
-    pytest.param(["solve", "--operator", "T4", "--pin", "g0=1", "--pin", "g0=1"], 2, None,
+    pytest.param(["solve", "--pin", "g1=0"], 2, None, None, id="pin-not-g0"),
+    pytest.param(["solve", "--operator", "T4", "--pin", "g0=1", "--pin", "g0=1"], 2, None, None,
                  id="pin-twice"),
-    pytest.param(["solve", "--seed-file", "{absent}"], 2, None, id="seed-file-missing"),
-    pytest.param(["solve", "--seed-file", "{empty}"], 2, None, id="seed-file-empty"),
-    pytest.param(["solve", "--extremum-order", "2", "--basis", "lanford"], 2, None,
+    pytest.param(["solve", "--seed-file", "{absent}"], 2, None, None, id="seed-file-missing"),
+    pytest.param(["solve", "--seed-file", "{empty}"], 2, None, None, id="seed-file-empty"),
+    pytest.param(["solve", "--extremum-order", "2", "--basis", "lanford"], 2, None, None,
                  id="extremum-order-off-grid"),
-    pytest.param(["solve", "--extremum-order", "2", "--operator", "T4"], 2, None,
+    pytest.param(["solve", "--extremum-order", "2", "--operator", "T4"], 2, None, None,
                  id="extremum-order-off-T"),
-    pytest.param(["verify", "--extremum-order", "2", "--jacobian", "fd"], 2, None,
+    pytest.param(["verify", "--extremum-order", "2", "--jacobian", "fd"], 2, None, None,
                  id="extremum-order-with-fd"),
-    pytest.param(["spectrum", "--mu", "1"], 2, None, id="mu-with-T"),
-    pytest.param(["spectrum", "--operator", "T4", "--mu", "1", "--pin", "g0=1"], 2, None,
+    pytest.param(["spectrum", "--mu", "1"], 2, None, None, id="mu-with-T"),
+    pytest.param(["spectrum", "--operator", "T4", "--mu", "1", "--pin", "g0=1"], 2, None, None,
                  id="mu-with-pin"),
-    pytest.param(["spectrum", "--operator", "T4", "--mu", "1", "--include-vectors"], 2, None,
+    pytest.param(["spectrum", "--operator", "T4", "--mu", "1", "--include-vectors"], 2, None, None,
                  id="mu-with-vectors"),
     pytest.param(["spectrum", "--operator", "T3", "--mu", "1", "--linearization", "frozen"],
-                 2, None, id="mu-with-frozen"),
-    pytest.param(["plotdata"], 2, None, id="plotdata-without-solution"),
-    pytest.param(["plotdata", "--solution", "{nocoeffs}"], 2, None,
+                 2, None, None, id="mu-with-frozen"),
+    pytest.param(["spectrum", "--operator", "T4", "--mu", "0.5"], 2, None,
+                 "--mu needs |mu| >= 1", id="mu-below-one"),
+    pytest.param(["plotdata"], 2, None, None, id="plotdata-without-solution"),
+    pytest.param(["plotdata", "--solution", "{nocoeffs}"], 2, None, None,
                  id="solution-without-coefficients"),
     pytest.param(["plotdata", "--solution", "{sol}", "--spectrum", "{novectors}",
-                  "--out", "{out}"], 2, None,
+                  "--out", "{out}"], 2, None, None,
                  id="spectrum-without-vectors"),
     pytest.param(["plotdata", "--solution", "{sol}", "--spectrum", "{nobasis}",
-                  "--out", "{out}"], 2, None,
+                  "--out", "{out}"], 2, None, None,
                  id="spectrum-without-basis"),
     pytest.param(["plotdata", "--solution", "{sol}", "--spectrum", "{short}",
-                  "--out", "{out}"], 2, None,
+                  "--out", "{out}"], 2, None, None,
                  id="vectors-off-the-basis-dimension"),
-    pytest.param(["solve"], 3, fb.NoConvergence("budget", history=(1, 2)),
+    pytest.param(["solve"], 3, fb.NoConvergence("budget", history=(1, 2)), None,
                  id="newton-no-convergence"),
-    pytest.param(["spectrum"], 5, fb.NoConvergence("QR sweep budget", index=3),
+    pytest.param(["spectrum"], 5, fb.NoConvergence("QR sweep budget", index=3), None,
                  id="eigensolver-no-convergence"),
-    pytest.param(["verify"], 3, fb.FeigenbaumError("plain"), id="plain-error"),
+    pytest.param(["verify"], 3, fb.FeigenbaumError("plain"), None, id="plain-error"),
     # usage errors leave through the same JSON path
-    pytest.param([], 2, None, id="no-subcommand"),
-    pytest.param(["frobnicate"], 2, None, id="unknown-subcommand"),
-    pytest.param(["spectrum", "--nodes", "abc"], 2, None, id="bad-int"),
-    pytest.param(["solve", "--include-vectors"], 2, None, id="flag-of-another-subcommand"),
-    pytest.param(["spectrum", "--basis", "chebyshev"], 2, None, id="bad-choice"),
+    pytest.param([], 2, None, None, id="no-subcommand"),
+    pytest.param(["frobnicate"], 2, None, None, id="unknown-subcommand"),
+    pytest.param(["spectrum", "--nodes", "abc"], 2, None, None, id="bad-int"),
+    pytest.param(["solve", "--include-vectors"], 2, None, None, id="flag-of-another-subcommand"),
+    pytest.param(["spectrum", "--basis", "chebyshev"], 2, None, None, id="bad-choice"),
 ]
 
 
@@ -417,14 +420,17 @@ def _exit_code_artifacts(tmp_path):
     return paths
 
 
-@pytest.mark.parametrize("argv, code, raises", EXIT_CASES)
-def test_exit_code_contract(capsys, tmp_path, monkeypatch, argv, code, raises):
+@pytest.mark.parametrize("argv, code, raises, says", EXIT_CASES)
+def test_exit_code_contract(capsys, tmp_path, monkeypatch, argv, code, raises, says):
     paths = _exit_code_artifacts(tmp_path)
     if raises is not None:
         monkeypatch.setattr(cli, "_run_newton", _raise(raises))
     got, out, err = run(capsys, *[a.format(**paths) for a in argv])
     assert got == code and out == ""
-    assert _last_error(err)["code"] == code
+    payload = _last_error(err)
+    assert payload["code"] == code
+    if says is not None:
+        assert says in payload["message"]
 
 
 REMOVED_FLAGS = [

@@ -1,8 +1,12 @@
 """Package structure: the modules of ``feigenbaum`` import each other
-without a cycle, so each one loads after everything it uses."""
+without a cycle, so each one loads after everything it uses; importing
+the package and building a grid do no more work than they need."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import feigenbaum as fb
 
@@ -54,3 +58,31 @@ def test_package_import_graph_is_acyclic():
     for module in sorted(graph):
         if module not in state:
             visit(module, [module])
+
+
+def _fresh_interpreter(code):
+    """Standard output of ``code`` run by a new interpreter that imports
+    the package from this tree."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True)
+    return proc.stdout.split()
+
+
+def test_import_loads_no_array_or_symbolic_package():
+    loaded = _fresh_interpreter(
+        "import sys, feigenbaum\n"
+        "print(*[m for m in ('numpy', 'scipy', 'sympy') if m in sys.modules])")
+    assert loaded == []
+
+
+def test_cold_grid_build_fills_only_the_node_tables():
+    filled = _fresh_interpreter(
+        "import sys, feigenbaum as fb\n"
+        "fb.build_basis(fb.BasisSpec(fb.BasisKind.CHEB_GRID, 16), fb.PrecisionCtx(64))\n"
+        "caches = {id(f): f for name, mod in list(sys.modules.items())\n"
+        "          if name.startswith('feigenbaum') for f in vars(mod).values()\n"
+        "          if hasattr(f, 'cache_info')}\n"
+        "print(*sorted(f.__module__ + '.' + f.__qualname__ for f in caches.values()\n"
+        "              if f.cache_info().currsize))")
+    assert filled == ["feigenbaum.chebyshev._tables"]

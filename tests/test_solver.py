@@ -4,6 +4,7 @@ import pytest
 from mpmath import mp
 
 import feigenbaum as fb
+from feigenbaum import solver
 from feigenbaum.chebyshev import ChebSeries, sup_distance
 from feigenbaum.solver import JacobianMode
 
@@ -147,3 +148,81 @@ def test_diagnostics_linear_history():
     hist = [mp.mpf(2) ** -k for k in range(1, 26)]
     rep = fb.convergence_diagnostics(hist)
     assert abs(float(rep.exponent) - 1.0) < 0.05
+
+
+def _iterated_dims(monkeypatch):
+    """Record the dimension of every basis the Newton loop runs on."""
+    dims = []
+    loop = solver._iterate
+
+    def spy(spec, basis, *rest):
+        dims.append(basis.dim)
+        return loop(spec, basis, *rest)
+
+    monkeypatch.setattr(solver, "_iterate", spy)
+    return dims
+
+
+def _full_grid_solve(monkeypatch, *args, **kw):
+    """newton_solve with the even half switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_even_half", lambda *a: None)
+        return fb.newton_solve(*args, **kw)
+
+
+@pytest.mark.parametrize("n, mode", [(12, JacobianMode.EXACT), (13, JacobianMode.EXACT),
+                                     (12, JacobianMode.FINITE_DIFFERENCE)],
+                         ids=["12-exact", "13-exact", "12-fd"])
+def test_even_half_matches_the_full_grid(quad_seed, ctx, monkeypatch, n, mode):
+    spec = fb.OperatorSpec(fb.Variant.T, FULL)
+    args = (spec, None, quad_seed, fb.NewtonConfig(jacobian_mode=mode), ctx)
+    dims = _iterated_dims(monkeypatch)
+    half = fb.newton_solve(*args, n=n)
+    assert dims == [n - n // 2]
+    full = _full_grid_solve(monkeypatch, *args, n=n)
+    assert half.basis.dim == n and half.basis.mirror_nodes
+    assert len(half.iteration_history) == len(full.iteration_history)
+    gate = ctx.ten_pow(-(ctx.decimal_digits // 2))
+    for a, b in ((half.solution_series.coeffs, full.solution_series.coeffs),
+                 (half.solution_grid.values, full.solution_grid.values)):
+        assert len(a) == len(b) == n
+        assert max(abs(x - y) for x, y in zip(a, b)) < gate
+    values = half.solution_grid.values
+    assert all(values[i] == values[n - 1 - i] for i in range(n))
+    if n % 2 == 0:
+        assert all(c == 0 for c in half.solution_series.coeffs[1::2])
+
+
+def test_unpinned_t4_half_degenerates_and_the_full_grid_reports_it(quad_seed, ctx,
+                                                                    monkeypatch):
+    spec = fb.OperatorSpec(fb.Variant.T4, FULL)
+    args = (spec, None, quad_seed, fb.NewtonConfig(), ctx)
+    with pytest.raises(fb.SingularJacobian) as full:
+        _full_grid_solve(monkeypatch, *args, n=24)
+    dims = _iterated_dims(monkeypatch)
+    with pytest.raises(fb.SingularJacobian) as half:
+        fb.newton_solve(*args, n=24)
+    assert dims == [12, 24]
+    assert str(half.value) == str(full.value)
+
+
+@pytest.mark.parametrize("case", ["pinned", "odd-seed"])
+def test_full_grid_solves_are_unchanged(quad_seed, ctx, monkeypatch, case):
+    pinned = case == "pinned"
+    config = fb.NewtonConfig(jacobian_mode=JacobianMode.EXACT, pin_g0=1 if pinned else None)
+    if pinned:
+        spec = fb.OperatorSpec(fb.Variant.T4, FULL)
+        seed = quad_seed
+    else:
+        spec = fb.OperatorSpec(fb.Variant.T, FULL)
+        coeffs = list(quad_seed.coeffs)
+        coeffs[1] += ctx.mpf("0.1")
+        seed = ChebSeries(tuple(coeffs))
+    args = (spec, None, seed, config, ctx)
+    dims = _iterated_dims(monkeypatch)
+    got = fb.newton_solve(*args, n=12)
+    assert dims == [12]
+    want = _full_grid_solve(monkeypatch, *args, n=12)
+    assert got.solution_grid == want.solution_grid
+    assert got.solution_series == want.solution_series
+    assert got.iteration_history == want.iteration_history

@@ -6,6 +6,7 @@ import pytest
 from mpmath import mp
 
 import feigenbaum as fb
+from feigenbaum import spectrum
 
 FULL = fb.Linearization.FULL_DERIVATIVE
 FROZEN = fb.Linearization.FROZEN_ALPHA
@@ -171,10 +172,43 @@ def test_even_block_parity_agrees_with_sampling(g32, ctx, spec):
     basis = fb.chebgrid(n, ctx)
     L = fb.linearization_matrix(spec, g32, basis, ctx)
     pairs = fb.eig_dense(L, ctx.ten_pow(-36), ctx, mirror=True)
-    assert sum(p.even for p in pairs) == n // 2
+    assert sum(p.block == "even" for p in pairs) == n // 2
     for p in pairs:
         parity = fb.eigenfunction_parity(p.vector, basis, ctx)
-        if p.even:
+        if p.block == "even":
             assert parity == "even"
         else:
             assert parity in ("odd", "mixed")
+
+
+def _no_sampling(*args):
+    raise AssertionError("a mirror split must not sample parities")
+
+
+@pytest.mark.parametrize("n", [12, 13, 20])
+@pytest.mark.parametrize("variant, lin, mu", [(fb.Variant.T, FULL, None),
+                                              (fb.Variant.T, FROZEN, None),
+                                              (fb.Variant.T4, FULL, "1.5")],
+                         ids=["T-full", "T-frozen", "T4-mu1.5"])
+def test_odd_block_parity_agrees_with_sampling(g32, ctx, monkeypatch, variant, lin, mu, n):
+    g = fb.family_member(g32, mu, ctx) if mu else g32
+    with monkeypatch.context() as m:
+        m.setattr(spectrum, "eigenfunction_parity", _no_sampling)
+        report = fb.spectrum_at(g, fb.OperatorSpec(variant, lin), ctx, n=n)
+    basis = fb.chebgrid(n, ctx)
+    odd_block = [r for r in report.records if r.parity != "even"]
+    assert len(odd_block) == n // 2
+    for r in report.records:
+        assert r.parity == fb.eigenfunction_parity(r.vector, basis, ctx)
+
+
+def test_pinned_t4_one_block_spectrum_samples(quad_seed, ctx, monkeypatch):
+    spec = fb.OperatorSpec(fb.Variant.T4, FULL)
+    result = fb.newton_solve(spec, None, quad_seed, fb.NewtonConfig(pin_g0=1), ctx, n=12)
+    calls = []
+    sample = spectrum.eigenfunction_parity
+    monkeypatch.setattr(spectrum, "eigenfunction_parity",
+                        lambda *args: calls.append(1) or sample(*args))
+    report = fb.compute_spectrum(result)
+    assert len(calls) == 12
+    assert {r.parity for r in report.records} <= {"even", "odd", "mixed"}
