@@ -61,17 +61,13 @@ from .numerics import (
     solve_linear_exact,
 )
 from .operators import (
-    EigenfunctionKind,
     Linearization,
     OperatorSpec,
     ScalingConstant,
     Variant,
-    apply,
     apply_at_points,
     explicit_eigenfunction,
-    explicit_eigenvalue,
     linearization_matrix,
-    linearized_apply,
     linearized_apply_at,
     scaling_of,
 )

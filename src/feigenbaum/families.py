@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bases import chebgrid
 from .chebyshev import (
     ChebSeries,
     GridFn,
@@ -37,18 +38,15 @@ class FamilyMember:
     series: ChebSeries
 
 
-def family_member(g: ChebSeries, mu, ctx: PrecisionCtx,
-                  allow_extrapolation: bool = False) -> ChebSeries:
+def family_member(g: ChebSeries, mu, ctx: PrecisionCtx) -> ChebSeries:
     """Coefficients of mu * g(x/mu) on g's working grid.
 
-    |mu| < 1 evaluates g outside [-1, 1] (polynomial continuation) and is
-    refused unless ``allow_extrapolation`` is set.
+    Raises ValueError for |mu| < 1, which would evaluate g outside
+    [-1, 1] (polynomial continuation), mu = 0 included.
     """
     mu = ctx.mpf(mu)
-    if mu == 0:
-        raise ValueError("mu must be nonzero")
-    if abs(mu) < 1 and not allow_extrapolation:
-        raise ValueError("|mu| < 1 extrapolates g; pass allow_extrapolation=True")
+    if abs(mu) < 1:
+        raise ValueError("|mu| < 1 extrapolates g outside [-1, 1]")
     n = max(len(g.coeffs), 2)
     vals = tuple(mu * _eval(g.coeffs, x / mu) for x in cheb_nodes(n, ctx))
     return grid_to_series(GridFn(vals), ctx)
@@ -100,6 +98,7 @@ def family_spectrum_check(g: ChebSeries, mu_list, variant: Variant,
         raise ValueError("scaling families pair with the T3/T4 forms")
     spec = OperatorSpec(variant, Linearization.FULL_DERIVATIVE)
     n = n if n else max(len(g.coeffs), 8)
+    grid = chebgrid(n, ctx)
 
     members, reports, scalings, residuals, unit_res = [], [], [], [], []
     for mu in mu_list:
@@ -107,7 +106,7 @@ def family_spectrum_check(g: ChebSeries, mu_list, variant: Variant,
         members.append(FamilyMember(ctx.mpf(mu), gm))
         scalings.append(scaling_of(variant, gm, ctx).value)
         residuals.append(vec_norm_inf(residual(variant, gm, n, ctx).values))
-        reports.append(spectrum_at(gm, spec, ctx, n=n))
+        reports.append(spectrum_at(gm, spec, ctx, grid))
         unit_res.append(verify_explicit(gm, spec, -1, 1, ctx))
     dev = ctx.mpf(0)
     for a in range(len(reports)):

@@ -215,11 +215,7 @@ def solve_linear_exact(A, B):
         prow = next((r for r in range(k, n) if M[r][k] != 0), None)
         if prow is None:
             raise ExactlySingular("zero pivot column %d" % k)
-        if prow != k:
-            M[k], M[prow] = M[prow], M[k]
-            # keep determinant-sign bookkeeping consistent for Bareiss
-            for c in range(len(M[k])):
-                M[prow][c] = -M[prow][c]
+        M[k], M[prow] = M[prow], M[k]
         pk = M[k][k]
         for r in range(k + 1, n):
             mrk = M[r][k]

@@ -32,7 +32,7 @@ from .chebyshev import (
     grid_to_series,
     series_derivative,
 )
-from .errors import DivideByZero, InvalidIndex
+from .errors import DivideByZero, InvalidIndex, NoExplicitForm
 from .numerics import PrecisionCtx
 
 
@@ -98,11 +98,6 @@ def apply_at_points(variant: Variant, g: ChebSeries, points, ctx: PrecisionCtx):
         y = s_in * x / c
         out.append(s_out * c * _eval(gc, _eval(gc, y)))
     return out
-
-
-def apply(variant: Variant, g: ChebSeries, n: int, ctx: PrecisionCtx) -> GridFn:
-    """The operator image sampled at the n Chebyshev roots."""
-    return GridFn(tuple(apply_at_points(variant, g, cheb_nodes(n, ctx), ctx)))
 
 
 def _scaling_variation(variant, g, gp, ctx):
@@ -172,41 +167,39 @@ def linearization_matrix(spec: OperatorSpec, g: ChebSeries, basis, ctx: Precisio
                             lambda zs: basis.cardinal_rows(zs, ctx), ctx)
 
 
-def linearized_apply(
-    spec: OperatorSpec, g: ChebSeries, h: ChebSeries, n: int, ctx: PrecisionCtx
-) -> GridFn:
-    """Linearized operator image of h at the n Chebyshev roots."""
-    pts = cheb_nodes(n, ctx)
-    return GridFn(tuple(linearized_apply_at(spec, g, h, pts, ctx)))
+def _explicit_form(spec: OperatorSpec, k: int) -> str:
+    """Which closed form (spec, k) indexes: "dilation" for k = -1, else
+    "frozen" or "full" after the linearization.
 
-
-class EigenfunctionKind(enum.Enum):
-    """Closed-form eigenfunction families.
-
-    FULL_POWER   g - x g' - g^k + x^k g'   (full derivative, eigenvalue c^(1-k))
-    DILATION     g - x g'                  (tangent of mu -> mu g(x/mu))
-    FROZEN_POWER g^k - x^k g'              (frozen linearization, c^(1-k))
+    Raises :class:`InvalidIndex` for k = 1 (the full form vanishes
+    identically and the frozen one is the dilation mode) and for k < -1,
+    and :class:`NoExplicitForm` for even k under the sign-reversed
+    variants T2/T3, where no closed form is known.
     """
-
-    FULL_POWER = "full_power"
-    DILATION = "dilation"
-    FROZEN_POWER = "frozen_power"
+    if k == -1:
+        return "dilation"
+    if k == 1 or k < -1:
+        raise InvalidIndex("k must be -1 (the dilation mode) or a non-negative "
+                           "integer other than 1")
+    if spec.variant in (Variant.T2, Variant.T3) and k % 2 == 0:
+        raise NoExplicitForm(
+            "no closed-form eigenfunction for %s with even k" % spec.variant.value
+        )
+    return "frozen" if spec.linearization is Linearization.FROZEN_ALPHA else "full"
 
 
 def explicit_eigenfunction(
-    kind: EigenfunctionKind, g: ChebSeries, k: int, ctx: PrecisionCtx
+    spec: OperatorSpec, g: ChebSeries, k: int, ctx: PrecisionCtx
 ) -> ChebSeries:
-    """Closed-form eigenfunction sampled on g's working grid.
+    """Closed-form eigenfunction indexed by k, sampled on g's working grid:
 
-    For the power families k must be a non-negative integer other than 1
-    (k = 1 degenerates: the FULL_POWER form vanishes identically and the
-    FROZEN_POWER form coincides with DILATION).
+    k = -1   g - x g'                  (dilation mode, tangent of mu -> mu g(x/mu))
+    frozen   g^k - x^k g'
+    full     g - x g' - g^k + x^k g'
+
+    See :func:`_explicit_form` for the (spec, k) that have none.
     """
-    if kind is not EigenfunctionKind.DILATION:
-        if k == 1:
-            raise InvalidIndex("k = 1 is excluded for the power families")
-        if k < 0:
-            raise InvalidIndex("k must be a non-negative integer")
+    form = _explicit_form(spec, k)
     n = max(len(g.coeffs), 2)
     nodes = cheb_nodes(n, ctx)
     gp = series_derivative(g, ctx)
@@ -214,28 +207,10 @@ def explicit_eigenfunction(
     for x in nodes:
         gx = _eval(g.coeffs, x)
         gpx = _eval(gp.coeffs, x)
-        if kind is EigenfunctionKind.DILATION:
+        if form == "dilation":
             vals.append(gx - x * gpx)
-        elif kind is EigenfunctionKind.FULL_POWER:
+        elif form == "full":
             vals.append(gx - x * gpx - gx ** k + x ** k * gpx)
         else:
             vals.append(gx ** k - x ** k * gpx)
     return grid_to_series(GridFn(tuple(vals)), ctx)
-
-
-def explicit_eigenvalue(kind: EigenfunctionKind, spec: OperatorSpec, k: int, alpha, ctx):
-    """Eigenvalue paired with :func:`explicit_eigenfunction`.
-
-    ``alpha`` is the canonical spatial constant 1/g(1).  Power families
-    give alpha**(1-k); the dilation mode gives alpha**2 for the full
-    derivative of T/T2 (no solution family there) and 1 everywhere a
-    scaling family exists (T3/T4, and every frozen linearization, whose
-    dilation mode is the k = 1 power form).
-    """
-    alpha = ctx.mpf(alpha)
-    if kind is EigenfunctionKind.DILATION:
-        full = spec.linearization is Linearization.FULL_DERIVATIVE
-        if full and spec.variant in (Variant.T, Variant.T2):
-            return alpha ** 2
-        return ctx.mpf(1)
-    return alpha ** (1 - k)

@@ -34,14 +34,16 @@ class JacobianMode(enum.Enum):
     EXACT = "exact"
 
 
+MAX_ITERATIONS = 40
+
+
 @dataclass
 class NewtonConfig:
     """Iteration knobs.  ``pin_g0`` is the value g(0) is pinned to, or
     None for the plain collocation system.  The finite-difference step
-    and the update tolerance derive from the precision context: see
-    :meth:`resolved`."""
+    and the update tolerance derive from the precision context (see
+    :meth:`resolved`), and the budget is ``MAX_ITERATIONS`` Newton steps."""
 
-    max_iterations: int = 40
     jacobian_mode: JacobianMode = JacobianMode.FINITE_DIFFERENCE
     pin_g0: object = None
 
@@ -64,10 +66,6 @@ class NewtonResult:
     basis: Discretization
     ctx: PrecisionCtx
     stopped_by: str = "update_tol"
-
-    @property
-    def n(self) -> int:
-        return self.basis.dim
 
     @property
     def jacobian_at_solution(self) -> list:
@@ -223,7 +221,7 @@ def _iterate(spec, basis, values, pin, config, ctx):
     stopped_by = "budget"
     prev_u = None
     plateau_gate = ctx.ten_pow(-(D // 2))
-    for _ in range(config.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         series = basis.to_series(values, ctx)
         rhs = _residual(spec.variant, series, basis.nodes, ctx, values)
         A = _jacobian(OperatorSpec(spec.variant, Linearization.FULL_DERIVATIVE),
@@ -282,24 +280,21 @@ class ConvergenceReport:
     """Fitted p in log u_{k+1} = p log u_k + c over the pre-plateau tail."""
 
     exponent: object  # mpf or None when too few points
-    pairs_used: int = 0
 
 
 def convergence_diagnostics(result) -> ConvergenceReport:
-    """Quadratic-convergence check from the update-norm history.
+    """Quadratic-convergence check from the update-norm history of a
+    :class:`NewtonResult` (``iteration_history`` and ``stopped_by``).
 
     Fits the slope of log u_{k+1} against log u_k over consecutive
     pre-plateau updates already in the asymptotic regime (u_k <= 1e-2),
     at the precision the update norms carry.
     """
-    if isinstance(result, (tuple, list)):
-        history, stopped_by = list(result), "update_tol"
-    else:
-        history, stopped_by = list(result.iteration_history), result.stopped_by
-    if stopped_by == "plateau" and len(history) > 1:
+    history = list(result.iteration_history)
+    if result.stopped_by == "plateau" and len(history) > 1:
         history = history[:-1]
     if not history:
-        return ConvergenceReport(None, 0)
+        return ConvergenceReport(None)
     mpx = history[0].context
     cut = mpx.mpf("1e-2")
     pairs = [
@@ -308,9 +303,9 @@ def convergence_diagnostics(result) -> ConvergenceReport:
         if 0 < history[i] <= cut and history[i + 1] > 0
     ]
     if len(pairs) < 2:
-        return ConvergenceReport(None, len(pairs))
+        return ConvergenceReport(None)
     xb = mpx.fsum(x for x, _ in pairs) / len(pairs)
     yb = mpx.fsum(y for _, y in pairs) / len(pairs)
     num = mpx.fsum((x - xb) * (y - yb) for x, y in pairs)
     den = mpx.fsum((x - xb) ** 2 for x, y in pairs)
-    return ConvergenceReport(num / den, len(pairs))
+    return ConvergenceReport(num / den)

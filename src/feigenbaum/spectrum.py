@@ -13,17 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bases import BasisSpec, build_basis, chebgrid
+from .bases import BasisSpec, build_basis
 from .chebyshev import ChebSeries, _eval, cheb_nodes, monomial_to_series
-from .errors import AmbiguousMatch, NoExplicitForm
+from .errors import AmbiguousMatch
 from .numerics import PrecisionCtx, eig_dense
 from .operators import (
-    EigenfunctionKind,
     Linearization,
     OperatorSpec,
     Variant,
+    _explicit_form,
     explicit_eigenfunction,
-    explicit_eigenvalue,
     linearization_matrix,
     linearized_apply_at,
     scaling_of,
@@ -186,8 +185,9 @@ def _block_parity(pair, tol) -> str:
 
 
 def spectrum_at(g: ChebSeries, spec: OperatorSpec, ctx: PrecisionCtx,
-                basis=None, n: int = None) -> SpectrumReport:
-    """Spectrum of the linearized operator at a given (fixed-point) g.
+                basis) -> SpectrumReport:
+    """Spectrum of the linearized operator at a given (fixed-point) g in
+    the discretization ``basis`` (``chebgrid(n, ctx)`` for the grid).
 
     Builds the exact collocation matrix of the linearization at g; needs
     no Newton run, so it also serves operators whose unpinned Newton
@@ -201,8 +201,6 @@ def spectrum_at(g: ChebSeries, spec: OperatorSpec, ctx: PrecisionCtx,
     tol ||v||_inf, R reversing the node order, else "mixed".  One-block
     spectra take every parity from :func:`eigenfunction_parity`.
     """
-    if basis is None:
-        basis = chebgrid(n if n else max(len(g.coeffs), 8), ctx)
     D = ctx.decimal_digits
     tol = ctx.ten_pow(-(D // 2) - 4)
     pairs = eig_dense(linearization_matrix(spec, g, basis, ctx), tol, ctx,
@@ -256,31 +254,13 @@ def spectrum_in_basis(op_spec: OperatorSpec, basis_spec: BasisSpec,
     return compute_spectrum(result)
 
 
-def _explicit_kind_for(spec: OperatorSpec, k: int):
-    """Which closed form applies for (operator, linearization, k).
-
-    k = -1 selects the dilation mode g - x g' (the one form whose value
-    at 0 need not vanish).  Raises NoExplicitForm where no closed form is
-    known: even k for the sign-reversed variants T2/T3.
-    """
-    flipped = spec.variant in (Variant.T2, Variant.T3)
-    if k == -1:
-        return EigenfunctionKind.DILATION
-    if flipped and k % 2 == 0:
-        raise NoExplicitForm(
-            "no closed-form eigenfunction for %s with even k" % spec.variant.value
-        )
-    if spec.linearization is Linearization.FROZEN_ALPHA:
-        return EigenfunctionKind.FROZEN_POWER
-    return EigenfunctionKind.FULL_POWER
-
-
 def verify_explicit(g: ChebSeries, spec: OperatorSpec, k: int, lam_expected,
                     ctx: PrecisionCtx):
     """Relative residual ||Lin(g) h - lambda h||_inf / ||h||_inf for the
-    closed-form eigenfunction indexed by k (k = -1: dilation mode)."""
-    kind = _explicit_kind_for(spec, k)
-    h = explicit_eigenfunction(kind, g, max(k, 0), ctx)
+    closed-form eigenfunction h of :func:`explicit_eigenfunction` indexed
+    by (spec, k), at the Chebyshev roots of h's length; raises as that
+    function does where (spec, k) has no closed form."""
+    h = explicit_eigenfunction(spec, g, k, ctx)
     n = len(h.coeffs)
     pts = cheb_nodes(n, ctx)
     image = linearized_apply_at(spec, g, h, pts, ctx)
@@ -292,6 +272,18 @@ def verify_explicit(g: ChebSeries, spec: OperatorSpec, k: int, lam_expected,
 
 def expected_explicit_eigenvalue(spec: OperatorSpec, k: int, alpha, ctx):
     """Companion of :func:`verify_explicit`: the eigenvalue the closed
-    form carries, from the canonical alpha = 1/g(1)."""
-    kind = _explicit_kind_for(spec, k)
-    return explicit_eigenvalue(kind, spec, max(k, 0), alpha, ctx)
+    form of (spec, k) carries, from the canonical alpha = 1/g(1).
+
+    alpha**(1-k); for the dilation mode (k = -1) alpha**2 under the full
+    derivative of T/T2, which have no solution family, and 1 wherever a
+    scaling family exists (T3/T4, and every frozen linearization, whose
+    dilation mode is the k = 1 frozen form).  Raises as
+    :func:`explicit_eigenfunction` does for (spec, k) without a closed form.
+    """
+    alpha = ctx.mpf(alpha)
+    if _explicit_form(spec, k) != "dilation":
+        return alpha ** (1 - k)
+    if (spec.linearization is Linearization.FULL_DERIVATIVE
+            and spec.variant in (Variant.T, Variant.T2)):
+        return alpha ** 2
+    return ctx.mpf(1)

@@ -87,7 +87,7 @@ def spectrum40(quad40, ctx):
 
 
 def _variant_report(g, variant, lin, ctx):
-    return fb.spectrum_at(g, fb.OperatorSpec(variant, lin), ctx, n=32)
+    return fb.spectrum_at(g, fb.OperatorSpec(variant, lin), ctx, fb.chebgrid(32, ctx))
 
 
 @pytest.fixture(scope="session")

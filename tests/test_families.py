@@ -29,8 +29,6 @@ def test_family_member_rejects_zero(g32, ctx):
 def test_family_member_contraction_needs_flag(g32, ctx):
     with pytest.raises(ValueError):
         fb.family_member(g32, "0.5", ctx)
-    gm = fb.family_member(g32, "0.5", ctx, allow_extrapolation=True)
-    assert len(gm.coeffs) == 32
 
 
 def test_family_solves_fixed_alpha_equation(g32, alpha64, ctx):
@@ -60,7 +58,7 @@ def test_family_scaling_constant_invariant(g32, alpha64, ctx):
 def test_constant_family_spectrum(ctx):
     y = ChebSeries((ctx.mpf(6),) + (ctx.mpf(0),) * 7)  # y = 3
     spec = fb.OperatorSpec(fb.Variant.T4, fb.Linearization.FULL_DERIVATIVE)
-    rep = fb.spectrum_at(y, spec, ctx, n=8)
+    rep = fb.spectrum_at(y, spec, ctx, fb.chebgrid(8, ctx))
     with ctx.activate():
         assert abs(rep.eigenvalues[0] - 1) < ctx.ten_pow(-10)
         for lam in rep.eigenvalues[1:]:

@@ -1,6 +1,7 @@
 """Package structure: the modules of ``feigenbaum`` import each other
-without a cycle, so each one loads after everything it uses; importing
-the package and building a grid do no more work than they need."""
+without a cycle, so each one loads after everything it uses, and none
+imports a name it never uses; importing the package and building a grid
+do no more work than they need."""
 
 import ast
 import os
@@ -58,6 +59,28 @@ def test_package_import_graph_is_acyclic():
     for module in sorted(graph):
         if module not in state:
             visit(module, [module])
+
+
+def test_no_module_imports_an_unused_name():
+    """Every name a module imports is read somewhere in it.  The package's
+    ``__init__`` is exempt: its imports are the public namespace."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += ["%s:%d %s" % (path.name, line, name)
+                   for name, line in imported.items() if name not in read]
+    assert not unused, "unused imports: " + ", ".join(unused)
 
 
 def _fresh_interpreter(code):

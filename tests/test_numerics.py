@@ -273,7 +273,7 @@ def test_spectrum_at_matches_mpmath_oracle():
     spec = fb.OperatorSpec(fb.Variant.T, fb.Linearization.FULL_DERIVATIVE)
     seed = fb.monomial_to_series([ctx.mpf(1), ctx.mpf(0), ctx.mpf("-1.5")], ctx)
     g = fb.newton_solve(spec, None, seed, fb.NewtonConfig(), ctx, n=n).solution_series
-    report = fb.spectrum_at(g, spec, ctx, n=n)
+    report = fb.spectrum_at(g, spec, ctx, fb.chebgrid(n, ctx))
     A = fb.assemble_jacobian(spec, g, n, fb.NewtonConfig(jacobian_mode=fb.JacobianMode.EXACT),
                              ctx, basis=fb.chebgrid(n, ctx))
     M = [[int(i == j) - A[i][j] for j in range(n)] for i in range(n)]

@@ -6,7 +6,8 @@ import pytest
 from mpmath import mp
 
 import feigenbaum as fb
-from feigenbaum.chebyshev import ChebSeries, GridFn
+from feigenbaum.chebyshev import ChebSeries
+from feigenbaum.spectrum import expected_explicit_eigenvalue
 
 FULL = fb.Linearization.FULL_DERIVATIVE
 FROZEN = fb.Linearization.FROZEN_ALPHA
@@ -43,24 +44,25 @@ def test_scaling_divide_by_zero(ctx):
 
 def test_apply_constant_function_fixed(ctx):
     one = _series(ctx, 2)
-    out = fb.apply(fb.Variant.T, one, 6, ctx)
-    assert all(abs(v - 1) < ctx.ten_pow(-60) for v in out.values)
+    out = fb.apply_at_points(fb.Variant.T, one, fb.cheb_nodes(6, ctx), ctx)
+    assert all(abs(v - 1) < ctx.ten_pow(-60) for v in out)
 
 
 def test_apply_fixed_point_residual(g32, ctx):
-    out = fb.apply(fb.Variant.T, g32, 32, ctx)
     pts = fb.cheb_nodes(32, ctx)
+    out = fb.apply_at_points(fb.Variant.T, g32, pts, ctx)
     with ctx.activate():
-        err = max(abs(fb.eval_series(g32, x, ctx) - v) for x, v in zip(pts, out.values))
+        err = max(abs(fb.eval_series(g32, x, ctx) - v) for x, v in zip(pts, out))
     assert err < ctx.ten_pow(-20)
 
 
 def test_apply_t_equals_t2_on_even_solution(g32, ctx):
-    a = fb.apply(fb.Variant.T, g32, 32, ctx)
-    b = fb.apply(fb.Variant.T2, g32, 32, ctx)
+    pts = fb.cheb_nodes(32, ctx)
+    a = fb.apply_at_points(fb.Variant.T, g32, pts, ctx)
+    b = fb.apply_at_points(fb.Variant.T2, g32, pts, ctx)
     with ctx.activate():
-        scale = max(abs(v) for v in a.values)
-        err = max(abs(x - y) for x, y in zip(a.values, b.values))
+        scale = max(abs(v) for v in a)
+        err = max(abs(x - y) for x, y in zip(a, b))
     assert err <= ctx.ten_pow(-64 + 8) * scale
 
 
@@ -116,21 +118,22 @@ def test_frozen_vs_full_difference_is_scaling_term(g32, alpha64, ctx):
 
 
 def test_linearized_apply_returns_grid(g32, ctx):
-    h = fb.explicit_eigenfunction(fb.EigenfunctionKind.DILATION, g32, 0, ctx)
-    out = fb.linearized_apply(fb.OperatorSpec(fb.Variant.T, FULL), g32, h, 32, ctx)
-    assert isinstance(out, GridFn) and out.n == 32
+    spec = fb.OperatorSpec(fb.Variant.T, FULL)
+    h = fb.explicit_eigenfunction(spec, g32, -1, ctx)
+    out = fb.linearized_apply_at(spec, g32, h, fb.cheb_nodes(32, ctx), ctx)
+    assert len(out) == 32
 
 
 def test_explicit_eigenfunction_rejects_k1(g32, ctx):
-    for kind in (fb.EigenfunctionKind.FULL_POWER, fb.EigenfunctionKind.FROZEN_POWER):
+    for spec in (fb.OperatorSpec(fb.Variant.T, FULL), fb.OperatorSpec(fb.Variant.T, FROZEN)):
         with pytest.raises(fb.InvalidIndex):
-            fb.explicit_eigenfunction(kind, g32, 1, ctx)
+            fb.explicit_eigenfunction(spec, g32, 1, ctx)
         with pytest.raises(fb.InvalidIndex):
-            fb.explicit_eigenfunction(kind, g32, -2, ctx)
+            fb.explicit_eigenfunction(spec, g32, -2, ctx)
 
 
 def test_frozen_power_k0_is_one_minus_derivative(g32, ctx):
-    h = fb.explicit_eigenfunction(fb.EigenfunctionKind.FROZEN_POWER, g32, 0, ctx)
+    h = fb.explicit_eigenfunction(fb.OperatorSpec(fb.Variant.T, FROZEN), g32, 0, ctx)
     gp = fb.series_derivative(g32, ctx)
     with ctx.activate():
         for x in fb.cheb_nodes(8, ctx):
@@ -139,7 +142,7 @@ def test_frozen_power_k0_is_one_minus_derivative(g32, ctx):
 
 
 def test_dilation_mode_nonzero_at_origin(g32, ctx):
-    h = fb.explicit_eigenfunction(fb.EigenfunctionKind.DILATION, g32, 0, ctx)
+    h = fb.explicit_eigenfunction(fb.OperatorSpec(fb.Variant.T, FULL), g32, -1, ctx)
     h0 = fb.eval_series(h, 0, ctx)
     g0 = fb.eval_series(g32, 0, ctx)
     assert abs(h0 - g0) < ctx.ten_pow(-50)
@@ -149,14 +152,14 @@ def test_dilation_mode_nonzero_at_origin(g32, ctx):
 def test_full_power_k0_vanishes_at_origin(g32, ctx):
     # h(0) = g(0) - 1: zero for the normalized solution, matching the
     # dichotomy that only the dilation mode may keep h(0) != 0
-    h = fb.explicit_eigenfunction(fb.EigenfunctionKind.FULL_POWER, g32, 0, ctx)
+    h = fb.explicit_eigenfunction(fb.OperatorSpec(fb.Variant.T, FULL), g32, 0, ctx)
     assert abs(fb.eval_series(h, 0, ctx)) < ctx.ten_pow(-20)
 
 
 @pytest.mark.parametrize("k", [0, 2, 3, 4, 5])
 def test_full_power_eigen_residual(k, g32, alpha64, ctx):
     spec = fb.OperatorSpec(fb.Variant.T, FULL)
-    lam = fb.explicit_eigenvalue(fb.EigenfunctionKind.FULL_POWER, spec, k, alpha64, ctx)
+    lam = expected_explicit_eigenvalue(spec, k, alpha64, ctx)
     res = fb.verify_explicit(g32, spec, k, lam, ctx)
     assert res <= mp.mpf("1e-15")
 
@@ -165,12 +168,11 @@ def test_explicit_eigenvalue_dilation_values(g32, alpha64, ctx):
     full_t = fb.OperatorSpec(fb.Variant.T, FULL)
     full_t4 = fb.OperatorSpec(fb.Variant.T4, FULL)
     froz_t = fb.OperatorSpec(fb.Variant.T, FROZEN)
-    kind = fb.EigenfunctionKind.DILATION
     with ctx.activate():
         want = alpha64 ** 2
-        assert fb.explicit_eigenvalue(kind, full_t, 0, alpha64, ctx) == want
-    assert fb.explicit_eigenvalue(kind, full_t4, 0, alpha64, ctx) == 1
-    assert fb.explicit_eigenvalue(kind, froz_t, 0, alpha64, ctx) == 1
+        assert expected_explicit_eigenvalue(full_t, -1, alpha64, ctx) == want
+    assert expected_explicit_eigenvalue(full_t4, -1, alpha64, ctx) == 1
+    assert expected_explicit_eigenvalue(froz_t, -1, alpha64, ctx) == 1
 
 
 def _matrix_bases(ctx):

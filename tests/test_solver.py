@@ -1,5 +1,7 @@
 """Newton iteration, Jacobian assembly, pinning, convergence control."""
 
+from types import SimpleNamespace
+
 import pytest
 from mpmath import mp
 
@@ -125,11 +127,12 @@ def test_pinned_t4_keeps_full_operator_residual_small(quad_seed, ctx):
     assert max(abs(v) for v in r.values) < ctx.ten_pow(-20)
 
 
-def test_newton_budget_exhaustion(quad_seed, ctx):
+def test_newton_budget_exhaustion(quad_seed, ctx, monkeypatch):
     spec = fb.OperatorSpec(fb.Variant.T, FULL)
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 2)
     with pytest.raises(fb.NoConvergence) as err:
         fb.newton_solve(spec, None, quad_seed,
-                        fb.NewtonConfig(max_iterations=2), ctx, n=16)
+                        fb.NewtonConfig(), ctx, n=16)
     assert len(err.value.history) == 2
 
 
@@ -139,14 +142,19 @@ def test_diagnostics_quadratic_run(quad32):
     assert 1.7 <= float(rep.exponent) <= 2.3
 
 
+def _result_with(history):
+    """Stand-in for a NewtonResult stopped by the update tolerance."""
+    return SimpleNamespace(iteration_history=tuple(history), stopped_by="update_tol")
+
+
 def test_diagnostics_single_step_absent():
-    rep = fb.convergence_diagnostics([mp.mpf("1e-30")])
+    rep = fb.convergence_diagnostics(_result_with([mp.mpf("1e-30")]))
     assert rep.exponent is None
 
 
 def test_diagnostics_linear_history():
     hist = [mp.mpf(2) ** -k for k in range(1, 26)]
-    rep = fb.convergence_diagnostics(hist)
+    rep = fb.convergence_diagnostics(_result_with(hist))
     assert abs(float(rep.exponent) - 1.0) < 0.05
 
 

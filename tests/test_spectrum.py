@@ -88,6 +88,18 @@ def test_verify_explicit_no_form_for_even_k_signflip(g32, alpha64, ctx):
             fb.verify_explicit(g32, spec, 2, 1, ctx)
 
 
+@pytest.mark.parametrize("k", [1, -2, -5])
+@pytest.mark.parametrize("lin", [FULL, FROZEN], ids=["full", "frozen"])
+def test_explicit_forms_reject_invalid_k(k, lin, g32, alpha64, ctx):
+    """k = 1 and k < -1 index no closed form: they raise, not fall back to
+    the k = 0 form."""
+    spec = fb.OperatorSpec(fb.Variant.T, lin)
+    with pytest.raises(fb.InvalidIndex):
+        spectrum.expected_explicit_eigenvalue(spec, k, alpha64, ctx)
+    with pytest.raises(fb.InvalidIndex):
+        fb.verify_explicit(g32, spec, k, 1, ctx)
+
+
 def test_verify_explicit_odd_k_signflip_works(g32, alpha64, ctx):
     spec = fb.OperatorSpec(fb.Variant.T2, FULL)
     with ctx.activate():
@@ -194,7 +206,8 @@ def test_odd_block_parity_agrees_with_sampling(g32, ctx, monkeypatch, variant, l
     g = fb.family_member(g32, mu, ctx) if mu else g32
     with monkeypatch.context() as m:
         m.setattr(spectrum, "eigenfunction_parity", _no_sampling)
-        report = fb.spectrum_at(g, fb.OperatorSpec(variant, lin), ctx, n=n)
+        report = fb.spectrum_at(g, fb.OperatorSpec(variant, lin), ctx,
+                                 fb.chebgrid(n, ctx))
     basis = fb.chebgrid(n, ctx)
     odd_block = [r for r in report.records if r.parity != "even"]
     assert len(odd_block) == n // 2
