@@ -33,6 +33,7 @@ from fractions import Fraction
 from .chebyshev import (
     ChebSeries,
     _eval,
+    _eval_rows,
     _tables,
     barycentric_rows,
     cheb_nodes,
@@ -194,7 +195,7 @@ class Discretization:
         coefficient bases evaluate each cardinal series by Clenshaw."""
         if self.spec.kind is BasisKind.CHEB_GRID:
             return barycentric_rows(points, self.dim, ctx)
-        return [[_eval(card.coeffs, z) for card in self.cardinals] for z in points]
+        return _eval_rows(self.cardinals, points)
 
     def describe(self, ctx: PrecisionCtx) -> dict:
         d = {
@@ -376,7 +377,7 @@ def build_basis(spec: BasisSpec, ctx: PrecisionCtx) -> Discretization:
     cards = tuple(_pad(c, series_len, ctx) for c in cards)
     if fixed:
         fixed_series = _pad(_monomial_series(fixed, max(fixed), ctx), series_len, ctx)
-        fixed_at_nodes = tuple(_eval(fixed_series.coeffs, x) for x in nodes)
+        fixed_at_nodes = tuple(_eval(fixed_series, x) for x in nodes)
     else:
         fixed_series = None
         fixed_at_nodes = (ctx.mpf(0),) * d

@@ -48,7 +48,7 @@ def family_member(g: ChebSeries, mu, ctx: PrecisionCtx) -> ChebSeries:
     if abs(mu) < 1:
         raise ValueError("|mu| < 1 extrapolates g outside [-1, 1]")
     n = max(len(g.coeffs), 2)
-    vals = tuple(mu * _eval(g.coeffs, x / mu) for x in cheb_nodes(n, ctx))
+    vals = tuple(mu * _eval(g, x / mu) for x in cheb_nodes(n, ctx))
     return grid_to_series(GridFn(vals), ctx)
 
 

@@ -77,12 +77,12 @@ def uses_inverse_g1(variant: Variant) -> bool:
 def scaling_of(variant: Variant, g: ChebSeries, ctx: PrecisionCtx) -> ScalingConstant:
     """c = 1/g(1) for T/T2, c = -g(0)/g(g(0)) for T3/T4."""
     if uses_inverse_g1(variant):
-        g1 = _eval(g.coeffs, ctx.mpf(1))
+        g1 = _eval(g, ctx.mpf(1))
         if g1 == 0:
             raise DivideByZero("g(1) = 0: scaling 1/g(1) undefined")
         return ScalingConstant(1 / g1, "1/g(1)")
-    g0 = _eval(g.coeffs, ctx.mpf(0))
-    gg0 = _eval(g.coeffs, g0)
+    g0 = _eval(g, ctx.mpf(0))
+    gg0 = _eval(g, g0)
     if gg0 == 0:
         raise DivideByZero("g(g(0)) = 0: scaling -g(0)/g(g(0)) undefined")
     return ScalingConstant(-g0 / gg0, "-g(0)/g(g(0))")
@@ -92,11 +92,10 @@ def apply_at_points(variant: Variant, g: ChebSeries, points, ctx: PrecisionCtx):
     """Values of the doubling operator at arbitrary points."""
     s_out, s_in = _SIGNS[variant]
     c = scaling_of(variant, g, ctx).value
-    gc = g.coeffs
     out = []
     for x in points:
         y = s_in * x / c
-        out.append(s_out * c * _eval(gc, _eval(gc, y)))
+        out.append(s_out * c * _eval(g, _eval(g, y)))
     return out
 
 
@@ -107,10 +106,10 @@ def _scaling_variation(variant, g, gp, ctx):
     if uses_inverse_g1(variant):
         return c, (ctx.mpf(1),), (-(c ** 2),)
     zero = ctx.mpf(0)
-    u = _eval(g.coeffs, zero)          # g(0)
-    w = _eval(g.coeffs, u)             # g(g(0))
+    u = _eval(g, zero)          # g(0)
+    w = _eval(g, u)             # g(g(0))
     # c = -u/w, and w varies by g'(u) h(0) + h(u)
-    return c, (zero, u), (-1 / w + u * _eval(gp.coeffs, u) / w ** 2, u / w ** 2)
+    return c, (zero, u), (-1 / w + u * _eval(gp, u) / w ** 2, u / w ** 2)
 
 
 def _linearized_rows(spec, g, points, rows_at, ctx):
@@ -128,10 +127,9 @@ def _linearized_rows(spec, g, points, rows_at, ctx):
     s_out, s_in = _SIGNS[spec.variant]
     gp = series_derivative(g, ctx)
     c, z, beta = _scaling_variation(spec.variant, g, gp, ctx)
-    gc, gpc = g.coeffs, gp.coeffs
     sc = s_out * c
     ys = [s_in * x / c for x in points]
-    gys = [_eval(gc, y) for y in ys]
+    gys = [_eval(g, y) for y in ys]
     at_y, at_gy = rows_at(ys), rows_at(gys)
     full = spec.linearization is Linearization.FULL_DERIVATIVE
     if full:
@@ -139,10 +137,10 @@ def _linearized_rows(spec, g, points, rows_at, ctx):
         dc = [sum(b * hz for b, hz in zip(beta, col)) for col in zip(*at_z)]
     out = []
     for i, (y, gy) in enumerate(zip(ys, gys)):
-        gpgy = _eval(gpc, gy)
+        gpgy = _eval(gp, gy)
         row = [sc * (gpgy * hy + hgy) for hy, hgy in zip(at_y[i], at_gy[i])]
         if full:
-            dF_dc = s_out * (_eval(gc, gy) - gpgy * _eval(gpc, y) * y)
+            dF_dc = s_out * (_eval(g, gy) - gpgy * _eval(gp, y) * y)
             row = [v + dcj * dF_dc for v, dcj in zip(row, dc)]
         out.append(row)
     return out
@@ -153,9 +151,8 @@ def linearized_apply_at(
 ):
     """Values of the linearized operator applied to h, at given points
     (see :func:`_linearized_rows` for the formula)."""
-    hc = h.coeffs
     rows = _linearized_rows(spec, g, points,
-                            lambda zs: [[_eval(hc, z)] for z in zs], ctx)
+                            lambda zs: [[_eval(h, z)] for z in zs], ctx)
     return [row[0] for row in rows]
 
 
@@ -205,8 +202,8 @@ def explicit_eigenfunction(
     gp = series_derivative(g, ctx)
     vals = []
     for x in nodes:
-        gx = _eval(g.coeffs, x)
-        gpx = _eval(gp.coeffs, x)
+        gx = _eval(g, x)
+        gpx = _eval(gp, x)
         if form == "dilation":
             vals.append(gx - x * gpx)
         elif form == "full":

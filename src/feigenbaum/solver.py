@@ -86,7 +86,7 @@ def _residual(variant, g, points, ctx, values=None):
     caller carries it (the Newton state), else it is evaluated."""
     image = apply_at_points(variant, g, points, ctx)
     if values is None:
-        values = [_eval(g.coeffs, x) for x in points]
+        values = [_eval(g, x) for x in points]
     return [values[i] - image[i] for i in range(len(points))]
 
 
@@ -128,7 +128,7 @@ def assemble_jacobian(spec: OperatorSpec, g: ChebSeries, n: int, config: NewtonC
     """Matrix of I - dT(g) in the active basis (Chebyshev grid of size n
     by default); see :func:`_jacobian` for the mode choice."""
     basis = basis if basis is not None else chebgrid(n, ctx)
-    values = [_eval(g.coeffs, x) for x in basis.nodes]
+    values = [_eval(g, x) for x in basis.nodes]
     return _jacobian(spec, basis, values, g, config, ctx)
 
 
@@ -183,7 +183,7 @@ def newton_solve(spec: OperatorSpec, basis, seed: ChebSeries,
     config = config or NewtonConfig()
     if basis is None:
         basis = chebgrid(n if n else 32, ctx)
-    values = [_eval(seed.coeffs, x) for x in basis.nodes]
+    values = [_eval(seed, x) for x in basis.nodes]
     pin = None if config.pin_g0 is None else _pin_row(basis, config.pin_g0, ctx)
     half = None if pin else _even_half(basis, values, ctx)
     if half is not None:
@@ -229,7 +229,7 @@ def _iterate(spec, basis, values, pin, config, ctx):
         if pin:
             ridx, row, g0 = pin
             A[ridx] = list(row)
-            rhs[ridx] = _eval(series.coeffs, 0) - g0
+            rhs[ridx] = _eval(series, 0) - g0
         try:
             fac = lu_factor(A, ctx)
         except SingularMatrix as exc:
@@ -264,7 +264,7 @@ def _iterate(spec, basis, values, pin, config, ctx):
     # truncation-scale error, which is not a convergence failure)
     if pin:
         ridx, _row, g0 = pin
-        final_res[ridx] = _eval(series.coeffs, 0) - g0
+        final_res[ridx] = _eval(series, 0) - g0
     res_norm = vec_norm_inf(final_res)
     scale = max(ctx.mpf(1), vec_norm_inf(values))
     if not converged or res_norm > ctx.ten_pow(-D + 12) * scale:
@@ -284,11 +284,14 @@ class ConvergenceReport:
 
 def convergence_diagnostics(result) -> ConvergenceReport:
     """Quadratic-convergence check from the update-norm history of a
-    :class:`NewtonResult` (``iteration_history`` and ``stopped_by``).
+    :class:`NewtonResult` (``iteration_history``, ``stopped_by`` and
+    ``ctx``).
 
     Fits the slope of log u_{k+1} against log u_k over consecutive
     pre-plateau updates already in the asymptotic regime (u_k <= 1e-2),
-    at the precision the update norms carry.
+    at the precision the update norms carry.  A norm at or below the
+    absolute resolution 10^-D is round-off, not a step of the iteration,
+    and stays out of the fit.
     """
     history = list(result.iteration_history)
     if result.stopped_by == "plateau" and len(history) > 1:
@@ -297,10 +300,11 @@ def convergence_diagnostics(result) -> ConvergenceReport:
         return ConvergenceReport(None)
     mpx = history[0].context
     cut = mpx.mpf("1e-2")
+    floor = result.ctx.ten_pow(-result.ctx.decimal_digits)
     pairs = [
         (mpx.log(history[i]), mpx.log(history[i + 1]))
         for i in range(len(history) - 1)
-        if 0 < history[i] <= cut and history[i + 1] > 0
+        if floor < history[i] <= cut and history[i + 1] > floor
     ]
     if len(pairs) < 2:
         return ConvergenceReport(None)

@@ -159,7 +159,7 @@ def eigenfunction_parity(vector, basis, ctx: PrecisionCtx) -> str:
     coefficient bases, and a grid whose g is not even); the pairs of a
     mirror split take their parity from their block instead.
     """
-    h = basis.direction_series(vector, ctx).coeffs
+    h = basis.direction_series(vector, ctx)
     pts = [ctx.mpf(j) / 16 for j in range(17)]
     plus = [_eval(h, x) for x in pts]
     minus = [_eval(h, -x) for x in pts]
@@ -265,7 +265,7 @@ def verify_explicit(g: ChebSeries, spec: OperatorSpec, k: int, lam_expected,
     pts = cheb_nodes(n, ctx)
     image = linearized_apply_at(spec, g, h, pts, ctx)
     lam = ctx.mpf(lam_expected)
-    hv = [_eval(h.coeffs, x) for x in pts]
+    hv = [_eval(h, x) for x in pts]
     hn = max(abs(v) for v in hv)
     return max(abs(image[i] - lam * hv[i]) for i in range(n)) / hn
 

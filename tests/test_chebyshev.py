@@ -2,11 +2,13 @@
 
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 import feigenbaum as fb
+from feigenbaum import chebyshev
 from feigenbaum.chebyshev import ChebSeries, GridFn, _eval
 
 
@@ -119,6 +121,56 @@ def test_eval_complex_coefficients_match_real_and_imaginary_parts(digits, m, see
         want = mp.mpc(_eval(re, x), _eval(im, x))
     assert isinstance(z, mp.mpc)
     assert z._mpc_ == want._mpc_
+
+
+def _mpf_clenshaw(coeffs, x):
+    """The Clenshaw recurrence in mpf arithmetic, at the precision of the
+    coefficients' context: the oracle of the integer kernel."""
+    b1 = b2 = coeffs[0] * 0
+    for c in reversed(coeffs[1:]):
+        b1, b2 = c + 2 * x * b1 - b2, b1
+    return coeffs[0] / 2 + x * b1 - b2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(16, 200), st.integers(1, 80), st.integers(-40, 40),
+       st.integers(0, 3), st.integers(0, 10 ** 9),
+       st.one_of(st.floats(-1.5, 1.5), st.sampled_from([0.0, 1.0, -1.0, "int 0"])))
+def test_kernel_error_is_within_the_clenshaw_bound(digits, m, scale, decay, seed, x):
+    # against the recurrence at 300 more bits on the same coefficients and
+    # point, the error stays under m 2^-p sum|c_k| rho(x)^m, whatever the
+    # magnitude of the series
+    ctx = fb.PrecisionCtx(digits)
+    rng = random.Random(seed)
+    coeffs = [ctx.mpf(rng.uniform(-1, 1)) * ctx.ten_pow(scale - decay * k) for k in range(m)]
+    point = 0 if x == "int 0" else ctx.mpf(x)
+    got = _eval(coeffs, point)
+    assert got.context is ctx.mp
+    ref = mpmath.MPContext()
+    ref.prec = ctx.prec_bits + 300
+    exact = _mpf_clenshaw([ref.mpf(c) for c in coeffs], ref.mpf(point))
+    ax = abs(ref.mpf(point))
+    rho = ax + ref.sqrt(ax ** 2 - 1) if ax > 1 else 1
+    bound = m * ref.mpf(2) ** -ctx.prec_bits * ref.fsum(abs(c) for c in coeffs) * rho ** m
+    assert abs(ref.mpf(got) - exact) <= bound
+
+
+def test_series_converts_its_coefficients_once(monkeypatch, ctx):
+    made = []
+    real = chebyshev._FixedSeries
+
+    def counting(coeffs):
+        made.append(len(coeffs))
+        return real(coeffs)
+
+    basis = fb.build_basis(fb.BasisSpec(fb.BasisKind.LANFORD, 6), ctx)
+    monkeypatch.setattr(chebyshev, "_FixedSeries", counting)
+    points = [ctx.mpf(j) / 7 for j in range(-7, 8)]
+    first = basis.cardinal_rows(points, ctx)
+    assert made == [len(c) for c in basis.cardinals]
+    assert basis.cardinal_rows(points, ctx) == first
+    assert len(made) == basis.dim
+    assert first[3] == [_eval(c.coeffs, points[3]) for c in basis.cardinals]
 
 
 def test_eval_pure_t1(ctx):

@@ -31,9 +31,10 @@ def test_convergence_exponent_is_fitted_at_context_precision(quad32, ctx):
     history = list(quad32.iteration_history)
     if quad32.stopped_by == "plateau":
         history = history[:-1]
+    floor = ctx.ten_pow(-ctx.decimal_digits)
     with mp.workprec(ctx.prec_bits):
         pairs = [(mp.log(u), mp.log(v)) for u, v in zip(history, history[1:])
-                 if 0 < u <= mp.mpf("1e-2") and v > 0]
+                 if floor < u <= mp.mpf("1e-2") and v > floor]
         xb = mp.fsum(x for x, _ in pairs) / len(pairs)
         yb = mp.fsum(y for _, y in pairs) / len(pairs)
         want = (mp.fsum((x - xb) * (y - yb) for x, y in pairs)
@@ -41,9 +42,11 @@ def test_convergence_exponent_is_fitted_at_context_precision(quad32, ctx):
     assert got._mpf_ == want._mpf_
 
 
-def _apply_bits(ctx, points=2000):
-    """Raw mantissa tuples of T(g) at ``points`` points, g = 1 - 1.5 x^2."""
-    g = fb.monomial_to_series([ctx.mpf(1), ctx.mpf(0), ctx.mpf("-1.5")], ctx)
+def _apply_bits(ctx, points=2000, g=None):
+    """Raw mantissa tuples of T(g) at ``points`` points, by default for a
+    new g = 1 - 1.5 x^2."""
+    if g is None:
+        g = fb.monomial_to_series([ctx.mpf(1), ctx.mpf(0), ctx.mpf("-1.5")], ctx)
     xs = [ctx.mpf(i) / (points // 2) - 1 for i in range(points)]
     return [v._mpf_ for v in fb.apply_at_points(fb.Variant.T, g, xs, ctx)]
 
@@ -76,6 +79,35 @@ def test_threads_at_different_precisions_do_not_interfere():
             wrong = sum(a != b for a, b in zip(run, reference[slot]))
             assert wrong == 0, "%d of %d values differ at %r" % (
                 wrong, len(run), contexts[slot])
+
+
+def test_threads_sharing_a_series_agree():
+    # a ChebSeries makes the integer form of its coefficients on its first
+    # evaluation: threads that race to make it must all see the same values
+    ctx = fb.PrecisionCtx(64)
+    reference = _apply_bits(ctx, points=200)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            g = fb.monomial_to_series([ctx.mpf(1), ctx.mpf(0), ctx.mpf("-1.5")], ctx)
+            start = threading.Barrier(4)
+
+            def work():
+                start.wait()
+                results.append(_apply_bits(ctx, points=200, g=g))
+
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 12
+    assert all(run == reference for run in results)
 
 
 def _is_activate_method(node, parents):
@@ -116,6 +148,41 @@ def test_package_never_switches_global_precision():
             )
             if bad:
                 offenders.append("%s:%d" % (path.name, node.lineno))
+    assert offenders == []
+
+
+RAW_NAMES = {"_mpf_", "_mpc_", "libmp", "make_mpf", "make_mpc"}
+
+
+def _touches_raw_representation(node):
+    if isinstance(node, ast.Attribute):
+        return node.attr in RAW_NAMES
+    if isinstance(node, ast.Constant):
+        return node.value in RAW_NAMES  # hasattr(x, "_mpf_") and the like
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").startswith("mpmath.libmp") or (
+            node.module == "mpmath" and any(a.name == "libmp" for a in node.names))
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("mpmath.libmp") for a in node.names)
+    return False
+
+
+def test_raw_mpmath_representation_stays_in_the_kernel():
+    # mpmath's raw tuples and libmp belong to the integer Clenshaw kernel in
+    # chebyshev.py and to the exact conversion numerics.mpf_to_fraction;
+    # everywhere else values are mpf/mpc of a PrecisionCtx
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "chebyshev.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        exempt = set()
+        for node in ast.walk(tree):
+            if (path.name == "numerics.py" and isinstance(node, ast.FunctionDef)
+                    and node.name == "mpf_to_fraction"):
+                exempt.update(ast.walk(node))
+        offenders += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree)
+                      if node not in exempt and _touches_raw_representation(node)]
     assert offenders == []
 
 

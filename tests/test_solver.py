@@ -143,8 +143,9 @@ def test_diagnostics_quadratic_run(quad32):
 
 
 def _result_with(history):
-    """Stand-in for a NewtonResult stopped by the update tolerance."""
-    return SimpleNamespace(iteration_history=tuple(history), stopped_by="update_tol")
+    """Stand-in for a NewtonResult at 64 digits stopped by the update tolerance."""
+    return SimpleNamespace(iteration_history=tuple(history), stopped_by="update_tol",
+                           ctx=fb.PrecisionCtx(64))
 
 
 def test_diagnostics_single_step_absent():
@@ -156,6 +157,19 @@ def test_diagnostics_linear_history():
     hist = [mp.mpf(2) ** -k for k in range(1, 26)]
     rep = fb.convergence_diagnostics(_result_with(hist))
     assert abs(float(rep.exponent) - 1.0) < 0.05
+
+
+def test_diagnostics_ignore_round_off_norms():
+    # the last update of a converged solve is round-off: norms at or below
+    # the absolute resolution 10^-D must not steer the fitted exponent
+    ctx = fb.PrecisionCtx(64)
+    steps = [ctx.mpf(v) for v in ("1e-3", "4e-6", "3e-11", "2e-21", "9e-42")]
+    want = fb.convergence_diagnostics(_result_with(steps)).exponent
+    for last in (ctx.mpf("8.6e-69"), ctx.mpf("4.6e-69"), ctx.ten_pow(-64)):
+        rep = fb.convergence_diagnostics(_result_with(steps + [last]))
+        assert rep.exponent == want
+    moved = fb.convergence_diagnostics(_result_with(steps + [ctx.mpf("1e-63")]))
+    assert moved.exponent != want
 
 
 def _iterated_dims(monkeypatch):
