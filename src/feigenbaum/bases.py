@@ -1,27 +1,32 @@
 """Alternative parameterizations of the unknown function.
 
 The fixed point can be discretized on the Chebyshev grid (values at the
-n Chebyshev roots) or through explicit coefficient expansions:
+n Chebyshev roots) or through explicit coefficient expansions, which
+all follow one rule.  A coefficient basis of index m is a family of
+powers minus its pinned coefficients, and its nodes are the first d of a
+pool, d being the number of unknown powers:
 
-* ``LANFORD``           1 + a_1 x^2 + ... + a_m x^(2m), nodes i/m, i=1..m
-* ``EVEN_MONOMIAL``     a_0 + a_1 x^2 + ... + a_m x^(2m), nodes i/m, i=0..m
-* ``RATIONAL_NODE_MONOMIAL``  a_0 + ... + a_m x^m at Chebyshev nodes rounded
-  to nearby rationals (continued-fraction convergents, denominators <= 1000)
-* ``MONOMIAL_FULL``     same powers at true Chebyshev nodes, float inverse
+* ``EVEN_MONOMIAL``     powers 0, 2, ..., 2m; pool i/m, i = 0..m
+* ``LANFORD``           the even basis with a_0 = 1 pinned:
+  1 + a_1 x^2 + ... + a_m x^(2m) at the nodes i/m, i = 1..m
+* ``MONOMIAL_FULL``     powers 0..m; pool the (m+1)-point Chebyshev grid,
+  float inverse
+* ``RATIONAL_NODE_MONOMIAL``  the same, its nodes rounded to nearby
+  rationals (continued-fraction convergents, denominators <= 1000)
+
+Further monomial coefficients may be pinned (a_0 = 1, a_1 = 0, ...);
+each pin removes its power from the unknowns and drops the dimension by
+one.  Pinning a_0 also drops the origin from the pool: with no constant
+power its collocation row would vanish, and on an odd Chebyshev pool the
+exact node symmetry would let an even degree-m polynomial vanish on the
+whole grid.  These are the experiments that delete the alpha^2 / alpha
+eigenvalues from the spectrum: Lanford's basis loses alpha^2 because it
+pins g(0) = 1, exactly as a_0 = 1 does in the monomial basis.
 
 For the rational-node kinds the map from node values to coefficients is
 inverted exactly over the rationals (the Vandermonde systems are far too
 ill-conditioned for naive floating inversion); floating point enters
-only when polynomials are evaluated.  Monomial coefficients may be
-pinned (a_0 = 1, a_1 = 0, ...), which removes the corresponding power
-from the unknown set and drops the dimension: exactly the experiments
-that delete the alpha^2 / alpha eigenvalues from the spectrum.
-
-The node rule for the monomial kinds takes the first d usable nodes of
-the (m+1)-point Chebyshev grid, skipping x = 0 whenever no constant
-power is present (a zero row otherwise) and thereby breaking the exact
-node symmetry that would let an even degree-m polynomial vanish on the
-whole grid.
+only when polynomials are evaluated.
 """
 
 from __future__ import annotations
@@ -59,6 +64,18 @@ class BasisKind(enum.Enum):
     RATIONAL_NODE_MONOMIAL = "rational"
 
 
+_EVEN_KINDS = (BasisKind.LANFORD, BasisKind.EVEN_MONOMIAL)
+
+
+def _pins(kind: BasisKind, constraints) -> dict:
+    """{power: value} of the pinned coefficients: the constraints, and
+    Lanford's a_0 = 1."""
+    pins = dict(constraints)
+    if kind is BasisKind.LANFORD:
+        pins[0] = Fraction(1)
+    return pins
+
+
 @dataclass(frozen=True)
 class BasisSpec:
     """Declarative basis description.
@@ -66,7 +83,8 @@ class BasisSpec:
     ``order`` is the node count n for CHEB_GRID and the expansion index m
     for the coefficient bases (max power m, or 2m for the even kinds).
     ``constraints`` pins monomial coefficients, e.g. ((0, 1), (1, 0)) for
-    a_0 = 1 and a_1 = 0; only the monomial kinds accept them.
+    a_0 = 1 and a_1 = 0, each power at most once; only the monomial kinds
+    accept them.
     """
 
     kind: BasisKind
@@ -74,30 +92,36 @@ class BasisSpec:
     constraints: tuple = ()
 
     def __post_init__(self):
-        if self.kind in (BasisKind.LANFORD, BasisKind.EVEN_MONOMIAL) and self.constraints:
+        if self.constraints and self.kind not in (BasisKind.MONOMIAL_FULL,
+                                                  BasisKind.RATIONAL_NODE_MONOMIAL):
             raise ConfigError("%s basis carries structural constraints only" % self.kind.value)
-        powers = set(range(self.order + 1)) if self.kind in (
-            BasisKind.MONOMIAL_FULL,
-            BasisKind.RATIONAL_NODE_MONOMIAL,
-        ) else set()
-        norm = []
+        norm = {}
         for p, v in self.constraints:
-            if p not in powers:
+            if p not in range(self.order + 1):
                 raise ConfigError("constraint on power %s outside basis" % p)
-            norm.append((int(p), Fraction(v)))
-        object.__setattr__(self, "constraints", tuple(norm))
+            if p in norm:
+                raise ConfigError("coefficient a%d may be constrained once" % p)
+            norm[int(p)] = Fraction(v)
+        object.__setattr__(self, "constraints", tuple(norm.items()))
         if self.dimension < 3:
             raise ConfigError("basis dimension %d < 3" % self.dimension)
+
+    @property
+    def pinned(self) -> dict:
+        return _pins(self.kind, self.constraints)
+
+    @property
+    def powers(self) -> tuple:
+        """The unknown powers: those of the family (even 0..2m, or 0..m)
+        that are not pinned."""
+        pinned, step = self.pinned, 2 if self.kind in _EVEN_KINDS else 1
+        return tuple(p for p in range(0, step * self.order + 1, step) if p not in pinned)
 
     @property
     def dimension(self) -> int:
         if self.kind is BasisKind.CHEB_GRID:
             return self.order
-        if self.kind is BasisKind.LANFORD:
-            return self.order
-        if self.kind is BasisKind.EVEN_MONOMIAL:
-            return self.order + 1
-        return self.order + 1 - len(self.constraints)
+        return self.order + 1 - len(self.pinned)
 
 
 @dataclass(frozen=True)
@@ -142,17 +166,24 @@ class Discretization:
 
     spec: BasisSpec
     nodes: tuple                 # mpf collocation nodes
-    exact_nodes: tuple           # Fractions, or None for float kinds
-    matrix: InterpolationMatrix
+    matrix: InterpolationMatrix  # None on the Chebyshev grid
     cardinals: tuple             # ChebSeries, d/dvalue_j of the polynomial
     fixed_series: object         # ChebSeries or None
     fixed_at_nodes: tuple
-    series_len: int
     condition_estimate: object = 1
 
     @property
     def dim(self) -> int:
         return len(self.nodes)
+
+    @property
+    def series_len(self) -> int:
+        return len(self.cardinals[0].coeffs)
+
+    @property
+    def exact_nodes(self):
+        """The nodes as Fractions when the interpolation is exact, else None."""
+        return self.matrix.nodes if self.matrix is not None and self.matrix.exact else None
 
     @property
     def mirror_nodes(self) -> bool:
@@ -201,7 +232,7 @@ class Discretization:
         d = {
             "kind": self.spec.kind.value,
             "dimension": self.dim,
-            "exact": self.matrix.exact,
+            "exact": self.exact_nodes is not None,
             "constraints": [[p, str(v)] for p, v in self.spec.constraints],
         }
         if self.exact_nodes is not None:
@@ -216,12 +247,10 @@ def spec_from_description(d: dict) -> BasisSpec:
     descriptor's ``kind``, ``dimension`` and ``constraints``."""
     kind = BasisKind(d["kind"])
     constraints = tuple((int(p), Fraction(v)) for p, v in d["constraints"])
-    order = int(d["dimension"])
-    if kind is BasisKind.EVEN_MONOMIAL:
-        order -= 1
-    elif kind in (BasisKind.MONOMIAL_FULL, BasisKind.RATIONAL_NODE_MONOMIAL):
-        order += len(constraints) - 1
-    return BasisSpec(kind, order, constraints)
+    dimension = int(d["dimension"])
+    if kind is BasisKind.CHEB_GRID:
+        return BasisSpec(kind, dimension)
+    return BasisSpec(kind, dimension - 1 + len(_pins(kind, constraints)), constraints)
 
 
 def chebgrid(n: int, ctx: PrecisionCtx) -> Discretization:
@@ -234,15 +263,9 @@ def chebgrid(n: int, ctx: PrecisionCtx) -> Discretization:
         ChebSeries(tuple(two_over_n * cosk[k][j] for k in range(n)))
         for j in range(n)
     )
-    zero = ctx.mpf(0)
-    mat = InterpolationMatrix(
-        entries=tuple(tuple(c.coeffs[k] for c in cards) for k in range(n)),
-        exact=False,
-        nodes=nodes,
-        powers=tuple(range(n)),
-    )
-    cond = mat_norm_inf([[cosk[k][j] for k in range(n)] for j in range(n)]) * mat_norm_inf(mat.entries)
-    return Discretization(spec, nodes, None, mat, cards, None, (zero,) * n, n, cond)
+    cond = mat_norm_inf([[cosk[k][j] for k in range(n)] for j in range(n)]) * mat_norm_inf(
+        [[c.coeffs[k] for c in cards] for k in range(n)])
+    return Discretization(spec, nodes, None, cards, None, (ctx.mpf(0),) * n, cond)
 
 
 @dataclass(frozen=True)
@@ -290,111 +313,76 @@ def even_half(grid: Discretization, ctx: PrecisionCtx) -> EvenHalf:
             zero if k % 2 else four_over_n * cosk[k][j] for k in range(n)))
         for j in range(m)
     )
-    return EvenHalf(grid.spec, grid.nodes[:m], None, None, cards, None, (zero,) * m,
-                    n, grid.condition_estimate, full=grid)
+    return EvenHalf(grid.spec, grid.nodes[:m], None, cards, None, (zero,) * m,
+                    grid.condition_estimate, full=grid)
 
 
-def _monomial_series(powers_to_coeffs: dict, degree: int, ctx) -> ChebSeries:
-    dense = [0] * (degree + 1)
+def _monomial_series(powers_to_coeffs: dict, length: int, ctx) -> ChebSeries:
+    """Chebyshev series of sum c x^p, zero-padded to ``length`` coefficients."""
+    dense = [0] * length
     for p, c in powers_to_coeffs.items():
         dense[p] = ctx.mpf(c)
-    return monomial_to_series(dense, ctx)
-
-
-def _rationalize(x) -> Fraction:
-    return mpf_to_fraction(x).limit_denominator(1000)
-
-
-def _monomial_nodes(spec: BasisSpec, ctx: PrecisionCtx):
-    """First `dim` usable nodes of the (m+1)-point Chebyshev grid.
-
-    When no constant power survives the constraints, the origin node of
-    odd-count grids (x = cos(pi/2), zero up to round-off) is dropped: its
-    collocation row would vanish identically."""
-    m = spec.order
-    pool = list(cheb_nodes(m + 1, ctx))
-    min_power = min(p for p in range(m + 1) if all(p != c for c, _ in spec.constraints))
-    if min_power >= 1:
-        cut = ctx.ten_pow(-(ctx.decimal_digits // 2))
-        pool = [x for x in pool if abs(x) > cut]
-    if len(pool) < spec.dimension:
-        raise ConfigError("not enough usable nodes for dimension %d" % spec.dimension)
-    return pool[: spec.dimension]
+    coeffs = monomial_to_series(dense, ctx).coeffs
+    return ChebSeries(coeffs + (ctx.mpf(0),) * (length - len(coeffs)))
 
 
 def build_basis(spec: BasisSpec, ctx: PrecisionCtx) -> Discretization:
-    """Nodes plus interpolation matrix for the requested basis."""
+    """Nodes plus interpolation matrix for the requested basis.
+
+    The nodes are the first ``spec.dimension`` of a pool, i/m (i = 0..m)
+    for the even kinds and the (m+1)-point Chebyshev grid otherwise,
+    rounded to rationals for RATIONAL_NODE_MONOMIAL.  Pinning a_0 drops
+    the origin: with no constant power its collocation row would vanish
+    identically.  The pool keeps enough nodes, since the pin that drops
+    the one origin also removes one unknown."""
     if spec.kind is BasisKind.CHEB_GRID:
         return chebgrid(spec.order, ctx)
 
-    m = spec.order
-    if spec.kind is BasisKind.LANFORD:
-        exact_nodes = [Fraction(i, m) for i in range(1, m + 1)]
-        powers = tuple(range(2, 2 * m + 1, 2))
-        fixed = {0: Fraction(1)}
-    elif spec.kind is BasisKind.EVEN_MONOMIAL:
-        exact_nodes = [Fraction(i, m) for i in range(0, m + 1)]
-        powers = tuple(range(0, 2 * m + 1, 2))
-        fixed = {}
-    else:
-        pinned = dict(spec.constraints)
-        powers = tuple(p for p in range(m + 1) if p not in pinned)
-        fixed = {p: v for p, v in pinned.items() if v != 0}
-        float_nodes = _monomial_nodes(spec, ctx)
-        if spec.kind is BasisKind.RATIONAL_NODE_MONOMIAL:
-            exact_nodes = [_rationalize(x) for x in float_nodes]
-        else:
-            exact_nodes = None
+    m, pinned, powers, d = spec.order, spec.pinned, spec.powers, spec.dimension
+    pool = ([Fraction(i, m) for i in range(m + 1)] if spec.kind in _EVEN_KINDS
+            else cheb_nodes(m + 1, ctx))
+    if 0 in pinned:
+        cut = ctx.ten_pow(-(ctx.decimal_digits // 2))
+        pool = [x for x in pool if abs(ctx.mpf(x)) > cut]
+    points = pool[:d]
+    if spec.kind is BasisKind.RATIONAL_NODE_MONOMIAL:
+        points = [mpf_to_fraction(x).limit_denominator(1000) for x in points]
+    nodes = tuple(ctx.mpf(x) for x in points)
 
-    d = spec.dimension
-    degree = max(powers)
-
-    if exact_nodes is not None:
-        if len(set(exact_nodes)) != len(exact_nodes):
+    exact = isinstance(points[0], Fraction)
+    if exact:
+        if len(set(points)) != d:
             raise ExactlySingular("repeated interpolation nodes")
-        V = [[x ** p for p in powers] for x in exact_nodes]
-        M = solve_linear_exact(V, [[Fraction(int(i == j)) for j in range(d)] for i in range(d)])
-        entries = tuple(tuple(row) for row in M)
-        nodes = tuple(ctx.mpf(x) for x in exact_nodes)
-        exact = True
-        col = lambda j: {p: ctx.mpf(entries[k][j]) for k, p in enumerate(powers)}
+        V = [[x ** p for p in powers] for x in points]
+        entries = tuple(map(tuple, solve_linear_exact(
+            V, [[Fraction(int(i == j)) for j in range(d)] for i in range(d)])))
     else:
-        nodes = tuple(float_nodes)
         V = [[x ** p for p in powers] for x in nodes]
         fac = lu_factor(V, ctx)
-        eye = identity_rows(d, ctx)
-        cols = [lu_solve_factored(fac, [eye[i][j] for i in range(d)], ctx) for j in range(d)]
+        cols = [lu_solve_factored(fac, e, ctx) for e in identity_rows(d, ctx)]
         entries = tuple(tuple(cols[j][k] for j in range(d)) for k in range(d))
-        exact = False
-        col = lambda j: {p: entries[k][j] for k, p in enumerate(powers)}
-
-    mat = InterpolationMatrix(entries, exact, tuple(exact_nodes) if exact_nodes else nodes, powers)
+    mat = InterpolationMatrix(entries, exact, tuple(points), powers)
     cond = mat_norm_inf([[ctx.mpf(x) for x in row] for row in V]) * mat_norm_inf(
         [[ctx.mpf(x) for x in row] for row in entries]
     )
-    cards = tuple(_monomial_series(col(j), degree, ctx) for j in range(d))
-    series_len = degree + 1
-    cards = tuple(_pad(c, series_len, ctx) for c in cards)
+
+    fixed = {p: v for p, v in pinned.items() if v != 0}
+    length = 1 + max(powers + tuple(fixed))
+    cards = tuple(_monomial_series({p: entries[k][j] for k, p in enumerate(powers)}, length, ctx)
+                  for j in range(d))
     if fixed:
-        fixed_series = _pad(_monomial_series(fixed, max(fixed), ctx), series_len, ctx)
+        fixed_series = _monomial_series(fixed, length, ctx)
         fixed_at_nodes = tuple(_eval(fixed_series, x) for x in nodes)
     else:
         fixed_series = None
         fixed_at_nodes = (ctx.mpf(0),) * d
-    return Discretization(
-        spec, nodes, tuple(exact_nodes) if exact_nodes else None, mat, cards,
-        fixed_series, fixed_at_nodes, series_len, cond,
-    )
-
-
-def _pad(s: ChebSeries, length: int, ctx: PrecisionCtx) -> ChebSeries:
-    if len(s.coeffs) >= length:
-        return s
-    return ChebSeries(s.coeffs + (ctx.mpf(0),) * (length - len(s.coeffs)))
+    return Discretization(spec, nodes, mat, cards, fixed_series, fixed_at_nodes, cond)
 
 
 def coeffs_from_values(basis: Discretization, values, ctx: PrecisionCtx):
-    """Basis coefficients for the polynomial through the node values.
+    """Coefficients of a coefficient basis for the polynomial through the
+    node values (the Chebyshev grid has no matrix: ``to_series`` gives
+    its Chebyshev coefficients).
 
     The (exact) interpolation matrix is applied at context precision;
     the affine fixed part (Lanford's leading 1, pinned coefficients) is

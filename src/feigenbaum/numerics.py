@@ -70,6 +70,11 @@ class PrecisionCtx:
         """10**e at context precision (e may be negative)."""
         return self.mp.mpf(10) ** e
 
+    @property
+    def eig_gate(self):
+        """10**(-D//2-4): the eigensolver's relative gate, also that of evenness."""
+        return self.ten_pow(-(self.decimal_digits // 2) - 4)
+
     def to_str(self, x) -> str:
         """Decimal string of a real value with ``decimal_digits`` significant
         digits (reports print complex values as their .real and .imag)."""

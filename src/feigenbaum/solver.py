@@ -147,12 +147,12 @@ def _pin_row(basis: Discretization, value, ctx: PrecisionCtx):
 def _even_half(basis: Discretization, values, ctx: PrecisionCtx):
     """The :class:`~feigenbaum.bases.EvenHalf` of a mirror-node basis when
     the node values are mirror-symmetric to the eigensolver gate
-    10**(-D//2-4) relative to their sup norm, else None (Newton keeps
+    ``ctx.eig_gate`` relative to their sup norm, else None (Newton keeps
     ``basis``)."""
     if not basis.mirror_nodes:
         return None
     n = basis.dim
-    gate = ctx.ten_pow(-(ctx.decimal_digits // 2) - 4) * vec_norm_inf(values)
+    gate = ctx.eig_gate * vec_norm_inf(values)
     if any(abs(values[i] - values[n - 1 - i]) > gate for i in range(n // 2)):
         return None
     return even_half(basis, ctx)

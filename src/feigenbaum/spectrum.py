@@ -195,14 +195,13 @@ def spectrum_at(g: ChebSeries, spec: OperatorSpec, ctx: PrecisionCtx,
 
     On a basis with mirror nodes (the Chebyshev grid) the eigensolve splits
     into even and odd blocks whenever g is even to the gate tolerance
-    tol = 10**(-D//2-4) (see :func:`eig_dense`), and each pair's parity
+    tol = ``ctx.eig_gate`` (see :func:`eig_dense`), and each pair's parity
     comes from its block without sampling: "even" for the even block; for
     the odd block "odd" when its node vector v has ||v + Rv||_inf <=
     tol ||v||_inf, R reversing the node order, else "mixed".  One-block
     spectra take every parity from :func:`eigenfunction_parity`.
     """
-    D = ctx.decimal_digits
-    tol = ctx.ten_pow(-(D // 2) - 4)
+    tol = ctx.eig_gate
     pairs = eig_dense(linearization_matrix(spec, g, basis, ctx), tol, ctx,
                       mirror=basis.mirror_nodes)
 
@@ -223,7 +222,7 @@ def spectrum_at(g: ChebSeries, spec: OperatorSpec, ctx: PrecisionCtx,
         operator=spec.variant,
         linearization=spec.linearization,
         basis_descriptor=basis.describe(ctx),
-        digits=D,
+        digits=ctx.decimal_digits,
         n=basis.dim,
         alpha=alpha,
         delta=delta,

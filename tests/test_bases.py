@@ -65,6 +65,20 @@ def test_monomial_constraint_power_validated():
         fb.BasisSpec(fb.BasisKind.MONOMIAL_FULL, 12, ((13, 1),))
 
 
+@pytest.mark.parametrize("kind", [fb.BasisKind.MONOMIAL_FULL, fb.BasisKind.RATIONAL_NODE_MONOMIAL])
+def test_power_pinned_twice_rejected(kind):
+    with pytest.raises(fb.ConfigError, match="a0"):
+        fb.BasisSpec(kind, 11, ((0, 1), (0, 2)))
+
+
+def test_pinned_top_power_lies_above_the_unknowns(ctx):
+    # the series reaches x^12 although the unknown powers stop at x^11
+    basis = fb.build_basis(fb.BasisSpec(fb.BasisKind.MONOMIAL_FULL, 12, ((12, 1),)), ctx)
+    g = basis.to_series([x ** 12 for x in basis.nodes], ctx)
+    x = ctx.mpf("0.3")
+    assert abs(fb.eval_series(g, x, ctx) - x ** 12) < ctx.ten_pow(-50)
+
+
 def test_dimension_floor_enforced():
     with pytest.raises(fb.ConfigError):
         fb.BasisSpec(fb.BasisKind.LANFORD, 2)
@@ -196,11 +210,16 @@ def test_chebgrid_cardinal_rows_match_cardinal_series(ctx):
     ("monomial", 12, ((0, 1), (1, 0))),
     ("rational", 15, ((0, 1), (1, 0))),
     ("rational", 11, ((1, 0),)),
+    ("even", 2, ()),
+    ("lanford", 3, ()),
+    ("rational", 12, ((0, 1),)),
 ])
 def test_basis_descriptor_round_trips(kind, order, constraints):
     ctx = fb.PrecisionCtx(24)
     spec = fb.BasisSpec(fb.BasisKind(kind), order, constraints)
-    described = fb.build_basis(spec, ctx).describe(ctx)
+    basis = fb.build_basis(spec, ctx)
+    assert len(basis.nodes) == spec.dimension
+    described = basis.describe(ctx)
     # as a report stores it: through JSON, constraints as [power, "value"]
     rebuilt = spec_from_description(json.loads(json.dumps(described)))
     assert rebuilt == spec

@@ -357,6 +357,10 @@ EXIT_CASES = [
     pytest.param(["solve", "--pin", "g1=0"], 2, None, None, id="pin-not-g0"),
     pytest.param(["solve", "--operator", "T4", "--pin", "g0=1", "--pin", "g0=1"], 2, None, None,
                  id="pin-twice"),
+    pytest.param(["spectrum", "--basis", "monomial", "--dim", "11", "--constrain", "a0=1",
+                  "--constrain", "a0=2"], 2, None, "a0", id="constrain-twice-monomial"),
+    pytest.param(["spectrum", "--basis", "rational", "--dim", "11", "--constrain", "a0=1",
+                  "--constrain", "a0=2"], 2, None, "a0", id="constrain-twice-rational"),
     pytest.param(["solve", "--seed-file", "{absent}"], 2, None, None, id="seed-file-missing"),
     pytest.param(["solve", "--seed-file", "{empty}"], 2, None, None, id="seed-file-empty"),
     pytest.param(["solve", "--extremum-order", "2", "--basis", "lanford"], 2, None, None,

@@ -294,11 +294,6 @@ FULL = fb.Linearization.FULL_DERIVATIVE
 FROZEN = fb.Linearization.FROZEN_ALPHA
 
 
-def _gate_tol(ctx):
-    """The tolerance spectrum_at hands eig_dense."""
-    return ctx.ten_pow(-(ctx.decimal_digits // 2) - 4)
-
-
 def _mirror_blocks(L, ctx):
     """Q^T L Q with a dense mirror transform Q, even coordinates
     (e_i + e_(n-1-i))/sqrt(2) first, and the even block size."""
@@ -328,7 +323,7 @@ def g13_32(ctx32):
 def test_even_to_odd_block_is_below_the_gate(g32, ctx, variant, lin, n):
     L = fb.linearization_matrix(fb.OperatorSpec(variant, lin), g32, fb.chebgrid(n, ctx), ctx)
     B, h = _mirror_blocks(L, ctx)
-    assert ctx.mp.mnorm(B[h:, :h], "inf") <= _gate_tol(ctx) * mat_norm_inf(L)
+    assert ctx.mp.mnorm(B[h:, :h], "inf") <= ctx.eig_gate * mat_norm_inf(L)
 
 
 def test_even_to_odd_block_is_below_the_gate_on_the_family(g32, ctx):
@@ -336,7 +331,7 @@ def test_even_to_odd_block_is_below_the_gate_on_the_family(g32, ctx):
     spec = fb.OperatorSpec(fb.Variant.T4, FULL)
     L = fb.linearization_matrix(spec, g, fb.chebgrid(20, ctx), ctx)
     B, h = _mirror_blocks(L, ctx)
-    assert ctx.mp.mnorm(B[h:, :h], "inf") <= _gate_tol(ctx) * mat_norm_inf(L)
+    assert ctx.mp.mnorm(B[h:, :h], "inf") <= ctx.eig_gate * mat_norm_inf(L)
 
 
 def _assert_matches_oracle(pairs, L, ctx):
@@ -356,7 +351,7 @@ def test_block_spectra_match_the_full_matrix(g13_32, ctx32, variant, n):
     ctx = ctx32
     L = fb.linearization_matrix(fb.OperatorSpec(variant, FULL), g13_32,
                                 fb.chebgrid(n, ctx), ctx)
-    pairs = fb.eig_dense(L, _gate_tol(ctx), ctx, mirror=True)
+    pairs = fb.eig_dense(L, ctx.eig_gate, ctx, mirror=True)
     assert sum(p.block == "even" for p in pairs) == n - n // 2
     assert sum(p.block == "odd" for p in pairs) == n // 2
     for p in pairs:
@@ -372,6 +367,6 @@ def test_odd_fixed_point_term_keeps_one_block(g13_32, ctx32):
     g = fb.ChebSeries(tuple(coeffs))
     L = fb.linearization_matrix(fb.OperatorSpec(fb.Variant.T, FULL), g,
                                 fb.chebgrid(12, ctx), ctx)
-    pairs = fb.eig_dense(L, _gate_tol(ctx), ctx, mirror=True)
+    pairs = fb.eig_dense(L, ctx.eig_gate, ctx, mirror=True)
     assert all(p.block is None for p in pairs)
     _assert_matches_oracle(pairs, L, ctx)

@@ -14,11 +14,14 @@ digits, and any other difference (text such as tag and parity, integers
 such as k, exit codes and dimensions, line counts), which round-off
 cannot explain.
 
-    PYTHONPATH=src python tests/test_reports.py
+    PYTHONPATH=src python tests/test_reports.py [NAME...]
 
-rewrites every expected file from the current tree and prints what
-:func:`compare` finds against the files it replaces.  A change that is
-meant to move a report regenerates them and says which fields moved.
+rewrites the expected files of the named cases (of every case when no
+name is given) from the current tree and prints what :func:`compare`
+finds against the files it replaces.  A change that is meant to move a
+report regenerates them and says which fields moved; a new case is
+added to ``commands.json`` and generated by name, leaving the others as
+they are.
 """
 
 import contextlib
@@ -28,6 +31,7 @@ import os
 import pathlib
 import re
 import shutil
+import sys
 from fractions import Fraction
 
 import pytest
@@ -124,9 +128,12 @@ def test_report_bytes(case, tmp_path):
         pytest.fail("\n".join(moved), pytrace=False)
 
 
-def regenerate():
+def regenerate(names=()):
+    unknown = set(names) - set(BY_NAME)
+    if unknown:
+        raise SystemExit("no such case: %s" % ", ".join(sorted(unknown)))
     scratch = REPORTS / ".work"
-    for case in CASES:
+    for case in [BY_NAME[name] for name in names] or CASES:
         target = REPORTS / case["name"]
         shutil.rmtree(scratch, ignore_errors=True)
         scratch.mkdir()
@@ -146,4 +153,4 @@ def regenerate():
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:])
