@@ -15,7 +15,6 @@ from .bases import (
     InterpolationMatrix,
     build_basis,
     chebgrid,
-    coeffs_from_values,
 )
 from .chebyshev import (
     ChebSeries,
@@ -46,8 +45,6 @@ from .errors import (
 )
 from .families import (
     FamilyComparison,
-    FamilyMember,
-    default_seed,
     family_member,
     family_spectrum_check,
     solve_extremum_order,
@@ -57,7 +54,6 @@ from .numerics import (
     PrecisionCtx,
     eig_dense,
     mpf_to_fraction,
-    solve_linear,
     solve_linear_exact,
 )
 from .operators import (
@@ -78,6 +74,7 @@ from .solver import (
     NewtonResult,
     assemble_jacobian,
     convergence_diagnostics,
+    default_seed,
     newton_solve,
     residual,
 )

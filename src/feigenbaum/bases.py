@@ -378,21 +378,3 @@ def build_basis(spec: BasisSpec, ctx: PrecisionCtx) -> Discretization:
         fixed_at_nodes = (ctx.mpf(0),) * d
     return Discretization(spec, nodes, mat, cards, fixed_series, fixed_at_nodes, cond)
 
-
-def coeffs_from_values(basis: Discretization, values, ctx: PrecisionCtx):
-    """Coefficients of a coefficient basis for the polynomial through the
-    node values (the Chebyshev grid has no matrix: ``to_series`` gives
-    its Chebyshev coefficients).
-
-    The (exact) interpolation matrix is applied at context precision;
-    the affine fixed part (Lanford's leading 1, pinned coefficients) is
-    subtracted first.
-    """
-    M = basis.matrix
-    d = basis.dim
-    rhs = [values[i] - basis.fixed_at_nodes[i] for i in range(d)]
-    out = []
-    for k in range(d):
-        row = M.entries[k]
-        out.append(ctx.mp.fsum(ctx.mpf(row[j]) * rhs[j] for j in range(d)))
-    return tuple(out)

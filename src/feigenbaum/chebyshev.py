@@ -38,8 +38,7 @@ precision of the coefficients' context and G = :data:`KERNEL_GUARD_BITS`:
   pair of real values.
 
 A :class:`ChebSeries` converts its coefficients once, on its first
-evaluation, and keeps the integer form; a plain coefficient sequence is
-converted on each call.
+evaluation, and keeps the integer form.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from functools import cached_property, lru_cache
 import mpmath
 from mpmath.libmp import from_man_exp, fzero, to_fixed
 
-from .numerics import PrecisionCtx, vec_norm_inf
+from .numerics import PrecisionCtx, ls_slope
 
 
 @dataclass(frozen=True)
@@ -220,12 +219,11 @@ class _FixedSeries:
         return self.mpx.make_mpc(tuple(_clenshaw(p, X, shift, prec) for p in self.parts))
 
 
-def _eval(series, x):
-    """Clenshaw value at x (an mpf or an int) of a :class:`ChebSeries`,
-    whose integer form is made once and kept, or of a sequence of real or
-    complex coefficients, converted on this call; see the module
-    docstring for the kernel."""
-    fixed = series._fixed if isinstance(series, ChebSeries) else _FixedSeries(series)
+def _eval(series: ChebSeries, x):
+    """Clenshaw value at x (an mpf or an int) of a series of real or
+    complex coefficients, whose integer form is made once and kept; see
+    the module docstring for the kernel."""
+    fixed = series._fixed
     return fixed.value(fixed.fix(x))
 
 
@@ -254,6 +252,12 @@ def grid_to_series(f: GridFn, ctx: PrecisionCtx) -> ChebSeries:
         for k in range(n)
     )
     return ChebSeries(coeffs)
+
+
+def interpolant(f, n: int, ctx: PrecisionCtx) -> ChebSeries:
+    """Series of the polynomial through f at the n Chebyshev roots: the
+    :func:`grid_to_series` of f sampled there."""
+    return grid_to_series(GridFn(tuple(f(x) for x in cheb_nodes(n, ctx))), ctx)
 
 
 def series_to_grid(s: ChebSeries, n: int, ctx: PrecisionCtx) -> GridFn:
@@ -288,14 +292,7 @@ def decay_report(s: ChebSeries, ctx: PrecisionCtx) -> DecayReport:
     mags = tuple(
         ctx.mp.log10(1 / max(abs(c), floor)) for c in s.coeffs
     )
-    # least-squares slope of log10(1/|a_k|) against k, k >= 1
-    ks = list(range(1, m))
-    ys = mags[1:]
-    kbar = ctx.mp.fsum(ks) / len(ks)
-    ybar = ctx.mp.fsum(ys) / len(ys)
-    num = ctx.mp.fsum((k - kbar) * (y - ybar) for k, y in zip(ks, ys))
-    den = ctx.mp.fsum((k - kbar) ** 2 for k in ks)
-    rate = num / den
+    rate = ls_slope(range(1, m), mags[1:], ctx.mp)
     tail = max(abs(s.coeffs[-1]), abs(s.coeffs[-2]))
     healthy = bool(rate > 0 and tail <= ctx.mpf(10) ** (-ctx.mpf(D) / 3))
     return DecayReport(mags, rate, tail, healthy)
@@ -342,20 +339,11 @@ def monomial_to_series(coeffs, ctx: PrecisionCtx) -> ChebSeries:
     coeffs = list(coeffs)
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
-    n = max(len(coeffs), 2)
-    nodes = cheb_nodes(n, ctx)
-    vals = []
-    for x in nodes:
+
+    def horner(x):
         acc = ctx.mpf(0)
         for c in reversed(coeffs):
             acc = acc * x + c
-        vals.append(acc)
-    return grid_to_series(GridFn(tuple(vals)), ctx)
+        return acc
 
-
-def sup_distance(a: ChebSeries, b: ChebSeries, ctx: PrecisionCtx, samples: int = 201):
-    """Max |a-b| over a uniform sample of [-1, 1]."""
-    pts = [ctx.mpf(-1) + ctx.mpf(2) * i / (samples - 1) for i in range(samples)]
-    return vec_norm_inf([
-        _eval(a, x) - _eval(b, x) for x in pts
-    ])
+    return interpolant(horner, max(len(coeffs), 2), ctx)

@@ -39,7 +39,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__
-from .bases import BasisKind, BasisSpec, build_basis, spec_from_description
+from .bases import BasisKind, BasisSpec, build_basis, chebgrid, spec_from_description
 from .chebyshev import (
     ChebSeries,
     _cheb_monomial_coeffs,
@@ -55,14 +55,15 @@ from .errors import (
     NoConvergence,
     SingularJacobian,
 )
-from .families import default_seed, family_spectrum_check, solve_extremum_order
+from .families import family_spectrum_check, solve_extremum_order
 from .numerics import PrecisionCtx, mpf_to_fraction
-from .operators import Linearization, OperatorSpec, Variant, scaling_of
+from .operators import Linearization, OperatorSpec, Variant, scaling_of, uses_inverse_g1
 from .solver import (
     JacobianMode,
     NewtonConfig,
     assemble_jacobian,
     convergence_diagnostics,
+    default_seed,
     newton_solve,
 )
 from .spectrum import (
@@ -221,7 +222,7 @@ def _run_newton(args, ctx, variant: Variant):
                                      or config.jacobian_mode is not JacobianMode.EXACT):
         raise ConfigError("higher extremum orders solve T with the exact Jacobian: "
                           "--operator and --jacobian fd do not apply")
-    if variant in (Variant.T3, Variant.T4) and config.pin_g0 is None:
+    if not uses_inverse_g1(variant) and config.pin_g0 is None:
         sys.stderr.write(
             "warning: %s keeps a one-parameter solution family; Newton will "
             "fail without --pin g0=1\n" % variant.value
@@ -342,7 +343,7 @@ def cmd_spectrum(args) -> int:
     ctx = PrecisionCtx(args.digits)
     spec = _operator_spec(args)
     if args.mu:
-        if spec.variant not in (Variant.T3, Variant.T4):
+        if uses_inverse_g1(spec.variant):
             raise ConfigError("--mu family comparison pairs with T3/T4")
         if (args.pin or args.include_vectors
                 or spec.linearization is not Linearization.FULL_DERIVATIVE):
@@ -357,8 +358,8 @@ def cmd_spectrum(args) -> int:
         cmp = family_spectrum_check(base.solution_series, mus, spec.variant, ctx, n=args.nodes)
         _emit(cmp.to_json_dict(ctx), args,
               [["mu", "max_pairwise_deviation"]]
-              + [[ctx.to_str(m.mu), ctx.to_str(cmp.max_pairwise_deviation)]
-                 for m in cmp.members])
+              + [[ctx.to_str(mu), ctx.to_str(cmp.max_pairwise_deviation)]
+                 for mu in cmp.mus])
         return EXIT_OK
     result = _run_newton(args, ctx, spec.variant)
     report = spectrum_at(result.solution_series, spec, ctx, basis=result.basis)
@@ -381,8 +382,7 @@ def _verify_checks(args, ctx):
         result = _run_newton(args, ctx, spec.variant)
         g = result.solution_series
     alpha = scaling_of(Variant.T, g, ctx).value
-    basis = (build_basis(BasisSpec(BasisKind.CHEB_GRID, len(g.coeffs)), ctx)
-             if args.seed_file else result.basis)
+    basis = chebgrid(len(g.coeffs), ctx) if args.seed_file else result.basis
     n = basis.dim
 
     rows = []

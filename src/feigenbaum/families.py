@@ -14,28 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bases import chebgrid
-from .chebyshev import (
-    ChebSeries,
-    GridFn,
-    _eval,
-    cheb_nodes,
-    grid_to_series,
-    monomial_to_series,
-    series_to_monomial,
-)
+from .chebyshev import ChebSeries, _eval, interpolant, series_to_monomial
 from .errors import WrongBranch
 from .numerics import PrecisionCtx, vec_norm_inf
-from .operators import Linearization, OperatorSpec, Variant, scaling_of
-from .solver import JacobianMode, NewtonConfig, newton_solve, residual
+from .operators import Linearization, OperatorSpec, Variant, scaling_of, uses_inverse_g1
+from .solver import JacobianMode, NewtonConfig, default_seed, newton_solve, residual
 from .spectrum import spectrum_at, verify_explicit
-
-
-@dataclass(frozen=True)
-class FamilyMember:
-    """One member g_mu of a scaling family (mu = g_mu(0) when g(0) = 1)."""
-
-    mu: object
-    series: ChebSeries
 
 
 def family_member(g: ChebSeries, mu, ctx: PrecisionCtx) -> ChebSeries:
@@ -47,9 +31,7 @@ def family_member(g: ChebSeries, mu, ctx: PrecisionCtx) -> ChebSeries:
     mu = ctx.mpf(mu)
     if abs(mu) < 1:
         raise ValueError("|mu| < 1 extrapolates g outside [-1, 1]")
-    n = max(len(g.coeffs), 2)
-    vals = tuple(mu * _eval(g, x / mu) for x in cheb_nodes(n, ctx))
-    return grid_to_series(GridFn(vals), ctx)
+    return interpolant(lambda x: mu * _eval(g, x / mu), max(len(g.coeffs), 2), ctx)
 
 
 @dataclass(frozen=True)
@@ -57,7 +39,7 @@ class FamilyComparison:
     """Spectra along a scaling family plus the invariance diagnostics."""
 
     variant: Variant
-    members: tuple           # FamilyMember per mu
+    mus: tuple               # the family parameters, in the context
     reports: tuple           # SpectrumReport per mu
     scalings: tuple          # operator scaling constant at each member
     fixed_point_residuals: tuple
@@ -68,7 +50,7 @@ class FamilyComparison:
     def to_json_dict(self, ctx: PrecisionCtx) -> dict:
         return {
             "operator": self.variant.value,
-            "mu": [ctx.to_str(m.mu) for m in self.members],
+            "mu": [ctx.to_str(mu) for mu in self.mus],
             "scaling": [ctx.to_str(s) for s in self.scalings],
             "fixed_point_residuals": [ctx.to_str(r) for r in self.fixed_point_residuals],
             "unit_eigenfunction_residuals": [
@@ -94,16 +76,16 @@ def family_spectrum_check(g: ChebSeries, mu_list, variant: Variant,
     whenever g was solved at n.  Each |mu| must be at least 1 (see
     :func:`family_member`).
     """
-    if variant not in (Variant.T3, Variant.T4):
+    if uses_inverse_g1(variant):
         raise ValueError("scaling families pair with the T3/T4 forms")
     spec = OperatorSpec(variant, Linearization.FULL_DERIVATIVE)
     n = n if n else max(len(g.coeffs), 8)
     grid = chebgrid(n, ctx)
 
-    members, reports, scalings, residuals, unit_res = [], [], [], [], []
-    for mu in mu_list:
+    mus = tuple(ctx.mpf(mu) for mu in mu_list)
+    reports, scalings, residuals, unit_res = [], [], [], []
+    for mu in mus:
         gm = family_member(g, mu, ctx)
-        members.append(FamilyMember(ctx.mpf(mu), gm))
         scalings.append(scaling_of(variant, gm, ctx).value)
         residuals.append(vec_norm_inf(residual(variant, gm, n, ctx).values))
         reports.append(spectrum_at(gm, spec, ctx, grid))
@@ -116,7 +98,7 @@ def family_spectrum_check(g: ChebSeries, mu_list, variant: Variant,
                 dev = max(dev, abs(ea[i] - eb[i]))
     return FamilyComparison(
         variant=variant,
-        members=tuple(members),
+        mus=mus,
         reports=tuple(reports),
         scalings=tuple(scalings),
         fixed_point_residuals=tuple(residuals),
@@ -124,25 +106,6 @@ def family_spectrum_check(g: ChebSeries, mu_list, variant: Variant,
         max_pairwise_deviation=dev,
         compared=compared,
     )
-
-
-def default_seed(k: int, ctx: PrecisionCtx) -> ChebSeries:
-    """Seed polynomial for the extremum-order-2k branch.
-
-    1 - 1.5 x^2 for the quadratic branch.  For k >= 2 the leading
-    coefficient is 1.7: the nearby 1.8 puts the first Newton step outside
-    the basin (verified by iteration traces), while 1.7 converges with a
-    clean quadratic tail.
-    """
-    if k < 1:
-        raise ValueError("extremum order index k must be >= 1")
-    if k == 1:
-        coeffs = [ctx.mpf(1), ctx.mpf(0), ctx.mpf("-1.5")]
-    else:
-        coeffs = [ctx.mpf(0)] * (2 * k + 1)
-        coeffs[0] = ctx.mpf(1)
-        coeffs[2 * k] = ctx.mpf("-1.7")
-    return monomial_to_series(coeffs, ctx)
 
 
 def solve_extremum_order(k: int, n: int, ctx: PrecisionCtx,

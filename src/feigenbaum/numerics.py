@@ -102,6 +102,16 @@ def mpf_to_fraction(x) -> Fraction:
     return Fraction(man, 1 << (-exp))
 
 
+def ls_slope(xs, ys, mpx):
+    """Least-squares slope of ys against xs (sequences of one length),
+    with the sums of the mpmath context ``mpx``."""
+    xb = mpx.fsum(xs) / len(xs)
+    yb = mpx.fsum(ys) / len(ys)
+    num = mpx.fsum((x - xb) * (y - yb) for x, y in zip(xs, ys))
+    den = mpx.fsum((x - xb) ** 2 for x in xs)
+    return num / den
+
+
 # ----------------------------------------------------------------------
 # Dense linear solves at context precision
 
@@ -183,13 +193,6 @@ def lu_solve_factored(fac: LUFactors, b, ctx: PrecisionCtx):
         row = fac.lu[i]
         x[i] = (x[i] - sum(row[j] * x[j] for j in range(i + 1, n))) / row[i]
     return x
-
-
-def solve_linear(A, b, ctx: PrecisionCtx):
-    """Solve A x = b by pivoted elimination at context precision."""
-    if len(A) != len(b) or any(len(row) != len(A) for row in A):
-        raise ValueError("solve_linear needs a square system")
-    return lu_solve_factored(lu_factor(A, ctx), list(b), ctx)
 
 
 # ----------------------------------------------------------------------

@@ -24,14 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .chebyshev import (
-    ChebSeries,
-    GridFn,
-    _eval,
-    cheb_nodes,
-    grid_to_series,
-    series_derivative,
-)
+from .chebyshev import ChebSeries, _eval, interpolant, series_derivative
 from .errors import DivideByZero, InvalidIndex, NoExplicitForm
 from .numerics import PrecisionCtx
 
@@ -71,7 +64,16 @@ _SIGNS = {
 
 
 def uses_inverse_g1(variant: Variant) -> bool:
+    """T/T2, scaled by 1/g(1).  The others, scaled by -g(0)/g(g(0)), which
+    every mu g(x/mu) shares, carry a one-parameter family of fixed points."""
     return variant in (Variant.T, Variant.T2)
+
+
+def sign_reversed(variant: Variant) -> bool:
+    """T2/T3, with s_out s_in = -1, whose eigenvalues are powers of -alpha
+    where those of T/T4 are powers of alpha."""
+    s_out, s_in = _SIGNS[variant]
+    return s_out * s_in < 0
 
 
 def scaling_of(variant: Variant, g: ChebSeries, ctx: PrecisionCtx) -> ScalingConstant:
@@ -178,7 +180,7 @@ def _explicit_form(spec: OperatorSpec, k: int) -> str:
     if k == 1 or k < -1:
         raise InvalidIndex("k must be -1 (the dilation mode) or a non-negative "
                            "integer other than 1")
-    if spec.variant in (Variant.T2, Variant.T3) and k % 2 == 0:
+    if sign_reversed(spec.variant) and k % 2 == 0:
         raise NoExplicitForm(
             "no closed-form eigenfunction for %s with even k" % spec.variant.value
         )
@@ -197,17 +199,14 @@ def explicit_eigenfunction(
     See :func:`_explicit_form` for the (spec, k) that have none.
     """
     form = _explicit_form(spec, k)
-    n = max(len(g.coeffs), 2)
-    nodes = cheb_nodes(n, ctx)
     gp = series_derivative(g, ctx)
-    vals = []
-    for x in nodes:
-        gx = _eval(g, x)
-        gpx = _eval(gp, x)
+
+    def h(x):
+        gx, gpx = _eval(g, x), _eval(gp, x)
         if form == "dilation":
-            vals.append(gx - x * gpx)
-        elif form == "full":
-            vals.append(gx - x * gpx - gx ** k + x ** k * gpx)
-        else:
-            vals.append(gx ** k - x ** k * gpx)
-    return grid_to_series(GridFn(tuple(vals)), ctx)
+            return gx - x * gpx
+        if form == "full":
+            return gx - x * gpx - gx ** k + x ** k * gpx
+        return gx ** k - x ** k * gpx
+
+    return interpolant(h, max(len(g.coeffs), 2), ctx)

@@ -16,9 +16,10 @@ import enum
 from dataclasses import dataclass
 
 from .bases import Discretization, chebgrid, even_half
-from .chebyshev import ChebSeries, GridFn, _eval, cheb_nodes
+from .chebyshev import ChebSeries, GridFn, _eval, cheb_nodes, monomial_to_series
 from .errors import NoConvergence, SingularJacobian, SingularMatrix
-from .numerics import DEGENERACY_RATIO, PrecisionCtx, lu_factor, lu_solve_factored, vec_norm_inf
+from .numerics import (DEGENERACY_RATIO, PrecisionCtx, ls_slope, lu_factor,
+                       lu_solve_factored, vec_norm_inf)
 from .operators import (
     Linearization,
     OperatorSpec,
@@ -74,6 +75,25 @@ class NewtonResult:
         return _jacobian(self.spec, self.basis, self.solution_grid.values,
                          self.solution_series,
                          NewtonConfig(jacobian_mode=JacobianMode.EXACT), self.ctx)
+
+
+def default_seed(k: int, ctx: PrecisionCtx) -> ChebSeries:
+    """Seed polynomial for the extremum-order-2k branch.
+
+    1 - 1.5 x^2 for the quadratic branch.  For k >= 2 the leading
+    coefficient is 1.7: the nearby 1.8 puts the first Newton step outside
+    the basin (verified by iteration traces), while 1.7 converges with a
+    clean quadratic tail.
+    """
+    if k < 1:
+        raise ValueError("extremum order index k must be >= 1")
+    if k == 1:
+        coeffs = [ctx.mpf(1), ctx.mpf(0), ctx.mpf("-1.5")]
+    else:
+        coeffs = [ctx.mpf(0)] * (2 * k + 1)
+        coeffs[0] = ctx.mpf(1)
+        coeffs[2 * k] = ctx.mpf("-1.7")
+    return monomial_to_series(coeffs, ctx)
 
 
 def residual(variant: Variant, g: ChebSeries, n: int, ctx: PrecisionCtx) -> GridFn:
@@ -308,8 +328,5 @@ def convergence_diagnostics(result) -> ConvergenceReport:
     ]
     if len(pairs) < 2:
         return ConvergenceReport(None)
-    xb = mpx.fsum(x for x, _ in pairs) / len(pairs)
-    yb = mpx.fsum(y for _, y in pairs) / len(pairs)
-    num = mpx.fsum((x - xb) * (y - yb) for x, y in pairs)
-    den = mpx.fsum((x - xb) ** 2 for x, y in pairs)
-    return ConvergenceReport(num / den)
+    xs, ys = zip(*pairs)
+    return ConvergenceReport(ls_slope(xs, ys, mpx))

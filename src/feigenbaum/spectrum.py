@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bases import BasisSpec, build_basis
-from .chebyshev import ChebSeries, _eval, cheb_nodes, monomial_to_series
+from .chebyshev import ChebSeries, _eval, cheb_nodes
 from .errors import AmbiguousMatch
 from .numerics import PrecisionCtx, eig_dense
 from .operators import (
@@ -26,8 +26,10 @@ from .operators import (
     linearization_matrix,
     linearized_apply_at,
     scaling_of,
+    sign_reversed,
+    uses_inverse_g1,
 )
-from .solver import JacobianMode, NewtonConfig, newton_solve
+from .solver import JacobianMode, NewtonConfig, default_seed, newton_solve
 
 K_RANGE = range(-3, 13)
 
@@ -96,7 +98,7 @@ class SpectrumReport:
 
 def classification_base(variant: Variant, alpha):
     """Power base per variant: alpha, or -alpha for the sign-reversed ones."""
-    return -alpha if variant in (Variant.T2, Variant.T3) else alpha
+    return -alpha if sign_reversed(variant) else alpha
 
 
 def classify_spectrum(eigs, alpha, ctx: PrecisionCtx, parities=None):
@@ -246,9 +248,8 @@ def spectrum_in_basis(op_spec: OperatorSpec, basis_spec: BasisSpec,
     of the linearized operator onto the basis subset, which is the whole
     point of the exercise.
     """
-    if seed is None:
-        seed = monomial_to_series([ctx.mpf(1), ctx.mpf(0), ctx.mpf("-1.5")], ctx)
-    result = newton_solve(op_spec, build_basis(basis_spec, ctx), seed,
+    result = newton_solve(op_spec, build_basis(basis_spec, ctx),
+                          default_seed(1, ctx) if seed is None else seed,
                           NewtonConfig(jacobian_mode=JacobianMode.EXACT), ctx)
     return compute_spectrum(result)
 
@@ -282,7 +283,6 @@ def expected_explicit_eigenvalue(spec: OperatorSpec, k: int, alpha, ctx):
     alpha = ctx.mpf(alpha)
     if _explicit_form(spec, k) != "dilation":
         return alpha ** (1 - k)
-    if (spec.linearization is Linearization.FULL_DERIVATIVE
-            and spec.variant in (Variant.T, Variant.T2)):
+    if spec.linearization is Linearization.FULL_DERIVATIVE and uses_inverse_g1(spec.variant):
         return alpha ** 2
     return ctx.mpf(1)

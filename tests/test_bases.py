@@ -11,6 +11,13 @@ import feigenbaum as fb
 from feigenbaum.bases import spec_from_description
 
 
+def _coeffs(basis, values, ctx):
+    """Coefficients of the basis's unknown powers for the polynomial
+    through the node values, read from its Taylor coefficients."""
+    taylor = fb.series_to_monomial(basis.to_series(values, ctx), ctx)
+    return [taylor[p] for p in basis.spec.powers]
+
+
 def test_lanford_matrix_is_exact_inverse(ctx):
     basis = fb.build_basis(fb.BasisSpec(fb.BasisKind.LANFORD, 15), ctx)
     assert basis.matrix.exact
@@ -48,7 +55,7 @@ def test_even_basis_small_recovers_quartic(ctx):
     assert [str(x) for x in basis.exact_nodes] == ["0", "1/2", "1"]
     with ctx.activate():
         vals = [x ** 4 for x in basis.nodes]
-        coeffs = fb.coeffs_from_values(basis, vals, ctx)
+        coeffs = _coeffs(basis, vals, ctx)
         assert abs(coeffs[0]) < ctx.ten_pow(-60)
         assert abs(coeffs[1]) < ctx.ten_pow(-60)
         assert abs(coeffs[2] - 1) < ctx.ten_pow(-60)
@@ -109,15 +116,15 @@ def test_constrained_basis_skips_origin_node(ctx):
     assert basis.dim == 11
 
 
-def test_coeffs_from_values_constant_lanford(ctx):
+def test_coeffs_of_constant_lanford(ctx):
     basis = fb.build_basis(fb.BasisSpec(fb.BasisKind.LANFORD, 8), ctx)
-    coeffs = fb.coeffs_from_values(basis, [ctx.mpf(1)] * 8, ctx)
+    coeffs = _coeffs(basis, [ctx.mpf(1)] * 8, ctx)
     assert all(abs(c) < ctx.ten_pow(-60) for c in coeffs)
 
 
-def test_coeffs_from_values_constant_even(ctx):
+def test_coeffs_of_constant_even(ctx):
     basis = fb.build_basis(fb.BasisSpec(fb.BasisKind.EVEN_MONOMIAL, 7), ctx)
-    coeffs = fb.coeffs_from_values(basis, [ctx.mpf(1)] * 8, ctx)
+    coeffs = _coeffs(basis, [ctx.mpf(1)] * 8, ctx)
     assert abs(coeffs[0] - 1) < ctx.ten_pow(-60)
     assert all(abs(c) < ctx.ten_pow(-60) for c in coeffs[1:])
 
@@ -133,7 +140,7 @@ def test_coeffs_round_trip_random_polynomial(ctx):
             for c in reversed(want):
                 acc = acc * x + c
             vals.append(acc)
-        got = fb.coeffs_from_values(basis, vals, ctx)
+        got = _coeffs(basis, vals, ctx)
         for a, b in zip(want, got):
             assert abs(a - b) <= ctx.ten_pow(-56)
 
@@ -144,7 +151,7 @@ def test_to_series_matches_coeffs(ctx):
     with ctx.activate():
         vals = [ctx.mpf(rng.uniform(0, 1)) for _ in range(6)]
         series = basis.to_series(vals, ctx)
-        coeffs = fb.coeffs_from_values(basis, vals, ctx)
+        coeffs = _coeffs(basis, vals, ctx)
         # evaluate both forms at a non-node point
         x = ctx.mpf("0.3721")
         direct = 1 + sum(c * x ** (2 * (k + 1)) for k, c in enumerate(coeffs))

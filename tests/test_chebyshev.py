@@ -117,8 +117,8 @@ def test_eval_complex_coefficients_match_real_and_imaginary_parts(digits, m, see
         re = [mp.mpf(rng.uniform(-2, 2)) / rng.randint(1, 999) for _ in range(m)]
         im = [mp.mpf(rng.uniform(-2, 2)) / rng.randint(1, 999) for _ in range(m)]
         x = mp.mpf(rng.uniform(-1.5, 1.5)) / 3
-        z = _eval([mp.mpc(a, b) for a, b in zip(re, im)], x)
-        want = mp.mpc(_eval(re, x), _eval(im, x))
+        z = _eval(ChebSeries(tuple(mp.mpc(a, b) for a, b in zip(re, im))), x)
+        want = mp.mpc(_eval(ChebSeries(tuple(re)), x), _eval(ChebSeries(tuple(im)), x))
     assert isinstance(z, mp.mpc)
     assert z._mpc_ == want._mpc_
 
@@ -144,7 +144,7 @@ def test_kernel_error_is_within_the_clenshaw_bound(digits, m, scale, decay, seed
     rng = random.Random(seed)
     coeffs = [ctx.mpf(rng.uniform(-1, 1)) * ctx.ten_pow(scale - decay * k) for k in range(m)]
     point = 0 if x == "int 0" else ctx.mpf(x)
-    got = _eval(coeffs, point)
+    got = _eval(ChebSeries(tuple(coeffs)), point)
     assert got.context is ctx.mp
     ref = mpmath.MPContext()
     ref.prec = ctx.prec_bits + 300
@@ -170,7 +170,7 @@ def test_series_converts_its_coefficients_once(monkeypatch, ctx):
     assert made == [len(c) for c in basis.cardinals]
     assert basis.cardinal_rows(points, ctx) == first
     assert len(made) == basis.dim
-    assert first[3] == [_eval(c.coeffs, points[3]) for c in basis.cardinals]
+    assert first[3] == [_eval(c, points[3]) for c in basis.cardinals]
 
 
 def test_eval_pure_t1(ctx):

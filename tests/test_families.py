@@ -67,7 +67,7 @@ def test_constant_family_spectrum(ctx):
 
 def test_family_check_structure(g32, ctx):
     cmp = fb.family_spectrum_check(g32, [1, "1.5"], fb.Variant.T4, ctx, n=24)
-    assert len(cmp.members) == 2
+    assert cmp.mus == (1, ctx.mpf("1.5"))
     assert cmp.compared == 8
     d = cmp.to_json_dict(ctx)
     assert d["operator"] == "T4"

@@ -7,7 +7,7 @@ from mpmath import mp
 
 import feigenbaum as fb
 from feigenbaum import solver
-from feigenbaum.chebyshev import ChebSeries, sup_distance
+from feigenbaum.chebyshev import ChebSeries
 from feigenbaum.solver import JacobianMode
 
 FULL = fb.Linearization.FULL_DERIVATIVE
@@ -16,6 +16,12 @@ FROZEN = fb.Linearization.FROZEN_ALPHA
 
 def _series(ctx, *vals):
     return ChebSeries(tuple(ctx.mpf(v) for v in vals))
+
+
+def sup_distance(a, b, ctx, samples=201):
+    """Max |a - b| over a uniform sample of [-1, 1]."""
+    pts = [ctx.mpf(-1) + ctx.mpf(2) * i / (samples - 1) for i in range(samples)]
+    return max(abs(fb.eval_series(a, x, ctx) - fb.eval_series(b, x, ctx)) for x in pts)
 
 
 def test_residual_constant_function_zero(ctx):
