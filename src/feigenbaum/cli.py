@@ -196,17 +196,28 @@ def _newton_config(args, ctx) -> NewtonConfig:
 
 
 def _load_coefficients(path, ctx) -> ChebSeries:
+    """The series of a coefficient file: "index TAB value" per line, each
+    index a distinct non-negative integer; blank and # lines are skipped.
+    A line that breaks this raises ConfigError naming the file and line."""
     coeffs = {}
     try:
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                idx, val = line.split()
-                coeffs[int(idx)] = ctx.mpf(val)
+            lines = fh.readlines()
     except OSError as exc:
         raise MissingArtifact("cannot read coefficient file: %s" % exc) from exc
+    for lineno, line in enumerate(lines, 1):
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        try:
+            idx, val = int(fields[0]), ctx.mpf(fields[-1])
+        except ValueError:
+            idx = None
+        if len(fields) != 2 or idx is None or idx < 0 or idx in coeffs:
+            raise ConfigError(
+                "coefficient file %s line %d: %r is not 'index TAB value' with a "
+                "non-negative index given once" % (path, lineno, line.strip()))
+        coeffs[idx] = val
     if not coeffs:
         raise MissingArtifact("coefficient file %s is empty" % path)
     n = max(coeffs) + 1
@@ -351,6 +362,8 @@ def cmd_spectrum(args) -> int:
                               "the unpinned T solution: --pin, --include-vectors and "
                               "--linearization frozen do not apply")
         mus = [ctx.mpf(m) for m in args.mu]
+        if not all(ctx.mp.isfinite(m) for m in mus):
+            raise ConfigError("--mu needs finite values")
         if any(abs(m) < 1 for m in mus):
             raise ConfigError("--mu needs |mu| >= 1: g_mu(x) = mu g(x/mu) would "
                               "evaluate g outside [-1, 1]")
@@ -401,11 +414,15 @@ def _verify_checks(args, ctx):
             except FeigenbaumError as exc:
                 rows.append((name + " [skipped: %s]" % type(exc).__name__, None, None))
 
-    report = spectrum_at(g, spec, ctx, basis=basis)
-    lead = report.records[: (2 * n) // 3]
+    # every eigenfunction of the full derivative but the dilation mode
+    # g - x g' (lambda = alpha^2 under T/T2, 1 = alpha^0 under T3/T4)
+    # vanishes at 0, whatever --linearization the closed forms took
+    full = OperatorSpec(spec.variant, Linearization.FULL_DERIVATIVE)
+    dilation_k = 1 if expected_explicit_eigenvalue(full, -1, alpha, ctx) == 1 else -1
+    report = spectrum_at(g, full, ctx, basis=basis)
     worst = ctx.mpf(0)
-    for r in lead:
-        if r.tag == "alpha_power" and r.k == -1:
+    for r in report.records[: (2 * n) // 3]:
+        if r.tag == "alpha_power" and r.k == dilation_k:
             continue
         h = basis.direction_series([v.real for v in r.vector], ctx)
         worst = max(worst,
@@ -413,7 +430,6 @@ def _verify_checks(args, ctx):
     rows.append(("h(0) dichotomy (non-alpha^2)", worst, ctx.ten_pow(-10)))
 
     step, _ = NewtonConfig().resolved(ctx)
-    full = OperatorSpec(spec.variant, Linearization.FULL_DERIVATIVE)
     fd = assemble_jacobian(full, g, n,
                            NewtonConfig(jacobian_mode=JacobianMode.FINITE_DIFFERENCE),
                            ctx, basis=basis)

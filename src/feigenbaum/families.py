@@ -25,10 +25,13 @@ from .spectrum import spectrum_at, verify_explicit
 def family_member(g: ChebSeries, mu, ctx: PrecisionCtx) -> ChebSeries:
     """Coefficients of mu * g(x/mu) on g's working grid.
 
-    Raises ValueError for |mu| < 1, which would evaluate g outside
-    [-1, 1] (polynomial continuation), mu = 0 included.
+    Raises ValueError for a mu that is not finite, and for |mu| < 1, which
+    would evaluate g outside [-1, 1] (polynomial continuation), mu = 0
+    included.
     """
     mu = ctx.mpf(mu)
+    if not ctx.mp.isfinite(mu):
+        raise ValueError("mu must be finite")
     if abs(mu) < 1:
         raise ValueError("|mu| < 1 extrapolates g outside [-1, 1]")
     return interpolant(lambda x: mu * _eval(g, x / mu), max(len(g.coeffs), 2), ctx)

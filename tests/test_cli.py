@@ -130,6 +130,17 @@ def test_verify_default_passes(capsys, tmp_path):
     assert not skipped  # every form exists for the plain operator
 
 
+@pytest.mark.parametrize("flags", [["--linearization", "frozen"],
+                                   ["--operator", "T4", "--pin", "g0=1"]],
+                         ids=["frozen", "t4-pinned"])
+def test_verify_passes_off_the_plain_full_derivative(capsys, tmp_path, flags):
+    # the h(0) row reads the full-derivative spectrum and exempts the
+    # dilation mode g - x g', whose eigenvalue is 1 = alpha^0 under T3/T4
+    out = tmp_path / "verify.json"
+    assert run(capsys, "verify", *flags, "--out", str(out))[0] == 0
+    assert json.loads(out.read_text())["all_ok"] is True
+
+
 def test_verify_corrupted_solution_fails(capsys, tmp_path, quad32, ctx):
     corrupt = tmp_path / "bad.txt"
     with ctx.activate():
@@ -363,6 +374,16 @@ EXIT_CASES = [
                   "--constrain", "a0=2"], 2, None, "a0", id="constrain-twice-rational"),
     pytest.param(["solve", "--seed-file", "{absent}"], 2, None, None, id="seed-file-missing"),
     pytest.param(["solve", "--seed-file", "{empty}"], 2, None, None, id="seed-file-empty"),
+    pytest.param(["solve", "--seed-file", "{negative}"], 2, None, "{negative} line 3",
+                 id="seed-file-negative-index"),
+    pytest.param(["verify", "--seed-file", "{repeated}"], 2, None, "{repeated} line 2",
+                 id="seed-file-repeated-index"),
+    pytest.param(["solve", "--seed-file", "{threefields}"], 2, None, "{threefields} line 1",
+                 id="seed-file-three-fields"),
+    pytest.param(["spectrum", "--seed-file", "{badvalue}"], 2, None, "{badvalue} line 2",
+                 id="seed-file-bad-value"),
+    pytest.param(["solve", "--seed-file", "{badindex}"], 2, None, "{badindex} line 1",
+                 id="seed-file-bad-index"),
     pytest.param(["solve", "--extremum-order", "2", "--basis", "lanford"], 2, None, None,
                  id="extremum-order-off-grid"),
     pytest.param(["solve", "--extremum-order", "2", "--operator", "T4"], 2, None, None,
@@ -378,6 +399,10 @@ EXIT_CASES = [
                  2, None, None, id="mu-with-frozen"),
     pytest.param(["spectrum", "--operator", "T4", "--mu", "0.5"], 2, None,
                  "--mu needs |mu| >= 1", id="mu-below-one"),
+    pytest.param(["spectrum", "--operator", "T4", "--mu", "1", "--mu", "inf"], 2, None,
+                 "--mu needs finite values", id="mu-inf"),
+    pytest.param(["spectrum", "--operator", "T3", "--mu", "nan"], 2, None,
+                 "--mu needs finite values", id="mu-nan"),
     pytest.param(["plotdata"], 2, None, None, id="plotdata-without-solution"),
     pytest.param(["plotdata", "--solution", "{nocoeffs}"], 2, None, None,
                  id="solution-without-coefficients"),
@@ -410,6 +435,11 @@ def _exit_code_artifacts(tmp_path):
     grid8 = {"kind": "cheb", "dimension": 8, "exact": False, "constraints": []}
     files = {
         "empty": "",
+        "negative": "0\t1.5\n# comment\n-1\t5\n",
+        "repeated": "0\t1.5\n0\t2\n",
+        "threefields": "0\t1.5\t2\n",
+        "badvalue": "\n2\t-0.5x\n",
+        "badindex": "a0\t1.5\n",
         "nocoeffs": "{}",
         "sol": json.dumps({"digits": 24, "cheb_coefficients": coeffs}),
         "novectors": json.dumps({"basis": grid8, "eigenvalues": [{"re": "1"}]}),
@@ -434,7 +464,7 @@ def test_exit_code_contract(capsys, tmp_path, monkeypatch, argv, code, raises, s
     payload = _last_error(err)
     assert payload["code"] == code
     if says is not None:
-        assert says in payload["message"]
+        assert says.format(**paths) in payload["message"]
 
 
 REMOVED_FLAGS = [

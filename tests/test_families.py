@@ -26,6 +26,12 @@ def test_family_member_rejects_zero(g32, ctx):
         fb.family_member(g32, 0, ctx)
 
 
+@pytest.mark.parametrize("mu", ["inf", "-inf", "nan"])
+def test_family_member_rejects_non_finite_mu(g32, ctx, mu):
+    with pytest.raises(ValueError, match="mu must be finite"):
+        fb.family_member(g32, mu, ctx)
+
+
 def test_family_member_contraction_needs_flag(g32, ctx):
     with pytest.raises(ValueError):
         fb.family_member(g32, "0.5", ctx)
