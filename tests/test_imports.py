@@ -1,7 +1,8 @@
 """Package structure: the modules of ``feigenbaum`` import each other
 without a cycle, so each one loads after everything it uses, and none
-imports a name it never uses; importing the package and building a grid
-do no more work than they need."""
+imports a name it never uses; every public name has a reader outside
+the unit tests; importing the package and building a grid do no more
+work than they need."""
 
 import ast
 import os
@@ -12,6 +13,7 @@ import sys
 import feigenbaum as fb
 
 PACKAGE = pathlib.Path(fb.__file__).parent
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _imported_modules(path):
@@ -81,6 +83,36 @@ def test_no_module_imports_an_unused_name():
         unused += ["%s:%d %s" % (path.name, line, name)
                    for name, line in imported.items() if name not in read]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def _names_read(path):
+    """Identifiers the file reads: names, attributes and imported names."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_every_public_name_has_a_reader_besides_the_unit_tests():
+    """Each public top-level function and class of a package module is
+    read by a package module (``__init__``, whose imports are the public
+    namespace, does not count), by the benchmark under ``perfbench/``,
+    or by the acceptance tests and their fixtures."""
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.stem != "__init__"]
+    readers = modules + sorted((ROOT / "perfbench").glob("*.py")) + [
+        ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "conftest.py"]
+    read = set().union(*map(_names_read, readers))
+    unread = ["%s.%s" % (path.stem, node.name)
+              for path in modules for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in read]
+    assert not unread, "public names no reader outside the unit tests reads: " + \
+        ", ".join(unread)
 
 
 def _fresh_interpreter(code):
