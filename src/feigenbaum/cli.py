@@ -92,6 +92,14 @@ def _write(path, text: str):
             fh.write(text)
 
 
+def _read(path, what: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise MissingArtifact("cannot read %s: %s" % (what, exc)) from exc
+
+
 def _parse_assign(item: str, what: str):
     if "=" not in item:
         raise ConfigError("%s expects NAME=VALUE, got %r" % (what, item))
@@ -191,8 +199,7 @@ def _newton_config(args, ctx) -> NewtonConfig:
         if pin_g0 is not None:
             raise ConfigError("--pin g0=VALUE may be given once")
         pin_g0 = ctx.mpf(value)
-    mode = JacobianMode.EXACT if args.jacobian == "exact" else JacobianMode.FINITE_DIFFERENCE
-    return NewtonConfig(jacobian_mode=mode, pin_g0=pin_g0)
+    return NewtonConfig(jacobian_mode=JacobianMode(args.jacobian), pin_g0=pin_g0)
 
 
 def _load_coefficients(path, ctx) -> ChebSeries:
@@ -200,12 +207,7 @@ def _load_coefficients(path, ctx) -> ChebSeries:
     index a distinct non-negative integer; blank and # lines are skipped.
     A line that breaks this raises ConfigError naming the file and line."""
     coeffs = {}
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise MissingArtifact("cannot read coefficient file: %s" % exc) from exc
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(_read(path, "coefficient file").splitlines(), 1):
         fields = line.split()
         if not fields or fields[0].startswith("#"):
             continue
@@ -472,11 +474,7 @@ def _tsv(path, header, rows):
 def cmd_plotdata(args) -> int:
     if not args.solution:
         raise MissingArtifact("plotdata needs --solution (and optionally --spectrum)")
-    try:
-        with open(args.solution) as fh:
-            sol = json.load(fh)
-    except OSError as exc:
-        raise MissingArtifact("cannot read solution artifact: %s" % exc) from exc
+    sol = json.loads(_read(args.solution, "solution artifact"))
     if "cheb_coefficients" not in sol:
         raise MissingArtifact("solution artifact lacks cheb_coefficients")
     ctx = PrecisionCtx(sol.get("digits", 64) if args.digits is None else args.digits)
@@ -492,11 +490,7 @@ def cmd_plotdata(args) -> int:
     _tsv(os.path.join(out, "solution.tsv"), ["x", "g(x)"],
          [(ctx.to_str(x), ctx.to_str(eval_series(coeffs, x, ctx))) for x in pts])
     if args.spectrum_file:
-        try:
-            with open(args.spectrum_file) as fh:
-                srep = json.load(fh)
-        except OSError as exc:
-            raise MissingArtifact("cannot read spectrum artifact: %s" % exc) from exc
+        srep = json.loads(_read(args.spectrum_file, "spectrum artifact"))
         rows = srep.get("eigenvalues", [])
         if not rows or "vector_re" not in rows[0]:
             raise MissingArtifact(

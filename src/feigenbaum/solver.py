@@ -87,12 +87,8 @@ def default_seed(k: int, ctx: PrecisionCtx) -> ChebSeries:
     """
     if k < 1:
         raise ValueError("extremum order index k must be >= 1")
-    if k == 1:
-        coeffs = [ctx.mpf(1), ctx.mpf(0), ctx.mpf("-1.5")]
-    else:
-        coeffs = [ctx.mpf(0)] * (2 * k + 1)
-        coeffs[0] = ctx.mpf(1)
-        coeffs[2 * k] = ctx.mpf("-1.7")
+    coeffs = [ctx.mpf(0)] * (2 * k + 1)
+    coeffs[0], coeffs[2 * k] = ctx.mpf(1), ctx.mpf("-1.5" if k == 1 else "-1.7")
     return monomial_to_series(coeffs, ctx)
 
 

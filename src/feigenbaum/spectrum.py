@@ -96,11 +96,6 @@ class SpectrumReport:
         }
 
 
-def classification_base(variant: Variant, alpha):
-    """Power base per variant: alpha, or -alpha for the sign-reversed ones."""
-    return -alpha if sign_reversed(variant) else alpha
-
-
 def classify_spectrum(eigs, alpha, ctx: PrecisionCtx, parities=None):
     """Tags for a sorted eigenvalue list against powers of ``alpha``.
 
@@ -210,16 +205,10 @@ def spectrum_at(g: ChebSeries, spec: OperatorSpec, ctx: PrecisionCtx,
     alpha = scaling_of(Variant.T, g, ctx).value
     parities = [_block_parity(p, tol) if p.block
                 else eigenfunction_parity(p.vector, basis, ctx) for p in pairs]
-    base = classification_base(spec.variant, alpha)
+    base = -alpha if sign_reversed(spec.variant) else alpha
     tags = classify_spectrum([p.value for p in pairs], base, ctx, parities=parities)
-    delta = None
-    records = []
-    for p, tag, par in zip(pairs, tags, parities):
-        if tag.tag == "delta":
-            delta = p.value.real
-        records.append(
-            EigRecord(p.value, p.residual, tag.tag, tag.k, par, tag.match_error, p.vector)
-        )
+    records = tuple(EigRecord(p.value, p.residual, t.tag, t.k, par, t.match_error, p.vector)
+                    for p, t, par in zip(pairs, tags, parities))
     return SpectrumReport(
         operator=spec.variant,
         linearization=spec.linearization,
@@ -227,8 +216,8 @@ def spectrum_at(g: ChebSeries, spec: OperatorSpec, ctx: PrecisionCtx,
         digits=ctx.decimal_digits,
         n=basis.dim,
         alpha=alpha,
-        delta=delta,
-        records=tuple(records),
+        delta=next((r.value.real for r in records if r.tag == "delta"), None),
+        records=records,
     )
 
 
