@@ -76,8 +76,8 @@ def family_spectrum_check(g: ChebSeries, mu_list, variant: Variant,
     The spectra and fixed-point residuals are taken on the n-point grid;
     the tangent residual, ``verify_explicit``'s dilation mode with
     lambda = 1, on g_mu's own grid of len(g.coeffs) points, which is n
-    whenever g was solved at n.  Each |mu| must be at least 1 (see
-    :func:`family_member`).
+    whenever g was solved at n.  Each mu must be finite with |mu| at
+    least 1 (see :func:`family_member`).
     """
     if uses_inverse_g1(variant):
         raise ValueError("scaling families pair with the T3/T4 forms")
