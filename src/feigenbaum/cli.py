@@ -123,13 +123,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version="%(prog)s " + __version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def pipeline(sp, linearization=False,
-                 seed_help="coefficient file: index TAB value per line"):
+    def pipeline(sp, seed_help="coefficient file: index TAB value per line"):
         sp.add_argument("--digits", type=int, default=64, help="decimal digits (default 64)")
         sp.add_argument("--nodes", type=int, default=32, help="Chebyshev grid size (default 32)")
         sp.add_argument("--operator", choices=[v.value for v in Variant], default="T")
-        if linearization:
-            sp.add_argument("--linearization", choices=["full", "frozen"], default="full")
         sp.add_argument("--basis", choices=[k.value for k in BasisKind], default="cheb")
         sp.add_argument("--dim", type=int, default=None,
                         help="expansion order m for the coefficient bases")
@@ -148,14 +145,13 @@ def _build_parser() -> argparse.ArgumentParser:
         return sp
 
     pipeline(sub.add_parser("solve", help="Newton solve of the fixed-point equation"))
-    sp = pipeline(sub.add_parser("spectrum", help="spectrum of the linearized operator"),
-                  linearization=True)
+    sp = pipeline(sub.add_parser("spectrum", help="spectrum of the linearized operator"))
+    sp.add_argument("--linearization", choices=["full", "frozen"], default="full")
     sp.add_argument("--mu", action="append", default=[],
                     help="scaling-family parameter, |mu| >= 1 (repeatable)")
     sp.add_argument("--include-vectors", action="store_true", dest="include_vectors",
                     help="embed eigenvector node values in the report")
     pipeline(sub.add_parser("verify", help="closed-form eigenfunction and consistency checks"),
-             linearization=True,
              seed_help="the g to check as given (index TAB value per line), on the grid "
                        "of its length: with no Newton run, --nodes --basis --dim "
                        "--constrain --pin --extremum-order --jacobian are ignored")
@@ -167,10 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="decimal digits (default the solution's)")
     pd.add_argument("--out", default=None, help="output directory (default .)")
     return p
-
-
-def _operator_spec(args) -> OperatorSpec:
-    return OperatorSpec(Variant(args.operator), Linearization(args.linearization))
 
 
 def _basis_spec(args) -> BasisSpec:
@@ -203,10 +195,11 @@ def _newton_config(args, ctx) -> NewtonConfig:
 
 
 def _load_coefficients(path, ctx) -> ChebSeries:
-    """The series of a coefficient file: "index TAB value" per line, each
-    index a distinct non-negative integer; blank and # lines are skipped.
-    A line that breaks this raises ConfigError naming the file and line."""
-    coeffs = {}
+    """The series of a coefficient file: "index TAB value" per line, the
+    N such lines giving the indices 0..N-1 once each, in any order; blank
+    and # lines are skipped.  A line that breaks this raises ConfigError
+    naming the file and line."""
+    entries = []
     for lineno, line in enumerate(_read(path, "coefficient file").splitlines(), 1):
         fields = line.split()
         if not fields or fields[0].startswith("#"):
@@ -214,16 +207,18 @@ def _load_coefficients(path, ctx) -> ChebSeries:
         try:
             idx, val = int(fields[0]), ctx.mpf(fields[-1])
         except ValueError:
-            idx = None
-        if len(fields) != 2 or idx is None or idx < 0 or idx in coeffs:
-            raise ConfigError(
-                "coefficient file %s line %d: %r is not 'index TAB value' with a "
-                "non-negative index given once" % (path, lineno, line.strip()))
-        coeffs[idx] = val
-    if not coeffs:
+            idx = val = None
+        entries.append((lineno, line, idx if len(fields) == 2 else None, val))
+    if not entries:
         raise MissingArtifact("coefficient file %s is empty" % path)
-    n = max(coeffs) + 1
-    return ChebSeries(tuple(coeffs.get(i, ctx.mpf(0)) for i in range(n)))
+    coeffs = {}
+    for lineno, line, idx, val in entries:
+        if idx is None or not 0 <= idx < len(entries) or idx in coeffs:
+            raise ConfigError(
+                "coefficient file %s line %d: %r is not 'index TAB value' with an "
+                "index in 0..%d given once" % (path, lineno, line.strip(), len(entries) - 1))
+        coeffs[idx] = val
+    return ChebSeries(tuple(coeffs[i] for i in range(len(entries))))
 
 
 def _run_newton(args, ctx, variant: Variant):
@@ -354,7 +349,7 @@ def cmd_solve(args) -> int:
 
 def cmd_spectrum(args) -> int:
     ctx = PrecisionCtx(args.digits)
-    spec = _operator_spec(args)
+    spec = OperatorSpec(Variant(args.operator), Linearization(args.linearization))
     if args.mu:
         if uses_inverse_g1(spec.variant):
             raise ConfigError("--mu family comparison pairs with T3/T4")
@@ -389,12 +384,12 @@ def cmd_spectrum(args) -> int:
 
 def _verify_checks(args, ctx):
     """(name, residual, bound) rows; residual None marks a skipped form."""
-    spec = _operator_spec(args)
+    variant = Variant(args.operator)
     if args.seed_file:
         # verify a stored solution exactly as provided, without repair
         g = _load_coefficients(args.seed_file, ctx)
     else:
-        result = _run_newton(args, ctx, spec.variant)
+        result = _run_newton(args, ctx, variant)
         g = result.solution_series
     alpha = scaling_of(Variant.T, g, ctx).value
     basis = chebgrid(len(g.coeffs), ctx) if args.seed_file else result.basis
@@ -408,7 +403,7 @@ def _verify_checks(args, ctx):
     bound = ctx.ten_pow(-15)
     for k in (-1, 0, 2, 3, 4, 5):
         for lin in (Linearization.FULL_DERIVATIVE, Linearization.FROZEN_ALPHA):
-            sp = OperatorSpec(spec.variant, lin)
+            sp = OperatorSpec(variant, lin)
             name = "eigenfunction k=%s (%s)" % (k, lin.value)
             try:
                 lam = expected_explicit_eigenvalue(sp, k, alpha, ctx)
@@ -418,8 +413,8 @@ def _verify_checks(args, ctx):
 
     # every eigenfunction of the full derivative but the dilation mode
     # g - x g' (lambda = alpha^2 under T/T2, 1 = alpha^0 under T3/T4)
-    # vanishes at 0, whatever --linearization the closed forms took
-    full = OperatorSpec(spec.variant, Linearization.FULL_DERIVATIVE)
+    # vanishes at 0
+    full = OperatorSpec(variant, Linearization.FULL_DERIVATIVE)
     dilation_k = 1 if expected_explicit_eigenvalue(full, -1, alpha, ctx) == 1 else -1
     report = spectrum_at(g, full, ctx, basis=basis)
     worst = ctx.mpf(0)

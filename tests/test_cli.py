@@ -130,14 +130,11 @@ def test_verify_default_passes(capsys, tmp_path):
     assert not skipped  # every form exists for the plain operator
 
 
-@pytest.mark.parametrize("flags", [["--linearization", "frozen"],
-                                   ["--operator", "T4", "--pin", "g0=1"]],
-                         ids=["frozen", "t4-pinned"])
-def test_verify_passes_off_the_plain_full_derivative(capsys, tmp_path, flags):
-    # the h(0) row reads the full-derivative spectrum and exempts the
-    # dilation mode g - x g', whose eigenvalue is 1 = alpha^0 under T3/T4
+def test_verify_passes_off_the_plain_operator(capsys, tmp_path):
+    # the h(0) row exempts the dilation mode g - x g', whose eigenvalue
+    # is 1 = alpha^0 under T3/T4
     out = tmp_path / "verify.json"
-    assert run(capsys, "verify", *flags, "--out", str(out))[0] == 0
+    assert run(capsys, "verify", "--operator", "T4", "--pin", "g0=1", "--out", str(out))[0] == 0
     assert json.loads(out.read_text())["all_ok"] is True
 
 
@@ -384,6 +381,10 @@ EXIT_CASES = [
                  id="seed-file-bad-value"),
     pytest.param(["solve", "--seed-file", "{badindex}"], 2, None, "{badindex} line 1",
                  id="seed-file-bad-index"),
+    pytest.param(["solve", "--seed-file", "{huge}"], 2, None, "{huge} line 1",
+                 id="seed-file-index-past-its-length"),
+    pytest.param(["verify", "--seed-file", "{gap}"], 2, None, "{gap} line 2",
+                 id="seed-file-index-gap"),
     pytest.param(["solve", "--extremum-order", "2", "--basis", "lanford"], 2, None, None,
                  id="extremum-order-off-grid"),
     pytest.param(["solve", "--extremum-order", "2", "--operator", "T4"], 2, None, None,
@@ -440,6 +441,8 @@ def _exit_code_artifacts(tmp_path):
         "threefields": "0\t1.5\t2\n",
         "badvalue": "\n2\t-0.5x\n",
         "badindex": "a0\t1.5\n",
+        "huge": "1000000000\t1\n",
+        "gap": "0\t1.5\n2\t-0.5\n",
         "nocoeffs": "{}",
         "sol": json.dumps({"digits": 24, "cheb_coefficients": coeffs}),
         "novectors": json.dumps({"basis": grid8, "eigenvalues": [{"re": "1"}]}),
@@ -471,6 +474,7 @@ REMOVED_FLAGS = [
     ("solve", ["--linearization", "frozen"]),
     ("solve", ["--mu", "1"]),
     ("verify", ["--mu", "1"]),
+    ("verify", ["--linearization", "frozen"]),
 ] + [("plotdata", flag) for flag in (
     ["--nodes", "8"], ["--operator", "T4"], ["--linearization", "frozen"],
     ["--basis", "lanford"], ["--dim", "8"], ["--constrain", "a0=1"],

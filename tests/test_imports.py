@@ -16,6 +16,17 @@ PACKAGE = pathlib.Path(fb.__file__).parent
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+def _package_module(node):
+    """Stem of the package module an ImportFrom names ("__init__" for the
+    package itself), or None outside the package."""
+    if node.level == 0:
+        parts = (node.module or "").split(".")
+        if parts[0] != "feigenbaum":
+            return None
+        return parts[1] if len(parts) > 1 else "__init__"
+    return node.module.split(".")[0] if node.module else "__init__"
+
+
 def _imported_modules(path):
     """Stems of the package modules the file imports ("__init__" for the
     package itself), wherever the import sits: function-level imports
@@ -23,14 +34,10 @@ def _imported_modules(path):
     out = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.ImportFrom):
-            if node.level == 0:
-                parts = (node.module or "").split(".")
-                if parts[0] != "feigenbaum":
-                    continue
-                module = parts[1] if len(parts) > 1 else None
-            else:
-                module = node.module.split(".")[0] if node.module else None
-            if module is not None:
+            module = _package_module(node)
+            if module is None:
+                continue
+            if module != "__init__":
                 out.add(module)
                 continue
             for alias in node.names:
@@ -85,16 +92,50 @@ def test_no_module_imports_an_unused_name():
     assert not unused, "unused imports: " + ", ".join(unused)
 
 
-def _names_read(path):
-    """Identifiers the file reads: names, attributes and imported names."""
+def _exports():
+    """Public name of the package -> the module ``__init__`` imports it from."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {alias.name: _package_module(node) for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def _reads(path, exports):
+    """(module, name) pairs of package names the file reads: names it
+    imports from a package module, attributes it reads off a package
+    module or off the package (whose names resolve through ``exports``),
+    and, in a package module, its own top-level names loaded outside
+    their own definition.  A local variable that shares a top-level
+    name's spelling in its module still counts as a read of it."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = {}  # local name -> the package module it stands for
     out = set()
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            out.update(alias.name for alias in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _package_module(node) is not None:
+            module = _package_module(node)
+            for alias in node.names:
+                if module == "__init__" and (PACKAGE / (alias.name + ".py")).exists():
+                    bound[alias.asname or alias.name] = alias.name
+                elif module == "__init__":
+                    out.add((exports.get(alias.name), alias.name))
+                else:
+                    out.add((module, alias.name))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "feigenbaum" and (alias.asname or len(parts) == 1):
+                    bound[alias.asname or "feigenbaum"] = \
+                        parts[1] if len(parts) > 1 else "__init__"
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound):
+            module = bound[node.value.id]
+            out.add((exports.get(node.attr) if module == "__init__" else module, node.attr))
+    if path.parent == PACKAGE:
+        for top in tree.body:
+            own = getattr(top, "name", None)
+            out.update((path.stem, node.id) for node in ast.walk(top)
+                       if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                       and node.id != own)
     return out
 
 
@@ -106,11 +147,12 @@ def test_every_public_name_has_a_reader_besides_the_unit_tests():
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.stem != "__init__"]
     readers = modules + sorted((ROOT / "perfbench").glob("*.py")) + [
         ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "conftest.py"]
-    read = set().union(*map(_names_read, readers))
+    exports = _exports()
+    read = set().union(*(_reads(path, exports) for path in readers))
     unread = ["%s.%s" % (path.stem, node.name)
               for path in modules for node in ast.parse(path.read_text()).body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_") and node.name not in read]
+              and not node.name.startswith("_") and (path.stem, node.name) not in read]
     assert not unread, "public names no reader outside the unit tests reads: " + \
         ", ".join(unread)
 
