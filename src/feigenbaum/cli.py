@@ -195,10 +195,13 @@ def _newton_config(args, ctx) -> NewtonConfig:
 
 
 def _load_coefficients(path, ctx) -> ChebSeries:
-    """The series of a coefficient file: "index TAB value" per line, the
-    N such lines giving the indices 0..N-1 once each, in any order; blank
-    and # lines are skipped.  A line that breaks this raises ConfigError
-    naming the file and line."""
+    """The series of a coefficient file: "index TAB value" per line,
+    blank and # lines skipped.  Each index is given once and is below
+    twice the number N of such lines, so an even g may list its even
+    coefficients only; an index not given is a zero coefficient.  The
+    series thus has fewer than 2N terms, however large an index the
+    file names.  A line that breaks this raises ConfigError naming the
+    file and line."""
     entries = []
     for lineno, line in enumerate(_read(path, "coefficient file").splitlines(), 1):
         fields = line.split()
@@ -213,12 +216,13 @@ def _load_coefficients(path, ctx) -> ChebSeries:
         raise MissingArtifact("coefficient file %s is empty" % path)
     coeffs = {}
     for lineno, line, idx, val in entries:
-        if idx is None or not 0 <= idx < len(entries) or idx in coeffs:
+        if idx is None or not 0 <= idx < 2 * len(entries) or idx in coeffs:
             raise ConfigError(
                 "coefficient file %s line %d: %r is not 'index TAB value' with an "
-                "index in 0..%d given once" % (path, lineno, line.strip(), len(entries) - 1))
+                "index in 0..%d given once" % (path, lineno, line.strip(), 2 * len(entries) - 1))
         coeffs[idx] = val
-    return ChebSeries(tuple(coeffs[i] for i in range(len(entries))))
+    n = max(coeffs) + 1
+    return ChebSeries(tuple(coeffs.get(i, ctx.mpf(0)) for i in range(n)))
 
 
 def _run_newton(args, ctx, variant: Variant):

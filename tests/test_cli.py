@@ -23,7 +23,7 @@ def test_solve_default_quadratic(capsys, tmp_path):
                      "--out", str(out))
     assert code == 0
     data = json.loads(out.read_text())
-    assert data["alpha"].startswith("-2.502907875")
+    assert data["alpha"].startswith("-2.50290")
     assert data["converged"] is True
     assert data["decay"]["healthy"] is True
     assert len(data["cheb_coefficients"]) == 24
@@ -254,6 +254,22 @@ def test_plotdata_coefficient_dump_round_trips(capsys, tmp_path):
     assert a == b
 
 
+def test_even_seed_file_may_list_its_even_coefficients_only(capsys, tmp_path):
+    # c0 = 0.5 (the series halves c0) and c2 = -0.75: the seed 1 - 1.5 x^2;
+    # leaving out c1 = 0 changes nothing
+    sparse, dense = tmp_path / "sparse.txt", tmp_path / "dense.txt"
+    sparse.write_text("0\t0.5\n2\t-0.75\n")
+    dense.write_text("0\t0.5\n1\t0\n2\t-0.75\n")
+    reports = []
+    for seed in (sparse, dense):
+        out = tmp_path / (seed.stem + ".json")
+        assert run(capsys, "solve", "--digits", "24", "--nodes", "12",
+                   "--seed-file", str(seed), "--out", str(out))[0] == 0
+        reports.append(out.read_text())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["scaling"]["value"].startswith("-2.50290")
+
+
 def test_plotdata_computes_at_the_solution_digits(capsys, tmp_path):
     sol = tmp_path / "sol.json"
     run(capsys, "solve", "--digits", "24", "--nodes", "12", "--out", str(sol))
@@ -383,8 +399,8 @@ EXIT_CASES = [
                  id="seed-file-bad-index"),
     pytest.param(["solve", "--seed-file", "{huge}"], 2, None, "{huge} line 1",
                  id="seed-file-index-past-its-length"),
-    pytest.param(["verify", "--seed-file", "{gap}"], 2, None, "{gap} line 2",
-                 id="seed-file-index-gap"),
+    pytest.param(["verify", "--seed-file", "{sparse}"], 2, None, "{sparse} line 2",
+                 id="seed-file-index-past-twice-its-lines"),
     pytest.param(["solve", "--extremum-order", "2", "--basis", "lanford"], 2, None, None,
                  id="extremum-order-off-grid"),
     pytest.param(["solve", "--extremum-order", "2", "--operator", "T4"], 2, None, None,
@@ -442,7 +458,7 @@ def _exit_code_artifacts(tmp_path):
         "badvalue": "\n2\t-0.5x\n",
         "badindex": "a0\t1.5\n",
         "huge": "1000000000\t1\n",
-        "gap": "0\t1.5\n2\t-0.5\n",
+        "sparse": "0\t1.5\n4\t-0.5\n",
         "nocoeffs": "{}",
         "sol": json.dumps({"digits": 24, "cheb_coefficients": coeffs}),
         "novectors": json.dumps({"basis": grid8, "eigenvalues": [{"re": "1"}]}),
