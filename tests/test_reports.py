@@ -128,6 +128,12 @@ def test_report_bytes(case, tmp_path):
         pytest.fail("\n".join(moved), pytrace=False)
 
 
+def test_reports_hold_one_directory_per_case():
+    # a case removed from commands.json must not leave its fixture behind
+    held = {(p.name, p.is_dir()) for p in REPORTS.iterdir()}
+    assert held == {("commands.json", False)} | {(name, True) for name in BY_NAME}
+
+
 def regenerate(names=()):
     unknown = set(names) - set(BY_NAME)
     if unknown:
