@@ -149,13 +149,17 @@ def assemble_jacobian(spec: OperatorSpec, g: ChebSeries, n: int, config: NewtonC
 
 
 def _pin_row(basis: Discretization, value, ctx: PrecisionCtx):
-    """(row index, jacobian row, value) of the pin g(0) = value.
+    """(row index, jacobian row, value) of the pin g(0) = value, or None
+    for value None.
 
     The row, d g(0) / d values, replaces the collocation row of the node
-    nearest the origin.  Mirror-image nodes are equally near in exact
-    arithmetic; distances compare in double precision so that round-off
-    in the nodes does not break that tie: the lower index wins.
+    nearest the origin.  On the even half of the grid that node is
+    unique; mirror-image nodes of a full grid are equally near, and
+    distances compare in double precision so that round-off in the nodes
+    does not break that tie: the lower index wins.
     """
+    if value is None:
+        return None
     ridx = min(range(basis.dim), key=lambda i: (float(abs(basis.nodes[i])), i))
     return ridx, basis.cardinal_rows([ctx.mpf(0)], ctx)[0], ctx.mpf(value)
 
@@ -183,13 +187,12 @@ def newton_solve(spec: OperatorSpec, basis, seed: ChebSeries,
     ``basis`` is a Discretization, or None for the Chebyshev grid of
     size n (default 32).  With ``config.pin_g0`` set, one collocation row
     is replaced by g(0) = pin_g0 (see :func:`_pin_row`).
-    Unpinned on a mirror-node basis (the Chebyshev grid) from a seed
-    whose node values are even to 10**(-D//2-4), the iteration runs on
-    the basis's :class:`~feigenbaum.bases.EvenHalf`, ceil(n/2) unknowns,
-    where T keeps g even; the result carries the mirrored n node values
-    and the full grid as its basis.  Any other seed, and a pinned solve,
-    iterates on the full basis, and so does a solve whose half Jacobian
-    degenerates.
+    On a mirror-node basis (the Chebyshev grid) from a seed whose node
+    values are even to 10**(-D//2-4), pinned or not, the iteration runs
+    on the basis's :class:`~feigenbaum.bases.EvenHalf`, ceil(n/2)
+    unknowns, where T and the pin keep g even; the result carries the
+    mirrored n node values and the full grid as its basis.  Any other
+    seed iterates on the full basis.
     Raises :class:`SingularJacobian` when the Jacobian degenerates (the
     operator keeps a solution family: unpinned T3/T4) and
     :class:`NoConvergence` (history attached) when the budget runs out.
@@ -200,20 +203,13 @@ def newton_solve(spec: OperatorSpec, basis, seed: ChebSeries,
     if basis is None:
         basis = chebgrid(n if n else 32, ctx)
     values = [_eval(seed, x) for x in basis.nodes]
-    pin = None if config.pin_g0 is None else _pin_row(basis, config.pin_g0, ctx)
-    half = None if pin else _even_half(basis, values, ctx)
-    if half is not None:
-        try:
-            values, series, history, stopped_by = _iterate(
-                spec, half, values[:half.dim], None, config, ctx)
-            values = half.mirrored(values)
-        except SingularJacobian:
-            # a solution family's tangent g - x g' is even, so the full
-            # system is degenerate too: solving it there reports the pivot
-            # of the n-node Jacobian the caller asked for
-            half = None
+    half = _even_half(basis, values, ctx)
     if half is None:
-        values, series, history, stopped_by = _iterate(spec, basis, values, pin, config, ctx)
+        values, series, history, stopped_by = _iterate(spec, basis, values, config, ctx)
+    else:
+        values, series, history, stopped_by = _iterate(
+            spec, half, values[:half.dim], config, ctx)
+        values = half.mirrored(values)
     return NewtonResult(
         solution_grid=GridFn(tuple(values)),
         solution_series=series,
@@ -227,10 +223,12 @@ def newton_solve(spec: OperatorSpec, basis, seed: ChebSeries,
     )
 
 
-def _iterate(spec, basis, values, pin, config, ctx):
-    """The Newton loop of :func:`newton_solve` from the node values of the
-    seed: (node values, series, update norms, stop reason) at convergence."""
+def _iterate(spec, basis, values, config, ctx):
+    """The Newton loop of :func:`newton_solve` on ``basis`` from the node
+    values of the seed, pinned there by ``config.pin_g0``: (node values,
+    series, update norms, stop reason) at convergence."""
     _, update_tol = config.resolved(ctx)
+    pin = _pin_row(basis, config.pin_g0, ctx)
     D = ctx.decimal_digits
     history = []
     converged = False

@@ -50,6 +50,14 @@ def test_solve_pinned_t4(capsys, tmp_path):
     assert data["scaling"]["definition"] == "-g(0)/g(g(0))"
 
 
+def test_spectrum_pinned_t3_reports_delta(capsys):
+    # the pinned solution is even, so delta's eigenfunction reads even
+    code, out, _ = run(capsys, "spectrum", "--operator", "T3", "--pin", "g0=1",
+                       "--digits", "24", "--nodes", "12")
+    assert code == 0
+    assert json.loads(out)["delta"].startswith("4.6692")
+
+
 def test_solve_csv_format(capsys, tmp_path):
     out = tmp_path / "sol.csv"
     code, _, _ = run(capsys, "solve", "--digits", "32", "--nodes", "12",

@@ -221,32 +221,36 @@ def test_even_half_matches_the_full_grid(quad_seed, ctx, monkeypatch, n, mode):
         assert all(c == 0 for c in half.solution_series.coeffs[1::2])
 
 
-def test_unpinned_t4_half_degenerates_and_the_full_grid_reports_it(quad_seed, ctx,
-                                                                    monkeypatch):
+def test_unpinned_t4_degenerates_on_the_half_alone(quad_seed, ctx, monkeypatch):
+    # the family tangent g - x g' is even: the full grid would degenerate too
     spec = fb.OperatorSpec(fb.Variant.T4, FULL)
-    args = (spec, None, quad_seed, fb.NewtonConfig(), ctx)
-    with pytest.raises(fb.SingularJacobian) as full:
-        _full_grid_solve(monkeypatch, *args, n=24)
     dims = _iterated_dims(monkeypatch)
-    with pytest.raises(fb.SingularJacobian) as half:
-        fb.newton_solve(*args, n=24)
-    assert dims == [12, 24]
-    assert str(half.value) == str(full.value)
+    with pytest.raises(fb.SingularJacobian):
+        fb.newton_solve(spec, None, quad_seed, fb.NewtonConfig(), ctx, n=24)
+    assert dims == [12]
 
 
-@pytest.mark.parametrize("case", ["pinned", "odd-seed"])
-def test_full_grid_solves_are_unchanged(quad_seed, ctx, monkeypatch, case):
-    pinned = case == "pinned"
-    config = fb.NewtonConfig(jacobian_mode=JacobianMode.EXACT, pin_g0=1 if pinned else None)
-    if pinned:
-        spec = fb.OperatorSpec(fb.Variant.T4, FULL)
-        seed = quad_seed
-    else:
-        spec = fb.OperatorSpec(fb.Variant.T, FULL)
-        coeffs = list(quad_seed.coeffs)
-        coeffs[1] += ctx.mpf("0.1")
-        seed = ChebSeries(tuple(coeffs))
-    args = (spec, None, seed, config, ctx)
+@pytest.mark.parametrize("n", [12, 13])
+def test_pinned_solves_run_on_the_even_half(quad_seed, ctx, monkeypatch, n):
+    spec = fb.OperatorSpec(fb.Variant.T4, FULL)
+    config = fb.NewtonConfig(jacobian_mode=JacobianMode.EXACT, pin_g0=1)
+    dims = _iterated_dims(monkeypatch)
+    got = fb.newton_solve(spec, None, quad_seed, config, ctx, n=n)
+    assert dims == [n - n // 2]
+    values = got.solution_grid.values
+    assert all(values[i] == values[n - 1 - i] for i in range(n))
+    if n % 2 == 0:
+        assert all(c == 0 for c in got.solution_series.coeffs[1::2])
+    g0 = fb.eval_series(got.solution_series, 0, ctx)
+    assert abs(g0 - 1) < ctx.ten_pow(-ctx.decimal_digits)
+
+
+def test_full_grid_solves_are_unchanged(quad_seed, ctx, monkeypatch):
+    spec = fb.OperatorSpec(fb.Variant.T, FULL)
+    coeffs = list(quad_seed.coeffs)
+    coeffs[1] += ctx.mpf("0.1")
+    args = (spec, None, ChebSeries(tuple(coeffs)), fb.NewtonConfig(jacobian_mode=JacobianMode.EXACT),
+            ctx)
     dims = _iterated_dims(monkeypatch)
     got = fb.newton_solve(*args, n=12)
     assert dims == [12]

@@ -215,13 +215,14 @@ def test_odd_block_parity_agrees_with_sampling(g32, ctx, monkeypatch, variant, l
         assert r.parity == fb.eigenfunction_parity(r.vector, basis, ctx)
 
 
-def test_pinned_t4_one_block_spectrum_samples(quad_seed, ctx, monkeypatch):
+def test_pinned_t4_spectrum_splits(quad_seed, ctx, monkeypatch):
     spec = fb.OperatorSpec(fb.Variant.T4, FULL)
     result = fb.newton_solve(spec, None, quad_seed, fb.NewtonConfig(pin_g0=1), ctx, n=12)
-    calls = []
-    sample = spectrum.eigenfunction_parity
-    monkeypatch.setattr(spectrum, "eigenfunction_parity",
-                        lambda *args: calls.append(1) or sample(*args))
+    monkeypatch.setattr(spectrum, "eigenfunction_parity", _no_sampling)
+    solves = []
+    solve = spectrum.eig_dense
+    monkeypatch.setattr(spectrum, "eig_dense",
+                        lambda *args, **kw: solves.append(solve(*args, **kw)) or solves[-1])
     report = fb.compute_spectrum(result)
-    assert len(calls) == 12
-    assert {r.parity for r in report.records} <= {"even", "odd", "mixed"}
+    assert all(p.block in ("even", "odd") for p in solves[0])
+    assert sum(r.parity == "even" for r in report.records) == 6
