@@ -5,8 +5,11 @@ of the closed-form eigenfunctions.
 Classification tags every eigenvalue as ``alpha_power`` (lambda close to
 base**(1-k) for an integer k), as ``delta`` (the largest-modulus
 untagged eigenvalue with an even eigenfunction), or ``unexplained``.
-The sign-reversed operator variants T2/T3 are classified against -alpha,
-which is exactly how their spectra relate to the plain ones.
+alpha comes from the operator's own scaling constant c: alpha = c = 1/g(1)
+for T/T2 and alpha = -c = g(0)/g(g(0)) for T3/T4, which every member
+mu g(x/mu) of a scaling family shares.  The sign-reversed operator
+variants T2/T3 are classified against -alpha, which is exactly how their
+spectra relate to the plain ones.
 """
 
 from __future__ import annotations
@@ -202,7 +205,8 @@ def spectrum_at(g: ChebSeries, spec: OperatorSpec, ctx: PrecisionCtx,
     pairs = eig_dense(linearization_matrix(spec, g, basis, ctx), tol, ctx,
                       mirror=basis.mirror_nodes)
 
-    alpha = scaling_of(Variant.T, g, ctx).value
+    c = scaling_of(spec.variant, g, ctx).value
+    alpha = c if uses_inverse_g1(spec.variant) else -c
     parities = [_block_parity(p, tol) if p.block
                 else eigenfunction_parity(p.vector, basis, ctx) for p in pairs]
     base = -alpha if sign_reversed(spec.variant) else alpha

@@ -80,6 +80,15 @@ def test_family_check_structure(g32, ctx):
     assert len(d["reports"]) == 2
 
 
+def test_family_spectra_classify_against_the_family_alpha(g32, alpha64, ctx):
+    # 1/g_mu(1) moves along the family; g_mu(0)/g_mu(g_mu(0)) stays alpha
+    cmp = fb.family_spectrum_check(g32, [1, "1.5"], fb.Variant.T4, ctx, n=16)
+    report = cmp.reports[1]
+    assert abs(report.alpha - alpha64) < ctx.mpf("1e-8")
+    row = next(r for r in report.records if abs(r.value - alpha64) < ctx.mpf("1e-4"))
+    assert (row.tag, row.k) == ("alpha_power", 0)
+
+
 def test_family_check_requires_family_operator(g32, ctx):
     with pytest.raises(ValueError):
         fb.family_spectrum_check(g32, [1], fb.Variant.T, ctx)
