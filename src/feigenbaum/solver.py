@@ -149,8 +149,7 @@ def assemble_jacobian(spec: OperatorSpec, g: ChebSeries, n: int, config: NewtonC
 
 
 def _pin_row(basis: Discretization, value, ctx: PrecisionCtx):
-    """(row index, jacobian row, value) of the pin g(0) = value, or None
-    for value None.
+    """(row index, jacobian row, value) of the pin g(0) = value.
 
     The row, d g(0) / d values, replaces the collocation row of the node
     nearest the origin.  On the even half of the grid that node is
@@ -158,8 +157,6 @@ def _pin_row(basis: Discretization, value, ctx: PrecisionCtx):
     distances compare in double precision so that round-off in the nodes
     does not break that tie: the lower index wins.
     """
-    if value is None:
-        return None
     ridx = min(range(basis.dim), key=lambda i: (float(abs(basis.nodes[i])), i))
     return ridx, basis.cardinal_rows([ctx.mpf(0)], ctx)[0], ctx.mpf(value)
 
@@ -204,11 +201,9 @@ def newton_solve(spec: OperatorSpec, basis, seed: ChebSeries,
         basis = chebgrid(n if n else 32, ctx)
     values = [_eval(seed, x) for x in basis.nodes]
     half = _even_half(basis, values, ctx)
-    if half is None:
-        values, series, history, stopped_by = _iterate(spec, basis, values, config, ctx)
-    else:
-        values, series, history, stopped_by = _iterate(
-            spec, half, values[:half.dim], config, ctx)
+    run = basis if half is None else half
+    values, series, history, stopped_by = _iterate(spec, run, values[:run.dim], config, ctx)
+    if half is not None:
         values = half.mirrored(values)
     return NewtonResult(
         solution_grid=GridFn(tuple(values)),
@@ -228,7 +223,7 @@ def _iterate(spec, basis, values, config, ctx):
     values of the seed, pinned there by ``config.pin_g0``: (node values,
     series, update norms, stop reason) at convergence."""
     _, update_tol = config.resolved(ctx)
-    pin = _pin_row(basis, config.pin_g0, ctx)
+    pin = None if config.pin_g0 is None else _pin_row(basis, config.pin_g0, ctx)
     D = ctx.decimal_digits
     history = []
     converged = False

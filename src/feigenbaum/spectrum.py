@@ -5,11 +5,10 @@ of the closed-form eigenfunctions.
 Classification tags every eigenvalue as ``alpha_power`` (lambda close to
 base**(1-k) for an integer k), as ``delta`` (the largest-modulus
 untagged eigenvalue with an even eigenfunction), or ``unexplained``.
-alpha comes from the operator's own scaling constant c: alpha = c = 1/g(1)
-for T/T2 and alpha = -c = g(0)/g(g(0)) for T3/T4, which every member
-mu g(x/mu) of a scaling family shares.  The sign-reversed operator
-variants T2/T3 are classified against -alpha, which is exactly how their
-spectra relate to the plain ones.
+alpha is 1/g(1) under T/T2 and g(0)/g(g(0)) under T3/T4, which every
+member mu g(x/mu) of a scaling family shares.  The sign-reversed
+operator variants T2/T3 are classified against -alpha, which is exactly
+how their spectra relate to the plain ones.
 """
 
 from __future__ import annotations
