@@ -249,8 +249,8 @@ def test_full_grid_solves_are_unchanged(quad_seed, ctx, monkeypatch):
     spec = fb.OperatorSpec(fb.Variant.T, FULL)
     coeffs = list(quad_seed.coeffs)
     coeffs[1] += ctx.mpf("0.1")
-    args = (spec, None, ChebSeries(tuple(coeffs)), fb.NewtonConfig(jacobian_mode=JacobianMode.EXACT),
-            ctx)
+    config = fb.NewtonConfig(jacobian_mode=JacobianMode.EXACT)
+    args = (spec, None, ChebSeries(tuple(coeffs)), config, ctx)
     dims = _iterated_dims(monkeypatch)
     got = fb.newton_solve(*args, n=12)
     assert dims == [12]
