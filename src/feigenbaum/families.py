@@ -12,6 +12,7 @@ k = 2, 3, ...; the quartic branch (k = 2) has its own constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 from .bases import chebgrid
 from .chebyshev import ChebSeries, _eval, interpolant, series_to_monomial
@@ -47,7 +48,7 @@ class FamilyComparison:
     scalings: tuple          # operator scaling constant at each member
     fixed_point_residuals: tuple
     unit_eigenfunction_residuals: tuple  # || dT4 h - h || / ||h||, h = g_mu - x g_mu'
-    max_pairwise_deviation: object       # over the compared leading eigenvalues
+    max_pairwise_deviation: object       # leading eigenvalue to nearest of another member
     compared: int
 
     def to_json_dict(self, ctx: PrecisionCtx) -> dict:
@@ -73,6 +74,9 @@ def family_spectrum_check(g: ChebSeries, mu_list, variant: Variant,
     Verifies that each member is a genuine fixed point of the family
     operator, that the spectrum is constant along the family, and that
     the eigenvalue-1 eigenfunction is the family tangent g_mu - x g_mu'.
+    The spectra are compared by matching each of the leading ``compared``
+    eigenvalues of every member to the nearest eigenvalue of each other
+    member, so a complex pair in one member shifts no later row.
     The spectra and fixed-point residuals are taken on the n-point grid;
     the tangent residual, ``verify_explicit``'s dilation mode with
     lambda = 1, on g_mu's own grid of len(g.coeffs) points, which is n
@@ -93,12 +97,9 @@ def family_spectrum_check(g: ChebSeries, mu_list, variant: Variant,
         residuals.append(vec_norm_inf(residual(variant, gm, n, ctx).values))
         reports.append(spectrum_at(gm, spec, ctx, grid))
         unit_res.append(verify_explicit(gm, spec, -1, 1, ctx))
-    dev = ctx.mpf(0)
-    for a in range(len(reports)):
-        for b in range(a + 1, len(reports)):
-            ea, eb = reports[a].eigenvalues, reports[b].eigenvalues
-            for i in range(min(compared, len(ea), len(eb))):
-                dev = max(dev, abs(ea[i] - eb[i]))
+    dev = max((min(abs(lam - nu) for nu in rb.eigenvalues)
+               for ra, rb in permutations(reports, 2)
+               for lam in ra.eigenvalues[:compared]), default=ctx.mpf(0))
     return FamilyComparison(
         variant=variant,
         mus=mus,

@@ -72,7 +72,8 @@ class PrecisionCtx:
 
     @property
     def eig_gate(self):
-        """10**(-D//2-4): the eigensolver's relative gate, also that of evenness."""
+        """10**(-D//2-4): the eigensolver's relative gate, also that of an
+        even seed and of eigenfunction parity (``spectrum.eigenfunction_parity``)."""
         return self.ten_pow(-(self.decimal_digits // 2) - 4)
 
     def to_str(self, x) -> str:
@@ -258,18 +259,12 @@ class EigenPair:
 
     A real eigenvalue is an ``mpf`` with a real vector.  A complex one is
     an ``mpc``; its conjugate is a pair of its own with the conjugate
-    vector and the same residual.  ``block`` names the diagonal block of a
-    mirror split the pair comes from (see :func:`eig_dense`), "even" or
-    "odd", and is None when the matrix was eigensolved as one block.  An
-    even-block vector has ``vector[i] == vector[n-1-i]`` exactly; an
-    odd-block one is mirror-antisymmetric only as far as the coupling
-    L_eo leaves it so.
+    vector and the same residual.
     """
 
     value: object
     vector: tuple
     residual: object
-    block: str = None
 
 
 def _hessenberg(H, ctx: PrecisionCtx):
@@ -520,11 +515,9 @@ def eig_dense(M, tol, ctx: PrecisionCtx, mirror=False):
     ||M||_inf``, M is block upper triangular there, [[L_ee, L_eo],
     [0, L_oo]]: the two diagonal blocks are reduced to real Schur form
     separately and the coupling Z_e^T L_eo Z_o completes the Schur form of
-    the whole.  Every pair is marked with its block, ``block`` "even" (an
-    eigenvalue of L_ee, with an exactly mirror-symmetric vector) or "odd"
-    (an eigenvalue of L_oo).  Otherwise, and without ``mirror``, the whole
-    matrix is the one block and ``block`` is None.  The residual gate is
-    always against M.
+    the whole; an eigenvalue of L_ee has an exactly mirror-symmetric
+    vector.  Otherwise, and without ``mirror``, the whole matrix is the
+    one block.  The residual gate is always against M.
     """
     n = len(M)
     tol = ctx.mpf(tol)
@@ -581,10 +574,9 @@ def eig_dense(M, tol, ctx: PrecisionCtx, mirror=False):
                 "eigenpair %d residual %s exceeds tolerance" % (i, mp.nstr(res, 5)),
                 index=i,
             )
-        block = None if h == n else "even" if i < h else "odd"
-        pairs.append(EigenPair(lam, tuple(vec), res, block))
+        pairs.append(EigenPair(lam, tuple(vec), res))
         if i in tops:
-            pairs.append(EigenPair(lam.conjugate(), tuple(v.conjugate() for v in vec), res, block))
+            pairs.append(EigenPair(lam.conjugate(), tuple(v.conjugate() for v in vec), res))
 
     pairs.sort(key=lambda p: (-abs(p.value), -p.value.real, -p.value.imag))
     return pairs

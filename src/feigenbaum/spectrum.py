@@ -98,15 +98,14 @@ class SpectrumReport:
         }
 
 
-def classify_spectrum(eigs, alpha, ctx: PrecisionCtx, parities=None):
+def classify_spectrum(eigs, alpha, ctx: PrecisionCtx, parities):
     """Tags for a sorted eigenvalue list against powers of ``alpha``.
 
     A value matches power k when |lambda - alpha**(1-k)| <= 1e-6 * |alpha**(1-k)|
     for integer k in -3..12; among non-matching eigenvalues the largest
-    one with an even eigenfunction (all of them, when no parities are
-    supplied) becomes delta.  The eigenvalues are converted to the
-    context first, so values from mpmath's global ``mp`` compare at
-    context precision.
+    one whose entry in ``parities`` is "even" becomes delta.  The
+    eigenvalues are converted to the context first, so values from
+    mpmath's global ``mp`` compare at context precision.
     """
     eigs = [ctx.mp.convert(lam) for lam in eigs]
     tol = ctx.mpf("1e-6")
@@ -139,7 +138,7 @@ def classify_spectrum(eigs, alpha, ctx: PrecisionCtx, parities=None):
     for i, (lam, tag) in enumerate(zip(eigs, tags)):
         if tag.tag != "unexplained":
             continue
-        if parities is not None and parities[i] != "even":
+        if parities[i] != "even":
             continue
         if best is None or abs(lam) > best:
             best, delta_idx = abs(lam), i
@@ -149,36 +148,29 @@ def classify_spectrum(eigs, alpha, ctx: PrecisionCtx, parities=None):
 
 
 def eigenfunction_parity(vector, basis, ctx: PrecisionCtx) -> str:
-    """even / odd / mixed, measured at the 33 symmetric points j/16,
-    j = -16..16.
+    """even / odd / mixed: the one parity rule of every eigenpair.
 
-    ``vector`` holds the eigenvector components in node coordinates; the
-    basis reconstructs the polynomial they represent.  :func:`spectrum_at`
-    samples the eigenvectors of one-block spectra this way (the
-    coefficient bases, and a grid whose g is not even); the pairs of a
-    mirror split take their parity from their block instead.
+    The eigenvector u (node coordinates) is compared with its reflection
+    Ru, the vector of h(-x) in the same space: "even" when ||u - Ru||_inf
+    <= tol ||u||_inf, "odd" when ||u + Ru||_inf <= tol ||u||_inf, else
+    "mixed", with tol = ``ctx.eig_gate``.  The space decides what Ru is.
+    On mirror nodes (the Chebyshev grid) it is the node values reversed.
+    A space whose unknown powers are all even holds only even functions,
+    so the vector is not read.  Otherwise u is the Chebyshev coefficients
+    of ``basis.direction_series(vector)`` and Ru negates the odd-index ones.
     """
-    h = basis.direction_series(vector, ctx)
-    pts = [ctx.mpf(j) / 16 for j in range(17)]
-    plus = [_eval(h, x) for x in pts]
-    minus = [_eval(h, -x) for x in pts]
-    scale = max(max(abs(v) for v in plus), max(abs(v) for v in minus))
-    if scale == 0:
+    if basis.mirror_nodes:
+        u = [ctx.mp.convert(v) for v in vector]
+        pairs = list(zip(u[:(len(u) + 1) // 2], reversed(u)))
+    elif not any(p % 2 for p in basis.spec.powers):
         return "even"
-    tol = ctx.mpf("1e-8") * scale
-    if max(abs(p - m) for p, m in zip(plus, minus)) <= tol:
+    else:
+        u = basis.direction_series(vector, ctx).coeffs
+        pairs = [(c, -c if k % 2 else c) for k, c in enumerate(u)]
+    bound = ctx.eig_gate * max(abs(v) for v in u)
+    if max(abs(a - b) for a, b in pairs) <= bound:
         return "even"
-    if max(abs(p + m) for p, m in zip(plus, minus)) <= tol:
-        return "odd"
-    return "mixed"
-
-
-def _block_parity(pair, tol) -> str:
-    """Parity of a pair from a mirror split (see :func:`spectrum_at`)."""
-    if pair.block == "even":
-        return "even"
-    v = pair.vector
-    if max(abs(a + b) for a, b in zip(v, reversed(v))) <= tol * max(abs(a) for a in v):
+    if max(abs(a + b) for a, b in pairs) <= bound:
         return "odd"
     return "mixed"
 
@@ -194,20 +186,15 @@ def spectrum_at(g: ChebSeries, spec: OperatorSpec, ctx: PrecisionCtx,
 
     On a basis with mirror nodes (the Chebyshev grid) the eigensolve splits
     into even and odd blocks whenever g is even to the gate tolerance
-    tol = ``ctx.eig_gate`` (see :func:`eig_dense`), and each pair's parity
-    comes from its block without sampling: "even" for the even block; for
-    the odd block "odd" when its node vector v has ||v + Rv||_inf <=
-    tol ||v||_inf, R reversing the node order, else "mixed".  One-block
-    spectra take every parity from :func:`eigenfunction_parity`.
+    ``ctx.eig_gate`` (see :func:`eig_dense`).  Every pair's parity comes
+    from :func:`eigenfunction_parity`.
     """
-    tol = ctx.eig_gate
-    pairs = eig_dense(linearization_matrix(spec, g, basis, ctx), tol, ctx,
+    pairs = eig_dense(linearization_matrix(spec, g, basis, ctx), ctx.eig_gate, ctx,
                       mirror=basis.mirror_nodes)
 
     c = scaling_of(spec.variant, g, ctx).value
     alpha = c if uses_inverse_g1(spec.variant) else -c
-    parities = [_block_parity(p, tol) if p.block
-                else eigenfunction_parity(p.vector, basis, ctx) for p in pairs]
+    parities = [eigenfunction_parity(p.vector, basis, ctx) for p in pairs]
     base = -alpha if sign_reversed(spec.variant) else alpha
     tags = classify_spectrum([p.value for p in pairs], base, ctx, parities=parities)
     records = tuple(EigRecord(p.value, p.residual, t.tag, t.k, par, t.match_error, p.vector)

@@ -89,6 +89,20 @@ def test_family_spectra_classify_against_the_family_alpha(g32, alpha64, ctx):
     assert (row.tag, row.k) == ("alpha_power", 0)
 
 
+def test_family_deviation_matches_each_eigenvalue_to_its_nearest(g32, ctx):
+    """At n = 12 the mu = 1.5 member has the pair 0.16644 +- 0.04147i where
+    mu = 1 has the real rows 0.15962 and -0.12365.  Each leading eigenvalue
+    is matched to the nearest one of the other member, so the pair shifts
+    no later row; matched by sorted position the deviation read 0.293."""
+    cmp = fb.family_spectrum_check(g32, [1, "1.5"], fb.Variant.T4, ctx, n=12)
+    a, b = (r.eigenvalues for r in cmp.reports)
+    assert a[4].imag == 0 and b[4].imag != 0
+    nearest = max(min(abs(x - y) for y in other)
+                  for these, other in ((a, b), (b, a)) for x in these[:cmp.compared])
+    assert cmp.max_pairwise_deviation == nearest
+    assert cmp.max_pairwise_deviation < ctx.mpf("0.1")
+
+
 def test_family_check_requires_family_operator(g32, ctx):
     with pytest.raises(ValueError):
         fb.family_spectrum_check(g32, [1], fb.Variant.T, ctx)

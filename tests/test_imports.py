@@ -1,10 +1,12 @@
 """Package structure: the modules of ``feigenbaum`` import each other
 without a cycle, so each one loads after everything it uses, and none
 imports a name it never uses; every public name has a reader outside
-the unit tests; importing the package and building a grid do no more
-work than they need."""
+the unit tests; every layer the benchmark traces exists; importing the
+package and building a grid do no more work than they need."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -155,6 +157,23 @@ def test_every_public_name_has_a_reader_besides_the_unit_tests():
               and not node.name.startswith("_") and (path.stem, node.name) not in read]
     assert not unread, "public names no reader outside the unit tests reads: " + \
         ", ".join(unread)
+
+
+def test_every_traced_target_resolves():
+    """Each (module, attribute path) that ``perfbench/tracing.py`` wraps
+    names an attribute of the package, so a rename cannot break
+    ``perfbench/run.py --trace 1``."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for _, module, path, _ in tracing.TARGETS:
+        owner = importlib.import_module("feigenbaum." + module)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append("%s.%s" % (module, path))
+    assert not missing, "traced targets missing from the package: " + ", ".join(missing)
 
 
 def _fresh_interpreter(code):

@@ -15,14 +15,14 @@ FROZEN = fb.Linearization.FROZEN_ALPHA
 def test_classify_alpha_squared(ctx):
     with ctx.activate():
         tags = fb.classify_spectrum(
-            [mp.mpc("6.264547831")], mp.mpf("-2.502907875"), ctx)
+            [mp.mpc("6.264547831")], mp.mpf("-2.502907875"), ctx, ["even"])
     assert tags[0].tag == "alpha_power" and tags[0].k == -1
 
 
 def test_classify_delta_untagged(ctx):
     with ctx.activate():
         tags = fb.classify_spectrum(
-            [mp.mpc("4.669201609")], mp.mpf("-2.502907875"), ctx)
+            [mp.mpc("4.669201609")], mp.mpf("-2.502907875"), ctx, ["even"])
     assert tags[0].tag == "delta"
 
 
@@ -30,7 +30,7 @@ def test_classify_unexplained(ctx):
     with ctx.activate():
         tags = fb.classify_spectrum(
             [mp.mpc("4.669201609"), mp.mpc("-0.123652712")],
-            mp.mpf("-2.502907875"), ctx)
+            mp.mpf("-2.502907875"), ctx, ["even", "even"])
     assert tags[0].tag == "delta"
     assert tags[1].tag == "unexplained"
 
@@ -51,7 +51,7 @@ def test_classify_ambiguous_match(ctx):
         base = mp.mpf(1) + mp.mpf("1.6e-6")
         lam = mp.mpc(1 + mp.mpf("8e-7"))
         with pytest.raises(fb.AmbiguousMatch) as err:
-            fb.classify_spectrum([lam], base, ctx)
+            fb.classify_spectrum([lam], base, ctx, ["even"])
     assert len(err.value.candidates) >= 2
 
 
@@ -59,7 +59,7 @@ def test_classify_same_value_prefers_small_k(ctx):
     # base -1: all even powers coincide at 1; the smallest |k| must win
     # without raising (ascending k on an exact tie)
     with ctx.activate():
-        tags = fb.classify_spectrum([mp.mpc(1)], mp.mpf(-1), ctx)
+        tags = fb.classify_spectrum([mp.mpc(1)], mp.mpf(-1), ctx, ["even"])
     assert tags[0].tag == "alpha_power" and tags[0].k == -1
 
 
@@ -175,26 +175,38 @@ def test_json_vector_embedding(spectrum32, ctx):
     assert len(row["vector_re"]) == 32 and len(row["vector_im"]) == 32
 
 
+def _sampled_parity(vector, basis, ctx):
+    """The test oracle: h sampled at the 33 symmetric points j/16,
+    j = -16..16, is even (odd) when max |h(x) -+ h(-x)| is within 1e-8
+    of its largest sample."""
+    h = basis.direction_series(vector, ctx)
+    pts = [ctx.mpf(j) / 16 for j in range(17)]
+    plus = [fb.eval_series(h, x, ctx) for x in pts]
+    minus = [fb.eval_series(h, -x, ctx) for x in pts]
+    tol = ctx.mpf("1e-8") * max(abs(v) for v in plus + minus)
+    if max(abs(p - m) for p, m in zip(plus, minus)) <= tol:
+        return "even"
+    if max(abs(p + m) for p, m in zip(plus, minus)) <= tol:
+        return "odd"
+    return "mixed"
+
+
 @pytest.mark.parametrize("spec", [fb.OperatorSpec(fb.Variant.T, FULL),
                                   fb.OperatorSpec(fb.Variant.T, FROZEN),
                                   fb.OperatorSpec(fb.Variant.T4, FULL)],
                          ids=["T-full", "T-frozen", "T4-full"])
 def test_even_block_parity_agrees_with_sampling(g32, ctx, spec):
+    """The even block of a mirror split holds the exactly mirror-symmetric
+    vectors, and they sample as even functions; the others do not."""
     n = 20
     basis = fb.chebgrid(n, ctx)
     L = fb.linearization_matrix(spec, g32, basis, ctx)
     pairs = fb.eig_dense(L, ctx.ten_pow(-36), ctx, mirror=True)
-    assert sum(p.block == "even" for p in pairs) == n // 2
-    for p in pairs:
-        parity = fb.eigenfunction_parity(p.vector, basis, ctx)
-        if p.block == "even":
-            assert parity == "even"
-        else:
-            assert parity in ("odd", "mixed")
-
-
-def _no_sampling(*args):
-    raise AssertionError("a mirror split must not sample parities")
+    symmetric = [p.vector == p.vector[::-1] for p in pairs]
+    assert sum(symmetric) == n // 2
+    for p, even in zip(pairs, symmetric):
+        parity = _sampled_parity(p.vector, basis, ctx)
+        assert parity in (("even",) if even else ("odd", "mixed"))
 
 
 @pytest.mark.parametrize("n", [12, 13, 20])
@@ -202,27 +214,50 @@ def _no_sampling(*args):
                                               (fb.Variant.T, FROZEN, None),
                                               (fb.Variant.T4, FULL, "1.5")],
                          ids=["T-full", "T-frozen", "T4-mu1.5"])
-def test_odd_block_parity_agrees_with_sampling(g32, ctx, monkeypatch, variant, lin, mu, n):
+def test_odd_block_parity_agrees_with_sampling(g32, ctx, variant, lin, mu, n):
+    """On the grid the parity rule reads the node vector, and agrees with
+    sampling the eigenfunction, the odd block's rows included."""
     g = fb.family_member(g32, mu, ctx) if mu else g32
-    with monkeypatch.context() as m:
-        m.setattr(spectrum, "eigenfunction_parity", _no_sampling)
-        report = fb.spectrum_at(g, fb.OperatorSpec(variant, lin), ctx,
-                                 fb.chebgrid(n, ctx))
     basis = fb.chebgrid(n, ctx)
+    report = fb.spectrum_at(g, fb.OperatorSpec(variant, lin), ctx, basis)
     odd_block = [r for r in report.records if r.parity != "even"]
     assert len(odd_block) == n // 2
     for r in report.records:
-        assert r.parity == fb.eigenfunction_parity(r.vector, basis, ctx)
+        assert r.parity == _sampled_parity(r.vector, basis, ctx)
 
 
 def test_pinned_t4_spectrum_splits(quad_seed, ctx, monkeypatch):
     spec = fb.OperatorSpec(fb.Variant.T4, FULL)
     result = fb.newton_solve(spec, None, quad_seed, fb.NewtonConfig(pin_g0=1), ctx, n=12)
-    monkeypatch.setattr(spectrum, "eigenfunction_parity", _no_sampling)
     solves = []
     solve = spectrum.eig_dense
     monkeypatch.setattr(spectrum, "eig_dense",
                         lambda *args, **kw: solves.append(solve(*args, **kw)) or solves[-1])
     report = fb.compute_spectrum(result)
-    assert all(p.block in ("even", "odd") for p in solves[0])
+    assert sum(p.vector == p.vector[::-1] for p in solves[0]) == 6
     assert sum(r.parity == "even" for r in report.records) == 6
+
+
+def _monomial(m, constraints, ctx):
+    return fb.build_basis(fb.BasisSpec(fb.BasisKind.MONOMIAL_FULL, m, constraints), ctx)
+
+
+def test_parity_of_an_even_power_space_reads_no_vector(ctx, monkeypatch):
+    """With a1 and a3 pinned the monomial basis of m = 4 holds 1, x^2 and
+    x^4 only: every direction is even, and none is reconstructed."""
+    basis = _monomial(4, ((1, 0), (3, 0)), ctx)
+
+    def unread(*args):
+        raise AssertionError("an even power space needs no series")
+
+    monkeypatch.setattr(fb.Discretization, "direction_series", unread)
+    assert fb.eigenfunction_parity([ctx.mpf(1), ctx.mpf(-2), ctx.mpf(3)], basis, ctx) == "even"
+
+
+def test_parity_tolerance_is_relative_to_the_precision(ctx):
+    """x^2 + 1e-10 x has an odd part far above the gate 10^(-D/2-4): it
+    is mixed, however small the part is against 1e-8."""
+    basis = _monomial(2, (), ctx)
+    vec = [x * x + ctx.mpf("1e-10") * x for x in basis.nodes]
+    assert fb.eigenfunction_parity(vec, basis, ctx) == "mixed"
+    assert fb.eigenfunction_parity([x * x for x in basis.nodes], basis, ctx) == "even"
