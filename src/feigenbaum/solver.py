@@ -56,12 +56,12 @@ class NewtonConfig:
 
 @dataclass
 class NewtonResult:
-    """Converged solution plus the iteration trace."""
+    """Converged solution plus the iteration trace; ``solution_grid`` holds
+    the node values of ``basis`` (Lanford's i/m, say, not Chebyshev roots)."""
 
     solution_grid: GridFn
     solution_series: ChebSeries
     iteration_history: tuple
-    converged: bool
     scaling: object
     spec: OperatorSpec
     basis: Discretization
@@ -209,7 +209,6 @@ def newton_solve(spec: OperatorSpec, basis, seed: ChebSeries,
         solution_grid=GridFn(tuple(values)),
         solution_series=series,
         iteration_history=tuple(history),
-        converged=True,
         scaling=scaling_of(spec.variant, series, ctx),
         spec=spec,
         basis=basis,
@@ -221,24 +220,28 @@ def newton_solve(spec: OperatorSpec, basis, seed: ChebSeries,
 def _iterate(spec, basis, values, config, ctx):
     """The Newton loop of :func:`newton_solve` on ``basis`` from the node
     values of the seed, pinned there by ``config.pin_g0``: (node values,
-    series, update norms, stop reason) at convergence."""
+    series, update norms, stop reason) at convergence.  The residual of
+    the pass that stops the loop is judged on the system solved: a pinned
+    row carries the constraint, not the displaced collocation row, whose
+    truncation-scale error is no convergence failure."""
     _, update_tol = config.resolved(ctx)
     pin = None if config.pin_g0 is None else _pin_row(basis, config.pin_g0, ctx)
+    full = OperatorSpec(spec.variant, Linearization.FULL_DERIVATIVE)
     D = ctx.decimal_digits
-    history = []
-    converged = False
-    stopped_by = "budget"
-    prev_u = None
     plateau_gate = ctx.ten_pow(-(D // 2))
-    for _ in range(MAX_ITERATIONS):
+    history = []
+    stopped_by = None
+    while True:
         series = basis.to_series(values, ctx)
         rhs = _residual(spec.variant, series, basis.nodes, ctx, values)
-        A = _jacobian(OperatorSpec(spec.variant, Linearization.FULL_DERIVATIVE),
-                      basis, values, series, config, ctx)
         if pin:
             ridx, row, g0 = pin
-            A[ridx] = list(row)
             rhs[ridx] = _eval(series, 0) - g0
+        if stopped_by or len(history) == MAX_ITERATIONS:
+            break
+        A = _jacobian(full, basis, values, series, config, ctx)
+        if pin:
+            A[ridx] = list(row)
         try:
             fac = lu_factor(A, ctx)
         except SingularMatrix as exc:
@@ -255,28 +258,15 @@ def _iterate(spec, basis, values, config, ctx):
         delta = lu_solve_factored(fac, rhs, ctx)
         values = [values[i] - delta[i] for i in range(basis.dim)]
         u = vec_norm_inf(delta)
-        history.append(u)
         if u <= update_tol:
-            converged = True
             stopped_by = "update_tol"
-            break
-        if prev_u is not None and prev_u <= plateau_gate and u > prev_u / 2:
-            converged = True
+        elif history and history[-1] <= plateau_gate and u > history[-1] / 2:
             stopped_by = "plateau"
-            break
-        prev_u = u
+        history.append(u)
 
-    series = basis.to_series(values, ctx)
-    final_res = _residual(spec.variant, series, basis.nodes, ctx, values)
-    # judge convergence on the system actually solved: pinned rows carry
-    # the constraint residual (the displaced collocation row re-acquires
-    # truncation-scale error, which is not a convergence failure)
-    if pin:
-        ridx, _row, g0 = pin
-        final_res[ridx] = _eval(series, 0) - g0
-    res_norm = vec_norm_inf(final_res)
+    res_norm = vec_norm_inf(rhs)
     scale = max(ctx.mpf(1), vec_norm_inf(values))
-    if not converged or res_norm > ctx.ten_pow(-D + 12) * scale:
+    if not stopped_by or res_norm > ctx.ten_pow(-D + 12) * scale:
         raise NoConvergence(
             "Newton did not converge (last residual %s)" % ctx.mp.nstr(res_norm, 5),
             history=tuple(history),

@@ -251,7 +251,7 @@ def test_decay_flat_series_degraded(ctx):
 
 def test_decay_requires_length(ctx):
     with pytest.raises(ValueError):
-        fb.decay_report(_series(ctx, 1, 2, 3), ctx)
+        fb.decay_report(_series(ctx, 1, 2), ctx)
 
 
 def test_decay_geometric_series_healthy(ctx):

