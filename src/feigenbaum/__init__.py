@@ -49,11 +49,11 @@ from .families import (
     family_spectrum_check,
     solve_extremum_order,
 )
+from .fixed import mpf_to_fraction
 from .numerics import (
     EigenPair,
     PrecisionCtx,
     eig_dense,
-    mpf_to_fraction,
     solve_linear_exact,
 )
 from .operators import (

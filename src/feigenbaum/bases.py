@@ -45,13 +45,13 @@ from .chebyshev import (
     monomial_to_series,
 )
 from .errors import ConfigError, ExactlySingular
+from .fixed import mpf_to_fraction
 from .numerics import (
     PrecisionCtx,
     identity_rows,
     lu_factor,
     lu_solve_factored,
     mat_norm_inf,
-    mpf_to_fraction,
     solve_linear_exact,
 )
 

@@ -11,31 +11,8 @@ O(n^2) discrete cosine sum: at extended precision and n <= 128 this is
 both exact enough and fast enough, and it avoids FFT bookkeeping.
 
 Every series value comes from one Clenshaw kernel that runs on Python
-integers, not on ``mpf`` values (mpmath's pure-Python backend spends
-most of an ``mpf`` operation normalizing the result).  With p the
-precision of the coefficients' context and G = :data:`KERNEL_GUARD_BITS`:
-
-* representation: the coefficients become integers C_k = floor(a_k 2^S)
-  and the point becomes X = floor(x 2^(p+G)), both through mpmath's own
-  ``libmp.to_fixed``; the recurrence is
-  b_k = C_k + ((2 X b_(k+1)) >> (p+G)) - b_(k+2), and the value
-  (b_0 - b_2) 2^(-S-1) is rounded once, to p bits, by
-  ``libmp.from_man_exp`` into an ``mpf`` of the coefficients' context;
-* scale: S = p + G - e with 2^e > max|a_k| >= 2^(e-1), so the largest
-  coefficient keeps p + G bits whatever its magnitude, and a tiny series
-  keeps its relative accuracy;
-* guard bits: each shift and each coefficient truncates by less than
-  one unit 2^-S <= 2^(1-p-G) max|a_k|, and the point by less than
-  2^-(p+G); the recurrence carries a unit made at step k into the value
-  with a weight of at most (k+1) rho^k, rho = |x| + sqrt(x^2 - 1) for
-  |x| > 1, else 1, and |f'(x)| <= m^2 rho^m sum|a_k|.  For m
-  coefficients the kernel's own error is therefore below (3m + 2) 2^-G
-  times the m 2^-p sum|a_k| rho^m that an ``mpf`` recurrence at p bits
-  may lose (a 0.004 part of it at m = 80); what is left is the final
-  rounding to p bits;
-* complex coefficients: the real and the imaginary parts are two real
-  series, each with its own scale, so a complex value is bit for bit the
-  pair of real values.
+integers, not on ``mpf`` values: that of :mod:`feigenbaum.fixed`, whose
+docstring gives its scaling and error.
 
 A :class:`ChebSeries` converts its coefficients once, on its first
 evaluation, and keeps the integer form.
@@ -47,8 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import mpmath
-from mpmath.libmp import from_man_exp, fzero, to_fixed
 
+from .fixed import _FixedSeries
 from .numerics import PrecisionCtx, ls_slope
 
 
@@ -154,75 +131,10 @@ def barycentric_rows(points, n: int, ctx: PrecisionCtx):
     return rows
 
 
-# Bits the Clenshaw kernel carries beyond the coefficients' precision.
-KERNEL_GUARD_BITS = 16
-
-
-def _finite(raw):
-    if raw[3] < 0:
-        raise ValueError("Clenshaw needs finite coefficients and points")
-    return raw
-
-
-def _raw(v, mpx):
-    """mpmath's raw (sign, mantissa, exponent, bits) tuple of a finite real."""
-    return _finite(v._mpf_ if hasattr(v, "_mpf_") else mpx.convert(v)._mpf_)
-
-
-def _fixed_part(raws, bits):
-    """(S, C_0, (C_(m-1), ..., C_1)) of one real coefficient sequence,
-    with C_k = floor(a_k 2^S) and S = bits minus the exponent of the
-    largest |a_k|."""
-    top = max((exp + bc for _, man, exp, bc in raws if man), default=0)
-    fixed = [to_fixed(r, bits - top) for r in raws]
-    return bits - top, fixed[0], tuple(reversed(fixed[1:]))
-
-
-def _clenshaw(part, X, shift, prec):
-    """Raw value at p bits of one real part at the integer point X."""
-    S, c0, rest = part
-    b1 = b2 = 0
-    for c in rest:
-        b1, b2 = c + ((X * b1) >> shift) - b2, b1
-    return from_man_exp(c0 + ((X * b1) >> shift) - 2 * b2, -S - 1, prec, "n")
-
-
-class _FixedSeries:
-    """Integer form of a real or complex coefficient sequence, evaluated
-    by the kernel of the module docstring at the precision of the context
-    of the first coefficient, an mpmath number."""
-
-    def __init__(self, coeffs):
-        mpx = coeffs[0].context
-        self.mpx, self.prec = mpx, mpx.prec
-        self.point_bits = self.prec + KERNEL_GUARD_BITS
-        bits = self.point_bits
-        if any(hasattr(c, "_mpc_") for c in coeffs):
-            pairs = [c._mpc_ if hasattr(c, "_mpc_") else (_raw(c, mpx), fzero)
-                     for c in coeffs]
-            self.parts = tuple(_fixed_part([_finite(pair[i]) for pair in pairs], bits)
-                               for i in (0, 1))
-        else:
-            self.parts = (_fixed_part([_raw(c, mpx) for c in coeffs], bits),)
-
-    def fix(self, x):
-        """The point x as the integer floor(x 2^(p+G))."""
-        if isinstance(x, int):
-            return x << self.point_bits
-        return to_fixed(_raw(x, self.mpx), self.point_bits)
-
-    def value(self, X):
-        """Value at the point whose integer form is X."""
-        shift, prec = self.point_bits - 1, self.prec
-        if len(self.parts) == 1:
-            return self.mpx.make_mpf(_clenshaw(self.parts[0], X, shift, prec))
-        return self.mpx.make_mpc(tuple(_clenshaw(p, X, shift, prec) for p in self.parts))
-
-
 def _eval(series: ChebSeries, x):
     """Clenshaw value at x (an mpf or an int) of a series of real or
     complex coefficients, whose integer form is made once and kept; see
-    the module docstring for the kernel."""
+    :mod:`feigenbaum.fixed` for the kernel."""
     fixed = series._fixed
     return fixed.value(fixed.fix(x))
 

@@ -56,7 +56,8 @@ from .errors import (
     SingularJacobian,
 )
 from .families import family_spectrum_check, solve_extremum_order
-from .numerics import PrecisionCtx, mpf_to_fraction
+from .fixed import mpf_to_fraction
+from .numerics import PrecisionCtx
 from .operators import Linearization, OperatorSpec, Variant, scaling_of, uses_inverse_g1
 from .solver import (
     JacobianMode,

@@ -10,10 +10,45 @@ lists of rows.  Exact work uses ``fractions.Fraction``.
 
 The eigensolver works in real arithmetic: Householder reduction to
 Hessenberg form, Francis double-shift QR to real Schur form (Golub & Van
-Loan, *Matrix Computations*, section 7.5), and one rotation per 2x2
-block to a triangular factor, complex only in the rows and columns of
-complex-conjugate pairs.  Real eigenvalues therefore come out as ``mpf``
-with real eigenvectors.
+Loan, *Matrix Computations*, section 7.5, in the scaling of EISPACK's
+hqr2), and one rotation per 2x2 block to a triangular factor, complex
+only in the rows and columns of complex-conjugate pairs.  Real
+eigenvalues therefore come out as ``mpf`` with real eigenvectors.
+
+The Hessenberg reduction and the QR sweeps run on Python integers, in
+the Schur kernel of :mod:`feigenbaum.fixed`.  With p the context
+precision:
+
+* width: F = 2p + :data:`SCHUR_GUARD_BITS` bits.  A block H is scaled
+  once by a power of two, so that its largest entry becomes an integer
+  in [2^(F-1), 2^F): the unit is at most 2^(1-F) max|h|, and max|h| is
+  ||H||_inf within a factor n.  The orthogonal factor Z carries the unit
+  2^-F.  The Schur form and Z go back to ``mpf`` once, each entry
+  rounded to p bits;
+* reflectors: the vector a Householder reflector is built from (a
+  column below the diagonal, or the bulge (p, q, r) of a sweep) is
+  shifted by an exact power of two to F + 2 bits before ``math.isqrt``,
+  so each reflector I - u w^T has coefficients within 2^-F of exact and
+  is orthogonal to the unit, however small the vector.  A sweep's first
+  bulge is H[l+1][l] times EISPACK's, made exactly from integer
+  products;
+* deflation: H[k+1][k] becomes 0 when below eps max(|H[k][k]| +
+  |H[k+1][k+1]|, ||H||_F / n), eps = 2^-p / (100 n).  Every tenth sweep
+  without a deflation takes EISPACK's exceptional shifts; 4 dps sweeps
+  without one (mpmath's budget) raise :class:`NoConvergence`;
+* error: a reflector application misrounds each entry it writes by a
+  few units and departs from orthogonality by about 2^-F, so after N
+  applications the integer Schur form is exactly similar to a matrix
+  within about N sqrt(n) 2^-F ||H|| of H.  A sweep applies n - 1 of
+  them, so even 4 dps n sweeps stay below 2^-p ||H|| by a factor above
+  2^p for n <= 100.  What is left is the deflations, below n eps 2 ||H||
+  together, and the final rounding to p bits;
+* why 2p: near convergence the bulge a sweep chases shrinks with the
+  subdiagonal it is to zero, to about the deflation threshold
+  2^-p ||H||.  At the unit 2^-F it still carries p + 32 bits, so its
+  reflector puts about 2^-(p+32) ||H|| back into that subdiagonal each
+  sweep, below eps ||H||_F / n for n up to 6,000.  At a width of p + 24
+  bits the bulge kept too few bits, and the QR stalled (D = 24, n = 12).
 
 Everything here is a pure function of its inputs given a context, so
 values can move freely between threads.  They do not pickle; exchange
@@ -29,8 +64,12 @@ from fractions import Fraction
 import mpmath
 
 from .errors import ExactlySingular, NoConvergence, SingularMatrix
+from .fixed import _francis_step, _hessenberg, fixed_rows, mpf_rows
 
 GUARD_BITS = 32
+
+# Bits the integer Schur form carries beyond twice the context precision.
+SCHUR_GUARD_BITS = 32
 
 # LU pivot-to-norm ratio below which a Jacobian is treated as structurally
 # degenerate (solution family present) rather than merely ill-conditioned.
@@ -92,15 +131,6 @@ class PrecisionCtx:
 
     def __hash__(self):
         return hash(("PrecisionCtx", self.decimal_digits))
-
-
-def mpf_to_fraction(x) -> Fraction:
-    """Exact rational value of an mpf (binary float), as a Fraction."""
-    sign, man, exp, _ = x._mpf_
-    man = -man if sign else man
-    if exp >= 0:
-        return Fraction(man * (1 << exp))
-    return Fraction(man, 1 << (-exp))
 
 
 def ls_slope(xs, ys, mpx):
@@ -267,142 +297,44 @@ class EigenPair:
     residual: object
 
 
-def _hessenberg(H, ctx: PrecisionCtx):
-    """Reduce H (rows, overwritten) to upper Hessenberg form by Householder
-    reflectors; returns the orthogonal Z with H_in = Z H_out Z^T."""
-    n = len(H)
-    mp = ctx.mp
-    zero = ctx.mpf(0)
-    Z = identity_rows(n, ctx)
-    for k in range(n - 2):
-        v = [H[i][k] for i in range(k + 1, n)]
-        if not any(v[1:]):
-            continue
-        s = mp.sqrt(mp.fdot(v, v))
-        if v[0] < 0:
-            s = -s
-        v[0] += s
-        beta = 1 / (s * v[0])  # P = I - beta v v^T sends column k to -s e_(k+1)
-        rows = H[k + 1:]
-        for j in range(k + 1, n):
-            t = beta * mp.fdot(v, [row[j] for row in rows])
-            for row, vi in zip(rows, v):
-                row[j] -= t * vi
-        for row in H + Z:
-            t = beta * mp.fdot(v, row[k + 1:])
-            if t:
-                for i, vi in enumerate(v, k + 1):
-                    row[i] -= t * vi
-        H[k + 1][k] = -s
-        for i in range(k + 2, n):
-            H[i][k] = zero
-    return Z
+def _real_schur(H, Z, width, ctx: PrecisionCtx, lo):
+    """Francis QR, by integer sweeps of ``width`` bits, of the integer
+    Hessenberg H (overwritten, and Z with it) to real Schur form: upper
+    triangular but for 2x2 diagonal blocks, each the last of its active
+    block to converge.
 
-
-def _francis_step(H, Z, l, hi, exceptional, ctx: PrecisionCtx):
-    """One implicit double-shift QR sweep on the active block H[l..hi]
-    (Golub & Van Loan, Algorithm 7.5.1, in the scaling of EISPACK's
-    hqr2): 3-element Householder reflectors chase the bulge down the
-    block.  They act on whole rows and columns of H and on Z, so that
-    Z H Z^T stays the input matrix."""
-    n = len(H)
-    zero = ctx.mpf(0)
-    x, y = H[hi][hi], H[hi - 1][hi - 1]
-    w = H[hi][hi - 1] * H[hi - 1][hi]
-    if exceptional:  # EISPACK's ad hoc shifts, which break a cycle of sweeps
-        e = abs(H[hi][hi - 1]) + abs(H[hi - 1][hi - 2])
-        x = y = x + 3 * e / 4
-        w = -7 * e * e / 16
-    # first column of (H - s1)(H - s2), s1 + s2 = x + y, s1 s2 = x y - w,
-    # divided by H[l+1][l]
-    a = H[l][l]
-    p = ((x - a) * (y - a) - w) / H[l + 1][l] + H[l][l + 1]
-    q = H[l + 1][l + 1] - a - (x - a) - (y - a)
-    r = H[l + 2][l + 1]
-    for k in range(l, hi):
-        last = k == hi - 1
-        if k > l:
-            p, q = H[k][k - 1], H[k + 1][k - 1]
-            r = zero if last else H[k + 2][k - 1]
-        s = ctx.mp.sqrt(p * p + q * q + r * r)
-        if not s:
-            continue
-        if p < 0:
-            s = -s
-        if k > l:
-            H[k][k - 1], H[k + 1][k - 1] = -s, zero
-            if not last:
-                H[k + 2][k - 1] = zero
-        # P = I - u v^T with u = (p+s, q, r)/s, v = (p+s, q, r)/(p+s)
-        p += s
-        x, y, z = p / s, q / s, r / s
-        q, r = q / p, r / p
-        h0, h1 = H[k], H[k + 1]
-        if last:
-            for j in range(k, n):
-                t = h0[j] + q * h1[j]
-                h0[j] -= t * x
-                h1[j] -= t * y
-            for row in H[:hi + 1] + Z:
-                t = x * row[k] + y * row[k + 1]
-                row[k] -= t
-                row[k + 1] -= t * q
-        else:
-            h2 = H[k + 2]
-            for j in range(k, n):
-                t = h0[j] + q * h1[j] + r * h2[j]
-                h0[j] -= t * x
-                h1[j] -= t * y
-                h2[j] -= t * z
-            for row in H[:min(hi, k + 3) + 1] + Z:
-                t = x * row[k] + y * row[k + 1] + z * row[k + 2]
-                row[k] -= t
-                row[k + 1] -= t * q
-                row[k + 2] -= t * r
-
-
-def _real_schur(H, Z, ctx: PrecisionCtx):
-    """Francis QR of the Hessenberg H (overwritten) to real Schur form:
-    upper triangular but for 2x2 diagonal blocks, each the last of its
-    active block to converge.
-
-    The deflation test is mpmath's (``hessenberg_qr``): H[k+1][k] becomes 0
-    when below eps / (100 n) * (|H[k][k]| + |H[k+1][k+1]|), that sum
-    replaced by the norm ||H||_F / n when below eps / (100 n) times it.
-    Every tenth sweep without deflation takes exceptional shifts; after
-    4 * dps sweeps without one (mpmath's budget), :class:`NoConvergence`
-    names the bottom row of the active block.
+    H[k+1][k] becomes 0 when below eps max(|H[k][k]| + |H[k+1][k+1]|,
+    ||H||_F / n), eps = 2^-p / (100 n), p the context precision.  Every
+    tenth sweep without deflation takes exceptional shifts; after 4 * dps
+    sweeps without one (mpmath's budget), :class:`NoConvergence` names the
+    bottom row of the active block as a row of the whole matrix, in which
+    H is the diagonal block from row ``lo``.
     """
     n = len(H)
-    mp = ctx.mp
-    norm = mp.sqrt(mp.fsum(
-        x * x for i, row in enumerate(H) for x in row[max(i - 1, 0):])) / n
-    if not norm:
+    floor = math.isqrt(sum(x * x for row in H for x in row)) // n  # ||H||_F / n
+    if not floor:
         return
-    eps = mp.eps / (100 * n)
-    zero = ctx.mpf(0)
-    budget = 4 * mp.dps
-    hi, lo, its = n - 1, 0, 0
+    scale = 100 * n << ctx.prec_bits  # |h| < eps t  <=>  |h| scale < t
+    budget = 4 * ctx.mp.dps
+    hi, start, its = n - 1, 0, 0
     while hi > 0:
         l = hi
         while l > 0:
-            s = abs(H[l - 1][l - 1]) + abs(H[l][l])
-            if s < eps * norm:
-                s = norm
-            if abs(H[l][l - 1]) < eps * s:
-                H[l][l - 1] = zero
+            t = max(abs(H[l - 1][l - 1]) + abs(H[l][l]), floor)
+            if abs(H[l][l - 1]) * scale < t:
+                H[l][l - 1] = 0
                 break
             l -= 1
-        if l != lo:  # a new deflation: a new budget
-            lo, its = l, 0
+        if l != start:  # a new deflation: a new budget
+            start, its = l, 0
         if l >= hi - 1:
             hi = l - 1
             continue
         if its == budget:
-            raise NoConvergence(
-                "QR found no deflation in %d sweeps at row %d" % (its, hi), index=hi)
+            raise NoConvergence("QR found no deflation in %d sweeps at row %d"
+                                % (its, lo + hi), index=lo + hi)
         its += 1
-        _francis_step(H, Z, l, hi, its % 10 == 0, ctx)
+        _francis_step(H, Z, l, hi, its % 10 == 0, width)
 
 
 def _rotate(T, Z, k, cs, sn):
@@ -499,9 +431,10 @@ def eig_dense(M, tol, ctx: PrecisionCtx, mirror=False):
     modulus, then descending real and imaginary part (so a conjugate pair
     comes +im first).
 
-    Real arithmetic at context precision on lists of rows: Householder
-    reduction to Hessenberg form, Francis double-shift QR to real Schur
-    form, one rotation per remaining 2x2 block to a triangular factor, and
+    Real arithmetic on lists of rows: Householder reduction to Hessenberg
+    form and Francis double-shift QR to real Schur form on integers of
+    2p + 32 bits (see the module docstring), then, at context precision,
+    one rotation per remaining 2x2 block to a triangular factor and
     eigenvectors by back substitution.  Real eigenvalues come back as
     ``mpf`` with real vectors, complex ones as exact conjugate pairs.  Each
     pair is checked against
@@ -536,13 +469,14 @@ def eig_dense(M, tol, ctx: PrecisionCtx, mirror=False):
             h, T = half, B
     blocks = [(0, h), (h, n)] if h < n else [(0, n)]
     Zs = []
+    width = 2 * ctx.prec_bits + SCHUR_GUARD_BITS
     for lo, hi in blocks:
-        H = [row[lo:hi] for row in T[lo:hi]]
-        Zb = _hessenberg(H, ctx)
-        _real_schur(H, Zb, ctx)
-        for row, hrow in zip(T[lo:hi], H):
+        S, H = fixed_rows([row[lo:hi] for row in T[lo:hi]], width, mp)
+        Zb = _hessenberg(H, width)
+        _real_schur(H, Zb, width, ctx, lo)
+        for row, hrow in zip(T[lo:hi], mpf_rows(H, S, mp)):
             row[lo:hi] = hrow
-        Zs.append(Zb)
+        Zs.append(mpf_rows(Zb, width, mp))
     if h < n:
         Ze, Zo = Zs
         LZ = [[mp.fdot(row[h:], col) for col in zip(*Zo)] for row in T[:h]]

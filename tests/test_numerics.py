@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
@@ -183,57 +184,81 @@ def test_mpf_to_fraction_roundtrip(ctx):
         assert fb.mpf_to_fraction(mp.mpf(0)) == 0
 
 
-def _integer_similarity(B, rng):
-    """S B S^-1 with S a random unimodular integer matrix, exactly."""
-    n = len(B)
-    L = [[int(i == j) or (rng.randint(-2, 2) if i > j else 0) for j in range(n)]
-         for i in range(n)]
-    U = [[int(i == j) or (rng.randint(-2, 2) if i < j else 0) for j in range(n)]
-         for i in range(n)]
-    S = [[sum(L[i][k] * U[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    Sinv = fb.solve_linear_exact(S, [[int(i == j) for j in range(n)] for i in range(n)])
-    SB = [[sum(S[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    return [[sum(SB[i][k] * Sinv[k][j] for k in range(n)) for j in range(n)]
+def _reflection(n, rng):
+    """I - 2 v v^T / v^T v for a random integer v: orthogonal, exactly."""
+    v = [rng.randint(-3, 3) for _ in range(n)]
+    vv = sum(x * x for x in v) or 1
+    return [[int(i == j) - Fraction(2 * v[i] * v[j], vv) for j in range(n)]
             for i in range(n)]
 
 
-def _rotation_scaling_matrix(n, rng):
-    """Integer matrix with known eigenvalues: diagonal blocks [[a, -b], [b, a]]
-    (eigenvalues a +- ib) and 1x1 blocks [c], under an integer similarity."""
+def _product(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def _normal_matrix(n, rng, repeated):
+    """R B R for a rational reflection R and B of diagonal blocks
+    [[a, -b], [b, a]] (eigenvalues a +- ib) and [c], with the eigenvalues:
+    normal, so each eigenvalue is perfectly conditioned.  With ``repeated``
+    the values are drawn from two, so that eigenvalues repeat."""
+    draw = (lambda: rng.choice((-1, 2))) if repeated else (lambda: rng.randint(-5, 5))
     B = [[0] * n for _ in range(n)]
     known = []
     i = 0
     while i < n:
-        if i + 1 < n and rng.random() < 0.7:
-            a, b = rng.randint(-5, 5), rng.randint(1, 5)
+        if i + 1 < n and rng.random() < 0.5:
+            a, b = draw(), abs(draw()) or 1
             B[i][i] = B[i + 1][i + 1] = a
             B[i][i + 1], B[i + 1][i] = -b, b
             known += [complex(a, b), complex(a, -b)]
             i += 2
         else:
-            B[i][i] = rng.randint(-5, 5)
+            B[i][i] = draw()
             known.append(complex(B[i][i]))
             i += 1
-    return _integer_similarity(B, rng), known
+    R = _reflection(n, rng)
+    return _product(_product(R, B), R), known
+
+
+def _test_matrix(kind, n, rng):
+    """(rows, the eigenvalues if known, else None) of a random n x n
+    matrix of the kind."""
+    if kind == "random":
+        return [[Fraction(rng.uniform(-3, 3)) for _ in range(n)] for _ in range(n)], None
+    if kind == "zero":
+        return [[0] * n for _ in range(n)], [0j] * n
+    return _normal_matrix(n, rng, repeated=kind == "repeated")
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(16, 80), st.integers(1, 10), st.booleans(), st.integers(0, 10 ** 9))
-def test_eig_dense_matches_mpmath_oracle(D, n, known_pairs, seed):
-    ctx = fb.PrecisionCtx(D)
+@given(st.integers(16, 96), st.integers(2, 24),
+       st.sampled_from(["random", "pairs", "repeated", "zero"]),
+       st.sampled_from(["none", "split", "whole"]), st.integers(0, 10 ** 9))
+def test_eig_dense_matches_mpmath_oracle(D, n, kind, mirror, seed):
+    # "split": [[L_ee, L_eo], [0, L_oo]] in mirror coordinates, the blocks
+    # of the kind, so the even and odd blocks are solved apart; "whole":
+    # the mirror test fails on a random matrix, and the matrix is one block
+    ctx, ref = fb.PrecisionCtx(D), fb.PrecisionCtx(2 * D)
     rng = random.Random(seed)
-    if known_pairs:
-        rows, known = _rotation_scaling_matrix(n, rng)
-        A = [[ctx.mpf(x) for x in row] for row in rows]
+    h = n - n // 2
+    if mirror == "split":
+        (E, known_e), (O, known_o) = _test_matrix(kind, h, rng), _test_matrix(kind, n - h, rng)
+        C = _test_matrix(kind, n, rng)[0] if kind == "random" else [[0] * n] * h
+        B = [e + c[h:] for e, c in zip(E, C)] + [[0] * h + o for o in O]
+        Q = _mirror_transform(n, ref.mp)
+        M = Q * ref.mp.matrix([[ref.mpf(x) for x in row] for row in B]) * Q.T
+        A = [[ctx.mpf(M[i, j]) for j in range(n)] for i in range(n)]
+        known = known_e + known_o if known_e is not None else None
     else:
-        known = None
-        A = [[ctx.mpf(rng.uniform(-3, 3)) for _ in range(n)] for _ in range(n)]
+        rows, known = _test_matrix(kind, n, rng)
+        A = [[ctx.mpf(x) for x in row] for row in rows]
     norm = mat_norm_inf(A)
-    tol = ctx.ten_pow(-(D // 2))
-    pairs = fb.eig_dense(A, tol, ctx)
-    oracle, _ = ctx.mp.eig(ctx.mp.matrix(A))
+    tol = ctx.eig_gate
+    pairs = fb.eig_dense(A, tol, ctx, mirror=mirror != "none")
+    oracle = ref.mp.eig(ref.mp.matrix(A), right=False)
 
-    match = ctx.mpf(10) ** (-ctx.mpf(D) / 3) * max(1, norm)
+    # ten orders of magnitude below the gate, relative to ||M||
+    match = tol * ctx.ten_pow(-10) * norm
     values = [p.value for p in pairs]
     assert len(values) == n
     for lam in values:
@@ -243,6 +268,12 @@ def test_eig_dense_matches_mpmath_oracle(D, n, known_pairs, seed):
     if known is not None:
         for lam in values:
             assert min(abs(lam - ctx.mp.mpc(z.real, z.imag)) for z in known) <= match
+    # an even-block eigenvector is exactly mirror-symmetric
+    symmetric = sum(p.vector == p.vector[::-1] for p in pairs)
+    if mirror == "split":
+        assert symmetric == h
+    elif mirror == "whole" and kind == "random":
+        assert symmetric == 0
 
     for i, p in enumerate(pairs):
         assert p.residual <= tol * norm
@@ -269,6 +300,29 @@ def test_eig_dense_names_the_row_that_never_deflates(ctx, monkeypatch):
     with pytest.raises(fb.NoConvergence) as info:
         fb.eig_dense(A, ctx.ten_pow(-30), ctx)
     assert info.value.index == 3
+
+
+def test_eig_dense_names_the_row_of_the_whole_matrix_in_the_odd_block(ctx, monkeypatch):
+    # in mirror coordinates [[L_ee, L_eo], [0, L_oo]] with a diagonal L_ee,
+    # which deflates at once, and a dense L_oo (rows 3-5), which without
+    # sweeps never does
+    monkeypatch.setattr(fb.numerics, "_francis_step", lambda *args: None)
+    B = [[1, 0, 0, 1, 2, 3],
+         [0, 2, 0, 4, 5, 6],
+         [0, 0, 3, 7, 8, 9],
+         [0, 0, 0, 1, 2, 4],
+         [0, 0, 0, 1, 3, 9],
+         [0, 0, 0, 1, 4, 16]]
+    n, m = 6, 3
+    Q = [[0] * n for _ in range(n)]  # sqrt(2) times the mirror transform
+    for i in range(m):
+        Q[i][i] = Q[n - 1 - i][i] = Q[i][m + i] = 1
+        Q[n - 1 - i][m + i] = -1
+    QT = [list(col) for col in zip(*Q)]
+    M = [[ctx.mpf(Fraction(x, 2)) for x in row] for row in _product(_product(Q, B), QT)]
+    with pytest.raises(fb.NoConvergence, match="at row 5$") as info:
+        fb.eig_dense(M, ctx.eig_gate, ctx, mirror=True)
+    assert info.value.index == 5
 
 
 def test_spectrum_at_matches_mpmath_oracle():
@@ -298,11 +352,9 @@ FULL = fb.Linearization.FULL_DERIVATIVE
 FROZEN = fb.Linearization.FROZEN_ALPHA
 
 
-def _mirror_blocks(L, ctx):
-    """Q^T L Q with a dense mirror transform Q, even coordinates
-    (e_i + e_(n-1-i))/sqrt(2) first, and the even block size."""
-    n = len(L)
-    mpx = ctx.mp
+def _mirror_transform(n, mpx):
+    """The dense mirror transform Q: even coordinates (e_i + e_(n-1-i))/sqrt(2)
+    first, then the middle e_m of an odd n, then the odd ones."""
     Q, m, h = mpx.zeros(n), n // 2, n - n // 2
     s = 1 / mpx.sqrt(2)
     for i in range(m):
@@ -310,7 +362,14 @@ def _mirror_blocks(L, ctx):
         Q[n - 1 - i, h + i] = -s
     if n % 2:
         Q[m, m] = 1
-    return Q.T * mpx.matrix(L) * Q, h
+    return Q
+
+
+def _mirror_blocks(L, ctx):
+    """Q^T L Q with the dense mirror transform Q, and the even block size."""
+    n = len(L)
+    Q = _mirror_transform(n, ctx.mp)
+    return Q.T * ctx.mp.matrix(L) * Q, n - n // 2
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,7 @@ PrecisionCtx that made it, independent of mpmath's global ``mp``."""
 import ast
 import json
 import pathlib
+import random
 import sys
 import threading
 
@@ -51,16 +52,29 @@ def _apply_bits(ctx, points=2000, g=None):
     return [v._mpf_ for v in fb.apply_at_points(fb.Variant.T, g, xs, ctx)]
 
 
-def test_threads_at_different_precisions_do_not_interfere():
+def _eig_bits(ctx, n=10):
+    """Raw tuples of every eigenvalue, vector entry and residual of a fixed
+    random n x n matrix, some of its eigenvalues complex."""
+    rng = random.Random(5)
+    A = [[ctx.mpf(rng.uniform(-1, 1)) for _ in range(n)] for _ in range(n)]
+    raw = [getattr(x, "_mpf_", None) or x._mpc_ for p in fb.eig_dense(A, ctx.eig_gate, ctx)
+           for x in (p.value, *p.vector, p.residual)]
+    assert len(raw) == n * (n + 2)
+    return raw
+
+
+def _assert_threads_match_serial(bits):
+    """bits(ctx) at 64 and at 16 digits, three times in each of two
+    threads started together, gives what it gives made serially."""
     contexts = (fb.PrecisionCtx(64), fb.PrecisionCtx(16))
-    reference = [_apply_bits(c) for c in contexts]
+    reference = [bits(c) for c in contexts]
     results = [[] for _ in contexts]
     start = threading.Barrier(len(contexts))
 
     def work(slot, c):
         start.wait()
         for _ in range(3):
-            results[slot].append(_apply_bits(c))
+            results[slot].append(bits(c))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -79,6 +93,14 @@ def test_threads_at_different_precisions_do_not_interfere():
             wrong = sum(a != b for a, b in zip(run, reference[slot]))
             assert wrong == 0, "%d of %d values differ at %r" % (
                 wrong, len(run), contexts[slot])
+
+
+def test_threads_at_different_precisions_do_not_interfere():
+    _assert_threads_match_serial(_apply_bits)
+
+
+def test_eig_dense_in_threads_at_different_precisions_matches_serial():
+    _assert_threads_match_serial(_eig_bits)
 
 
 def test_threads_sharing_a_series_agree():
@@ -168,21 +190,15 @@ def _touches_raw_representation(node):
 
 
 def test_raw_mpmath_representation_stays_in_the_kernel():
-    # mpmath's raw tuples and libmp belong to the integer Clenshaw kernel in
-    # chebyshev.py and to the exact conversion numerics.mpf_to_fraction;
-    # everywhere else values are mpf/mpc of a PrecisionCtx
+    # mpmath's raw tuples and libmp belong to the integer kernels of
+    # fixed.py; everywhere else values are mpf/mpc of a PrecisionCtx
     offenders = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "chebyshev.py":
+        if path.name == "fixed.py":
             continue
         tree = ast.parse(path.read_text(), str(path))
-        exempt = set()
-        for node in ast.walk(tree):
-            if (path.name == "numerics.py" and isinstance(node, ast.FunctionDef)
-                    and node.name == "mpf_to_fraction"):
-                exempt.update(ast.walk(node))
         offenders += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree)
-                      if node not in exempt and _touches_raw_representation(node)]
+                      if _touches_raw_representation(node)]
     assert offenders == []
 
 
