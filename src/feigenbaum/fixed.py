@@ -34,9 +34,12 @@ G = :data:`KERNEL_GUARD_BITS`:
   pair of real values.
 
 Schur kernel: Householder reflectors, the Hessenberg reduction and the
-Francis double-shift sweep on integer rows at a width of F bits; the
-eigensolver in :mod:`feigenbaum.numerics` drives them and states their
-width, scaling and error.
+Francis double-shift sweep on integer rows at a width of F bits, with
+the orthogonal factor stored transposed, and :class:`SchurForm`, which
+finishes the Schur form to a triangular one and reads eigenvectors and
+residuals from it on the same integers.  The eigensolver in
+:mod:`feigenbaum.numerics` drives them, computes the eigenvalues, and
+states the kernel's width, units, rounding and error.
 """
 
 from __future__ import annotations
@@ -154,7 +157,7 @@ def mpf_rows(rows, S, mpx):
 def _reflector(v, F):
     """(s, u, w) of the Householder reflector P = I - u w^T that sends the
     integer vector v (not all zero) to (-s, 0, ..., 0): u = y / s and
-    w = y / y_0 at the unit 2^-F, y = v + s e_0.
+    w = y / y_0 at the unit 2^-F, y = v + s e_0, so w_0 = 2^F exactly.
 
     v is first shifted by an exact power of two to F + 2 bits, so s comes
     from ``math.isqrt`` with F + 1 correct bits and P is orthogonal to
@@ -171,48 +174,79 @@ def _reflector(v, F):
 
 
 def _reflect_rows(rows, u, w, j, F):
-    """rows <- P rows in the columns j, j + 1, ..., for P = I - u w^T."""
-    ts = [sum(map(mul, w, col)) >> F for col in zip(*(row[j:] for row in rows))]
-    for c, row in zip(u, rows):
-        row[j:] = [x - ((t * c) >> F) for x, t in zip(row[j:], ts)]
+    """rows <- P rows in the columns j, j + 1, ..., for P = I - u w^T:
+    each column c becomes c - u ((w . c) >> F), each product shifted
+    down by F.  The 2- and 3-row cases of the sweeps are unrolled."""
+    if len(u) == 3:
+        (r0, r1, r2), (u0, u1, u2), (w0, w1, w2) = rows, u, w
+        ts = [(w0 * a + w1 * b + w2 * c) >> F for a, b, c in zip(r0[j:], r1[j:], r2[j:])]
+        r0[j:] = [a - ((t * u0) >> F) for a, t in zip(r0[j:], ts)]
+        r1[j:] = [b - ((t * u1) >> F) for b, t in zip(r1[j:], ts)]
+        r2[j:] = [c - ((t * u2) >> F) for c, t in zip(r2[j:], ts)]
+    elif len(u) == 2:
+        (r0, r1), (u0, u1), (w0, w1) = rows, u, w
+        ts = [(w0 * a + w1 * b) >> F for a, b in zip(r0[j:], r1[j:])]
+        r0[j:] = [a - ((t * u0) >> F) for a, t in zip(r0[j:], ts)]
+        r1[j:] = [b - ((t * u1) >> F) for b, t in zip(r1[j:], ts)]
+    else:
+        ts = [sum(map(mul, w, col)) >> F for col in zip(*(row[j:] for row in rows))]
+        for c, row in zip(u, rows):
+            row[j:] = [x - ((t * c) >> F) for x, t in zip(row[j:], ts)]
 
 
 def _reflect_cols(rows, u, w, k, F):
     """row <- row P in the columns k .. k + len(u) - 1 of each row, for
-    P = I - u w^T (symmetric, so row P = row - (row . u) w^T)."""
+    P = I - u w^T (symmetric, so row P = row - (row . u) w^T), with
+    w_0 = 2^F as :func:`_reflector` makes it.  The 2- and 3-column cases
+    of the sweeps are unrolled."""
     m = len(u)
-    for row in rows:
-        seg = row[k:k + m]
-        t = sum(map(mul, u, seg)) >> F
-        row[k:k + m] = [x - ((t * c) >> F) for x, c in zip(seg, w)]
+    if m == 3:
+        (u0, u1, u2), (_, w1, w2) = u, w
+        for row in rows:
+            a, b, c = row[k:k + 3]
+            t = (u0 * a + u1 * b + u2 * c) >> F
+            row[k:k + 3] = a - t, b - ((t * w1) >> F), c - ((t * w2) >> F)
+    elif m == 2:
+        (u0, u1), (_, w1) = u, w
+        for row in rows:
+            a, b = row[k:k + 2]
+            t = (u0 * a + u1 * b) >> F
+            row[k:k + 2] = a - t, b - ((t * w1) >> F)
+    else:
+        for row in rows:
+            seg = row[k:k + m]
+            t = sum(map(mul, u, seg)) >> F
+            row[k:k + m] = [x - ((t * c) >> F) for x, c in zip(seg, w)]
 
 
 def _hessenberg(H, F):
     """Reduce the integer matrix H (rows, overwritten) to upper Hessenberg
-    form by Householder reflectors; returns the orthogonal Z at the unit
-    2^-F, with H_in = Z H_out Z^T."""
+    form by Householder reflectors; returns Z^T, for the orthogonal Z at
+    the unit 2^-F with H_in = Z H_out Z^T: its rows are Z's columns, so
+    that Z <- Z P is the row reflection Z^T <- P^T Z^T."""
     n = len(H)
-    Z = [[1 << F if i == j else 0 for j in range(n)] for i in range(n)]
+    Zt = [[1 << F if i == j else 0 for j in range(n)] for i in range(n)]
     for k in range(n - 2):
         v = [H[i][k] for i in range(k + 1, n)]
         if not any(v[1:]):
             continue
         s, u, w = _reflector(v, F)
         _reflect_rows(H[k + 1:], u, w, k + 1, F)
-        _reflect_cols(H + Z, u, w, k + 1, F)
+        _reflect_cols(H, u, w, k + 1, F)
+        _reflect_rows(Zt[k + 1:], w, u, 0, F)
         H[k + 1][k] = -s
         for i in range(k + 2, n):
             H[i][k] = 0
-    return Z
+    return Zt
 
 
-def _francis_step(H, Z, l, hi, exceptional, F):
+def _francis_step(H, Zt, l, hi, exceptional, F):
     """One implicit double-shift QR sweep on the active block H[l..hi] of
     the integer Hessenberg H (Golub & Van Loan, Algorithm 7.5.1, in the
     scaling of EISPACK's hqr2): reflectors of 3-vectors, the last of a
     2-vector, chase the bulge down the block.  They act on whole rows and
-    columns of H and on Z, so that Z H Z^T stays the input matrix."""
-    n = len(H)
+    columns of H and on the rows of Zt, Z transposed, so that Z H Z^T
+    stays the input matrix."""
     x, y = H[hi][hi], H[hi - 1][hi - 1]
     prod = H[hi][hi - 1] * H[hi - 1][hi]  # at the squared unit
     if exceptional:  # EISPACK's ad hoc shifts, which break a cycle of sweeps
@@ -237,4 +271,188 @@ def _francis_step(H, Z, l, hi, exceptional, F):
             for i in range(k + 1, k + m):
                 H[i][k - 1] = 0
         _reflect_rows(H[k:k + m], u, w, k, F)
-        _reflect_cols(H[:min(hi, k + 3) + 1] + Z, u, w, k, F)
+        _reflect_cols(H[:min(hi, k + 3) + 1], u, w, k, F)
+        _reflect_rows(Zt[k:k + m], w, u, 0, F)
+
+
+def _fix(v, S):
+    """(floor(re 2^S), floor(im 2^S)) of a finite real or complex mpmath
+    number."""
+    re, im = v._mpc_ if hasattr(v, "_mpc_") else (v._mpf_, fzero)
+    return to_fixed(_finite(re), S), to_fixed(_finite(im), S)
+
+
+def _turn(a, ai, b, bi, cr, ci, sn, F):
+    """(cs a + sn b, conj(cs) b - sn a) as re/im integer pairs, for the
+    complex integers a = a + i ai and b = b + i bi, cs = (cr + i ci) 2^-F
+    and sn 2^-F; each sum is shifted down by F toward zero, so that
+    negated a and b give exactly negated results."""
+    return tuple(x >> F if x >= 0 else -(-x >> F) for x in (
+        cr * a - ci * ai + sn * b, cr * ai + ci * a + sn * bi,
+        cr * b + ci * bi - sn * a, cr * bi - ci * b - sn * ai))
+
+
+def _div(a, d):
+    """a / d rounded to the nearest integer, ties away from zero, for
+    d > 0: odd in a, so a and -a give exactly negated quotients."""
+    q, r = divmod(abs(a), d)
+    q += 2 * r >= d
+    return q if a >= 0 else -q
+
+
+def _unmirror(Ze, Zo, F):
+    """Rows of (Q diag(Ze, Zo))^T at the unit 2^-F, from those of Ze^T
+    and Zo^T: node entries i and n-1-i of an even column are both
+    q = floor(z_i 2^F / sqrt 2) (the middle entry of an odd n is z_m
+    itself), those of an odd column are q and exactly -q (the middle
+    is 0)."""
+    r = math.isqrt(1 << (2 * F - 1))  # floor(2^F / sqrt 2)
+    m = len(Zo)
+    odd = [0] * (len(Ze) - m)
+
+    def spread(z, middle, sign):
+        q = [(x * r) >> F for x in z[:m]]
+        return q + middle + [sign * x for x in reversed(q)]
+
+    return [spread(z, z[m:], 1) for z in Ze] + [spread(z, odd, -1) for z in Zo]
+
+
+class SchurForm:
+    """The eigensolver's Schur form on integers, finished to a triangular
+    T = U^H Z^T M Z U (Z taking in the mirror transform when there are
+    two blocks), from which it reads eigenvectors and residuals.
+
+    ``blocks`` holds (S, H, Z^T) of each diagonal block as
+    :func:`_hessenberg` and the sweeps leave them: H in real Schur form
+    at the unit 2^-S, its orthogonal Z at the unit 2^-F.  Two blocks are
+    the even and the odd block of the mirror coordinates, and
+    ``coupling`` is then L_eo, the even-to-odd block of the transformed
+    matrix, as rows of ``mpf``.  ``splits`` holds (k, cs, sn, t00, t01,
+    t11) for each 2x2 block at rows k, k + 1 of the whole: the rotation
+    U = [[cs, -sn], [sn, conj(cs)]] and the triangular block U^H T U =
+    [[t00, t01], [0, t11]], numbers of the context mpx.  M, rows of
+    ``mpf``, is the matrix residuals are taken against, and ``gate`` the
+    relative tie in which a vector's pivot is chosen.  The units and the
+    error are stated in :mod:`feigenbaum.numerics`."""
+
+    def __init__(self, blocks, coupling, splits, M, gate, F, mpx):
+        if len(blocks) == 1:
+            ((S, T, Zt),) = blocks
+        else:
+            (Se, He, Ze), (So, Ho, Zo) = blocks
+            S = max(Se, So)
+            L = [[to_fixed(_raw(a, mpx), S) for a in row] for row in coupling]
+            LZ = list(zip(*[[sum(map(mul, row, z)) >> F for z in Zo] for row in L]))
+            T = ([[x << (S - Se) for x in row] + [sum(map(mul, z, col)) >> F for col in LZ]
+                  for row, z in zip(He, Ze)]
+                 + [[0] * len(He) + [x << (S - So) for x in row] for row in Ho])
+            Zt = _unmirror(Ze, Zo, F)
+        n = len(T)
+        Ti, Zi = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+        self.tops = set()
+        for k, cs, sn, *block in splits:
+            (cr, ci), (s, _) = _fix(cs, F), _fix(sn, F)
+            pairs = [(T[k], Ti[k], T[k + 1], Ti[k + 1], -ci, k + 2),  # U^H from the left
+                     (Zt[k], Zi[k], Zt[k + 1], Zi[k + 1], ci, 0)]      # Z U
+            for a, ai, b, bi, c, start in pairs:
+                for j in range(start, n):
+                    a[j], ai[j], b[j], bi[j] = _turn(a[j], ai[j], b[j], bi[j], cr, c, s, F)
+            for row, rowi in zip(T[:k], Ti[:k]):  # T U above the block
+                row[k], rowi[k], row[k + 1], rowi[k + 1] = _turn(
+                    row[k], rowi[k], row[k + 1], rowi[k + 1], cr, ci, s, F)
+            t00, t01, t11 = (_fix(t, S) for t in block)
+            (T[k][k], Ti[k][k]), (T[k][k + 1], Ti[k][k + 1]) = t00, t01
+            (T[k + 1][k + 1], Ti[k + 1][k + 1]), T[k + 1][k] = t11, 0
+            if hasattr(cs, "_mpc_"):
+                self.tops.add(k)
+        self.F, self.S, self.T, self.Ti, self.mpx = F, S, T, Ti, mpx
+        self.Z, self.Zi = list(zip(*Zt)), list(zip(*Zi))
+        self.SM, self.M = fixed_rows(M, F, mpx)
+        self.gate = mpf_to_fraction(gate)
+
+    def _solve(self, i):
+        """(xr, xi) at the unit 2^-F, x[i] = 1, solving (T - T[i][i]) x = 0
+        in the rows above i by back substitution, one division per real
+        and one per imaginary part.  A divisor of modulus below smin =
+        max(eps |T[i][i]|, 2^(-30 p) n / eps, one unit), eps = 2^(1-p),
+        is replaced by smin, the guard of mpmath's ``eig_tr_r`` (after
+        LAPACK's ``ctrevc``)."""
+        F, T, Ti, prec, n = self.F, self.T, self.Ti, self.mpx.prec, len(self.T)
+        sr, si = T[i][i], Ti[i][i]
+        e = self.S - 29 * prec - 1
+        smin = max(math.isqrt(sr * sr + si * si) >> (prec - 1),
+                   n << e if e >= 0 else n >> -e, 1)
+        xr, xi = [0] * i + [1 << F], [0] * (i + 1)
+        for j in range(i - 1, -1, -1):
+            a, ai, pr, pi = T[j][j + 1:], Ti[j][j + 1:], xr[j + 1:], xi[j + 1:]
+            nr = sum(map(mul, a, pr)) - sum(map(mul, ai, pi))
+            ni = sum(map(mul, a, pi)) + sum(map(mul, ai, pr))
+            tr, ti = T[j][j] - sr, Ti[j][j] - si
+            d = tr * tr + ti * ti
+            if d < smin * smin:
+                tr, ti, d = smin, 0, smin * smin
+            xr[j] = -(nr * tr + ni * ti) // d
+            xi[j] = (nr * ti - ni * tr) // d
+        return xr, xi
+
+    def eigenpair(self, i, lam):
+        """(vector, residual) of the eigenvalue lam at position i of T, in
+        ``mpf``/``mpc`` of the context, or None when Z x vanishes.  The
+        vector is Z x normalized at its pivot, for a real lam its real
+        part (real up to round-off); the residual is ||M v - lam v||_inf."""
+        F, Z, Zi = self.F, self.Z, self.Zi
+        xr, xi = self._solve(i)
+        # Z x at the unit 2^-2F
+        vr = [sum(map(mul, z, xr)) - sum(map(mul, z2, xi)) for z, z2 in zip(Z, Zi)]
+        real = i not in self.tops
+        vi = None if real else [sum(map(mul, z, xi)) + sum(map(mul, z2, xr))
+                                for z, z2 in zip(Z, Zi)]
+        V = _normalize(vr, vi, self.gate, F)
+        if V is None:
+            return None
+        mpx, prec = self.mpx, self.mpx.prec
+        if real:
+            vec = tuple(mpx.make_mpf(from_man_exp(a, -F, prec, "n")) for a in V[0])
+        else:
+            vec = tuple(mpx.make_mpc((from_man_exp(a, -F, prec, "n"),
+                                      from_man_exp(b, -F, prec, "n"))) for a, b in zip(*V))
+        return vec, self._residual(V, lam)
+
+    def _residual(self, V, lam):
+        """||M V - lam V||_inf, exact on the integers M and V, rounded once
+        (a complex modulus after an integer square root with p more bits)."""
+        (Vr, Vi), M, SM, prec = V, self.M, self.SM, self.mpx.prec
+        lr, li = _fix(lam, SM)
+        if Vi is None:
+            r = max(abs(sum(map(mul, row, Vr)) - lr * a) for row, a in zip(M, Vr))
+            return self.mpx.make_mpf(from_man_exp(r, -SM - self.F, prec, "n"))
+        r2 = max((sum(map(mul, row, Vr)) - lr * a + li * b) ** 2
+                 + (sum(map(mul, row, Vi)) - lr * b - li * a) ** 2
+                 for row, a, b in zip(M, Vr, Vi))
+        r = math.isqrt(r2 << (2 * prec))
+        return self.mpx.make_mpf(from_man_exp(r, -SM - self.F - prec, prec, "n"))
+
+
+def _normalize(vr, vi, gate, F):
+    """(Vr, Vi) = v / v_p at the unit 2^-F, Vi None for a real v, where
+    v_p is the first entry whose modulus is within the fraction gate of
+    the largest, so that a tie up to round-off cannot pick the pivot;
+    each entry rounds by :func:`_div`.  None when v = 0."""
+    keep = gate.denominator - gate.numerator  # |v_j| >= (1 - gate) max |v|
+    if vi is None:
+        top = max(abs(a) for a in vr)
+        if not top:
+            return None
+        cut = keep * top
+        b = next(a for a in vr if abs(a) * gate.denominator >= cut)
+        sign, d = (1, b) if b > 0 else (-1, -b)
+        return [_div((sign * a) << F, d) for a in vr], None
+    mods = [a * a + c * c for a, c in zip(vr, vi)]
+    top = max(mods)
+    if not top:
+        return None
+    cut = keep * keep * top
+    p = next(j for j, m in enumerate(mods) if m * gate.denominator ** 2 >= cut)
+    br, bi, d = vr[p], vi[p], mods[p]
+    return ([_div((a * br + c * bi) << F, d) for a, c in zip(vr, vi)],
+            [_div((c * br - a * bi) << F, d) for a, c in zip(vr, vi)])

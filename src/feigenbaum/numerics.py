@@ -11,20 +11,21 @@ lists of rows.  Exact work uses ``fractions.Fraction``.
 The eigensolver works in real arithmetic: Householder reduction to
 Hessenberg form, Francis double-shift QR to real Schur form (Golub & Van
 Loan, *Matrix Computations*, section 7.5, in the scaling of EISPACK's
-hqr2), and one rotation per 2x2 block to a triangular factor, complex
-only in the rows and columns of complex-conjugate pairs.  Real
-eigenvalues therefore come out as ``mpf`` with real eigenvectors.
+hqr2), one rotation per 2x2 block to a triangular factor, complex
+only in the rows and columns of complex-conjugate pairs, and
+eigenvectors by triangular back substitution (Golub & Van Loan, section
+7.6; LAPACK's ``trevc``).  Real eigenvalues therefore come out as
+``mpf`` with real eigenvectors.
 
-The Hessenberg reduction and the QR sweeps run on Python integers, in
-the Schur kernel of :mod:`feigenbaum.fixed`.  With p the context
-precision:
+After the input conversion and the mirror transform, everything but
+the eigenvalues runs on Python integers, in the Schur kernel of
+:mod:`feigenbaum.fixed`.  With p the context precision:
 
 * width: F = 2p + :data:`SCHUR_GUARD_BITS` bits.  A block H is scaled
   once by a power of two, so that its largest entry becomes an integer
   in [2^(F-1), 2^F): the unit is at most 2^(1-F) max|h|, and max|h| is
   ||H||_inf within a factor n.  The orthogonal factor Z carries the unit
-  2^-F.  The Schur form and Z go back to ``mpf`` once, each entry
-  rounded to p bits;
+  2^-F;
 * reflectors: the vector a Householder reflector is built from (a
   column below the diagonal, or the bulge (p, q, r) of a sweep) is
   shifted by an exact power of two to F + 2 bits before ``math.isqrt``,
@@ -34,21 +35,70 @@ precision:
   products;
 * deflation: H[k+1][k] becomes 0 when below eps max(|H[k][k]| +
   |H[k+1][k+1]|, ||H||_F / n), eps = 2^-p / (100 n).  Every tenth sweep
-  without a deflation takes EISPACK's exceptional shifts; 4 dps sweeps
-  without one (mpmath's budget) raise :class:`NoConvergence`;
+  without a deflation takes EISPACK's exceptional shifts.  After 4 dps
+  sweeps without one (mpmath's budget), the active block's subdiagonal
+  that is smallest against its own max(...) is set to 0 if it passes the
+  test at 2^-p, EISPACK's, and a new budget starts; otherwise
+  :class:`NoConvergence` is raised.  A sweep's bulge starts at the top
+  of the active block, so a subdiagonal far below the rest damps it, and
+  on a matrix with few, highly repeated eigenvalues the rows below can
+  then stay a little above eps for good;
 * error: a reflector application misrounds each entry it writes by a
   few units and departs from orthogonality by about 2^-F, so after N
   applications the integer Schur form is exactly similar to a matrix
   within about N sqrt(n) 2^-F ||H|| of H.  A sweep applies n - 1 of
   them, so even 4 dps n sweeps stay below 2^-p ||H|| by a factor above
   2^p for n <= 100.  What is left is the deflations, below n eps 2 ||H||
-  together, and the final rounding to p bits;
+  together (each last-resort one below 2^-p 2 ||H||), and the final
+  rounding to p bits;
 * why 2p: near convergence the bulge a sweep chases shrinks with the
   subdiagonal it is to zero, to about the deflation threshold
   2^-p ||H||.  At the unit 2^-F it still carries p + 32 bits, so its
   reflector puts about 2^-(p+32) ||H|| back into that subdiagonal each
   sweep, below eps ||H||_F / n for n up to 6,000.  At a width of p + 24
   bits the bulge kept too few bits, and the QR stalled (D = 24, n = 12).
+
+After the sweeps the integers stay integers:
+
+* units: T, the Schur form of the whole, has one unit 2^-S.  With two
+  mirror blocks S is the larger of their scales, the other block
+  shifted up exactly, and the coupling Z_e^T L_eo Z_o takes L_eo floored
+  at 2^-S and two integer products, each shifted down by F.  Z carries
+  2^-F, and the mirror back-transform Q diag(Z_e, Z_o) floors each
+  z 2^F / sqrt 2 once.  A 2x2 block's rotation is floored to 2^-F and
+  applied to the rest of T and to Z, complex ones as re/im integer
+  pairs, each new entry shifted down by F toward zero; the block itself
+  becomes its rotated entries, floored to 2^-S.  The vector x has
+  x_i = 2^F, and each entry above costs one floor division (two for a
+  complex one), with the divisor guard smin of LAPACK's ``ctrevc``.
+  Z x is exact at 2^-2F;
+* odd rounding: the vector is Z x divided by its pivot, the first entry
+  whose modulus is within ``eig_gate`` of the largest (so a tie up to
+  round-off cannot choose it), rounded to 2^-F to the nearest, ties away
+  from zero, and then to p bits, to the nearest even.  A node row and
+  its mirror image of Q diag(Z_e, Z_o) hold the same integers, negated
+  in the odd columns, and the rotations mix even columns with even
+  ones, odd with odd, rounding toward zero.  All these roundings are
+  odd, so Z keeps that symmetry: an even-block vector is exactly
+  mirror-symmetric, and when L_eo = 0, so that x has no even part, an
+  odd-block vector is exactly antisymmetric;
+* residual: M is converted once at F bits, exactly for entries whose
+  exponents span fewer than F - p bits, and the eigenvalue at the same
+  unit; M V - lambda V is then exact on integers for the vector V at
+  2^-F, and rounds once to p bits (a complex modulus after an integer
+  square root with p bits more).  What is not exact is the conversions'
+  floors, below n 2^(1-F) ||M||, and the rounding of V to the reported
+  p bits, below 2^-p (||M|| + |lambda|): far below the gate
+  10^(-D/2-4) ||M||, as F is about 6.6 D bits and p about 3.3 D;
+* bit-identical eigenvalues: the eigenvalues alone are read at context
+  precision, each diagonal entry of a 1x1 block rounded once to p bits,
+  and each 2x2 block's eigenvalues and rotation computed by the
+  ``rsf2csf`` formulas from its four entries rounded once to p bits.
+  They depend on the input conversion, the mirror transform and the
+  sweeps, and on nothing after them: the integer T, Z and x carry only
+  vectors and residuals.  So every eigenvalue is, bit for bit, the one
+  an ``mpf`` triangularization of the same rounded Schur form gives
+  (the tests keep such a back end as an oracle).
 
 Everything here is a pure function of its inputs given a context, so
 values can move freely between threads.  They do not pickle; exchange
@@ -64,7 +114,7 @@ from fractions import Fraction
 import mpmath
 
 from .errors import ExactlySingular, NoConvergence, SingularMatrix
-from .fixed import _francis_step, _hessenberg, fixed_rows, mpf_rows
+from .fixed import SchurForm, _francis_step, _hessenberg, fixed_rows, mpf_rows
 
 GUARD_BITS = 32
 
@@ -284,8 +334,10 @@ def solve_linear_exact(A, B):
 
 @dataclass
 class EigenPair:
-    """One eigenvalue with its right eigenvector (unit sup-norm, largest
-    component rotated to +1) and the residual ``||M v - lambda v||_inf``.
+    """One eigenvalue with its right eigenvector and the residual
+    ``||M v - lambda v||_inf``.  The vector is scaled so that its pivot,
+    the first component whose modulus is within ``eig_gate`` of the
+    largest, is +1; its sup-norm is 1 to within that gate.
 
     A real eigenvalue is an ``mpf`` with a real vector.  A complex one is
     an ``mpc``; its conjugate is a pair of its own with the conjugate
@@ -297,18 +349,20 @@ class EigenPair:
     residual: object
 
 
-def _real_schur(H, Z, width, ctx: PrecisionCtx, lo):
+def _real_schur(H, Zt, width, ctx: PrecisionCtx, lo):
     """Francis QR, by integer sweeps of ``width`` bits, of the integer
-    Hessenberg H (overwritten, and Z with it) to real Schur form: upper
+    Hessenberg H (overwritten, and Z^T, Zt, with it) to real Schur form: upper
     triangular but for 2x2 diagonal blocks, each the last of its active
     block to converge.
 
     H[k+1][k] becomes 0 when below eps max(|H[k][k]| + |H[k+1][k+1]|,
     ||H||_F / n), eps = 2^-p / (100 n), p the context precision.  Every
-    tenth sweep without deflation takes exceptional shifts; after 4 * dps
-    sweeps without one (mpmath's budget), :class:`NoConvergence` names the
-    bottom row of the active block as a row of the whole matrix, in which
-    H is the diagonal block from row ``lo``.
+    tenth sweep without deflation takes exceptional shifts.  After 4 * dps
+    sweeps without one (mpmath's budget), the subdiagonal of the active
+    block smallest against its max(...) becomes 0 if below 2^-p times it,
+    and the budget starts again; if none is, :class:`NoConvergence` names
+    the bottom row of the active block as a row of the whole matrix, in
+    which H is the diagonal block from row ``lo``.
     """
     n = len(H)
     floor = math.isqrt(sum(x * x for row in H for x in row)) // n  # ||H||_F / n
@@ -331,76 +385,45 @@ def _real_schur(H, Z, width, ctx: PrecisionCtx, lo):
             hi = l - 1
             continue
         if its == budget:
-            raise NoConvergence("QR found no deflation in %d sweeps at row %d"
-                                % (its, lo + hi), index=lo + hi)
-        its += 1
-        _francis_step(H, Z, l, hi, its % 10 == 0, width)
-
-
-def _rotate(T, Z, k, cs, sn):
-    """T <- U^H T U and Z <- Z U for the rotation U = [[cs, -sn], [sn, conj(cs)]]
-    in the plane (k, k+1), with sn real and |cs|^2 + sn^2 = 1."""
-    cc = cs.conjugate()
-    t0, t1 = T[k], T[k + 1]
-    for j in range(k, len(T)):
-        a, b = t0[j], t1[j]
-        t0[j] = cc * a + sn * b
-        t1[j] = cs * b - sn * a
-    for row in T[:k + 2] + Z:
-        a, b = row[k], row[k + 1]
-        row[k] = cs * a + sn * b
-        row[k + 1] = cc * b - sn * a
-
-
-def _triangularize(T, Z, ctx: PrecisionCtx):
-    """Make the real Schur form T triangular.  A 2x2 block with real
-    eigenvalues splits by one real rotation; a complex pair by one unitary
-    complex rotation (``rsf2csf``), which makes only those two rows and
-    columns of T and those two columns of Z complex.  Returns the
-    positions k holding the +im eigenvalue of a pair; T[k+1][k+1] is its
-    exact conjugate."""
-    mp = ctx.mp
-    zero = ctx.mpf(0)
-    tops = set()
-    for k in range(len(T) - 1):
-        c = T[k + 1][k]
-        if not c:
+            # last resort: EISPACK's deflation test, at 2^-p, on the active
+            # block's relatively smallest subdiagonal
+            ts = {k: max(abs(H[k - 1][k - 1]) + abs(H[k][k]), floor)
+                  for k in range(l + 1, hi + 1)}
+            k = min(ts, key=lambda k: abs(H[k][k - 1]) / ts[k])
+            if abs(H[k][k - 1]) << ctx.prec_bits >= ts[k]:
+                raise NoConvergence("QR found no deflation in %d sweeps at row %d"
+                                    % (its, lo + hi), index=lo + hi)
+            H[k][k - 1] = 0
             continue
-        a, b, d = T[k][k], T[k][k + 1], T[k + 1][k + 1]
-        p = (a - d) / 2
-        disc = p * p + b * c
-        if disc >= 0:
-            # eigenvalue d + z with no cancellation in z; eigenvector (z, c)
-            z = p + mp.sqrt(disc) if p >= 0 else p - mp.sqrt(disc)
-            tau = mp.hypot(z, c)
-            _rotate(T, Z, k, z / tau, c / tau)
-        else:
-            # eigenvalue d + mu, mu = p + i omega; eigenvector (mu, c)
-            mu = mp.mpc(p, mp.sqrt(-disc))
-            tau = mp.hypot(abs(mu), c)
-            _rotate(T, Z, k, mu / tau, c / tau)
-            T[k][k] = d + mu
-            T[k + 1][k + 1] = T[k][k].conjugate()
-            tops.add(k)
-        T[k + 1][k] = zero
-    return tops
+        its += 1
+        _francis_step(H, Zt, l, hi, its % 10 == 0, width)
 
 
-def _eigenvector(T, Z, i, ctx: PrecisionCtx):
-    """Z x, where x solves (T - T[i][i]) x = 0 with x[i] = 1 by back
-    substitution on the triangular T.  Divisors smaller than
-    smin = max(eps |T[i][i]|, smlnum) are replaced by smin, the guard of
-    mpmath's ``eig_tr_r`` (after LAPACK's ``ctrevc``)."""
-    mp = ctx.mp
-    s = T[i][i]
-    smin = max(mp.eps * abs(s), mp.ldexp(mp.one, -30 * mp.prec) * len(T) / mp.eps)
-    x = [mp.one] * (i + 1)
-    for j in range(i - 1, -1, -1):
-        t = T[j][j] - s
-        if abs(t) < smin:
-            t = smin
-        x[j] = -mp.fdot(T[j][j + 1:i + 1], x[j + 1:]) / t
-    return [mp.fdot(row[:i + 1], x) for row in Z]
+def _split_block(a, b, c, d, mp):
+    """(cs, sn, t00, t01, t11) for the 2x2 block [[a, b], [c, d]], c != 0,
+    of a real Schur form: the rotation U = [[cs, -sn], [sn, conj(cs)]],
+    sn real and |cs|^2 + sn^2 = 1, with U^H block U = [[t00, t01], [0,
+    t11]].  Real eigenvalues split by a real rotation; a complex pair by
+    a unitary complex one (``rsf2csf``), and then t00 is the +im
+    eigenvalue and t11 its exact conjugate."""
+    p = (a - d) / 2
+    disc = p * p + b * c
+    if disc >= 0:
+        # eigenvalue d + z with no cancellation in z; eigenvector (z, c)
+        z = p + mp.sqrt(disc) if p >= 0 else p - mp.sqrt(disc)
+        tau = mp.hypot(z, c)
+        cs, sn = z / tau, c / tau
+    else:
+        # eigenvalue d + mu, mu = p + i omega; eigenvector (mu, c)
+        mu = mp.mpc(p, mp.sqrt(-disc))
+        tau = mp.hypot(abs(mu), c)
+        cs, sn = mu / tau, c / tau
+    cc = cs.conjugate()
+    r0, r1 = (cc * a + sn * c, cc * b + sn * d), (cs * c - sn * a, cs * d - sn * b)
+    t01 = cc * r0[1] - sn * r0[0]
+    if disc >= 0:
+        return cs, sn, cs * r0[0] + sn * r0[1], t01, cc * r1[1] - sn * r1[0]
+    return cs, sn, d + mu, t01, (d + mu).conjugate()
 
 
 def _mirror(v, s):
@@ -415,31 +438,23 @@ def _mirror(v, s):
     return even + [(v[i] - v[n - 1 - i]) * s for i in range(m)]
 
 
-def _unmirror(Ze, Zo, s, ctx: PrecisionCtx):
-    """Rows of Q diag(Ze, Zo): node rows i and n-1-i are s (Ze[i], +-Zo[i]),
-    and the middle row of an odd n is (Ze[m], 0)."""
-    m = len(Zo)
-    Z = [[s * x for x in Ze[i]] + [s * x for x in Zo[i]] for i in range(m)]
-    if len(Ze) > m:
-        Z.append(Ze[m] + [ctx.mpf(0)] * m)
-    return Z + [[s * x for x in Ze[i]] + [-s * x for x in Zo[i]]
-                for i in range(m - 1, -1, -1)]
-
-
 def eig_dense(M, tol, ctx: PrecisionCtx, mirror=False):
     """All eigenpairs of a square real matrix, sorted by descending
     modulus, then descending real and imaginary part (so a conjugate pair
     comes +im first).
 
-    Real arithmetic on lists of rows: Householder reduction to Hessenberg
-    form and Francis double-shift QR to real Schur form on integers of
-    2p + 32 bits (see the module docstring), then, at context precision,
-    one rotation per remaining 2x2 block to a triangular factor and
-    eigenvectors by back substitution.  Real eigenvalues come back as
-    ``mpf`` with real vectors, complex ones as exact conjugate pairs.  Each
-    pair is checked against
-    ``||M v - lambda v||_inf <= tol * ||M||_inf * ||v||_inf``; a violation
-    or an exhausted QR budget raises :class:`NoConvergence`.
+    Real arithmetic on lists of rows, on integers of 2p + 32 bits (see
+    the module docstring): Householder reduction to Hessenberg form,
+    Francis double-shift QR to real Schur form, one rotation per
+    remaining 2x2 block to a triangular factor, eigenvectors by back
+    substitution and their residuals; only the eigenvalues, from the
+    diagonal and the 2x2 blocks, are computed at context precision.  Real
+    eigenvalues come back as ``mpf`` with real vectors, complex ones as
+    exact conjugate pairs.  A vector is scaled to +1 at its first
+    component within ``ctx.eig_gate`` of the largest in modulus.  Each
+    pair is checked against ``||M v - lambda v||_inf <= tol * ||M||_inf``;
+    a violation or an exhausted QR budget raises :class:`NoConvergence`.
+    An empty matrix has no eigenpairs.
 
     With ``mirror`` the matrix is first written in the mirror coordinates
     (v[i] +- v[n-1-i]) / sqrt(2), even ones first.  When M maps
@@ -456,10 +471,12 @@ def eig_dense(M, tol, ctx: PrecisionCtx, mirror=False):
     tol = ctx.mpf(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if not n:
+        return []
     mp = ctx.mp
     A = [[ctx.mpf(x) for x in row] for row in M]
     norm = mat_norm_inf(M)
-    h, T = n, [list(row) for row in A]
+    h, T = n, A
     if mirror:
         s = 1 / mp.sqrt(2)
         AQ = [_mirror(row, s) for row in A]
@@ -467,49 +484,38 @@ def eig_dense(M, tol, ctx: PrecisionCtx, mirror=False):
         half = n - n // 2
         if mat_norm_inf([row[:half] for row in B[half:]]) <= tol * norm:
             h, T = half, B
-    blocks = [(0, h), (h, n)] if h < n else [(0, n)]
-    Zs = []
     width = 2 * ctx.prec_bits + SCHUR_GUARD_BITS
-    for lo, hi in blocks:
+    blocks, values, splits = [], [], []
+    for lo, hi in [(0, h), (h, n)] if h < n else [(0, n)]:
         S, H = fixed_rows([row[lo:hi] for row in T[lo:hi]], width, mp)
-        Zb = _hessenberg(H, width)
-        _real_schur(H, Zb, width, ctx, lo)
-        for row, hrow in zip(T[lo:hi], mpf_rows(H, S, mp)):
-            row[lo:hi] = hrow
-        Zs.append(mpf_rows(Zb, width, mp))
-    if h < n:
-        Ze, Zo = Zs
-        LZ = [[mp.fdot(row[h:], col) for col in zip(*Zo)] for row in T[:h]]
-        for row, col in zip(T, zip(*Ze)):
-            row[h:] = [mp.fdot(col, lz) for lz in zip(*LZ)]
-        zero = ctx.mpf(0)
-        for row in T[h:]:
-            row[:h] = [zero] * h
-        Z = _unmirror(Ze, Zo, s, ctx)
-    else:
-        Z = Zs[0]
-    tops = _triangularize(T, Z, ctx)
+        Zt = _hessenberg(H, width)
+        _real_schur(H, Zt, width, ctx, lo)
+        blocks.append((S, H, Zt))
+        values += mpf_rows([[H[k][k] for k in range(hi - lo)]], S, mp)[0]
+        for k in range(hi - lo - 1):
+            if H[k + 1][k]:
+                (a, b), (c, d) = mpf_rows([H[k][k:k + 2], H[k + 1][k:k + 2]], S, mp)
+                split = _split_block(a, b, c, d, mp)
+                values[lo + k], values[lo + k + 1] = split[2], split[4]
+                splits.append((lo + k,) + split)
+    form = SchurForm(blocks, [row[h:] for row in T[:h]], splits, A, ctx.eig_gate, width, mp)
 
     pairs = []
     for i in range(n):
-        if i - 1 in tops:
+        if i - 1 in form.tops:
             continue  # the conjugate of the pair at i - 1
-        lam = T[i][i]
-        vec = _eigenvector(T, Z, i, ctx)
-        if i not in tops:
-            vec = [v.real for v in vec]  # real up to round-off
-        big = max(vec, key=abs)
-        if abs(big) == 0:
+        lam = values[i]
+        pair = form.eigenpair(i, lam)
+        if pair is None:
             raise NoConvergence("zero eigenvector", index=i)
-        vec = [v / big for v in vec]
-        res = max(abs(mp.fdot(row, vec) - lam * v) for row, v in zip(A, vec))
+        vec, res = pair
         if norm > 0 and res > tol * norm:
             raise NoConvergence(
                 "eigenpair %d residual %s exceeds tolerance" % (i, mp.nstr(res, 5)),
                 index=i,
             )
-        pairs.append(EigenPair(lam, tuple(vec), res))
-        if i in tops:
+        pairs.append(EigenPair(lam, vec, res))
+        if i in form.tops:
             pairs.append(EigenPair(lam.conjugate(), tuple(v.conjugate() for v in vec), res))
 
     pairs.sort(key=lambda p: (-abs(p.value), -p.value.real, -p.value.imag))
