@@ -40,12 +40,11 @@ from .chebyshev import (
     _eval,
     _eval_rows,
     _tables,
-    barycentric_rows,
     cheb_nodes,
     monomial_to_series,
 )
 from .errors import ConfigError, ExactlySingular
-from .fixed import mpf_to_fraction
+from .fixed import ROW_GUARD_BITS, mpf_rows, mpf_to_fraction
 from .numerics import (
     PrecisionCtx,
     identity_rows,
@@ -219,14 +218,23 @@ class Discretization:
         return self._combine([ctx.mpf(0)] * self.series_len,
                              [ctx.mp.convert(v) for v in vector])
 
-    def cardinal_rows(self, points, ctx: PrecisionCtx) -> list:
-        """Matrix E with E[i][j] = cardinal_j(points[i]): row i maps node
-        values to the value of the direction they span at points[i].  The
-        Chebyshev grid sums each row barycentrically in O(n); the
-        coefficient bases evaluate each cardinal series by Clenshaw."""
+    def cardinal_ints(self, points, ctx: PrecisionCtx):
+        """(U, E) with E[i][j] 2^-U = cardinal_j(points[i]), E of integers
+        and U at least p + ``ROW_GUARD_BITS``: row i maps node values to
+        the value of the direction they span at points[i].  The Chebyshev
+        grid sums each row barycentrically in O(n); the coefficient bases
+        take each cardinal series' exact Clenshaw kernel values.  See
+        :mod:`feigenbaum.fixed` for the kernels."""
         if self.spec.kind is BasisKind.CHEB_GRID:
-            return barycentric_rows(points, self.dim, ctx)
-        return _eval_rows(self.cardinals, points)
+            kernel = _tables(self.dim, ctx.prec_bits)[2]
+            return kernel.U, kernel.rows(points, ctx.mp)
+        return _eval_rows(self.cardinals, points, ctx.prec_bits + ROW_GUARD_BITS)
+
+    def cardinal_rows(self, points, ctx: PrecisionCtx) -> list:
+        """The rows of :meth:`cardinal_ints` in ``mpf``, each entry
+        rounded once."""
+        U, rows = self.cardinal_ints(points, ctx)
+        return mpf_rows(rows, U, ctx.mp)
 
     def describe(self, ctx: PrecisionCtx) -> dict:
         d = {
@@ -284,12 +292,12 @@ class EvenHalf(Discretization):
     def mirror_nodes(self) -> bool:
         return False
 
-    def cardinal_rows(self, points, ctx: PrecisionCtx) -> list:
+    def cardinal_ints(self, points, ctx: PrecisionCtx):
         """The full grid's rows, folded: entry j is l_j(z) + l_(n-1-j)(z)."""
         n = self.full.dim
-        return [[r[j] + r[n - 1 - j] if 2 * j + 1 < n else r[j]
-                 for j in range(self.dim)]
-                for r in self.full.cardinal_rows(points, ctx)]
+        U, rows = self.full.cardinal_ints(points, ctx)
+        return U, [[r[j] + r[n - 1 - j] if 2 * j + 1 < n else r[j]
+                    for j in range(self.dim)] for r in rows]
 
     def mirrored(self, values) -> tuple:
         """The full grid's n node values of the even function with these
@@ -318,10 +326,11 @@ def even_half(grid: Discretization, ctx: PrecisionCtx) -> EvenHalf:
 
 
 def _monomial_series(powers_to_coeffs: dict, length: int, ctx) -> ChebSeries:
-    """Chebyshev series of sum c x^p, zero-padded to ``length`` coefficients."""
+    """Chebyshev series of sum c x^p, the coefficients c taken exactly,
+    zero-padded to ``length`` coefficients."""
     dense = [0] * length
     for p, c in powers_to_coeffs.items():
-        dense[p] = ctx.mpf(c)
+        dense[p] = c
     coeffs = monomial_to_series(dense, ctx).coeffs
     return ChebSeries(coeffs + (ctx.mpf(0),) * (length - len(coeffs)))
 

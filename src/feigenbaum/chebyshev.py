@@ -20,12 +20,13 @@ evaluation, and keeps the integer form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import mpmath
 
-from .fixed import _FixedSeries
+from .fixed import ROW_GUARD_BITS, GridCardinals, _FixedSeries, mpf_to_fraction, round_fraction
 from .numerics import PrecisionCtx, ls_slope
 
 
@@ -86,8 +87,11 @@ class DecayReport:
 
 @lru_cache(maxsize=64)
 def _tables(n: int, prec_bits: int):
-    """Nodes x_i, cosine table cos(k theta_i) and barycentric weights
-    (-1)^i sin(theta_i) at the given precision.
+    """Nodes x_i, cosine table cos(k theta_i), and the integer kernel of
+    the grid's Lagrange cardinals (:class:`feigenbaum.fixed.GridCardinals`,
+    the second barycentric formula of Berrut & Trefethen, SIAM Rev. 46
+    (2004) 501-517), with weights (-1)^i sin(theta_i), at the given
+    precision.
 
     Every context of that precision shares the entries, so they are made
     in a context private to this cache."""
@@ -98,8 +102,8 @@ def _tables(n: int, prec_bits: int):
     cosk = tuple(
         tuple(private.cos(k * t) for t in thetas) for k in range(n)
     )
-    weights = tuple((-1) ** i * private.sin(t) for i, t in enumerate(thetas, 1))
-    return nodes, cosk, weights
+    weights = [(-1) ** i * private.sin(t) for i, t in enumerate(thetas, 1)]
+    return nodes, cosk, GridCardinals(nodes, weights, prec_bits + ROW_GUARD_BITS)
 
 
 def cheb_nodes(n: int, ctx: PrecisionCtx):
@@ -107,28 +111,6 @@ def cheb_nodes(n: int, ctx: PrecisionCtx):
     if n < 2:
         raise ValueError("need n >= 2 nodes")
     return _tables(n, ctx.prec_bits)[0]
-
-
-def barycentric_rows(points, n: int, ctx: PrecisionCtx):
-    """Values l_j(z) of the n Lagrange cardinals of the Chebyshev roots at
-    each point z, one row per point, from the second (true) barycentric
-    formula l_j(z) = (w_j/(z - x_j)) / sum_k w_k/(z - x_k) (Berrut &
-    Trefethen, SIAM Rev. 46 (2004) 501-517).  O(n) per point, and
-    forward stable near the nodes (Higham, IMA J. Numer. Anal. 24 (2004)
-    547-556); a point equal to a node gives that node's unit row."""
-    nodes, _, weights = _tables(n, ctx.prec_bits)
-    weights = [ctx.mpf(w) for w in weights]
-    one, zero = ctx.mpf(1), ctx.mpf(0)
-    rows = []
-    for z in points:
-        try:
-            terms = [w / (z - x) for w, x in zip(weights, nodes)]
-        except ZeroDivisionError:
-            rows.append([one if z == x else zero for x in nodes])
-            continue
-        total = ctx.mp.fsum(terms)
-        rows.append([t / total for t in terms])
-    return rows
 
 
 def _eval(series: ChebSeries, x):
@@ -139,13 +121,16 @@ def _eval(series: ChebSeries, x):
     return fixed.value(fixed.fix(x))
 
 
-def _eval_rows(series, points):
-    """[[s(z) for s in series] for z in points] for series of one
-    precision: each point is converted to integer form once, and each
-    series once in its life."""
+def _eval_rows(series, points, U):
+    """(unit, rows) with rows[i] the exact Clenshaw kernel values of the
+    series, of one precision, at points[i] (a complex series gives its
+    real and then its imaginary part), all as integers at the unit
+    2^-unit, unit = max(U, the series' own units), so that no bit of the
+    kernel's values is lost.  Each point is converted to integer form
+    once, and each series once in its life."""
     fixed = [s._fixed for s in series]
-    fix = fixed[0].fix
-    return [[f.value(X) for f in fixed] for X in map(fix, points)]
+    fix, unit = fixed[0].fix, max([U] + [f.unit for f in fixed])
+    return unit, [[v for f in fixed for v in f.ints(X, unit)] for X in map(fix, points)]
 
 
 def eval_series(s: ChebSeries, x, ctx: PrecisionCtx):
@@ -247,15 +232,23 @@ def series_to_monomial(s: ChebSeries, ctx: PrecisionCtx):
 
 
 def monomial_to_series(coeffs, ctx: PrecisionCtx) -> ChebSeries:
-    """Chebyshev series of a polynomial given by Taylor coefficients."""
-    coeffs = list(coeffs)
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
+    """Chebyshev series of the polynomial sum_p c_p x^p given by its
+    Taylor coefficients (Fractions, integers, or reals taken at their
+    exact binary value), trailing zeros dropped and at least two terms:
 
-    def horner(x):
-        acc = ctx.mpf(0)
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
+        a_j = sum_p c_p 2^(1-p) C(p, (p-j)/2),  p >= j, p - j even,
 
-    return interpolant(horner, max(len(coeffs), 2), ctx)
+    the binomial expansion of x^p in the halved-a_0 convention, computed
+    exactly over one common denominator and rounded once to the context
+    precision."""
+    qs = [mpf_to_fraction(c) for c in coeffs]
+    while len(qs) > 1 and qs[-1] == 0:
+        qs.pop()
+    top = len(qs) - 1
+    den = math.lcm(*(q.denominator for q in qs))
+    # c_p 2^(1-p) times den 2^top, an integer
+    nums = [q.numerator * (den // q.denominator) << (top + 1 - p) for p, q in enumerate(qs)]
+    out = [round_fraction(sum(nums[p] * math.comb(p, (p - j) // 2)
+                              for p in range(j, top + 1, 2)), den << top, ctx.mp)
+           for j in range(top + 1)]
+    return ChebSeries(tuple(out + [ctx.mpf(0)] * (2 - len(out))))

@@ -33,6 +33,46 @@ G = :data:`KERNEL_GUARD_BITS`:
   series, each with its own scale, so a complex value is bit for bit the
   pair of real values.
 
+Linearization rows.  Each entry of the collocation matrix L = dT(g) of
+:mod:`feigenbaum.operators` combines the values h_j(z) of the cardinals
+at a few points z per row.  Those values are integers at one unit 2^-U,
+U = p + :data:`ROW_GUARD_BITS` for the context precision p:
+
+* grid rows (:class:`GridCardinals`): the second barycentric formula
+  l_j(z) = (w_j / (z - x_j)) / S, S = sum_k w_k / (z - x_k), on the
+  p-bit nodes x_j and weights w_j.  The nodes are integers X_j at the
+  unit 2^-E of the finest of them, and a point Z at the finer of its
+  own unit and 2^-E (the nodes and weights shifted up exactly when the
+  point's is finer), so d_j = Z - X_j is exact, and a point equal to a
+  node gives that node's unit row.  Then t_j = floor(w_j 2^(U+E) / d_j),
+  within one unit of w_j 2^U / (z - x_j), and T = sum_j t_j, within n
+  units of S 2^U;
+* reciprocal scaling: r = floor(2^(b+U) / |T|), b the bit length of
+  |T|, has U + 1 bits whatever |T| is (it grows like 1/|z - x_k| near a
+  node), and l_j = floor(t_j r 2^-b), one product and one shift per
+  entry, so a point near a node keeps its relative precision;
+* error: against the exact cardinals of the p-bit nodes and weights,
+  |l_j 2^-U - l_j(z)| <= 2^-U (2 + |l_j(z)| + (1 + n |l_j(z)|) / |S|).
+  For the Chebyshev roots S = +-n / T_n(z), so |S| >= n on [-1, 1] and
+  the error is a few units 2^-U there; off the interval |S| shrinks like
+  n / |T_n(z)|, the cancellation of the barycentric sum that an ``mpf``
+  sum suffers at 2^-p;
+* the even half folds a full row by integer adds, l_j + l_(n-1-j);
+* coefficient-basis rows are the Clenshaw kernel's integers before
+  ``from_man_exp``, shifted up exactly to 2^-U (to the series' own unit
+  2^-(S+1) if finer), so they carry the kernel's error and no other;
+* why p + 32: an entry of L sums two to four products of order-one
+  scalars and row values, so a row error of a few units 2^-(p+32) is
+  about 2^-30 of the final rounding of an entry that does not cancel:
+  such an entry is the correctly rounded value of the formula on the
+  exact cardinals but for a tie within that margin;
+* one rounding (:func:`combine_rows`): every scalar of the formula is an
+  ``mpf`` taken at its exact binary value (a product of two, exactly),
+  the terms of an entry are aligned to their smallest exponent,
+  multiplied and summed exactly, and ``from_man_exp`` rounds the sum
+  once to p bits.  Each entry of L is therefore the nearest p-bit number
+  to the formula applied to the integer rows and the scalars.
+
 Schur kernel: Householder reflectors, the Hessenberg reduction and the
 Francis double-shift sweep on integer rows at a width of F bits, with
 the orthogonal factor stored transposed, and :class:`SchurForm`, which
@@ -48,19 +88,31 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from mpmath.libmp import from_man_exp, fzero, to_fixed
+from mpmath.libmp import from_man_exp, from_rational, fzero, to_fixed
 
 # Bits the Clenshaw kernel carries beyond the coefficients' precision.
 KERNEL_GUARD_BITS = 16
 
+# Bits the rows of the linearization carry beyond the context precision.
+ROW_GUARD_BITS = 32
+
 
 def mpf_to_fraction(x) -> Fraction:
-    """Exact rational value of an mpf (binary float), as a Fraction."""
+    """Exact rational value of an mpf (binary float), as a Fraction; any
+    other real goes through ``Fraction(x)``."""
+    if not hasattr(x, "_mpf_"):
+        return Fraction(x)
     sign, man, exp, _ = x._mpf_
     man = -man if sign else man
     if exp >= 0:
         return Fraction(man * (1 << exp))
     return Fraction(man, 1 << (-exp))
+
+
+def round_fraction(num, den, mpx):
+    """num / den (integers, den > 0) rounded once, to the nearest, to the
+    precision of the mpmath context mpx."""
+    return mpx.make_mpf(from_rational(num, den, mpx.prec, "n"))
 
 
 def _finite(raw):
@@ -93,13 +145,19 @@ def _fixed_part(raws, bits):
     return S, fixed[0], tuple(reversed(fixed[1:]))
 
 
-def _clenshaw(part, X, shift, prec):
-    """Raw value at p bits of one real part at the integer point X."""
+def _clenshaw(part, X, shift):
+    """(b_0 - b_2) 2^S of one real part at the integer point X: its value
+    at the unit 2^-(S+1), before any rounding."""
     S, c0, rest = part
     b1 = b2 = 0
     for c in rest:
         b1, b2 = c + ((X * b1) >> shift) - b2, b1
-    return from_man_exp(c0 + ((X * b1) >> shift) - 2 * b2, -S - 1, prec, "n")
+    return c0 + ((X * b1) >> shift) - 2 * b2
+
+
+def _rounded(part, X, shift, prec):
+    """Raw value at p bits of one real part at the integer point X."""
+    return from_man_exp(_clenshaw(part, X, shift), -part[0] - 1, prec, "n")
 
 
 class _FixedSeries:
@@ -130,8 +188,96 @@ class _FixedSeries:
         """Value at the point whose integer form is X."""
         shift, prec = self.point_bits - 1, self.prec
         if len(self.parts) == 1:
-            return self.mpx.make_mpf(_clenshaw(self.parts[0], X, shift, prec))
-        return self.mpx.make_mpc(tuple(_clenshaw(p, X, shift, prec) for p in self.parts))
+            return self.mpx.make_mpf(_rounded(self.parts[0], X, shift, prec))
+        return self.mpx.make_mpc(tuple(_rounded(p, X, shift, prec) for p in self.parts))
+
+    @property
+    def unit(self) -> int:
+        """The finest unit 2^-(S+1) of the parts' values, as S + 1."""
+        return max(p[0] for p in self.parts) + 1
+
+    def ints(self, X, U):
+        """The exact kernel values of the parts (real, then imaginary) at
+        the point whose integer form is X, at the unit 2^-U, U >= unit."""
+        shift = self.point_bits - 1
+        return [_clenshaw(p, X, shift) << (U - p[0] - 1) for p in self.parts]
+
+
+# ----------------------------------------------------------------------
+# Linearization rows
+
+
+def _signed(raw):
+    """The signed mantissa of a raw tuple."""
+    return -raw[1] if raw[0] else raw[1]
+
+
+class GridCardinals:
+    """Integer form of the n Lagrange cardinals of fixed nodes x_j with
+    barycentric weights w_j (finite reals, the nodes distinct):
+    l_j(z) = (w_j / (z - x_j)) / sum_k w_k / (z - x_k), O(n) per point and
+    forward stable near the nodes (Higham, IMA J. Numer. Anal. 24 (2004)
+    547-556), at the unit 2^-U; the module docstring states the scaling
+    and the error."""
+
+    def __init__(self, nodes, weights, U):
+        xs = [_finite(x._mpf_) for x in nodes]
+        ws = [_finite(w._mpf_) for w in weights]
+        # every node is an integer at the unit 2^-E
+        self.E = E = max((-exp for _, man, exp, _ in xs if man), default=0)
+        self.U, self.n = U, len(xs)
+        self.X = [_signed(r) << (r[2] + E) for r in xs]
+        self.W = [_signed(r) << (r[2] + E + U) for r in ws]  # w_j 2^(E+U)
+
+    def rows(self, points, mpx):
+        """One row (l_j(z) 2^U)_j of integers per point z."""
+        U, out = self.U, []
+        for z in points:
+            raw = _raw(z, mpx)
+            Z, k = _signed(raw), -raw[2] - self.E
+            X, W = self.X, self.W
+            if k > 0:  # z needs a finer unit than the nodes
+                X, W = [x << k for x in X], [w << k for w in W]
+            else:
+                Z <<= -k
+            ds = [Z - x for x in X]  # exact
+            if 0 in ds:
+                j = ds.index(0)
+                out.append([1 << U if i == j else 0 for i in range(self.n)])
+                continue
+            t = [w // d for w, d in zip(W, ds)]
+            total = sum(t)
+            if total < 0:
+                t, total = [-a for a in t], -total
+            b = total.bit_length()
+            r = (1 << (b + U)) // total
+            out.append([(a * r) >> b for a in t])
+        return out
+
+
+def combine_rows(rows, U, mpx):
+    """Rows of ``mpf`` of the context mpx: ``rows`` holds, for each output
+    row, a list of terms (factors, ints), factors a sequence of finite
+    reals and ints a row of integers at the unit 2^-U, and entry j is
+    sum over the terms of prod(factors) ints[j] 2^-U, summed exactly and
+    rounded once to the precision of mpx.  Each output row needs a term
+    with nonzero factors."""
+    prec, out = mpx.prec, []
+    for terms in rows:
+        scaled = []
+        for factors, ints in terms:
+            m, e = 1, 0
+            for f in factors:
+                raw = _raw(f, mpx)
+                m, e = m * _signed(raw), e + raw[2]
+            if m:
+                scaled.append((m, e, ints))
+        e0 = min(e for _, e, _ in scaled)
+        ms = [m << (e - e0) for m, e, _ in scaled]
+        cols = zip(*(ints for _, _, ints in scaled))
+        out.append([mpx.make_mpf(from_man_exp(sum(map(mul, ms, col)), e0 - U, prec, "n"))
+                    for col in cols])
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -144,7 +290,7 @@ def fixed_rows(rows, bits, mpx):
     for the whole matrix, and every entry below 2^bits in modulus."""
     S, flat = _to_fixed([_raw(a, mpx) for row in rows for a in row], bits)
     n = len(rows)
-    return S, [flat[i:i + n] for i in range(0, n * n, n)]
+    return S, [flat[i * n:(i + 1) * n] for i in range(n)]
 
 
 def mpf_rows(rows, S, mpx):
@@ -152,6 +298,13 @@ def mpf_rows(rows, S, mpx):
     each entry rounded once to its precision."""
     prec = mpx.prec
     return [[mpx.make_mpf(from_man_exp(a, -S, prec, "n")) for a in row] for row in rows]
+
+
+def norm_inf(rows, S, mpx):
+    """||A||_inf of the integer rows times 2^-S, exact and rounded once to
+    the precision of the context mpx."""
+    top = max(sum(map(abs, row)) for row in rows)
+    return mpx.make_mpf(from_man_exp(top, -S, mpx.prec, "n"))
 
 
 def _reflector(v, F):
@@ -330,12 +483,13 @@ class SchurForm:
     matrix, as rows of ``mpf``.  ``splits`` holds (k, cs, sn, t00, t01,
     t11) for each 2x2 block at rows k, k + 1 of the whole: the rotation
     U = [[cs, -sn], [sn, conj(cs)]] and the triangular block U^H T U =
-    [[t00, t01], [0, t11]], numbers of the context mpx.  M, rows of
-    ``mpf``, is the matrix residuals are taken against, and ``gate`` the
-    relative tie in which a vector's pivot is chosen.  The units and the
-    error are stated in :mod:`feigenbaum.numerics`."""
+    [[t00, t01], [0, t11]], numbers of the context mpx.  ``matrix`` is
+    (S_M, M) of :func:`fixed_rows` at F bits, the matrix residuals are
+    taken against, and ``gate`` the relative tie in which a vector's
+    pivot is chosen.  The units and the error are stated in
+    :mod:`feigenbaum.numerics`."""
 
-    def __init__(self, blocks, coupling, splits, M, gate, F, mpx):
+    def __init__(self, blocks, coupling, splits, matrix, gate, F, mpx):
         if len(blocks) == 1:
             ((S, T, Zt),) = blocks
         else:
@@ -367,7 +521,7 @@ class SchurForm:
                 self.tops.add(k)
         self.F, self.S, self.T, self.Ti, self.mpx = F, S, T, Ti, mpx
         self.Z, self.Zi = list(zip(*Zt)), list(zip(*Zi))
-        self.SM, self.M = fixed_rows(M, F, mpx)
+        self.SM, self.M = matrix
         self.gate = mpf_to_fraction(gate)
 
     def _solve(self, i):

@@ -90,6 +90,9 @@ After the sweeps the integers stay integers:
   floors, below n 2^(1-F) ||M||, and the rounding of V to the reported
   p bits, below 2^-p (||M|| + |lambda|): far below the gate
   10^(-D/2-4) ||M||, as F is about 6.6 D bits and p about 3.3 D;
+* norm: the same integers of M give ||M||_inf for the gates, summed
+  exactly and rounded once, and, when the whole matrix is the one
+  block, the block the Hessenberg reduction starts from;
 * bit-identical eigenvalues: the eigenvalues alone are read at context
   precision, each diagonal entry of a 1x1 block rounded once to p bits,
   and each 2x2 block's eigenvalues and rotation computed by the
@@ -114,7 +117,7 @@ from fractions import Fraction
 import mpmath
 
 from .errors import ExactlySingular, NoConvergence, SingularMatrix
-from .fixed import SchurForm, _francis_step, _hessenberg, fixed_rows, mpf_rows
+from .fixed import SchurForm, _francis_step, _hessenberg, fixed_rows, mpf_rows, norm_inf
 
 GUARD_BITS = 32
 
@@ -475,7 +478,9 @@ def eig_dense(M, tol, ctx: PrecisionCtx, mirror=False):
         return []
     mp = ctx.mp
     A = [[ctx.mpf(x) for x in row] for row in M]
-    norm = mat_norm_inf(M)
+    width = 2 * ctx.prec_bits + SCHUR_GUARD_BITS
+    SA, AI = fixed_rows(A, width, mp)
+    norm = norm_inf(AI, SA, mp)
     h, T = n, A
     if mirror:
         s = 1 / mp.sqrt(2)
@@ -484,10 +489,12 @@ def eig_dense(M, tol, ctx: PrecisionCtx, mirror=False):
         half = n - n // 2
         if mat_norm_inf([row[:half] for row in B[half:]]) <= tol * norm:
             h, T = half, B
-    width = 2 * ctx.prec_bits + SCHUR_GUARD_BITS
     blocks, values, splits = [], [], []
     for lo, hi in [(0, h), (h, n)] if h < n else [(0, n)]:
-        S, H = fixed_rows([row[lo:hi] for row in T[lo:hi]], width, mp)
+        if T is A:  # the one block is A itself, already converted
+            S, H = SA, [list(row) for row in AI]
+        else:
+            S, H = fixed_rows([row[lo:hi] for row in T[lo:hi]], width, mp)
         Zt = _hessenberg(H, width)
         _real_schur(H, Zt, width, ctx, lo)
         blocks.append((S, H, Zt))
@@ -498,7 +505,8 @@ def eig_dense(M, tol, ctx: PrecisionCtx, mirror=False):
                 split = _split_block(a, b, c, d, mp)
                 values[lo + k], values[lo + k + 1] = split[2], split[4]
                 splits.append((lo + k,) + split)
-    form = SchurForm(blocks, [row[h:] for row in T[:h]], splits, A, ctx.eig_gate, width, mp)
+    form = SchurForm(blocks, [row[h:] for row in T[:h]], splits, (SA, AI), ctx.eig_gate,
+                     width, mp)
 
     pairs = []
     for i in range(n):

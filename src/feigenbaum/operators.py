@@ -16,7 +16,9 @@ of g, g' and h, never by resampling intermediate results, so every
 nodal value of the (degree ~ m^2) image polynomial is exact up to
 round-off.  The collocation matrix of a linearization takes the same
 formula once per point, with h(z) replaced by the row of cardinal
-values the discretization gives at z.
+values the discretization gives at z.  Those rows, and their
+combination into the entries of the matrix, run on integers in
+:mod:`feigenbaum.fixed`: every entry is rounded once.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .chebyshev import ChebSeries, _eval, interpolant, series_derivative
+from .chebyshev import ChebSeries, _eval, _eval_rows, interpolant, series_derivative
 from .errors import DivideByZero, InvalidIndex, NoExplicitForm
+from .fixed import ROW_GUARD_BITS, combine_rows
 from .numerics import PrecisionCtx
 
 
@@ -116,15 +119,18 @@ def _scaling_variation(variant, g, gp, ctx):
 
 def _linearized_rows(spec, g, points, rows_at, ctx):
     """Values of the linearized operator on several directions h_j at once:
-    entry [i][j] is (L h_j)(points[i]), where ``rows_at(zs)`` gives one
-    row (h_j(z))_j per point z.
+    entry [i][j] is (L h_j)(points[i]), where ``rows_at(zs)`` gives (U, E)
+    with E[i][j] 2^-U = h_j(zs[i]), E of integers and U the same for
+    every call.
 
     Frozen: s_out c (g'(g(y)) h(y) + h(g(y))), y = s_in x / c.
     Full:   adds dc(h) * dF/dc, the rank-one correction from the variation
     dc of the scaling constant, with dF/dc = d/dc [s_out c g(g(s_in x / c))]
     = s_out (g(g(y)) - g'(g(y)) g'(y) y).
 
-    Everything that does not depend on h is computed once per point.
+    Everything that does not depend on h is computed once per point, as
+    ``mpf``; the sum over h's values is taken exactly on integers by
+    :func:`feigenbaum.fixed.combine_rows`, so each entry is rounded once.
     """
     s_out, s_in = _SIGNS[spec.variant]
     gp = series_derivative(g, ctx)
@@ -132,38 +138,38 @@ def _linearized_rows(spec, g, points, rows_at, ctx):
     sc = s_out * c
     ys = [s_in * x / c for x in points]
     gys = [_eval(g, y) for y in ys]
-    at_y, at_gy = rows_at(ys), rows_at(gys)
+    U, at_y = rows_at(ys)
+    at_gy = rows_at(gys)[1]
     full = spec.linearization is Linearization.FULL_DERIVATIVE
-    if full:
-        at_z = rows_at(z)
-        dc = [sum(b * hz for b, hz in zip(beta, col)) for col in zip(*at_z)]
-    out = []
-    for i, (y, gy) in enumerate(zip(ys, gys)):
+    at_z = rows_at(z)[1] if full else ()
+    terms = []
+    for y, gy, hy, hgy in zip(ys, gys, at_y, at_gy):
         gpgy = _eval(gp, gy)
-        row = [sc * (gpgy * hy + hgy) for hy, hgy in zip(at_y[i], at_gy[i])]
+        row = [((sc, gpgy), hy), ((sc,), hgy)]
         if full:
             dF_dc = s_out * (_eval(g, gy) - gpgy * _eval(gp, y) * y)
-            row = [v + dcj * dF_dc for v, dcj in zip(row, dc)]
-        out.append(row)
-    return out
+            # dc(h) dF/dc = sum_k (beta_k dF/dc) h(z_k)
+            row += [((b, dF_dc), hz) for b, hz in zip(beta, at_z)]
+        terms.append(row)
+    return combine_rows(terms, U, ctx.mp)
 
 
 def linearized_apply_at(
     spec: OperatorSpec, g: ChebSeries, h: ChebSeries, points, ctx: PrecisionCtx
 ):
     """Values of the linearized operator applied to h, at given points
-    (see :func:`_linearized_rows` for the formula)."""
-    rows = _linearized_rows(spec, g, points,
-                            lambda zs: [[_eval(h, z)] for z in zs], ctx)
-    return [row[0] for row in rows]
+    (see :func:`_linearized_rows` for the formula); complex for a complex h."""
+    U = ctx.prec_bits + ROW_GUARD_BITS
+    rows = _linearized_rows(spec, g, points, lambda zs: _eval_rows([h], zs, U), ctx)
+    return [row[0] if len(row) == 1 else ctx.mp.mpc(*row) for row in rows]
 
 
 def linearization_matrix(spec: OperatorSpec, g: ChebSeries, basis, ctx: PrecisionCtx):
     """Collocation matrix of the linearization at g in a discretization:
     entry [i][j] is (L cardinal_j)(node_i), with the cardinal values coming
-    from :meth:`Discretization.cardinal_rows`."""
+    from :meth:`Discretization.cardinal_ints`."""
     return _linearized_rows(spec, g, basis.nodes,
-                            lambda zs: basis.cardinal_rows(zs, ctx), ctx)
+                            lambda zs: basis.cardinal_ints(zs, ctx), ctx)
 
 
 def _explicit_form(spec: OperatorSpec, k: int) -> str:

@@ -1,6 +1,7 @@
 """Nodes, transforms, Clenshaw, differentiation, decay diagnostics."""
 
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -10,6 +11,7 @@ from mpmath import mp
 import feigenbaum as fb
 from feigenbaum import chebyshev
 from feigenbaum.chebyshev import ChebSeries, GridFn, _eval
+from feigenbaum.fixed import mpf_to_fraction
 
 
 def _series(ctx, *vals):
@@ -323,3 +325,52 @@ def test_decay_report_converged_solution(g32, ctx):
         assert abs(rep.tail_magnitude - mp.mpf("4.571053006e-23")) \
             <= mp.mpf("1e-31")
         assert abs(rep.log_inv_magnitudes[30] - mp.mpf("22.34")) < mp.mpf("0.01")
+
+
+def _exact_chebyshev(coeffs):
+    """Exact Chebyshev coefficients (halved-a_0 convention) of sum c_p x^p,
+    by Horner's rule in the Chebyshev basis with x T_0 = T_1 and
+    x T_k = (T_(k+1) + T_(k-1)) / 2 on Fractions."""
+    size = len(coeffs)
+    acc = [Fraction(0)] * size  # acc[k] multiplies T_k
+    for c in reversed(coeffs):
+        times_x = [Fraction(0)] * (size + 1)
+        for k, b in enumerate(acc):
+            if k == 0:
+                times_x[1] += b
+            else:
+                times_x[k + 1] += b / 2
+                times_x[k - 1] += b / 2
+        assert times_x[size] == 0
+        acc = times_x[:size]
+        acc[0] += c
+    return [2 * acc[0]] + acc[1:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(16, 96), st.integers(1, 32), st.integers(0, 10 ** 9))
+def test_monomial_to_series_rounds_the_exact_coefficients_once(digits, m, seed):
+    # Fractions, integers and mpf (taken at their exact binary values),
+    # trailing zeros dropped: each coefficient is the exact one rounded to
+    # the nearest at p bits
+    ctx = fb.PrecisionCtx(digits)
+    rng = random.Random(seed)
+    draws = [Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 6)),
+             rng.randint(-5, 5), ctx.mpf(rng.uniform(-1, 1)) / 3, 0]
+    coeffs = [rng.choice(draws[:3]) if rng.random() < 0.8 else 0 for _ in range(m)]
+    coeffs += [0] * rng.randint(0, 2)
+    s = fb.monomial_to_series(coeffs, ctx)
+    exact = [mpf_to_fraction(c) for c in coeffs]
+    while len(exact) > 1 and exact[-1] == 0:
+        exact.pop()
+    want = _exact_chebyshev(exact) + [Fraction(0)] * (2 - len(exact))
+    assert len(s.coeffs) == len(want)
+    for got, q in zip(s.coeffs, want):
+        assert got.context is ctx.mp
+        if not q:
+            assert got == 0
+            continue
+        # a unit in the p-th bit of |q| (2^(e-p) with 2^(e-1) <= |q| < 2^e)
+        e = q.numerator.bit_length() - q.denominator.bit_length()
+        e += abs(q) >= Fraction(2) ** e
+        assert abs(mpf_to_fraction(got) - q) <= Fraction(2) ** (e - ctx.prec_bits) / 2

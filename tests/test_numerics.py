@@ -448,8 +448,12 @@ def test_eig_dense_matches_the_mpf_back_end(D, n, kind, mirror, seed):
     tol, norm = ctx.eig_gate, mat_norm_inf(A)
     pairs = fb.eig_dense(A, tol, ctx, mirror=mirror != "none")
     oracle = _mpf_eig_dense(A, tol, ctx, mirror != "none")
-    assert [(type(p.value), p.value) for p in pairs] == \
-        [(type(q.value), q.value) for q in oracle]
+    # bit for bit, although eig_dense takes ||M||_inf (for its gates) from
+    # the integer M it converts once and the oracle in mpf
+    assert [(type(p.value), p.value._mpc_ if type(p.value) is ctx.mp.mpc else p.value._mpf_)
+            for p in pairs] == \
+        [(type(q.value), q.value._mpc_ if type(q.value) is ctx.mp.mpc else q.value._mpf_)
+         for q in oracle]
     for i, (p, q) in enumerate(zip(pairs, oracle)):
         assert p.residual <= tol * norm
         gap = min((abs(p.value - r.value) for j, r in enumerate(pairs) if j != i),
@@ -555,6 +559,10 @@ def test_eig_dense_pivot_of_mirror_symmetric_matrices(mirror):
 @pytest.mark.parametrize("mirror", [False, True])
 def test_eig_dense_of_the_empty_matrix(ctx, mirror):
     assert fb.eig_dense([], ctx.eig_gate, ctx, mirror=mirror) == []
+
+
+def test_fixed_rows_of_the_empty_matrix(ctx):
+    assert fixed.fixed_rows([], 100, ctx.mp) == (100, [])
 
 
 def test_eig_dense_names_the_row_that_never_deflates(ctx, monkeypatch):

@@ -1,12 +1,18 @@
 """Operator variants, scaling constants, linearizations, closed forms."""
 
 import random
+from types import SimpleNamespace
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 import feigenbaum as fb
-from feigenbaum.chebyshev import ChebSeries
+from feigenbaum import chebyshev, operators
+from feigenbaum.bases import even_half
+from feigenbaum.chebyshev import ChebSeries, _eval
+from feigenbaum.fixed import KERNEL_GUARD_BITS, ROW_GUARD_BITS
 from feigenbaum.spectrum import expected_explicit_eigenvalue
 
 FULL = fb.Linearization.FULL_DERIVATIVE
@@ -206,3 +212,208 @@ def test_linearization_matrix_matches_columns(variant, lin, ctx32):
         norm = max(sum(abs(cols[j][i]) for j in range(d)) for i in range(d))
         err = max(abs(L[i][j] - cols[j][i]) for i in range(d) for j in range(d))
         assert err <= ctx.ten_pow(-ctx.decimal_digits + 8) * norm, basis.spec
+
+
+# ----------------------------------------------------------------------
+# The integer rows and the one rounding of L, against an mpf oracle at 2p
+# bits on the same p-bit inputs (nodes, weights, cardinal coefficients,
+# and the per-point scalars of the formula)
+
+KINDS = ("cheb", "even-half", "lanford", "rational", "monomial")
+
+
+def _draw_basis(kind, n, ctx):
+    """The basis of a kind at size n; "cheb" at n = 2, below the smallest
+    grid basis, is the kernel of the 2-node grid itself."""
+    if kind == "cheb" and n == 2:
+        kernel = chebyshev._tables(2, ctx.prec_bits)[2]
+        return SimpleNamespace(dim=2, nodes=fb.cheb_nodes(2, ctx), cardinal_ints=lambda points, ctx:
+                               (kernel.U, kernel.rows(points, ctx.mp)))
+    if kind in ("cheb", "even-half"):
+        grid = fb.chebgrid(max(n, 3), ctx)
+        return grid if kind == "cheb" else even_half(grid, ctx)
+    m = max(4, n // 3)
+    if kind == "lanford":
+        return fb.build_basis(fb.BasisSpec(fb.BasisKind.LANFORD, m), ctx)
+    if kind == "rational":
+        return fb.build_basis(fb.BasisSpec(fb.BasisKind.RATIONAL_NODE_MONOMIAL, m,
+                                           ((0, 1), (1, 0))), ctx)
+    return fb.build_basis(fb.BasisSpec(fb.BasisKind.MONOMIAL_FULL, m), ctx)
+
+
+def _grid_oracle(basis, points, ctx, hi, fold):
+    """(rows, bounds) of the grid's cardinals at 2p bits, from the p-bit
+    roots and the p-bit weights (-1)^j sin(theta_j) the kernel holds, and
+    the kernel's error bound for each entry:
+    2^(1-U) (2 + |l_j| + (1 + n |l_j|) / |S|), S = sum_k w_k / (z - x_k)."""
+    grid = basis.full if fold else basis
+    n, nodes = grid.dim, grid.nodes
+    private = mpmath.MPContext()
+    private.prec = ctx.prec_bits
+    w = [(-1) ** j * private.sin((2 * j - 1) * private.pi / (2 * n)) for j in range(1, n + 1)]
+    unit = hi.mpf(2) ** (1 - ctx.prec_bits - ROW_GUARD_BITS)
+    rows, bounds = [], []
+    for z in points:
+        if z in nodes:
+            rows.append([hi.mpf(z == x) for x in nodes])
+            bounds.append([hi.mpf(0)] * n)
+            continue
+        t = [hi.mpf(wj) / (hi.mpf(z) - hi.mpf(x)) for wj, x in zip(w, nodes)]
+        s = hi.fsum(t)
+        row = [v / s for v in t]
+        rows.append(row)
+        bounds.append([unit * (2 + abs(v) + (1 + n * abs(v)) / abs(s)) for v in row])
+    if not fold:
+        return rows, bounds
+    pairs = [(j, n - 1 - j) if 2 * j + 1 < n else (j,) for j in range(basis.dim)]
+    return ([[sum(r[k] for k in ks) for ks in pairs] for r in rows],
+            [[sum(b[k] for k in ks) for ks in pairs] for b in bounds])
+
+
+def _clenshaw_oracle(basis, points, ctx, hi):
+    """(rows, bounds) of the cardinal series by Clenshaw at 2p bits, and
+    the kernel's documented bound (3m + 2) 2^-G m 2^-p sum|a_k| rho^m."""
+    rows, bounds = [], []
+    for z in points:
+        x = hi.mpf(z)
+        rho = abs(x) + hi.sqrt(x * x - 1) if abs(x) > 1 else 1
+        row, bound = [], []
+        for card in basis.cardinals:
+            a = [hi.mpf(c) for c in card.coeffs]
+            m = len(a)
+            b1 = b2 = hi.mpf(0)
+            for c in reversed(a[1:]):
+                b1, b2 = c + 2 * x * b1 - b2, b1
+            row.append(a[0] / 2 + x * b1 - b2)
+            bound.append((3 * m + 2) * m * hi.mpf(2) ** -(ctx.prec_bits + KERNEL_GUARD_BITS)
+                         * hi.fsum(abs(c) for c in a) * rho ** m)
+        rows.append(row)
+        bounds.append(bound)
+    return rows, bounds
+
+
+def _row_oracle(kind, basis, points, ctx, hi):
+    if kind in ("cheb", "even-half"):
+        return _grid_oracle(basis, points, ctx, hi, fold=kind == "even-half")
+    return _clenshaw_oracle(basis, points, ctx, hi)
+
+
+def _special_points(basis, ctx, rng):
+    """A node, points within 2^-p of nodes, random points of [-1, 1], and
+    points with 1 < |z| <= 1.3."""
+    x = basis.nodes[rng.randrange(basis.dim)]
+    tiny = ctx.mpf(2) ** -ctx.prec_bits
+    near = [x + tiny * rng.uniform(-1, 1), basis.nodes[-1] * (1 - tiny), x + abs(x) * tiny]
+    inside = [ctx.mpf(rng.uniform(-1, 1)) for _ in range(3)]
+    outside = [ctx.mpf(rng.choice((-1, 1)) * rng.uniform(1.0001, 1.3)) for _ in range(2)]
+    return [x, ctx.mpf(0)] + near + inside + outside
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(16, 96), st.integers(2, 40), st.sampled_from(KINDS), st.integers(0, 10 ** 9))
+def test_cardinal_ints_match_the_oracle(D, n, kind, seed):
+    ctx = fb.PrecisionCtx(D)
+    hi = mpmath.MPContext()
+    hi.prec = 2 * ctx.prec_bits
+    basis = _draw_basis(kind, n, ctx)
+    points = _special_points(basis, ctx, random.Random(seed))
+    U, ints = basis.cardinal_ints(points, ctx)
+    assert U >= ctx.prec_bits + ROW_GUARD_BITS
+    rows, bounds = _row_oracle(kind, basis, points, ctx, hi)
+    scale = hi.mpf(2) ** -U
+    for z, got, want, bound in zip(points, ints, rows, bounds):
+        for a, b, e in zip(got, want, bound):
+            assert abs(a * scale - b) <= e + abs(b) * 2 ** -(2 * ctx.prec_bits - 8), (kind, z)
+    # the mpf rows round each integer once: for the coefficient bases these
+    # are the Clenshaw values themselves, bit for bit
+    if n == 2 and kind == "cheb":
+        return
+    mpf_rows = basis.cardinal_rows(points, ctx)
+    assert mpf_rows == [[ctx.mpf(v * scale) for v in row] for row in ints]
+    if kind not in ("cheb", "even-half"):
+        assert mpf_rows == [[_eval(c, z) for c in basis.cardinals] for z in points]
+
+
+def _oracle_matrix(spec, g, kind, basis, points, ctx, hi):
+    """(L, tolerances): the formula of ``operators._linearized_rows`` at 2p
+    bits on the same p-bit scalars, with the oracle rows, and for each
+    entry half a unit in its p-th bit plus the rows' error bounds carried
+    through the formula."""
+    s_out, s_in = operators._SIGNS[spec.variant]
+    gp = fb.series_derivative(g, ctx)
+    c, z, beta = operators._scaling_variation(spec.variant, g, gp, ctx)
+    sc = s_out * c
+    ys = [s_in * x / c for x in points]
+    gys = [_eval(g, y) for y in ys]
+    (ry, by), (rgy, bgy), (rz, bz) = (_row_oracle(kind, basis, pts, ctx, hi) for pts in (ys, gys, z))
+    full = spec.linearization is FULL
+    L, tols = [], []
+    half_ulp = hi.mpf(2) ** -ctx.prec_bits
+    for y, gy, hy, ey, hgy, egy in zip(ys, gys, ry, by, rgy, bgy):
+        gpgy = _eval(gp, gy)
+        a, b = hi.mpf(sc) * hi.mpf(gpgy), hi.mpf(sc)
+        row = [a * u + b * v for u, v in zip(hy, hgy)]
+        tol = [abs(a) * u + abs(b) * v for u, v in zip(ey, egy)]
+        if full:
+            dF = hi.mpf(s_out * (_eval(g, gy) - gpgy * _eval(gp, y) * y))
+            for bk, hz, ez in zip(beta, rz, bz):
+                row = [r + hi.mpf(bk) * dF * u for r, u in zip(row, hz)]
+                tol = [t + abs(hi.mpf(bk) * dF) * u for t, u in zip(tol, ez)]
+        L.append(row)
+        tols.append([t + half_ulp * abs(r) + (abs(a) + abs(b)) * 2 ** -(2 * ctx.prec_bits - 8)
+                     for t, r in zip(tol, row)])
+    return L, tols
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(16, 96), st.integers(3, 40), st.sampled_from(KINDS),
+       st.sampled_from(list(fb.Variant)), st.sampled_from([FULL, FROZEN]),
+       st.integers(0, 10 ** 9))
+def test_linearization_matrix_matches_the_oracle(D, n, kind, variant, lin, seed):
+    # at the nodes (the matrix) and at points near nodes and beyond [-1, 1];
+    # g has odd terms, so T-T4 all differ
+    ctx = fb.PrecisionCtx(D)
+    hi = mpmath.MPContext()
+    hi.prec = 2 * ctx.prec_bits
+    rng = random.Random(seed)
+    g = fb.monomial_to_series([ctx.mpf(1), ctx.mpf(rng.uniform(-0.05, 0.05)), ctx.mpf("-1.5"),
+                               ctx.mpf(rng.uniform(-0.05, 0.05))], ctx)
+    spec = fb.OperatorSpec(variant, lin)
+    basis = _draw_basis(kind, n, ctx)
+    points = list(basis.nodes) + _special_points(basis, ctx, rng)
+    got = operators._linearized_rows(spec, g, points,
+                                     lambda zs: basis.cardinal_ints(zs, ctx), ctx)
+    assert got[:basis.dim] == fb.linearization_matrix(spec, g, basis, ctx)
+    want, tols = _oracle_matrix(spec, g, kind, basis, points, ctx, hi)
+    for grow, wrow, trow in zip(got, want, tols):
+        for a, b, t in zip(grow, wrow, trow):
+            assert a.context is ctx.mp
+            assert abs(hi.mpf(a) - b) <= t
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(16, 96), st.integers(1, 30), st.sampled_from(list(fb.Variant)),
+       st.sampled_from([FULL, FROZEN]), st.booleans(), st.integers(0, 10 ** 9))
+def test_linearized_apply_at_matches_the_oracle(D, m, variant, lin, complex_h, seed):
+    # one direction h through the same kernel: its exact Clenshaw values as
+    # the row, a complex h as its real and imaginary parts
+    ctx = fb.PrecisionCtx(D)
+    hi = mpmath.MPContext()
+    hi.prec = 2 * ctx.prec_bits
+    rng = random.Random(seed)
+    g = fb.monomial_to_series([ctx.mpf(1), ctx.mpf(rng.uniform(-0.05, 0.05)), ctx.mpf("-1.5")],
+                              ctx)
+    parts = [ChebSeries(tuple(ctx.mpf(rng.uniform(-1, 1)) * ctx.ten_pow(rng.randint(-30, 3))
+                              for _ in range(m))) for _ in range(1 + complex_h)]
+    h = parts[0] if not complex_h else ChebSeries(tuple(
+        ctx.mp.mpc(a, b) for a, b in zip(parts[0].coeffs, parts[1].coeffs)))
+    spec = fb.OperatorSpec(variant, lin)
+    points = _special_points(fb.chebgrid(max(m, 3), ctx), ctx, rng)
+    got = fb.linearized_apply_at(spec, g, h, points, ctx)
+    want, tols = _oracle_matrix(spec, g, "series", SimpleNamespace(cardinals=parts), points,
+                                ctx, hi)
+    for a, b, t in zip(got, want, tols):
+        pieces = (a.real, a.imag) if complex_h else (a,)
+        assert isinstance(a, ctx.mp.mpc if complex_h else ctx.mp.mpf)
+        for piece, w, tol in zip(pieces, b, t):
+            assert abs(hi.mpf(piece) - w) <= tol

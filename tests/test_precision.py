@@ -11,6 +11,7 @@ import threading
 from mpmath import mp
 
 import feigenbaum as fb
+from feigenbaum.bases import even_half
 from feigenbaum.cli import main
 
 PACKAGE = pathlib.Path(fb.__file__).parent
@@ -63,6 +64,19 @@ def _eig_bits(ctx, n=10):
     return raw
 
 
+def _linearization_bits(ctx):
+    """Raw tuples of every entry of L on the 13-node grid, its even half
+    and the Lanford basis of order 6, full and frozen, for a g with odd
+    terms."""
+    g = fb.monomial_to_series([ctx.mpf(1), ctx.mpf("0.03"), ctx.mpf("-1.5"),
+                               ctx.mpf("0.01")], ctx)
+    grid = fb.chebgrid(13, ctx)
+    bases = (grid, even_half(grid, ctx), fb.build_basis(fb.BasisSpec(fb.BasisKind.LANFORD, 6), ctx))
+    return [x._mpf_ for basis in bases for lin in fb.Linearization
+            for row in fb.linearization_matrix(fb.OperatorSpec(fb.Variant.T4, lin), g, basis, ctx)
+            for x in row]
+
+
 def _assert_threads_match_serial(bits):
     """bits(ctx) at 64 and at 16 digits, three times in each of two
     threads started together, gives what it gives made serially."""
@@ -101,6 +115,10 @@ def test_threads_at_different_precisions_do_not_interfere():
 
 def test_eig_dense_in_threads_at_different_precisions_matches_serial():
     _assert_threads_match_serial(_eig_bits)
+
+
+def test_linearization_matrix_in_threads_at_different_precisions_matches_serial():
+    _assert_threads_match_serial(_linearization_bits)
 
 
 def test_threads_sharing_a_series_agree():
