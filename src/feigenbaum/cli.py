@@ -108,6 +108,17 @@ def _parse_assign(item: str, what: str):
     return name.strip(), value.strip()
 
 
+def _finite_value(text: str, ctx, flag: str):
+    """The value ``text`` of ``flag`` as a finite real at context precision."""
+    try:
+        x = ctx.mpf(text)
+    except ValueError:
+        x = ctx.mp.nan
+    if not ctx.mp.isfinite(x):
+        raise ConfigError("%s needs finite values, got %r" % (flag, text))
+    return x
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise ConfigError: main's JSON error path, exit 2."""
 
@@ -179,7 +190,10 @@ def _basis_spec(args) -> BasisSpec:
         name, value = _parse_assign(item, "--constrain")
         if not name.startswith("a") or not name[1:].isdigit():
             raise ConfigError("--constrain pins monomial coefficients: a0=1, a1=0, ...")
-        constraints.append((int(name[1:]), Fraction(value)))
+        try:
+            constraints.append((int(name[1:]), Fraction(value)))
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError("--constrain %s needs a finite rational value" % name) from None
     return BasisSpec(kind, order, tuple(constraints))
 
 
@@ -191,26 +205,26 @@ def _newton_config(args, ctx) -> NewtonConfig:
             raise ConfigError("--pin supports g0=VALUE (the value of g at 0)")
         if pin_g0 is not None:
             raise ConfigError("--pin g0=VALUE may be given once")
-        pin_g0 = ctx.mpf(value)
+        pin_g0 = _finite_value(value, ctx, "--pin g0")
     return NewtonConfig(jacobian_mode=JacobianMode(args.jacobian), pin_g0=pin_g0)
 
 
 def _load_coefficients(path, ctx) -> ChebSeries:
     """The series of a coefficient file: "index TAB value" per line,
-    blank and # lines skipped.  Each index is given once and is below
-    twice the number N of such lines, so an even g may list its even
-    coefficients only; an index not given is a zero coefficient.  The
-    series thus has fewer than 2N terms, however large an index the
-    file names.  A line that breaks this raises ConfigError naming the
-    file and line."""
+    blank and # lines skipped.  Each value is finite, and each index is
+    given once and is below twice the number N of such lines, so an even
+    g may list its even coefficients only; an index not given is a zero
+    coefficient.  The series thus has fewer than 2N terms, however large
+    an index the file names.  A line that breaks this raises ConfigError
+    naming the file and line."""
     entries = []
     for lineno, line in enumerate(_read(path, "coefficient file").splitlines(), 1):
         fields = line.split()
         if not fields or fields[0].startswith("#"):
             continue
         try:
-            idx, val = int(fields[0]), ctx.mpf(fields[-1])
-        except ValueError:
+            idx, val = int(fields[0]), _finite_value(fields[-1], ctx, path)
+        except (ValueError, ConfigError):
             idx = val = None
         entries.append((lineno, line, idx if len(fields) == 2 else None, val))
     if not entries:
@@ -219,8 +233,9 @@ def _load_coefficients(path, ctx) -> ChebSeries:
     for lineno, line, idx, val in entries:
         if idx is None or not 0 <= idx < 2 * len(entries) or idx in coeffs:
             raise ConfigError(
-                "coefficient file %s line %d: %r is not 'index TAB value' with an "
-                "index in 0..%d given once" % (path, lineno, line.strip(), 2 * len(entries) - 1))
+                "coefficient file %s line %d: %r is not 'index TAB value' with a "
+                "finite value and an index in 0..%d given once"
+                % (path, lineno, line.strip(), 2 * len(entries) - 1))
         coeffs[idx] = val
     n = max(coeffs) + 1
     return ChebSeries(tuple(coeffs.get(i, ctx.mpf(0)) for i in range(n)))
@@ -363,9 +378,7 @@ def cmd_spectrum(args) -> int:
             raise ConfigError("--mu compares full-derivative spectra along the family of "
                               "the unpinned T solution: --pin, --include-vectors and "
                               "--linearization frozen do not apply")
-        mus = [ctx.mpf(m) for m in args.mu]
-        if not all(ctx.mp.isfinite(m) for m in mus):
-            raise ConfigError("--mu needs finite values")
+        mus = [_finite_value(m, ctx, "--mu") for m in args.mu]
         if any(abs(m) < 1 for m in mus):
             raise ConfigError("--mu needs |mu| >= 1: g_mu(x) = mu g(x/mu) would "
                               "evaluate g outside [-1, 1]")

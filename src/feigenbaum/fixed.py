@@ -73,13 +73,13 @@ U = p + :data:`ROW_GUARD_BITS` for the context precision p:
   once to p bits.  Each entry of L is therefore the nearest p-bit number
   to the formula applied to the integer rows and the scalars.
 
-Schur kernel: Householder reflectors, the Hessenberg reduction and the
-Francis double-shift sweep on integer rows at a width of F bits, with
-the orthogonal factor stored transposed, and :class:`SchurForm`, which
-finishes the Schur form to a triangular one and reads eigenvectors and
-residuals from it on the same integers.  The eigensolver in
-:mod:`feigenbaum.numerics` drives them, computes the eigenvalues, and
-states the kernel's width, units, rounding and error.
+Schur kernel: the exact mirror transform, Householder reflectors, the
+Hessenberg reduction and the Francis double-shift sweep on integer rows
+at a width of F bits, with the orthogonal factor stored transposed, and
+:class:`SchurForm`, which finishes the Schur form to a triangular one
+and reads eigenvectors and residuals from it on the same integers.  The
+eigensolver in :mod:`feigenbaum.numerics` drives them, computes the
+eigenvalues, and states the kernel's width, units, rounding and error.
 """
 
 from __future__ import annotations
@@ -293,6 +293,33 @@ def fixed_rows(rows, bits, mpx):
     return S, [flat[i * n:(i + 1) * n] for i in range(n)]
 
 
+def _shift(x, k):
+    """floor(x 2^k) of an integer x."""
+    return x << k if k >= 0 else x >> -k
+
+
+def rescaled(rows, S, bits):
+    """(S', rows') of integer rows at the unit 2^-S, shifted by one power
+    of two so that the largest entry has ``bits`` bits, at the unit
+    2^-S' (floored when shifted down); a zero matrix keeps its unit."""
+    top = max((abs(x).bit_length() for row in rows for x in row), default=0)
+    k = bits - top if top else 0
+    return S + k, [[_shift(x, k) for x in row] for row in rows]
+
+
+def mirror_transform(rows):
+    """2 P^-1 A P of the integer square matrix A, exactly, by sums and
+    differences, for the mirror transform P: its columns e_i + e_(n-1-i)
+    (i < n // 2), then the middle e_m of an odd n, then e_i - e_(n-1-i)."""
+    def fold(v, middle):
+        m = len(v) // 2
+        return ([v[i] + v[~i] for i in range(m)] + [middle * x for x in v[m:len(v) - m]]
+                + [v[i] - v[~i] for i in range(m)])
+
+    AP = [fold(row, 1) for row in rows]
+    return [list(row) for row in zip(*(fold(col, 2) for col in zip(*AP)))]
+
+
 def mpf_rows(rows, S, mpx):
     """The integer rows times 2^-S as rows of ``mpf`` of the context mpx,
     each entry rounded once to its precision."""
@@ -316,14 +343,14 @@ def _reflector(v, F):
     from ``math.isqrt`` with F + 1 correct bits and P is orthogonal to
     about 2^-F however small v is; s is returned in the unit of v."""
     shift = F + 2 - max(abs(x) for x in v).bit_length()
-    y = [x << shift for x in v] if shift >= 0 else [x >> -shift for x in v]
+    y = [_shift(x, shift) for x in v]
     s = math.isqrt(sum(x * x for x in y))
     if y[0] < 0:
         s = -s
     y[0] += s
     u = [(x << F) // s for x in y]
     w = [1 << F] + [(x << F) // y[0] for x in y[1:]]
-    return (s >> shift if shift >= 0 else s << -shift), u, w
+    return _shift(s, -shift), u, w
 
 
 def _reflect_rows(rows, u, w, j, F):
@@ -453,54 +480,43 @@ def _div(a, d):
     return q if a >= 0 else -q
 
 
-def _unmirror(Ze, Zo, F):
-    """Rows of (Q diag(Ze, Zo))^T at the unit 2^-F, from those of Ze^T
-    and Zo^T: node entries i and n-1-i of an even column are both
-    q = floor(z_i 2^F / sqrt 2) (the middle entry of an odd n is z_m
-    itself), those of an odd column are q and exactly -q (the middle
-    is 0)."""
-    r = math.isqrt(1 << (2 * F - 1))  # floor(2^F / sqrt 2)
-    m = len(Zo)
-    odd = [0] * (len(Ze) - m)
-
-    def spread(z, middle, sign):
-        q = [(x * r) >> F for x in z[:m]]
-        return q + middle + [sign * x for x in reversed(q)]
-
-    return [spread(z, z[m:], 1) for z in Ze] + [spread(z, odd, -1) for z in Zo]
-
-
 class SchurForm:
     """The eigensolver's Schur form on integers, finished to a triangular
-    T = U^H Z^T M Z U (Z taking in the mirror transform when there are
-    two blocks), from which it reads eigenvectors and residuals.
+    T = U^H Z^-1 M Z U (Z taking in the mirror transform P of
+    :func:`mirror_transform` when there are two blocks), from which it
+    reads eigenvectors and residuals.
 
     ``blocks`` holds (S, H, Z^T) of each diagonal block as
     :func:`_hessenberg` and the sweeps leave them: H in real Schur form
     at the unit 2^-S, its orthogonal Z at the unit 2^-F.  Two blocks are
-    the even and the odd block of the mirror coordinates, and
-    ``coupling`` is then L_eo, the even-to-odd block of the transformed
-    matrix, as rows of ``mpf``.  ``splits`` holds (k, cs, sn, t00, t01,
-    t11) for each 2x2 block at rows k, k + 1 of the whole: the rotation
-    U = [[cs, -sn], [sn, conj(cs)]] and the triangular block U^H T U =
-    [[t00, t01], [0, t11]], numbers of the context mpx.  ``matrix`` is
-    (S_M, M) of :func:`fixed_rows` at F bits, the matrix residuals are
-    taken against, and ``gate`` the relative tie in which a vector's
-    pivot is chosen.  The units and the error are stated in
+    the even and the odd block of P^-1 M P, and ``coupling`` is then its
+    even-row, odd-column block, as integer rows at the unit 2^-(S_M+1).
+    ``splits`` holds (k, cs, sn, t00, t01, t11) for each 2x2 block at
+    rows k, k + 1 of the whole: the rotation U = [[cs, -sn], [sn,
+    conj(cs)]] and the triangular block U^H T U = [[t00, t01], [0, t11]],
+    numbers of the context mpx.  ``matrix`` is (S_M, M) of
+    :func:`fixed_rows` at F bits, the matrix residuals are taken
+    against, and ``gate`` the relative tie in which a vector's pivot is
+    chosen.  The units and the error are stated in
     :mod:`feigenbaum.numerics`."""
 
     def __init__(self, blocks, coupling, splits, matrix, gate, F, mpx):
+        self.SM, self.M = matrix
         if len(blocks) == 1:
             ((S, T, Zt),) = blocks
         else:
             (Se, He, Ze), (So, Ho, Zo) = blocks
             S = max(Se, So)
-            L = [[to_fixed(_raw(a, mpx), S) for a in row] for row in coupling]
+            L = [[_shift(a, S - self.SM - 1) for a in row] for row in coupling]
             LZ = list(zip(*[[sum(map(mul, row, z)) >> F for z in Zo] for row in L]))
             T = ([[x << (S - Se) for x in row] + [sum(map(mul, z, col)) >> F for col in LZ]
                   for row, z in zip(He, Ze)]
                  + [[0] * len(He) + [x << (S - So) for x in row] for row in Ho])
-            Zt = _unmirror(Ze, Zo, F)
+            # rows of (P diag(Ze, Zo))^T: node n-1-i copies node i of an even
+            # column and negates it in an odd one; the middle of an odd n is 0
+            m = len(Zo)
+            Zt = ([z + z[:m][::-1] for z in Ze]
+                  + [z + [0] * (len(Ze) - m) + [-x for x in z[::-1]] for z in Zo])
         n = len(T)
         Ti, Zi = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
         self.tops = set()
@@ -521,7 +537,6 @@ class SchurForm:
                 self.tops.add(k)
         self.F, self.S, self.T, self.Ti, self.mpx = F, S, T, Ti, mpx
         self.Z, self.Zi = list(zip(*Zt)), list(zip(*Zi))
-        self.SM, self.M = matrix
         self.gate = mpf_to_fraction(gate)
 
     def _solve(self, i):

@@ -17,9 +17,9 @@ eigenvectors by triangular back substitution (Golub & Van Loan, section
 7.6; LAPACK's ``trevc``).  Real eigenvalues therefore come out as
 ``mpf`` with real eigenvectors.
 
-After the input conversion and the mirror transform, everything but
-the eigenvalues runs on Python integers, in the Schur kernel of
-:mod:`feigenbaum.fixed`.  With p the context precision:
+After the input conversion, everything but the eigenvalues runs on
+Python integers, in the Schur kernel of :mod:`feigenbaum.fixed`.  With
+p the context precision:
 
 * width: F = 2p + :data:`SCHUR_GUARD_BITS` bits.  A block H is scaled
   once by a power of two, so that its largest entry becomes an integer
@@ -62,11 +62,11 @@ After the sweeps the integers stay integers:
 
 * units: T, the Schur form of the whole, has one unit 2^-S.  With two
   mirror blocks S is the larger of their scales, the other block
-  shifted up exactly, and the coupling Z_e^T L_eo Z_o takes L_eo floored
-  at 2^-S and two integer products, each shifted down by F.  Z carries
-  2^-F, and the mirror back-transform Q diag(Z_e, Z_o) floors each
-  z 2^F / sqrt 2 once.  A 2x2 block's rotation is floored to 2^-F and
-  applied to the rest of T and to Z, complex ones as re/im integer
+  shifted up exactly, and the coupling Z_e^T L_eo Z_o takes the exact
+  L_eo shifted to 2^-S and two integer products, each shifted down by
+  F.  Z carries 2^-F; the back-transform by P copies and negates.  A
+  2x2 block's rotation is floored to 2^-F and applied to the rest of T
+  and to Z, complex ones as re/im integer
   pairs, each new entry shifted down by F toward zero; the block itself
   becomes its rotated entries, floored to 2^-S.  The vector x has
   x_i = 2^F, and each entry above costs one floor division (two for a
@@ -76,7 +76,7 @@ After the sweeps the integers stay integers:
   whose modulus is within ``eig_gate`` of the largest (so a tie up to
   round-off cannot choose it), rounded to 2^-F to the nearest, ties away
   from zero, and then to p bits, to the nearest even.  A node row and
-  its mirror image of Q diag(Z_e, Z_o) hold the same integers, negated
+  its mirror image of P diag(Z_e, Z_o) hold the same integers, negated
   in the odd columns, and the rotations mix even columns with even
   ones, odd with odd, rounding toward zero.  All these roundings are
   odd, so Z keeps that symmetry: an even-block vector is exactly
@@ -91,15 +91,15 @@ After the sweeps the integers stay integers:
   p bits, below 2^-p (||M|| + |lambda|): far below the gate
   10^(-D/2-4) ||M||, as F is about 6.6 D bits and p about 3.3 D;
 * norm: the same integers of M give ||M||_inf for the gates, summed
-  exactly and rounded once, and, when the whole matrix is the one
-  block, the block the Hessenberg reduction starts from;
+  exactly and rounded once, and every block the Hessenberg reduction
+  starts from: M itself when it is the one block;
 * bit-identical eigenvalues: the eigenvalues alone are read at context
   precision, each diagonal entry of a 1x1 block rounded once to p bits,
   and each 2x2 block's eigenvalues and rotation computed by the
   ``rsf2csf`` formulas from its four entries rounded once to p bits.
-  They depend on the input conversion, the mirror transform and the
-  sweeps, and on nothing after them: the integer T, Z and x carry only
-  vectors and residuals.  So every eigenvalue is, bit for bit, the one
+  They depend on the input conversion and the sweeps only (the mirror
+  transform is exact): the integer T, Z and x carry only vectors and
+  residuals.  So every eigenvalue is, bit for bit, the one
   an ``mpf`` triangularization of the same rounded Schur form gives
   (the tests keep such a back end as an oracle).
 
@@ -117,7 +117,8 @@ from fractions import Fraction
 import mpmath
 
 from .errors import ExactlySingular, NoConvergence, SingularMatrix
-from .fixed import SchurForm, _francis_step, _hessenberg, fixed_rows, mpf_rows, norm_inf
+from .fixed import (SchurForm, _francis_step, _hessenberg, fixed_rows, mirror_transform,
+                    mpf_rows, norm_inf, rescaled)
 
 GUARD_BITS = 32
 
@@ -429,84 +430,56 @@ def _split_block(a, b, c, d, mp):
     return cs, sn, d + mu, t01, (d + mu).conjugate()
 
 
-def _mirror(v, s):
-    """Q^T v for the orthogonal mirror transform Q: the even coordinates
-    (v[i] + v[n-1-i]) s for i < n // 2, then the middle entry of an odd
-    n, then the odd coordinates (v[i] - v[n-1-i]) s; s = 1/sqrt(2)."""
-    n = len(v)
-    m = n // 2
-    even = [(v[i] + v[n - 1 - i]) * s for i in range(m)]
-    if n % 2:
-        even.append(v[m])
-    return even + [(v[i] - v[n - 1 - i]) * s for i in range(m)]
-
-
-def eig_dense(M, tol, ctx: PrecisionCtx, mirror=False):
+def eig_dense(M, ctx: PrecisionCtx):
     """All eigenpairs of a square real matrix, sorted by descending
     modulus, then descending real and imaginary part (so a conjugate pair
-    comes +im first).
-
-    Real arithmetic on lists of rows, on integers of 2p + 32 bits (see
-    the module docstring): Householder reduction to Hessenberg form,
-    Francis double-shift QR to real Schur form, one rotation per
-    remaining 2x2 block to a triangular factor, eigenvectors by back
-    substitution and their residuals; only the eigenvalues, from the
-    diagonal and the 2x2 blocks, are computed at context precision.  Real
-    eigenvalues come back as ``mpf`` with real vectors, complex ones as
-    exact conjugate pairs.  A vector is scaled to +1 at its first
-    component within ``ctx.eig_gate`` of the largest in modulus.  Each
-    pair is checked against ``||M v - lambda v||_inf <= tol * ||M||_inf``;
-    a violation or an exhausted QR budget raises :class:`NoConvergence`.
+    comes +im first), on the integers of the module docstring; only the
+    eigenvalues are computed at context precision.  Real eigenvalues come
+    back as ``mpf`` with real vectors, complex ones as exact conjugate
+    pairs.  A vector is scaled to +1 at its first component within
+    ``ctx.eig_gate`` of the largest in modulus.  Each pair is checked
+    against ``||M v - lambda v||_inf <= eig_gate * ||M||_inf``; a
+    violation or an exhausted QR budget raises :class:`NoConvergence`.
     An empty matrix has no eigenpairs.
 
-    With ``mirror`` the matrix is first written in the mirror coordinates
-    (v[i] +- v[n-1-i]) / sqrt(2), even ones first.  When M maps
-    mirror-symmetric vectors to mirror-symmetric vectors, that is when
-    the even-to-odd block L_oe satisfies ``||L_oe||_inf <= tol *
-    ||M||_inf``, M is block upper triangular there, [[L_ee, L_eo],
-    [0, L_oo]]: the two diagonal blocks are reduced to real Schur form
-    separately and the coupling Z_e^T L_eo Z_o completes the Schur form of
-    the whole; an eigenvalue of L_ee has an exactly mirror-symmetric
-    vector.  Otherwise, and without ``mirror``, the whole matrix is the
+    The matrix decides a mirror split.  P^-1 M P is formed exactly on the
+    integers of M, P's columns e_i + e_(n-1-i), the middle e_m of an odd
+    n, then e_i - e_(n-1-i).  When M maps mirror-symmetric vectors to
+    mirror-symmetric vectors, that is when its even-to-odd block L_oe has
+    ``||L_oe||_inf <= eig_gate * ||M||_inf``, P^-1 M P is block upper
+    triangular, [[L_ee, L_eo], [0, L_oo]]: the two diagonal blocks are
+    reduced to real Schur form separately and the coupling Z_e^T L_eo Z_o
+    completes the Schur form of the whole; an eigenvalue of L_ee has an
+    exactly mirror-symmetric vector.  Otherwise the whole matrix is the
     one block.  The residual gate is always against M.
     """
     n = len(M)
-    tol = ctx.mpf(tol)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if not n:
         return []
-    mp = ctx.mp
-    A = [[ctx.mpf(x) for x in row] for row in M]
-    width = 2 * ctx.prec_bits + SCHUR_GUARD_BITS
-    SA, AI = fixed_rows(A, width, mp)
+    mp, gate, width = ctx.mp, ctx.eig_gate, 2 * ctx.prec_bits + SCHUR_GUARD_BITS
+    SA, AI = fixed_rows([[ctx.mpf(x) for x in row] for row in M], width, mp)
     norm = norm_inf(AI, SA, mp)
-    h, T = n, A
-    if mirror:
-        s = 1 / mp.sqrt(2)
-        AQ = [_mirror(row, s) for row in A]
-        B = [list(row) for row in zip(*(_mirror(col, s) for col in zip(*AQ)))]
-        half = n - n // 2
-        if mat_norm_inf([row[:half] for row in B[half:]]) <= tol * norm:
-            h, T = half, B
+    h = n - n // 2
+    B = mirror_transform(AI)  # 2 P^-1 M P, so P^-1 M P is exact at 2^-(SA+1)
+    if h < n and norm_inf([row[:h] for row in B[h:]], SA + 1, mp) <= gate * norm:
+        unit, coupling = SA + 1, [row[h:] for row in B[:h]]
+        parts = [(0, [row[:h] for row in B[:h]]), (h, [row[h:] for row in B[h:]])]
+    else:
+        unit, coupling, parts = SA, None, [(0, AI)]
     blocks, values, splits = [], [], []
-    for lo, hi in [(0, h), (h, n)] if h < n else [(0, n)]:
-        if T is A:  # the one block is A itself, already converted
-            S, H = SA, [list(row) for row in AI]
-        else:
-            S, H = fixed_rows([row[lo:hi] for row in T[lo:hi]], width, mp)
+    for lo, rows in parts:
+        S, H = rescaled(rows, unit, width)
         Zt = _hessenberg(H, width)
         _real_schur(H, Zt, width, ctx, lo)
         blocks.append((S, H, Zt))
-        values += mpf_rows([[H[k][k] for k in range(hi - lo)]], S, mp)[0]
-        for k in range(hi - lo - 1):
+        values += mpf_rows([[H[k][k] for k in range(len(H))]], S, mp)[0]
+        for k in range(len(H) - 1):
             if H[k + 1][k]:
                 (a, b), (c, d) = mpf_rows([H[k][k:k + 2], H[k + 1][k:k + 2]], S, mp)
                 split = _split_block(a, b, c, d, mp)
                 values[lo + k], values[lo + k + 1] = split[2], split[4]
                 splits.append((lo + k,) + split)
-    form = SchurForm(blocks, [row[h:] for row in T[:h]], splits, (SA, AI), ctx.eig_gate,
-                     width, mp)
+    form = SchurForm(blocks, coupling, splits, (SA, AI), gate, width, mp)
 
     pairs = []
     for i in range(n):
@@ -517,11 +490,9 @@ def eig_dense(M, tol, ctx: PrecisionCtx, mirror=False):
         if pair is None:
             raise NoConvergence("zero eigenvector", index=i)
         vec, res = pair
-        if norm > 0 and res > tol * norm:
-            raise NoConvergence(
-                "eigenpair %d residual %s exceeds tolerance" % (i, mp.nstr(res, 5)),
-                index=i,
-            )
+        if norm > 0 and res > gate * norm:
+            raise NoConvergence("eigenpair %d residual %s exceeds tolerance"
+                                % (i, mp.nstr(res, 5)), index=i)
         pairs.append(EigenPair(lam, vec, res))
         if i in form.tops:
             pairs.append(EigenPair(lam.conjugate(), tuple(v.conjugate() for v in vec), res))

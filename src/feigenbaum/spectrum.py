@@ -184,13 +184,12 @@ def spectrum_at(g: ChebSeries, spec: OperatorSpec, ctx: PrecisionCtx,
     no Newton run, so it also serves operators whose unpinned Newton
     cannot converge and scaling-family members.
 
-    On a basis with mirror nodes (the Chebyshev grid) the eigensolve splits
-    into even and odd blocks whenever g is even to the gate tolerance
-    ``ctx.eig_gate`` (see :func:`eig_dense`).  Every pair's parity comes
-    from :func:`eigenfunction_parity`.
+    The eigensolve splits into even and odd blocks whenever the matrix
+    maps mirror-symmetric vectors to mirror-symmetric ones (see
+    :func:`eig_dense`), as it does at an even g on symmetric nodes.  Every
+    pair's parity comes from :func:`eigenfunction_parity`.
     """
-    pairs = eig_dense(linearization_matrix(spec, g, basis, ctx), ctx.eig_gate, ctx,
-                      mirror=basis.mirror_nodes)
+    pairs = eig_dense(linearization_matrix(spec, g, basis, ctx), ctx)
 
     c = scaling_of(spec.variant, g, ctx).value
     alpha = c if uses_inverse_g1(spec.variant) else -c

@@ -428,6 +428,18 @@ EXIT_CASES = [
                  "--mu needs finite values", id="mu-inf"),
     pytest.param(["spectrum", "--operator", "T3", "--mu", "nan"], 2, None,
                  "--mu needs finite values", id="mu-nan"),
+    pytest.param(["spectrum", "--basis", "monomial", "--dim", "11", "--constrain", "a0=1/0"],
+                 2, None, "--constrain a0", id="constrain-zero-denominator"),
+    pytest.param(["spectrum", "--basis", "monomial", "--dim", "11", "--constrain", "a0=nan"],
+                 2, None, "--constrain a0", id="constrain-nan"),
+    pytest.param(["solve", "--operator", "T4", "--pin", "g0=nan"], 2, None,
+                 "--pin g0 needs finite values", id="pin-nan"),
+    pytest.param(["solve", "--operator", "T4", "--pin", "g0=inf"], 2, None,
+                 "--pin g0 needs finite values", id="pin-inf"),
+    pytest.param(["solve", "--seed-file", "{nanvalue}"], 2, None, "{nanvalue} line 1",
+                 id="seed-file-nan-value"),
+    pytest.param(["verify", "--seed-file", "{infvalue}"], 2, None, "{infvalue} line 2",
+                 id="seed-file-inf-value"),
     pytest.param(["plotdata"], 2, None, None, id="plotdata-without-solution"),
     pytest.param(["plotdata", "--solution", "{nocoeffs}"], 2, None, None,
                  id="solution-without-coefficients"),
@@ -467,6 +479,8 @@ def _exit_code_artifacts(tmp_path):
         "badindex": "a0\t1.5\n",
         "huge": "1000000000\t1\n",
         "sparse": "0\t1.5\n4\t-0.5\n",
+        "nanvalue": "0\tnan\n",
+        "infvalue": "0\t1.5\n2\tinf\n",
         "nocoeffs": "{}",
         "sol": json.dumps({"digits": 24, "cheb_coefficients": coeffs}),
         "novectors": json.dumps({"basis": grid8, "eigenvalues": [{"re": "1"}]}),

@@ -132,7 +132,7 @@ def _det(A):
 def test_eig_diagonal(ctx):
     A = [[ctx.mpf(v) if i == j else ctx.mpf(0) for j, v in enumerate((3, -2, "0.5"))]
          for i in range(3)]
-    pairs = fb.eig_dense(A, ctx.ten_pow(-30), ctx)
+    pairs = fb.eig_dense(A, ctx)
     assert [float(p.value.real) for p in pairs] == [3.0, -2.0, 0.5]
     for p in pairs:
         assert p.value.imag == 0
@@ -142,7 +142,7 @@ def test_eig_diagonal(ctx):
 
 def test_eig_rotation_conjugate_pair(ctx):
     A = [[ctx.mpf(0), ctx.mpf(1)], [ctx.mpf(-1), ctx.mpf(0)]]
-    pairs = fb.eig_dense(A, ctx.ten_pow(-30), ctx)
+    pairs = fb.eig_dense(A, ctx)
     ims = sorted(float(p.value.imag) for p in pairs)
     assert ims == [-1.0, 1.0]
     assert all(abs(float(p.value.real)) < 1e-60 for p in pairs)
@@ -153,8 +153,8 @@ def test_eig_residual_bound_random(ctx):
     n = 8
     with ctx.activate():
         A = [[ctx.mpf(rng.uniform(-1, 1)) for _ in range(n)] for _ in range(n)]
-        tol = ctx.ten_pow(-20)
-        pairs = fb.eig_dense(A, tol, ctx)
+        tol = ctx.eig_gate
+        pairs = fb.eig_dense(A, ctx)
         norm = mat_norm_inf(A)
         for p in pairs:
             assert p.residual <= tol * norm
@@ -167,7 +167,7 @@ def test_eig_precision_insensitive_fixed_matrix():
         ctx = fb.PrecisionCtx(digits)
         with ctx.activate():
             A = [[ctx.mpf(Fraction(1, 1 + i + j)) for j in range(8)] for i in range(8)]
-            pairs = fb.eig_dense(A, ctx.ten_pow(-20), ctx)
+            pairs = fb.eig_dense(A, ctx)
             vals[digits] = [p.value.real for p in pairs]
     for a, b in zip(vals[32], vals[64]):
         assert abs(a - b) < mp.mpf("1e-30")
@@ -236,8 +236,8 @@ def _oracle_draw(D, n, kind, mirror, seed):
     """(ctx, A, the eigenvalues if known) of a draw of the eigensolver
     tests.  "split": [[L_ee, L_eo], [0, L_oo]] in mirror coordinates, the
     blocks of the kind, so the even and odd blocks are solved apart;
-    "whole": the mirror test fails on a random matrix, and the matrix is
-    one block."""
+    "whole": a matrix of the kind, which for a random one fails the
+    mirror test and is one block."""
     ctx, ref = fb.PrecisionCtx(D), fb.PrecisionCtx(2 * D)
     rng = random.Random(seed)
     h = n - n // 2
@@ -255,7 +255,7 @@ def _oracle_draw(D, n, kind, mirror, seed):
 
 ORACLE_DRAWS = (st.integers(16, 96), st.integers(2, 24),
                 st.sampled_from(["random", "pairs", "repeated", "zero"]),
-                st.sampled_from(["none", "split", "whole"]), st.integers(0, 10 ** 9))
+                st.sampled_from(["split", "whole"]), st.integers(0, 10 ** 9))
 
 
 @settings(max_examples=30, deadline=None)
@@ -263,14 +263,14 @@ ORACLE_DRAWS = (st.integers(16, 96), st.integers(2, 24),
 # few, highly repeated eigenvalues, which need the last-resort deflation
 @example(D=16, n=20, kind="repeated", mirror="split", seed=5113)
 @example(D=16, n=14, kind="repeated", mirror="split", seed=33)
-@example(D=16, n=16, kind="repeated", mirror="none", seed=19)
+@example(D=16, n=16, kind="repeated", mirror="whole", seed=19)
 def test_eig_dense_matches_mpmath_oracle(D, n, kind, mirror, seed):
     ctx, A, known = _oracle_draw(D, n, kind, mirror, seed)
     h = n - n // 2
     ref = fb.PrecisionCtx(2 * D)
     norm = mat_norm_inf(A)
     tol = ctx.eig_gate
-    pairs = fb.eig_dense(A, tol, ctx, mirror=mirror != "none")
+    pairs = fb.eig_dense(A, ctx)
     # the exact eigenvalues where the draw knows them (mpmath's QR fails to
     # converge on some highly repeated ones), else mpmath's at 2D digits
     oracle = ([ctx.mp.mpc(z.real, z.imag) for z in known] if known is not None
@@ -372,50 +372,54 @@ def _eigenvector(T, Z, i, ctx):
     return [mp.fdot(row[:i + 1], x) for row in Z]
 
 
-def _unmirror(Ze, Zo, s, ctx):
-    """Rows of Q diag(Ze, Zo) for the mirror transform Q, s = 1/sqrt(2)."""
+def _unmirror(Ze, Zo, ctx):
+    """Rows of P diag(Ze, Zo) for the mirror transform P: node rows i and
+    n-1-i copy the even columns and negate the odd ones of each other."""
     m = len(Zo)
-    Z = [[s * x for x in Ze[i]] + [s * x for x in Zo[i]] for i in range(m)]
+    Z = [Ze[i] + Zo[i] for i in range(m)]
     if len(Ze) > m:
         Z.append(Ze[m] + [ctx.mpf(0)] * m)
-    return Z + [[s * x for x in Ze[i]] + [-s * x for x in Zo[i]]
-                for i in range(m - 1, -1, -1)]
+    return Z + [Ze[i] + [-x for x in Zo[i]] for i in range(m - 1, -1, -1)]
 
 
-def _mpf_eig_dense(M, tol, ctx, mirror):
-    """eig_dense with the mpf back end.  The pivot of a vector is chosen
-    by eig_dense's rule (the first component within the gate of the
-    largest); the mpf back end took the largest, which lets round-off
-    choose between components that tie."""
+def _mpf_eig_dense(M, ctx):
+    """eig_dense with the mpf back end, on eig_dense's exact integer
+    blocks.  The pivot of a vector is chosen by eig_dense's rule (the
+    first component within the gate of the largest); the mpf back end
+    took the largest, which lets round-off choose between components
+    that tie."""
     n, mp = len(M), ctx.mp
     A = [[ctx.mpf(x) for x in row] for row in M]
-    norm = mat_norm_inf(M)
-    h, T = n, [list(row) for row in A]
-    if mirror:
-        s = 1 / mp.sqrt(2)
-        AQ = [numerics._mirror(row, s) for row in A]
-        B = [list(row) for row in zip(*(numerics._mirror(col, s) for col in zip(*AQ)))]
-        if mat_norm_inf([row[:n - n // 2] for row in B[n - n // 2:]]) <= tol * norm:
-            h, T = n - n // 2, B
     width = 2 * ctx.prec_bits + numerics.SCHUR_GUARD_BITS
+    SA, AI = fixed.fixed_rows(A, width, mp)
+    # eig_dense's split: 2 P^-1 M P on the integers, so P^-1 M P is exact
+    # at the unit 2^-(SA+1)
+    h, B = n - n // 2, fixed.mirror_transform(AI)
+    coupling = None
+    parts = [(0, fixed.rescaled(AI, SA, width))]
+    if h < n and (fixed.norm_inf([row[:h] for row in B[h:]], SA + 1, mp)
+                  <= ctx.eig_gate * fixed.norm_inf(AI, SA, mp)):
+        coupling = [row[h:] for row in B[:h]]
+        parts = [(0, fixed.rescaled([row[:h] for row in B[:h]], SA + 1, width)),
+                 (h, fixed.rescaled([row[h:] for row in B[h:]], SA + 1, width))]
+    T = [[ctx.mpf(0)] * n for _ in range(n)]
     Zs = []
-    for lo, hi in [(0, h), (h, n)] if h < n else [(0, n)]:
-        S, H = fixed.fixed_rows([row[lo:hi] for row in T[lo:hi]], width, mp)
+    for lo, (S, H) in parts:
         Zt = fixed._hessenberg(H, width)
         numerics._real_schur(H, Zt, width, ctx, lo)
-        for row, hrow in zip(T[lo:hi], fixed.mpf_rows(H, S, mp)):
-            row[lo:hi] = hrow
+        for row, hrow in zip(T[lo:], fixed.mpf_rows(H, S, mp)):
+            row[lo:lo + len(H)] = hrow
         Zs.append(fixed.mpf_rows([list(col) for col in zip(*Zt)], width, mp))
-    if h < n:
+    if coupling is None:
+        Z = Zs[0]
+    else:
         Ze, Zo = Zs
-        LZ = [[mp.fdot(row[h:], col) for col in zip(*Zo)] for row in T[:h]]
+        h = len(Ze)
+        LZ = [[mp.fdot(row, col) for col in zip(*Zo)]
+              for row in fixed.mpf_rows(coupling, SA + 1, mp)]
         for row, col in zip(T, zip(*Ze)):
             row[h:] = [mp.fdot(col, lz) for lz in zip(*LZ)]
-        for row in T[h:]:
-            row[:h] = [ctx.mpf(0)] * h
-        Z = _unmirror(Ze, Zo, s, ctx)
-    else:
-        Z = Zs[0]
+        Z = _unmirror(Ze, Zo, ctx)
     tops = _triangularize(T, Z, ctx)
     pairs = []
     for i in range(n):
@@ -446,10 +450,8 @@ def test_eig_dense_matches_the_mpf_back_end(D, n, kind, mirror, seed):
     # alone checks
     ctx, A, _ = _oracle_draw(D, n, kind, mirror, seed)
     tol, norm = ctx.eig_gate, mat_norm_inf(A)
-    pairs = fb.eig_dense(A, tol, ctx, mirror=mirror != "none")
-    oracle = _mpf_eig_dense(A, tol, ctx, mirror != "none")
-    # bit for bit, although eig_dense takes ||M||_inf (for its gates) from
-    # the integer M it converts once and the oracle in mpf
+    pairs = fb.eig_dense(A, ctx)
+    oracle = _mpf_eig_dense(A, ctx)
     assert [(type(p.value), p.value._mpc_ if type(p.value) is ctx.mp.mpc else p.value._mpf_)
             for p in pairs] == \
         [(type(q.value), q.value._mpc_ if type(q.value) is ctx.mp.mpc else q.value._mpf_)
@@ -536,8 +538,7 @@ def test_unrolled_sweeps_with_transposed_z_are_bit_identical(seed):
         assert H == H0 and Zt == [list(col) for col in zip(*Z0)]
 
 
-@pytest.mark.parametrize("mirror", [False, True])
-def test_eig_dense_pivot_of_mirror_symmetric_matrices(mirror):
+def test_eig_dense_pivot_of_mirror_symmetric_matrices():
     # M + RMR, R the reversal, has exactly even and odd eigenvectors, whose
     # largest components tie in pairs: the pivot is the first of a pair
     ctx = fb.PrecisionCtx(96)
@@ -547,7 +548,7 @@ def test_eig_dense_pivot_of_mirror_symmetric_matrices(mirror):
         rng = random.Random(seed)
         M = [[ctx.mpf(rng.uniform(-1, 1)) for _ in range(n)] for _ in range(n)]
         A = [[M[i][j] + M[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
-        for p in fb.eig_dense(A, tol, ctx, mirror=mirror):
+        for p in fb.eig_dense(A, ctx):
             v = p.vector
             assert 2 * v.index(1) <= n - 1
             if max(abs(a - b) for a, b in zip(v, v[::-1])) > tol:
@@ -556,9 +557,8 @@ def test_eig_dense_pivot_of_mirror_symmetric_matrices(mirror):
     assert complex_odd >= 4
 
 
-@pytest.mark.parametrize("mirror", [False, True])
-def test_eig_dense_of_the_empty_matrix(ctx, mirror):
-    assert fb.eig_dense([], ctx.eig_gate, ctx, mirror=mirror) == []
+def test_eig_dense_of_the_empty_matrix(ctx):
+    assert fb.eig_dense([], ctx) == []
 
 
 def test_fixed_rows_of_the_empty_matrix(ctx):
@@ -571,7 +571,7 @@ def test_eig_dense_names_the_row_that_never_deflates(ctx, monkeypatch):
     monkeypatch.setattr(fb.numerics, "_francis_step", lambda *args: None)
     A = [[ctx.mpf((i + 2) ** j) for j in range(4)] for i in range(4)]
     with pytest.raises(fb.NoConvergence) as info:
-        fb.eig_dense(A, ctx.ten_pow(-30), ctx)
+        fb.eig_dense(A, ctx)
     assert info.value.index == 3
 
 
@@ -587,14 +587,14 @@ def test_eig_dense_names_the_row_of_the_whole_matrix_in_the_odd_block(ctx, monke
          [0, 0, 0, 1, 3, 9],
          [0, 0, 0, 1, 4, 16]]
     n, m = 6, 3
-    Q = [[0] * n for _ in range(n)]  # sqrt(2) times the mirror transform
+    Q = [[0] * n for _ in range(n)]  # the mirror transform P, with P^-1 = P^T / 2
     for i in range(m):
         Q[i][i] = Q[n - 1 - i][i] = Q[i][m + i] = 1
         Q[n - 1 - i][m + i] = -1
     QT = [list(col) for col in zip(*Q)]
     M = [[ctx.mpf(Fraction(x, 2)) for x in row] for row in _product(_product(Q, B), QT)]
     with pytest.raises(fb.NoConvergence, match="at row 5$") as info:
-        fb.eig_dense(M, ctx.eig_gate, ctx, mirror=True)
+        fb.eig_dense(M, ctx)
     assert info.value.index == 5
 
 
@@ -687,7 +687,7 @@ def test_block_spectra_match_the_full_matrix(g13_32, ctx32, variant, n):
     ctx = ctx32
     L = fb.linearization_matrix(fb.OperatorSpec(variant, FULL), g13_32,
                                 fb.chebgrid(n, ctx), ctx)
-    pairs = fb.eig_dense(L, ctx.eig_gate, ctx, mirror=True)
+    pairs = fb.eig_dense(L, ctx)
     # the even block's n - n // 2 vectors are exactly mirror-symmetric
     assert sum(p.vector == p.vector[::-1] for p in pairs) == n - n // 2
     _assert_matches_oracle(pairs, L, ctx)
@@ -700,6 +700,6 @@ def test_odd_fixed_point_term_keeps_one_block(g13_32, ctx32):
     g = fb.ChebSeries(tuple(coeffs))
     L = fb.linearization_matrix(fb.OperatorSpec(fb.Variant.T, FULL), g,
                                 fb.chebgrid(12, ctx), ctx)
-    pairs = fb.eig_dense(L, ctx.eig_gate, ctx, mirror=True)
+    pairs = fb.eig_dense(L, ctx)
     assert not any(p.vector == p.vector[::-1] for p in pairs)
     _assert_matches_oracle(pairs, L, ctx)

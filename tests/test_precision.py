@@ -58,7 +58,7 @@ def _eig_bits(ctx, n=10):
     random n x n matrix, some of its eigenvalues complex."""
     rng = random.Random(5)
     A = [[ctx.mpf(rng.uniform(-1, 1)) for _ in range(n)] for _ in range(n)]
-    raw = [getattr(x, "_mpf_", None) or x._mpc_ for p in fb.eig_dense(A, ctx.eig_gate, ctx)
+    raw = [getattr(x, "_mpf_", None) or x._mpc_ for p in fb.eig_dense(A, ctx)
            for x in (p.value, *p.vector, p.residual)]
     assert len(raw) == n * (n + 2)
     return raw

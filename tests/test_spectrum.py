@@ -201,7 +201,7 @@ def test_even_block_parity_agrees_with_sampling(g32, ctx, spec):
     n = 20
     basis = fb.chebgrid(n, ctx)
     L = fb.linearization_matrix(spec, g32, basis, ctx)
-    pairs = fb.eig_dense(L, ctx.ten_pow(-36), ctx, mirror=True)
+    pairs = fb.eig_dense(L, ctx)
     symmetric = [p.vector == p.vector[::-1] for p in pairs]
     assert sum(symmetric) == n // 2
     for p, even in zip(pairs, symmetric):
@@ -240,6 +240,19 @@ def test_pinned_t4_spectrum_splits(quad_seed, ctx, monkeypatch):
 
 def _monomial(m, constraints, ctx):
     return fb.build_basis(fb.BasisSpec(fb.BasisKind.MONOMIAL_FULL, m, constraints), ctx)
+
+
+def test_a0_pinned_monomial_spectrum_splits(g32, ctx):
+    """With a0 pinned the monomial basis of m = 12 collocates on the 13-point
+    Chebyshev pool without its origin: 12 mirror-symmetric nodes, and not
+    the grid.  At an even g its matrix splits all the same, and the even
+    block's 6 vectors are exactly mirror-symmetric."""
+    basis = _monomial(12, ((0, 1),), ctx)
+    assert not basis.mirror_nodes
+    report = fb.spectrum_at(g32, fb.OperatorSpec(fb.Variant.T, FULL), ctx, basis)
+    symmetric = [r for r in report.records if r.vector == r.vector[::-1]]
+    assert len(symmetric) == 6
+    assert all(r.parity == "even" for r in symmetric)
 
 
 def test_parity_of_an_even_power_space_reads_no_vector(ctx, monkeypatch):
