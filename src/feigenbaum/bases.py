@@ -37,6 +37,7 @@ from fractions import Fraction
 
 from .chebyshev import (
     ChebSeries,
+    _cardinal_sum,
     _eval,
     _eval_rows,
     _tables,
@@ -141,16 +142,9 @@ class InterpolationMatrix:
         """M V - I as exact Fractions (exact kinds only)."""
         if not self.exact:
             raise ValueError("only exact matrices verify rationally")
-        d = len(self.entries)
         V = [[x ** p for p in self.powers] for x in self.nodes]
-        out = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                s = sum(self.entries[i][c] * V[c][j] for c in range(d))
-                row.append(s - (1 if i == j else 0))
-            out.append(row)
-        return out
+        return [[sum(a * V[c][j] for c, a in enumerate(row)) - (i == j) for j in range(len(row))]
+                for i, row in enumerate(self.entries)]
 
 
 @dataclass(frozen=True)
@@ -176,10 +170,6 @@ class Discretization:
         return len(self.nodes)
 
     @property
-    def series_len(self) -> int:
-        return len(self.cardinals[0].coeffs)
-
-    @property
     def exact_nodes(self):
         """The nodes as Fractions when the interpolation is exact, else None."""
         return self.matrix.nodes if self.matrix is not None and self.matrix.exact else None
@@ -190,33 +180,19 @@ class Discretization:
         give the reflected function h(-x): true of the Chebyshev grid."""
         return self.spec.kind is BasisKind.CHEB_GRID
 
-    def _combine(self, acc, weights) -> ChebSeries:
-        """acc + sum_j weights[j] * cardinal_j; caller holds the precision."""
-        for j, card in enumerate(self.cardinals):
-            w = weights[j]
-            if w:
-                for i, c in enumerate(card.coeffs):
-                    acc[i] += w * c
-        return ChebSeries(tuple(acc))
-
     def to_series(self, values, ctx: PrecisionCtx) -> ChebSeries:
         """Polynomial through the given node values, as a ChebSeries
-        (affine: the fixed part plus the cardinal combination)."""
-        acc = [ctx.mpf(0)] * self.series_len
-        if self.fixed_series is not None:
-            for i, c in enumerate(self.fixed_series.coeffs):
-                acc[i] = ctx.mpf(c)
-        return self._combine(
-            acc, [values[j] - self.fixed_at_nodes[j] for j in range(self.dim)])
+        (affine: the fixed part plus the cardinals weighted by the values
+        less the fixed part's)."""
+        return _cardinal_sum(self.cardinals, [v - f for v, f in zip(values, self.fixed_at_nodes)],
+                             ctx, self.fixed_series)
 
     def direction_series(self, vector, ctx: PrecisionCtx) -> ChebSeries:
         """Linear part of :meth:`to_series`: sum_j vector[j] * cardinal_j,
         without the fixed part.  Eigenvectors and other tangent directions
-        (real or complex) map to functions through this; the entries are
-        converted to the context first, so values from mpmath's global
-        ``mp`` compute at context precision."""
-        return self._combine([ctx.mpf(0)] * self.series_len,
-                             [ctx.mp.convert(v) for v in vector])
+        (real or complex) map to functions through this, at context
+        precision whatever context made the entries."""
+        return _cardinal_sum(self.cardinals, vector, ctx)
 
     def cardinal_ints(self, points, ctx: PrecisionCtx):
         """(U, E) with E[i][j] 2^-U = cardinal_j(points[i]), E of integers
@@ -243,10 +219,8 @@ class Discretization:
             "exact": self.exact_nodes is not None,
             "constraints": [[p, str(v)] for p, v in self.spec.constraints],
         }
-        if self.exact_nodes is not None:
-            d["nodes"] = [str(x) for x in self.exact_nodes]
-        else:
-            d["nodes"] = [ctx.to_str(x) for x in self.nodes]
+        d["nodes"] = ([str(x) for x in self.exact_nodes] if self.exact_nodes is not None
+                      else [ctx.to_str(x) for x in self.nodes])
         return d
 
 
@@ -262,18 +236,11 @@ def spec_from_description(d: dict) -> BasisSpec:
 
 
 def chebgrid(n: int, ctx: PrecisionCtx) -> Discretization:
-    """The identity pairing with the Chebyshev-root grid."""
-    spec = BasisSpec(BasisKind.CHEB_GRID, n)
-    nodes = cheb_nodes(n, ctx)
-    two_over_n = ctx.mpf(2) / n
-    cosk = _tables(n, ctx.prec_bits)[1]
-    cards = tuple(
-        ChebSeries(tuple(two_over_n * cosk[k][j] for k in range(n)))
-        for j in range(n)
-    )
-    cond = mat_norm_inf([[cosk[k][j] for k in range(n)] for j in range(n)]) * mat_norm_inf(
-        [[c.coeffs[k] for c in cards] for k in range(n)])
-    return Discretization(spec, nodes, None, cards, None, (ctx.mpf(0),) * n, cond)
+    """The identity pairing with the Chebyshev-root grid, from the cached
+    node tables."""
+    nodes, cards, _, _, cond = _tables(n, ctx.prec_bits)
+    return Discretization(BasisSpec(BasisKind.CHEB_GRID, n), nodes, None, cards, None,
+                          (ctx.mpf(0),) * n, cond)
 
 
 @dataclass(frozen=True)
@@ -308,21 +275,11 @@ class EvenHalf(Discretization):
 
 def even_half(grid: Discretization, ctx: PrecisionCtx) -> EvenHalf:
     """The :class:`EvenHalf` of a Chebyshev grid, from the cached node
-    tables: the mirror sum of cardinals j and n-1-j has the coefficients
-    (4/n) cos(k theta_j) for even k.  Its condition estimate is the
-    grid's, which bounds it (the half maps are restrictions of the
-    grid's to even functions)."""
-    n = grid.dim
-    m = n - n // 2
-    cosk = _tables(n, ctx.prec_bits)[1]
-    four_over_n, zero = ctx.mpf(4) / n, ctx.mpf(0)
-    cards = tuple(
-        grid.cardinals[j] if 2 * j + 1 == n else ChebSeries(tuple(
-            zero if k % 2 else four_over_n * cosk[k][j] for k in range(n)))
-        for j in range(m)
-    )
-    return EvenHalf(grid.spec, grid.nodes[:m], None, cards, None, (zero,) * m,
-                    grid.condition_estimate, full=grid)
+    tables.  Its condition estimate is the grid's, which bounds it (the
+    half maps are restrictions of the grid's to even functions)."""
+    m = grid.dim - grid.dim // 2
+    return EvenHalf(grid.spec, grid.nodes[:m], None, _tables(grid.dim, ctx.prec_bits)[3], None,
+                    (ctx.mpf(0),) * m, grid.condition_estimate, full=grid)
 
 
 def _monomial_series(powers_to_coeffs: dict, length: int, ctx) -> ChebSeries:

@@ -6,9 +6,12 @@ x_i = cos((2i-1) pi / 2n) (:class:`GridFn`) or as coefficients of
 
     f(x) = a_0/2 + sum_{k>=1} a_k T_k(x)
 
-(:class:`ChebSeries`).  The transform between the two is the direct
-O(n^2) discrete cosine sum: at extended precision and n <= 128 this is
-both exact enough and fast enough, and it avoids FFT bookkeeping.
+(:class:`ChebSeries`).  Values go to a series as a sum of cardinals,
+on the grid l_j with coefficients (2/n) cos(k theta_j), the discrete
+cosine transform: :func:`_cardinal_sum` adds their integer coefficients
+at one unit, each coefficient exactly, and rounds it once (the kernel of
+:mod:`feigenbaum.fixed`).  The grid's cardinals and their integer form
+are made once per node count and precision.
 
 Every series value comes from one Clenshaw kernel that runs on Python
 integers, not on ``mpf`` values: that of :mod:`feigenbaum.fixed`, whose
@@ -26,7 +29,8 @@ from functools import cached_property, lru_cache
 
 import mpmath
 
-from .fixed import ROW_GUARD_BITS, GridCardinals, _FixedSeries, mpf_to_fraction, round_fraction
+from .fixed import (ROW_GUARD_BITS, GridCardinals, _FixedSeries, combine_rows, fixed_ints,
+                    mpf_to_fraction, round_fraction)
 from .numerics import PrecisionCtx, ls_slope
 
 
@@ -63,6 +67,14 @@ class ChebSeries:
         """Integer form of the coefficients for the Clenshaw kernel."""
         return _FixedSeries(self.coeffs)
 
+    @cached_property
+    def _ints(self):
+        """(U, [floor(a_k 2^U)]) of real coefficients at the unit of the
+        linearization rows, U = p + ``ROW_GUARD_BITS`` for the precision p
+        of their context: the form a cardinal is summed in."""
+        U = self.coeffs[0].context.prec + ROW_GUARD_BITS
+        return U, fixed_ints(self.coeffs, U)
+
 
 @dataclass(frozen=True)
 class DecayReport:
@@ -87,11 +99,14 @@ class DecayReport:
 
 @lru_cache(maxsize=64)
 def _tables(n: int, prec_bits: int):
-    """Nodes x_i, cosine table cos(k theta_i), and the integer kernel of
-    the grid's Lagrange cardinals (:class:`feigenbaum.fixed.GridCardinals`,
-    the second barycentric formula of Berrut & Trefethen, SIAM Rev. 46
-    (2004) 501-517), with weights (-1)^i sin(theta_i), at the given
-    precision.
+    """At the given precision: the nodes x_i; the grid's cardinals, with
+    coefficients (2/n) cos(k theta_j), their integer form made; the integer
+    kernel of their values (:class:`feigenbaum.fixed.GridCardinals`, the
+    second barycentric formula of Berrut & Trefethen, SIAM Rev. 46 (2004)
+    501-517), weights (-1)^i sin(theta_i); the even half's cardinals
+    l_j + l_(n-1-j), the grid's doubled on even k and zero on odd k; and
+    the condition estimate (n/2) ||C||_inf ||C^T||_inf of the cardinals'
+    coefficient matrix C, from the integers and rounded once.
 
     Every context of that precision shares the entries, so they are made
     in a context private to this cache."""
@@ -99,11 +114,17 @@ def _tables(n: int, prec_bits: int):
     private.prec = prec_bits
     thetas = [(2 * i - 1) * private.pi / (2 * n) for i in range(1, n + 1)]
     nodes = tuple(private.cos(t) for t in thetas)
-    cosk = tuple(
-        tuple(private.cos(k * t) for t in thetas) for k in range(n)
-    )
+    two_over_n = private.mpf(2) / n
+    cards = tuple(ChebSeries(tuple(two_over_n * private.cos(k * t) for k in range(n)))
+                  for t in thetas)
+    even = tuple(c if 2 * j + 1 == n else ChebSeries(tuple(
+        private.zero if k % 2 else 2 * a for k, a in enumerate(c.coeffs)))
+        for j, c in enumerate(cards[:n - n // 2]))
     weights = [(-1) ** i * private.sin(t) for i, t in enumerate(thetas, 1)]
-    return nodes, cosk, GridCardinals(nodes, weights, prec_bits + ROW_GUARD_BITS)
+    U, ints = cards[0]._ints[0], [c._ints[1] for c in cards]
+    row_sum, col_sum = (max(sum(map(abs, r)) for r in m) for m in (ints, zip(*ints)))
+    cond = round_fraction(n * row_sum * col_sum, 1 << (2 * U + 1), private)
+    return nodes, cards, GridCardinals(nodes, weights, prec_bits + ROW_GUARD_BITS), even, cond
 
 
 def cheb_nodes(n: int, ctx: PrecisionCtx):
@@ -138,17 +159,26 @@ def eval_series(s: ChebSeries, x, ctx: PrecisionCtx):
     return _eval(s, ctx.mpf(x))
 
 
+def _cardinal_sum(cards, weights, ctx: PrecisionCtx, base=None) -> ChebSeries:
+    """sum_j weights[j] cards[j], plus the series ``base`` if given, for
+    real cardinals of one precision: each coefficient summed exactly over
+    their integer forms and rounded once to the context precision by
+    :func:`feigenbaum.fixed.combine_rows`, a complex weight's real and
+    imaginary parts apart, the weights taken exactly in the context."""
+    ws = [ctx.mp.convert(w) for w in weights]
+    parts = [[w.real for w in ws]] + ([[w.imag for w in ws]] if any(
+        isinstance(w, ctx.mp.mpc) for w in ws) else [])
+    terms = [[((w,), c._ints[1]) for w, c in zip(part, cards)] for part in parts]
+    if base is not None:
+        terms[0].append(((1,), base._ints[1]))
+    out = combine_rows(terms, cards[0]._ints[0], ctx.mp)
+    return ChebSeries(tuple(out[0] if len(out) == 1 else map(ctx.mp.mpc, *out)))
+
+
 def grid_to_series(f: GridFn, ctx: PrecisionCtx) -> ChebSeries:
-    """Discrete Fourier-Chebyshev transform: a_k = (2/n) sum_i f_i T_k(x_i)."""
-    n = f.n
-    cosk = _tables(n, ctx.prec_bits)[1]
-    two_over_n = ctx.mpf(2) / n
-    vals = f.values
-    coeffs = tuple(
-        two_over_n * ctx.mp.fsum(vals[i] * cosk[k][i] for i in range(n))
-        for k in range(n)
-    )
-    return ChebSeries(coeffs)
+    """Discrete Fourier-Chebyshev transform a_k = (2/n) sum_i f_i T_k(x_i),
+    the values' sum of the grid's cardinals."""
+    return _cardinal_sum(_tables(f.n, ctx.prec_bits)[1], f.values, ctx)
 
 
 def interpolant(f, n: int, ctx: PrecisionCtx) -> ChebSeries:

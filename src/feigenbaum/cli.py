@@ -108,14 +108,20 @@ def _parse_assign(item: str, what: str):
     return name.strip(), value.strip()
 
 
+_BOUND = ("every number given (--pin, --constrain, --mu, seed-file values) is finite with "
+          "|v| < 10^D at --digits D; a nonzero --constrain value, kept exact, has |v| > 10^-D")
+
+
 def _finite_value(text: str, ctx, flag: str):
-    """The value ``text`` of ``flag`` as a finite real at context precision."""
+    """The value ``text`` of ``flag`` at context precision, under the one
+    bound :data:`_BOUND` (a larger value's integers would not fit in memory)."""
     try:
         x = ctx.mpf(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         x = ctx.mp.nan
-    if not ctx.mp.isfinite(x):
-        raise ConfigError("%s needs finite values, got %r" % (flag, text))
+    if not ctx.mp.isfinite(x) or abs(x) >= ctx.ten_pow(ctx.decimal_digits):
+        raise ConfigError("%s needs finite values with |v| < 10^%d, got %r"
+                          % (flag, ctx.decimal_digits, text))
     return x
 
 
@@ -130,12 +136,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="feigenbaum",
         description="Period-doubling fixed points and the spectrum of the "
-                    "linearized doubling operator, at arbitrary precision.",
+                    "linearized doubling operator, at arbitrary precision; " + _BOUND + ".",
     )
     p.add_argument("--version", action="version", version="%(prog)s " + __version__)
     sub = p.add_subparsers(dest="command", required=True)
 
     def pipeline(sp, seed_help="coefficient file: index TAB value per line"):
+        sp.epilog = _BOUND + "."
         sp.add_argument("--digits", type=int, default=64, help="decimal digits (default 64)")
         sp.add_argument("--nodes", type=int, default=32, help="Chebyshev grid size (default 32)")
         sp.add_argument("--operator", choices=[v.value for v in Variant], default="T")
@@ -177,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _basis_spec(args) -> BasisSpec:
+def _basis_spec(args, ctx) -> BasisSpec:
     kind = BasisKind(args.basis)
     if kind is BasisKind.CHEB_GRID:
         if args.constrain:
@@ -190,10 +197,14 @@ def _basis_spec(args) -> BasisSpec:
         name, value = _parse_assign(item, "--constrain")
         if not name.startswith("a") or not name[1:].isdigit():
             raise ConfigError("--constrain pins monomial coefficients: a0=1, a1=0, ...")
-        try:
-            constraints.append((int(name[1:]), Fraction(value)))
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError("--constrain %s needs a finite rational value" % name) from None
+        v, D = _finite_value(value, ctx, "--constrain " + name), ctx.decimal_digits
+        try:  # Fraction spells out 10^|e| of the exponent: read only v in the bound
+            if 0 < abs(v) <= ctx.ten_pow(-D):
+                raise ValueError(value)
+            constraints.append((int(name[1:]), Fraction(value) if v else Fraction(0)))
+        except ValueError:
+            raise ConfigError("--constrain %s needs a rational value, 0 or 10^-%d < |v| < 10^%d,"
+                              " got %r" % (name, D, D, value)) from None
     return BasisSpec(kind, order, tuple(constraints))
 
 
@@ -234,8 +245,8 @@ def _load_coefficients(path, ctx) -> ChebSeries:
         if idx is None or not 0 <= idx < 2 * len(entries) or idx in coeffs:
             raise ConfigError(
                 "coefficient file %s line %d: %r is not 'index TAB value' with a "
-                "finite value and an index in 0..%d given once"
-                % (path, lineno, line.strip(), 2 * len(entries) - 1))
+                "finite value below 10^%d in modulus and an index in 0..%d given once"
+                % (path, lineno, line.strip(), ctx.decimal_digits, 2 * len(entries) - 1))
         coeffs[idx] = val
     n = max(coeffs) + 1
     return ChebSeries(tuple(coeffs.get(i, ctx.mpf(0)) for i in range(n)))
@@ -262,7 +273,7 @@ def _run_newton(args, ctx, variant: Variant):
             raise ConfigError("higher extremum orders run on the Chebyshev grid")
         return solve_extremum_order(
             args.extremum_order, args.nodes, ctx, config=config, seed=seed)
-    basis = build_basis(_basis_spec(args), ctx)
+    basis = build_basis(_basis_spec(args, ctx), ctx)
     return newton_solve(OperatorSpec(variant), basis, seed, config, ctx)
 
 
@@ -458,17 +469,10 @@ def _verify_checks(args, ctx):
 
 def cmd_verify(args) -> int:
     ctx = PrecisionCtx(args.digits)
-    rows = _verify_checks(args, ctx)
-    table = []
-    ok_all = True
-    for name, res, bound in rows:
-        if res is None:
-            table.append({"check": name, "residual": None, "bound": None, "ok": None})
-            continue
-        ok = bool(res <= bound)
-        ok_all = ok_all and ok
-        table.append({"check": name, "residual": ctx.to_str(res),
-                      "bound": ctx.to_str(bound), "ok": ok})
+    table = [{"check": name, "residual": None, "bound": None, "ok": None} if res is None
+             else {"check": name, "residual": ctx.to_str(res), "bound": ctx.to_str(bound),
+                   "ok": bool(res <= bound)} for name, res, bound in _verify_checks(args, ctx)]
+    ok_all = all(t["ok"] is not False for t in table)
     payload = {"digits": ctx.decimal_digits, "operator": args.operator,
                "all_ok": ok_all, "checks": table}
     csv_rows = [["check", "residual", "bound", "ok"]] + [
@@ -541,7 +545,8 @@ def main(argv=None) -> int:
     except (ConfigError, MissingArtifact, ValueError) as exc:
         return _error(EXIT_CONFIG, str(exc), "check flag combinations; --help lists them")
     except SingularJacobian as exc:
-        return _error(EXIT_SOLVER, str(exc), "use --pin g0=1 to select a family member")
+        return _error(EXIT_SOLVER, str(exc), "try another --pin g0 value or seed" if args.pin
+                      else "use --pin g0=1 to select a family member")
     except NoConvergence as exc:
         if exc.history is not None:
             return _error(EXIT_SOLVER, str(exc), "try a different seed or more iterations")

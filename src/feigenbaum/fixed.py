@@ -73,6 +73,10 @@ U = p + :data:`ROW_GUARD_BITS` for the context precision p:
   once to p bits.  Each entry of L is therefore the nearest p-bit number
   to the formula applied to the integer rows and the scalars.
 
+Node values to a series: the same one rounding, on the cardinals'
+coefficients as integers floor(a_k 2^U) at the rows' unit
+(:func:`fixed_ints`), which err by less than 2^-U each.
+
 Schur kernel: the exact mirror transform, Householder reflectors, the
 Hessenberg reduction and the Francis double-shift sweep on integer rows
 at a width of F bits, with the orthogonal factor stored transposed, and
@@ -255,13 +259,18 @@ class GridCardinals:
         return out
 
 
+def fixed_ints(values, U):
+    """floor(a 2^U) of each finite real mpmath number a."""
+    return [to_fixed(_finite(a._mpf_), U) for a in values]
+
+
 def combine_rows(rows, U, mpx):
     """Rows of ``mpf`` of the context mpx: ``rows`` holds, for each output
     row, a list of terms (factors, ints), factors a sequence of finite
     reals and ints a row of integers at the unit 2^-U, and entry j is
     sum over the terms of prod(factors) ints[j] 2^-U, summed exactly and
-    rounded once to the precision of mpx.  Each output row needs a term
-    with nonzero factors."""
+    rounded once to the precision of mpx (zero where every term's factors
+    vanish).  Each output row needs a term."""
     prec, out = mpx.prec, []
     for terms in rows:
         scaled = []
@@ -272,6 +281,7 @@ def combine_rows(rows, U, mpx):
                 m, e = m * _signed(raw), e + raw[2]
             if m:
                 scaled.append((m, e, ints))
+        scaled = scaled or [(0, 0, terms[0][1])]
         e0 = min(e for _, e, _ in scaled)
         ms = [m << (e - e0) for m, e, _ in scaled]
         cols = zip(*(ints for _, _, ints in scaled))

@@ -190,8 +190,8 @@ def newton_solve(spec: OperatorSpec, basis, seed: ChebSeries,
     unknowns, where T and the pin keep g even; the result carries the
     mirrored n node values and the full grid as its basis.  Any other
     seed iterates on the full basis.
-    Raises :class:`SingularJacobian` when the Jacobian degenerates (the
-    operator keeps a solution family: unpinned T3/T4) and
+    Raises :class:`SingularJacobian` when the Jacobian degenerates (a
+    solution family, unpinned T3/T4, or a pin that isolates none) and
     :class:`NoConvergence` (history attached) when the budget runs out.
     The result's :attr:`NewtonResult.jacobian_at_solution` rebuilds the
     final Jacobian in exact mode under ``spec.linearization``, unpinned.
@@ -226,6 +226,8 @@ def _iterate(spec, basis, values, config, ctx):
     truncation-scale error is no convergence failure."""
     _, update_tol = config.resolved(ctx)
     pin = None if config.pin_g0 is None else _pin_row(basis, config.pin_g0, ctx)
+    why = ("g(0) pinned to %s" % ctx.mp.nstr(config.pin_g0, 8) if pin
+           else "solution family; pin g(0) to select a member")
     full = OperatorSpec(spec.variant, Linearization.FULL_DERIVATIVE)
     D = ctx.decimal_digits
     plateau_gate = ctx.ten_pow(-(D // 2))
@@ -245,16 +247,11 @@ def _iterate(spec, basis, values, config, ctx):
         try:
             fac = lu_factor(A, ctx)
         except SingularMatrix as exc:
-            raise SingularJacobian(
-                "Newton Jacobian is singular (solution family; pin g(0) "
-                "to select a member): %s" % exc
-            ) from exc
+            raise SingularJacobian("Newton Jacobian is singular (%s): %s" % (why, exc)) from exc
         if fac.pivot_ratio * basis.condition_estimate < DEGENERACY_RATIO:
-            raise SingularJacobian(
-                "Newton Jacobian degenerate (pivot ratio %s): the operator "
-                "has eigenvalue 1, i.e. a one-parameter solution family; "
-                "pin g(0) to select a member" % ctx.mp.nstr(fac.pivot_ratio, 3)
-            )
+            raise SingularJacobian("Newton Jacobian degenerate (pivot ratio %s): %s" % (
+                ctx.mp.nstr(fac.pivot_ratio, 3), why if pin else
+                "the operator has eigenvalue 1, i.e. a one-parameter " + why))
         delta = lu_solve_factored(fac, rhs, ctx)
         values = [values[i] - delta[i] for i in range(basis.dim)]
         u = vec_norm_inf(delta)

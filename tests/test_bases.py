@@ -5,10 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 import feigenbaum as fb
-from feigenbaum.bases import spec_from_description
+from feigenbaum.bases import even_half, spec_from_description
+from feigenbaum.fixed import ROW_GUARD_BITS, mpf_to_fraction
 
 
 def _coeffs(basis, values, ctx):
@@ -42,6 +44,72 @@ def test_direction_series_is_the_linear_part_of_to_series(ctx):
             assert abs(a - f - d) < ctx.ten_pow(-60)
         for j, x in enumerate(basis.nodes):
             assert abs(fb.eval_series(linear, x, ctx) - v[j]) < ctx.ten_pow(-55)
+
+
+def _half_unit(x, p):
+    """Half a unit in the p-th bit of the nonzero rational x."""
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    if abs(x) >= Fraction(2) ** e:
+        e += 1  # 2^(e-1) <= |x| < 2^e
+    return Fraction(2) ** (e - 1 - p)
+
+
+def _assert_rounded_once(series, weights, cards, base, ctx):
+    """Every coefficient of ``series``, in each part, is within half a unit
+    in its p-th bit of the exact sum over the cardinals' integer
+    coefficients floor(a 2^U), U = p + ROW_GUARD_BITS: sum_j w_j I_jk plus
+    the base series' I_k, all times 2^-U."""
+    U, p = ctx.prec_bits + ROW_GUARD_BITS, ctx.prec_bits
+
+    def ints(s):
+        return [(mpf_to_fraction(a).numerator << U) // mpf_to_fraction(a).denominator
+                for a in s.coeffs]
+
+    rows = [ints(c) for c in cards]
+    fixed = ints(base) if base is not None else [0] * len(rows[0])
+    complex_ = any(isinstance(w, ctx.mp.mpc) for w in weights)
+    assert all(isinstance(c, ctx.mp.mpc if complex_ else ctx.mp.mpf) for c in series.coeffs)
+    for part in ("real", "imag") if complex_ else ("real",):
+        ws = [mpf_to_fraction(getattr(w, part)) for w in weights]
+        for k, c in enumerate(series.coeffs):
+            exact = Fraction(sum(w * row[k] for w, row in zip(ws, rows))
+                             + (fixed[k] if part == "real" else 0), 2 ** U)
+            got = mpf_to_fraction(getattr(c, part))
+            assert got == exact if exact == 0 else abs(got - exact) <= _half_unit(exact, p)
+
+
+def _basis_under_test(which, size, ctx):
+    if which in ("cheb", "even half"):
+        grid = fb.chebgrid(size, ctx)
+        return grid if which == "cheb" else even_half(grid, ctx)
+    if which == "lanford":
+        return fb.build_basis(fb.BasisSpec(fb.BasisKind.LANFORD, size), ctx)
+    if which == "rational pinned":
+        return fb.build_basis(fb.BasisSpec(fb.BasisKind.RATIONAL_NODE_MONOMIAL, size + 2,
+                                           ((0, 1), (1, 0))), ctx)
+    return fb.build_basis(fb.BasisSpec(fb.BasisKind.MONOMIAL_FULL, size), ctx)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["cheb", "even half", "lanford", "rational pinned", "monomial"]),
+       st.integers(3, 12), st.sampled_from([16, 24, 64]), st.booleans(),
+       st.integers(0, 10 ** 9))
+def test_series_coefficients_are_rounded_once(which, size, digits, complex_, seed):
+    # to_series and direction_series sum the integer cardinal coefficients
+    # exactly and round each coefficient once, a complex vector part by part
+    ctx = fb.PrecisionCtx(digits)
+    basis = _basis_under_test(which, size, ctx)
+    rng, bits = random.Random(seed), ctx.prec_bits
+
+    def value():
+        return ctx.mp.ldexp(rng.randrange(-2 ** bits, 2 ** bits), rng.randint(-20, 20) - bits)
+
+    values = [value() for _ in range(basis.dim)]
+    weights = [v - f for v, f in zip(values, basis.fixed_at_nodes)]
+    _assert_rounded_once(basis.to_series(values, ctx), weights, basis.cardinals,
+                         basis.fixed_series, ctx)
+    vector = [ctx.mp.mpc(value(), value()) if complex_ else value() for _ in range(basis.dim)]
+    _assert_rounded_once(basis.direction_series(vector, ctx), vector, basis.cardinals, None, ctx)
 
 
 def test_lanford_rejects_extra_constraints():

@@ -92,6 +92,20 @@ def test_transform_round_trip(seed):
         assert err <= ctx.ten_pow(-64 + 6) * max(scale, mp.mpf(1))
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 40), st.sampled_from([16, 24, 40, 64]), st.integers(0, 10 ** 9))
+def test_grid_to_series_is_the_grid_basis_to_series(n, digits, seed):
+    # one map from node values to a series: the transform and the grid
+    # basis sum the same integer cardinals, so they agree bit for bit
+    ctx = fb.PrecisionCtx(digits)
+    rng, bits = random.Random(seed), ctx.prec_bits
+    vals = [ctx.mp.ldexp(rng.randrange(-2 ** bits, 2 ** bits), rng.randint(-20, 20) - bits)
+            for _ in range(n)]
+    got = fb.grid_to_series(GridFn(tuple(vals)), ctx).coeffs
+    want = fb.chebgrid(n, ctx).to_series(vals, ctx).coeffs
+    assert [c._mpf_ for c in got] == [c._mpf_ for c in want]
+
+
 @settings(max_examples=12, deadline=None)
 @given(st.integers(0, 10 ** 9))
 def test_even_functions_have_even_series(seed):

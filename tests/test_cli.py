@@ -436,10 +436,31 @@ EXIT_CASES = [
                  "--pin g0 needs finite values", id="pin-nan"),
     pytest.param(["solve", "--operator", "T4", "--pin", "g0=inf"], 2, None,
                  "--pin g0 needs finite values", id="pin-inf"),
+    pytest.param(["solve", "--operator", "T4", "--pin", "g0=1/0"], 2, None,
+                 "--pin g0 needs finite values", id="pin-zero-denominator"),
     pytest.param(["solve", "--seed-file", "{nanvalue}"], 2, None, "{nanvalue} line 1",
                  id="seed-file-nan-value"),
     pytest.param(["verify", "--seed-file", "{infvalue}"], 2, None, "{infvalue} line 2",
                  id="seed-file-inf-value"),
+    # numbers past the one bound |v| < 10^D exit 2 before their integer
+    # form or their Fraction is made
+    pytest.param(["solve", "--digits", "24", "--nodes", "8", "--seed-file", "{hugevalue}"], 2,
+                 None, "{hugevalue} line 1", id="seed-file-huge-value"),
+    pytest.param(["spectrum", "--operator", "T4", "--mu", "1", "--mu", "1e999999999999"], 2,
+                 None, "--mu needs finite values with |v| < 10^64", id="mu-huge"),
+    pytest.param(["solve", "--operator", "T4", "--pin", "g0=1e999999999999"], 2, None,
+                 "--pin g0 needs finite values with |v| < 10^64", id="pin-huge"),
+    pytest.param(["solve", "--basis", "monomial", "--dim", "8", "--constrain",
+                  "a0=1e999999999999"], 2, None, "--constrain a0 needs finite values",
+                 id="constrain-huge"),
+    pytest.param(["solve", "--basis", "monomial", "--dim", "8", "--constrain",
+                  "a0=1e-999999999999"], 2, None, "0 or 10^-64 < |v| < 10^64",
+                 id="constrain-tiny"),
+    pytest.param(["solve", "--basis", "monomial", "--dim", "8", "--constrain", "a0=1/-2"], 2,
+                 None, "--constrain a0 needs a rational value", id="constrain-not-a-fraction"),
+    pytest.param(["solve", "--digits", "24", "--nodes", "12", "--operator", "T4", "--pin",
+                  "g0=0"], 3, None, "Newton Jacobian is singular (g(0) pinned to 0.0)",
+                 id="pinned-singular-names-the-pin"),
     pytest.param(["plotdata"], 2, None, None, id="plotdata-without-solution"),
     pytest.param(["plotdata", "--solution", "{nocoeffs}"], 2, None, None,
                  id="solution-without-coefficients"),
@@ -481,6 +502,7 @@ def _exit_code_artifacts(tmp_path):
         "sparse": "0\t1.5\n4\t-0.5\n",
         "nanvalue": "0\tnan\n",
         "infvalue": "0\t1.5\n2\tinf\n",
+        "hugevalue": "0\t1e999999999999\n",
         "nocoeffs": "{}",
         "sol": json.dumps({"digits": 24, "cheb_coefficients": coeffs}),
         "novectors": json.dumps({"basis": grid8, "eigenvalues": [{"re": "1"}]}),
@@ -549,6 +571,14 @@ def test_plotdata_takes_the_basis_from_the_spectrum_artifact(capsys, tmp_path):
     x, h0 = (float(v) for v in ef1[1 + 100].split("\t"))
     assert abs(x) < 1e-20
     assert abs(h0) < 1e-20
+
+
+def test_singular_pinned_solve_hints_at_another_pin(capsys):
+    # the user has pinned g(0) already: the hint must not ask for a pin
+    code, _, err = run(capsys, "solve", "--digits", "24", "--nodes", "12", "--pin", "g0=0")
+    payload = _last_error(err)
+    assert code == 3 and "g(0) pinned to 0.0" in payload["message"]
+    assert "--pin g0=1" not in payload["hint"] and "another --pin g0 value" in payload["hint"]
 
 
 def test_verify_g1_zero_is_a_solver_error(capsys, tmp_path):

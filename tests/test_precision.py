@@ -109,6 +109,25 @@ def _assert_threads_match_serial(bits):
                 wrong, len(run), contexts[slot])
 
 
+def _series_bits(ctx):
+    """Raw tuples of every coefficient that to_series and direction_series
+    (of a real and of a complex vector) give on the 13-node grid, its even
+    half and the Lanford basis of order 6, and that grid_to_series gives
+    on the grid."""
+    rng = random.Random(11)
+    grid = fb.chebgrid(13, ctx)
+    lanford = fb.build_basis(fb.BasisSpec(fb.BasisKind.LANFORD, 6), ctx)
+    out = []
+    for basis in (grid, even_half(grid, ctx), lanford):
+        real = [ctx.mpf(rng.uniform(-1, 1)) for _ in range(basis.dim)]
+        cplx = [ctx.mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(basis.dim)]
+        for s in (basis.to_series(real, ctx), basis.direction_series(real, ctx),
+                  basis.direction_series(cplx, ctx)):
+            out += [getattr(c, "_mpf_", None) or c._mpc_ for c in s.coeffs]
+    values = tuple(ctx.mpf(rng.uniform(-1, 1)) for _ in range(13))
+    return out + [c._mpf_ for c in fb.grid_to_series(fb.GridFn(values), ctx).coeffs]
+
+
 def test_threads_at_different_precisions_do_not_interfere():
     _assert_threads_match_serial(_apply_bits)
 
@@ -119,6 +138,10 @@ def test_eig_dense_in_threads_at_different_precisions_matches_serial():
 
 def test_linearization_matrix_in_threads_at_different_precisions_matches_serial():
     _assert_threads_match_serial(_linearization_bits)
+
+
+def test_series_maps_in_threads_at_different_precisions_match_serial():
+    _assert_threads_match_serial(_series_bits)
 
 
 def test_threads_sharing_a_series_agree():
