@@ -108,8 +108,9 @@ def _parse_assign(item: str, what: str):
     return name.strip(), value.strip()
 
 
-_BOUND = ("every number given (--pin, --constrain, --mu, seed-file values) is finite with "
-          "|v| < 10^D at --digits D; a nonzero --constrain value, kept exact, has |v| > 10^-D")
+_BOUND = ("every number given (--pin, --constrain, --mu, seed-file and artifact values) is "
+          "finite with |v| < 10^D at --digits D; a nonzero constraint, kept exact, has "
+          "|v| > 10^-D")
 
 
 def _finite_value(text: str, ctx, flag: str):
@@ -174,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
              seed_help="the g to check as given (index TAB value per line), on the grid "
                        "of its length: with no Newton run, --nodes --basis --dim "
                        "--constrain --pin --extremum-order --jacobian are ignored")
-    pd = sub.add_parser("plotdata", help="emit TSV plot data")
+    pd = sub.add_parser("plotdata", help="emit TSV plot data", epilog=_BOUND + ".")
     pd.add_argument("--solution", default=None, help="solution artifact from `solve`")
     pd.add_argument("--spectrum", default=None, dest="spectrum_file",
                     help="spectrum artifact from `spectrum --include-vectors`")
@@ -197,15 +198,22 @@ def _basis_spec(args, ctx) -> BasisSpec:
         name, value = _parse_assign(item, "--constrain")
         if not name.startswith("a") or not name[1:].isdigit():
             raise ConfigError("--constrain pins monomial coefficients: a0=1, a1=0, ...")
-        v, D = _finite_value(value, ctx, "--constrain " + name), ctx.decimal_digits
-        try:  # Fraction spells out 10^|e| of the exponent: read only v in the bound
-            if 0 < abs(v) <= ctx.ten_pow(-D):
-                raise ValueError(value)
-            constraints.append((int(name[1:]), Fraction(value) if v else Fraction(0)))
-        except ValueError:
-            raise ConfigError("--constrain %s needs a rational value, 0 or 10^-%d < |v| < 10^%d,"
-                              " got %r" % (name, D, D, value)) from None
+        constraints.append((int(name[1:]), _exact_value(value, ctx, "--constrain " + name)))
     return BasisSpec(kind, order, tuple(constraints))
+
+
+def _exact_value(text, ctx, what: str) -> Fraction:
+    """The exact value of the constraint ``text`` named ``what``, under the
+    bound :data:`_BOUND`: ``Fraction`` spells out 10^|e| of an exponent e,
+    so it reads only a value inside the bound."""
+    v, D = _finite_value(text, ctx, what), ctx.decimal_digits
+    try:
+        if 0 < abs(v) <= ctx.ten_pow(-D):
+            raise ValueError(text)
+        return Fraction(text) if v else Fraction(0)
+    except ValueError:
+        raise ConfigError("%s needs a rational value, 0 or 10^-%d < |v| < 10^%d, got %r"
+                          % (what, D, D, text)) from None
 
 
 def _newton_config(args, ctx) -> NewtonConfig:
@@ -495,7 +503,8 @@ def cmd_plotdata(args) -> int:
     if "cheb_coefficients" not in sol:
         raise MissingArtifact("solution artifact lacks cheb_coefficients")
     ctx = PrecisionCtx(sol.get("digits", 64) if args.digits is None else args.digits)
-    coeffs = ChebSeries(tuple(ctx.mpf(c) for c in sol["cheb_coefficients"]))
+    coeffs = ChebSeries(tuple(_finite_value(c, ctx, "solution artifact coefficients")
+                              for c in sol["cheb_coefficients"]))
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     decay = decay_report(coeffs, ctx)
@@ -515,11 +524,15 @@ def cmd_plotdata(args) -> int:
                 "with --include-vectors"
             )
         try:
-            basis = build_basis(spec_from_description(srep["basis"]), ctx)
+            desc = dict(srep["basis"])
+            desc["constraints"] = [
+                (p, _exact_value(v, ctx, "spectrum artifact constraint a%s" % p))
+                for p, v in desc["constraints"]]
+            basis = build_basis(spec_from_description(desc), ctx)
         except (KeyError, TypeError) as exc:
             raise MissingArtifact("spectrum artifact lacks a basis descriptor: %r" % exc) from exc
         for i, r in enumerate(rows):
-            vec = [ctx.mpf(v) for v in r["vector_re"]]
+            vec = [_finite_value(v, ctx, "spectrum artifact vector_re") for v in r["vector_re"]]
             if len(vec) != basis.dim:
                 raise MissingArtifact(
                     "eigenvector length %d does not match the dimension %d of "

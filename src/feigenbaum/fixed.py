@@ -77,13 +77,94 @@ Node values to a series: the same one rounding, on the cardinals'
 coefficients as integers floor(a_k 2^U) at the rows' unit
 (:func:`fixed_ints`), which err by less than 2^-U each.
 
-Schur kernel: the exact mirror transform, Householder reflectors, the
-Hessenberg reduction and the Francis double-shift sweep on integer rows
-at a width of F bits, with the orthogonal factor stored transposed, and
-:class:`SchurForm`, which finishes the Schur form to a triangular one
-and reads eigenvectors and residuals from it on the same integers.  The
-eigensolver in :mod:`feigenbaum.numerics` drives them, computes the
-eigenvalues, and states the kernel's width, units, rounding and error.
+Schur kernel.  :func:`real_schur` takes an integer block to real Schur
+form: Householder reduction to Hessenberg form, then Francis double-shift
+sweeps (Golub & Van Loan, *Matrix Computations*, section 7.5, in the
+scaling of EISPACK's hqr2), with the orthogonal factor Z stored
+transposed.  :class:`SchurForm` finishes it on the same integers: one
+rotation per 2x2 block to a triangular factor, complex only in the rows
+and columns of complex-conjugate pairs, and eigenvectors by triangular
+back substitution (section 7.6; LAPACK's ``trevc``).  The eigensolver of
+:mod:`feigenbaum.numerics` computes only the eigenvalues at context
+precision.  With p that precision:
+
+* width: F = 2p + :data:`SCHUR_GUARD_BITS` bits.  A block H is scaled
+  once by a power of two, so that its largest entry becomes an integer
+  in [2^(F-1), 2^F): the unit is at most 2^(1-F) max|h|, and max|h| is
+  ||H||_inf within a factor n.  Z carries the unit 2^-F;
+* reflectors: the vector a Householder reflector is built from (a
+  column below the diagonal, or the bulge (p, q, r) of a sweep) is
+  shifted by an exact power of two to F + 2 bits before ``math.isqrt``,
+  so each reflector I - u w^T has coefficients within 2^-F of exact and
+  is orthogonal to the unit, however small the vector.  A sweep's first
+  bulge is H[m+1][m] times EISPACK's, made exactly from integer products;
+* deflation: H[k+1][k] becomes 0 when below eps max(|H[k][k]| +
+  |H[k+1][k+1]|, ||H||_F / n), eps = 2^-p / (100 n).  A sweep of the
+  active block H[l..hi] starts its bulge at the lowest row m >= l with
+  |H[m][m-1]| (|v_1| + |v_2|) < eps |v_0| (|H[m-1][m-1]| + |H[m][m]| +
+  |H[m+1][m+1]|) for the bulge v at m (EISPACK's hqr: Martin, Peters &
+  Wilkinson, Numer. Math. 14 (1970) 219-231; LAPACK's ``dlahqr``), so a
+  small subdiagonal pair inside the block cannot damp it.  From m > l
+  the first reflector also acts on column m - 1: H[m][m-1] becomes
+  h (1 - tau), and the fill below it, below the same eps, is set to 0.
+  Every tenth sweep without a deflation takes EISPACK's exceptional
+  shifts; after 4 dps sweeps without one (mpmath's budget) the block
+  has not converged;
+* error: a reflector application misrounds each entry it writes by a
+  few units and departs from orthogonality by about 2^-F, so after N
+  applications the integer Schur form is exactly similar to a matrix
+  within about N sqrt(n) 2^-F ||H|| of H.  A sweep applies n - 1 of
+  them, so even 4 dps n sweeps stay below 2^-p ||H|| by a factor above
+  2^p for n <= 100.  What is left is the deflations, below n eps 2 ||H||
+  together, the fill a sweep from m > l drops, below 3 eps ||H|| each,
+  and the final rounding to p bits;
+* why 2p: near convergence the bulge a sweep chases shrinks with the
+  subdiagonal it is to zero, to about the deflation threshold
+  2^-p ||H||.  At the unit 2^-F it still carries p + 32 bits, so its
+  reflector puts about 2^-(p+32) ||H|| back into that subdiagonal each
+  sweep, below eps ||H||_F / n for n up to 6,000.  At a width of p + 24
+  bits the bulge kept too few bits, and the QR stalled (D = 24, n = 12);
+* units: T, the Schur form of the whole, has one unit 2^-S.  With two
+  mirror blocks S is the larger of their scales, the other block
+  shifted up exactly, and the coupling Z_e^T L_eo Z_o takes the exact
+  L_eo shifted to 2^-S and two integer products, each shifted down by
+  F.  Z carries 2^-F; the back-transform by P copies and negates.  A
+  2x2 block's rotation is floored to 2^-F and applied to the rest of T
+  and to Z, complex ones as re/im integer pairs, each new entry shifted
+  down by F toward zero; the block itself becomes its rotated entries,
+  floored to 2^-S.  The vector x has x_i = 2^F, and each entry above
+  costs one floor division (two for a complex one), with the divisor
+  guard smin of LAPACK's ``ctrevc``.  Z x is exact at 2^-2F;
+* odd rounding: the vector is Z x divided by its pivot, the first entry
+  whose modulus is within the gate of the largest (so a tie up to
+  round-off cannot choose it), rounded to 2^-F to the nearest, ties away
+  from zero, and then to p bits, to the nearest even.  A node row and
+  its mirror image of P diag(Z_e, Z_o) hold the same integers, negated
+  in the odd columns, and the rotations mix even columns with even
+  ones, odd with odd, rounding toward zero.  All these roundings are
+  odd, so Z keeps that symmetry: an even-block vector is exactly
+  mirror-symmetric, and when L_eo = 0, so that x has no even part, an
+  odd-block vector is exactly antisymmetric;
+* residual: M is converted once at F bits, exactly for entries whose
+  exponents span fewer than F - p bits, and the eigenvalue at the same
+  unit; M V - lambda V is then exact on integers for the vector V at
+  2^-F, and rounds once to p bits (a complex modulus after an integer
+  square root with p bits more).  What is not exact is the conversions'
+  floors, below n 2^(1-F) ||M||, and the rounding of V to the reported
+  p bits, below 2^-p (||M|| + |lambda|): far below the gate
+  10^(-D/2-4) ||M||, as F is about 6.6 D bits and p about 3.3 D;
+* norm: the same integers of M give ||M||_inf for the gates, summed
+  exactly and rounded once, and every block the Hessenberg reduction
+  starts from: M itself when it is the one block;
+* bit-identical eigenvalues: the eigenvalues alone are read at context
+  precision, each diagonal entry of a 1x1 block rounded once to p bits,
+  and each 2x2 block's eigenvalues and rotation computed by the
+  ``rsf2csf`` formulas from its four entries rounded once to p bits.
+  They depend on the input conversion and the sweeps only (the mirror
+  transform is exact): the integer T, Z and x carry only vectors and
+  residuals.  So every eigenvalue is, bit for bit, the one an ``mpf``
+  triangularization of the same rounded Schur form gives (the tests
+  keep such a back end as an oracle).
 """
 
 from __future__ import annotations
@@ -99,6 +180,9 @@ KERNEL_GUARD_BITS = 16
 
 # Bits the rows of the linearization carry beyond the context precision.
 ROW_GUARD_BITS = 32
+
+# Bits the integer Schur form carries beyond twice the context precision.
+SCHUR_GUARD_BITS = 32
 
 
 def mpf_to_fraction(x) -> Fraction:
@@ -430,12 +514,13 @@ def _hessenberg(H, F):
     return Zt
 
 
-def _francis_step(H, Zt, l, hi, exceptional, F):
+def _francis_step(H, Zt, l, hi, exceptional, F, scale):
     """One implicit double-shift QR sweep on the active block H[l..hi] of
     the integer Hessenberg H (Golub & Van Loan, Algorithm 7.5.1, in the
-    scaling of EISPACK's hqr2): reflectors of 3-vectors, the last of a
-    2-vector, chase the bulge down the block.  They act on whole rows and
-    columns of H and on the rows of Zt, Z transposed, so that Z H Z^T
+    scaling of EISPACK's hqr2), from the row m that the module docstring's
+    start test picks, scale = 1 / eps: reflectors of 3-vectors, the last
+    of a 2-vector, chase the bulge down the block.  They act on whole rows
+    and columns of H and on the rows of Zt, Z transposed, so that Z H Z^T
     stays the input matrix."""
     x, y = H[hi][hi], H[hi - 1][hi - 1]
     prod = H[hi][hi - 1] * H[hi - 1][hi]  # at the squared unit
@@ -443,26 +528,65 @@ def _francis_step(H, Zt, l, hi, exceptional, F):
         e = abs(H[hi][hi - 1]) + abs(H[hi - 1][hi - 2])
         x = y = x + 3 * e // 4
         prod = -7 * e * e // 16
-    # H[l+1][l] times the first column of (H - s1)(H - s2), s1 + s2 = x + y,
-    # s1 s2 = x y - prod: exact, at the squared unit
-    a, b = H[l][l], H[l + 1][l]
-    v = [(x - a) * (y - a) - prod + H[l][l + 1] * b,
-         (H[l + 1][l + 1] - a - (x - a) - (y - a)) * b,
-         H[l + 2][l + 1] * b]
-    for k in range(l, hi):
-        m = min(3, hi + 1 - k)
-        if k > l:
-            v = [H[i][k - 1] for i in range(k, k + m)]
+    for m in range(hi - 2, l - 1, -1):
+        # H[m+1][m] times the first column of (H - s1)(H - s2) from row m,
+        # s1 + s2 = x + y, s1 s2 = x y - prod: exact, at the squared unit
+        a, b, c = H[m][m], H[m + 1][m], H[m + 1][m + 1]
+        v = [(x - a) * (y - a) - prod + H[m][m + 1] * b,
+             (c - a - (x - a) - (y - a)) * b,
+             H[m + 2][m + 1] * b]
+        if m == l or (abs(H[m][m - 1]) * (abs(v[1]) + abs(v[2])) * scale
+                      < abs(v[0]) * (abs(H[m - 1][m - 1]) + abs(a) + abs(c))):
+            break
+    for k in range(m, hi):
+        r = min(3, hi + 1 - k)
+        if k > m:
+            v = [H[i][k - 1] for i in range(k, k + r)]
         if not any(v):
             continue
         s, u, w = _reflector(v, F)
-        if k > l:
+        if k > m:
             H[k][k - 1] = -s
-            for i in range(k + 1, k + m):
+        # from m > l the first reflector acts on column m - 1 too
+        _reflect_rows(H[k:k + r], u, w, k - 1 if k == m > l else k, F)
+        if k > l:
+            for i in range(k + 1, k + r):
                 H[i][k - 1] = 0
-        _reflect_rows(H[k:k + m], u, w, k, F)
         _reflect_cols(H[:min(hi, k + 3) + 1], u, w, k, F)
-        _reflect_rows(Zt[k:k + m], w, u, 0, F)
+        _reflect_rows(Zt[k:k + r], w, u, 0, F)
+
+
+def real_schur(H, F, prec, budget):
+    """(Z^T, row) of the integer square matrix H (rows, overwritten), taken
+    to real Schur form by :func:`_hessenberg` and the sweeps of ``F`` bits
+    under the deflation rule of the module docstring, p = ``prec``: upper
+    triangular but for 2x2 diagonal blocks, each the last of its active
+    block to converge.  ``row`` is None, or the bottom row of the active
+    block in which ``budget`` sweeps found no deflation."""
+    Zt, n = _hessenberg(H, F), len(H)
+    floor = math.isqrt(sum(x * x for row in H for x in row)) // n  # ||H||_F / n
+    if not floor:
+        return Zt, None
+    scale = 100 * n << prec  # |h| < eps t  <=>  |h| scale < t
+    hi, start, its = n - 1, 0, 0
+    while hi > 0:
+        l = hi
+        while l > 0:
+            t = max(abs(H[l - 1][l - 1]) + abs(H[l][l]), floor)
+            if abs(H[l][l - 1]) * scale < t:
+                H[l][l - 1] = 0
+                break
+            l -= 1
+        if l != start:  # a new deflation: a new budget
+            start, its = l, 0
+        if l >= hi - 1:
+            hi = l - 1
+        elif its == budget:
+            return Zt, hi
+        else:
+            its += 1
+            _francis_step(H, Zt, l, hi, its % 10 == 0, F, scale)
+    return Zt, None
 
 
 def _fix(v, S):
@@ -507,8 +631,7 @@ class SchurForm:
     numbers of the context mpx.  ``matrix`` is (S_M, M) of
     :func:`fixed_rows` at F bits, the matrix residuals are taken
     against, and ``gate`` the relative tie in which a vector's pivot is
-    chosen.  The units and the error are stated in
-    :mod:`feigenbaum.numerics`."""
+    chosen.  The module docstring states the units and the error."""
 
     def __init__(self, blocks, coupling, splits, matrix, gate, F, mpx):
         self.SM, self.M = matrix

@@ -8,100 +8,11 @@ made it (in a binary operation, the left operand's), so package code
 never consults mpmath's process-global precision.  Matrices are plain
 lists of rows.  Exact work uses ``fractions.Fraction``.
 
-The eigensolver works in real arithmetic: Householder reduction to
-Hessenberg form, Francis double-shift QR to real Schur form (Golub & Van
-Loan, *Matrix Computations*, section 7.5, in the scaling of EISPACK's
-hqr2), one rotation per 2x2 block to a triangular factor, complex
-only in the rows and columns of complex-conjugate pairs, and
-eigenvectors by triangular back substitution (Golub & Van Loan, section
-7.6; LAPACK's ``trevc``).  Real eigenvalues therefore come out as
-``mpf`` with real eigenvectors.
-
-After the input conversion, everything but the eigenvalues runs on
-Python integers, in the Schur kernel of :mod:`feigenbaum.fixed`.  With
-p the context precision:
-
-* width: F = 2p + :data:`SCHUR_GUARD_BITS` bits.  A block H is scaled
-  once by a power of two, so that its largest entry becomes an integer
-  in [2^(F-1), 2^F): the unit is at most 2^(1-F) max|h|, and max|h| is
-  ||H||_inf within a factor n.  The orthogonal factor Z carries the unit
-  2^-F;
-* reflectors: the vector a Householder reflector is built from (a
-  column below the diagonal, or the bulge (p, q, r) of a sweep) is
-  shifted by an exact power of two to F + 2 bits before ``math.isqrt``,
-  so each reflector I - u w^T has coefficients within 2^-F of exact and
-  is orthogonal to the unit, however small the vector.  A sweep's first
-  bulge is H[l+1][l] times EISPACK's, made exactly from integer
-  products;
-* deflation: H[k+1][k] becomes 0 when below eps max(|H[k][k]| +
-  |H[k+1][k+1]|, ||H||_F / n), eps = 2^-p / (100 n).  Every tenth sweep
-  without a deflation takes EISPACK's exceptional shifts.  After 4 dps
-  sweeps without one (mpmath's budget), the active block's subdiagonal
-  that is smallest against its own max(...) is set to 0 if it passes the
-  test at 2^-p, EISPACK's, and a new budget starts; otherwise
-  :class:`NoConvergence` is raised.  A sweep's bulge starts at the top
-  of the active block, so a subdiagonal far below the rest damps it, and
-  on a matrix with few, highly repeated eigenvalues the rows below can
-  then stay a little above eps for good;
-* error: a reflector application misrounds each entry it writes by a
-  few units and departs from orthogonality by about 2^-F, so after N
-  applications the integer Schur form is exactly similar to a matrix
-  within about N sqrt(n) 2^-F ||H|| of H.  A sweep applies n - 1 of
-  them, so even 4 dps n sweeps stay below 2^-p ||H|| by a factor above
-  2^p for n <= 100.  What is left is the deflations, below n eps 2 ||H||
-  together (each last-resort one below 2^-p 2 ||H||), and the final
-  rounding to p bits;
-* why 2p: near convergence the bulge a sweep chases shrinks with the
-  subdiagonal it is to zero, to about the deflation threshold
-  2^-p ||H||.  At the unit 2^-F it still carries p + 32 bits, so its
-  reflector puts about 2^-(p+32) ||H|| back into that subdiagonal each
-  sweep, below eps ||H||_F / n for n up to 6,000.  At a width of p + 24
-  bits the bulge kept too few bits, and the QR stalled (D = 24, n = 12).
-
-After the sweeps the integers stay integers:
-
-* units: T, the Schur form of the whole, has one unit 2^-S.  With two
-  mirror blocks S is the larger of their scales, the other block
-  shifted up exactly, and the coupling Z_e^T L_eo Z_o takes the exact
-  L_eo shifted to 2^-S and two integer products, each shifted down by
-  F.  Z carries 2^-F; the back-transform by P copies and negates.  A
-  2x2 block's rotation is floored to 2^-F and applied to the rest of T
-  and to Z, complex ones as re/im integer
-  pairs, each new entry shifted down by F toward zero; the block itself
-  becomes its rotated entries, floored to 2^-S.  The vector x has
-  x_i = 2^F, and each entry above costs one floor division (two for a
-  complex one), with the divisor guard smin of LAPACK's ``ctrevc``.
-  Z x is exact at 2^-2F;
-* odd rounding: the vector is Z x divided by its pivot, the first entry
-  whose modulus is within ``eig_gate`` of the largest (so a tie up to
-  round-off cannot choose it), rounded to 2^-F to the nearest, ties away
-  from zero, and then to p bits, to the nearest even.  A node row and
-  its mirror image of P diag(Z_e, Z_o) hold the same integers, negated
-  in the odd columns, and the rotations mix even columns with even
-  ones, odd with odd, rounding toward zero.  All these roundings are
-  odd, so Z keeps that symmetry: an even-block vector is exactly
-  mirror-symmetric, and when L_eo = 0, so that x has no even part, an
-  odd-block vector is exactly antisymmetric;
-* residual: M is converted once at F bits, exactly for entries whose
-  exponents span fewer than F - p bits, and the eigenvalue at the same
-  unit; M V - lambda V is then exact on integers for the vector V at
-  2^-F, and rounds once to p bits (a complex modulus after an integer
-  square root with p bits more).  What is not exact is the conversions'
-  floors, below n 2^(1-F) ||M||, and the rounding of V to the reported
-  p bits, below 2^-p (||M|| + |lambda|): far below the gate
-  10^(-D/2-4) ||M||, as F is about 6.6 D bits and p about 3.3 D;
-* norm: the same integers of M give ||M||_inf for the gates, summed
-  exactly and rounded once, and every block the Hessenberg reduction
-  starts from: M itself when it is the one block;
-* bit-identical eigenvalues: the eigenvalues alone are read at context
-  precision, each diagonal entry of a 1x1 block rounded once to p bits,
-  and each 2x2 block's eigenvalues and rotation computed by the
-  ``rsf2csf`` formulas from its four entries rounded once to p bits.
-  They depend on the input conversion and the sweeps only (the mirror
-  transform is exact): the integer T, Z and x carry only vectors and
-  residuals.  So every eigenvalue is, bit for bit, the one
-  an ``mpf`` triangularization of the same rounded Schur form gives
-  (the tests keep such a back end as an oracle).
+The eigensolver :func:`eig_dense` decides the mirror split and drives
+the integer Schur kernel of :mod:`feigenbaum.fixed` block by block; that
+module's docstring states the kernel's width, deflation, units, rounding
+and error.  Only the eigenvalues are computed here at context precision,
+from the Schur form's diagonal and its 2x2 blocks (:func:`_split_block`).
 
 Everything here is a pure function of its inputs given a context, so
 values can move freely between threads.  They do not pickle; exchange
@@ -117,13 +28,10 @@ from fractions import Fraction
 import mpmath
 
 from .errors import ExactlySingular, NoConvergence, SingularMatrix
-from .fixed import (SchurForm, _francis_step, _hessenberg, fixed_rows, mirror_transform,
-                    mpf_rows, norm_inf, rescaled)
+from .fixed import (SCHUR_GUARD_BITS, SchurForm, fixed_rows, mirror_transform, mpf_rows,
+                    norm_inf, real_schur, rescaled)
 
 GUARD_BITS = 32
-
-# Bits the integer Schur form carries beyond twice the context precision.
-SCHUR_GUARD_BITS = 32
 
 # LU pivot-to-norm ratio below which a Jacobian is treated as structurally
 # degenerate (solution family present) rather than merely ill-conditioned.
@@ -353,56 +261,6 @@ class EigenPair:
     residual: object
 
 
-def _real_schur(H, Zt, width, ctx: PrecisionCtx, lo):
-    """Francis QR, by integer sweeps of ``width`` bits, of the integer
-    Hessenberg H (overwritten, and Z^T, Zt, with it) to real Schur form: upper
-    triangular but for 2x2 diagonal blocks, each the last of its active
-    block to converge.
-
-    H[k+1][k] becomes 0 when below eps max(|H[k][k]| + |H[k+1][k+1]|,
-    ||H||_F / n), eps = 2^-p / (100 n), p the context precision.  Every
-    tenth sweep without deflation takes exceptional shifts.  After 4 * dps
-    sweeps without one (mpmath's budget), the subdiagonal of the active
-    block smallest against its max(...) becomes 0 if below 2^-p times it,
-    and the budget starts again; if none is, :class:`NoConvergence` names
-    the bottom row of the active block as a row of the whole matrix, in
-    which H is the diagonal block from row ``lo``.
-    """
-    n = len(H)
-    floor = math.isqrt(sum(x * x for row in H for x in row)) // n  # ||H||_F / n
-    if not floor:
-        return
-    scale = 100 * n << ctx.prec_bits  # |h| < eps t  <=>  |h| scale < t
-    budget = 4 * ctx.mp.dps
-    hi, start, its = n - 1, 0, 0
-    while hi > 0:
-        l = hi
-        while l > 0:
-            t = max(abs(H[l - 1][l - 1]) + abs(H[l][l]), floor)
-            if abs(H[l][l - 1]) * scale < t:
-                H[l][l - 1] = 0
-                break
-            l -= 1
-        if l != start:  # a new deflation: a new budget
-            start, its = l, 0
-        if l >= hi - 1:
-            hi = l - 1
-            continue
-        if its == budget:
-            # last resort: EISPACK's deflation test, at 2^-p, on the active
-            # block's relatively smallest subdiagonal
-            ts = {k: max(abs(H[k - 1][k - 1]) + abs(H[k][k]), floor)
-                  for k in range(l + 1, hi + 1)}
-            k = min(ts, key=lambda k: abs(H[k][k - 1]) / ts[k])
-            if abs(H[k][k - 1]) << ctx.prec_bits >= ts[k]:
-                raise NoConvergence("QR found no deflation in %d sweeps at row %d"
-                                    % (its, lo + hi), index=lo + hi)
-            H[k][k - 1] = 0
-            continue
-        its += 1
-        _francis_step(H, Zt, l, hi, its % 10 == 0, width)
-
-
 def _split_block(a, b, c, d, mp):
     """(cs, sn, t00, t01, t11) for the 2x2 block [[a, b], [c, d]], c != 0,
     of a real Schur form: the rotation U = [[cs, -sn], [sn, conj(cs)]],
@@ -433,14 +291,13 @@ def _split_block(a, b, c, d, mp):
 def eig_dense(M, ctx: PrecisionCtx):
     """All eigenpairs of a square real matrix, sorted by descending
     modulus, then descending real and imaginary part (so a conjugate pair
-    comes +im first), on the integers of the module docstring; only the
-    eigenvalues are computed at context precision.  Real eigenvalues come
-    back as ``mpf`` with real vectors, complex ones as exact conjugate
-    pairs.  A vector is scaled to +1 at its first component within
-    ``ctx.eig_gate`` of the largest in modulus.  Each pair is checked
-    against ``||M v - lambda v||_inf <= eig_gate * ||M||_inf``; a
-    violation or an exhausted QR budget raises :class:`NoConvergence`.
-    An empty matrix has no eigenpairs.
+    comes +im first).  Real eigenvalues come back as ``mpf`` with real
+    vectors, complex ones as exact conjugate pairs.  A vector is scaled to
+    +1 at its first component within ``ctx.eig_gate`` of the largest in
+    modulus.  Each pair is checked against ``||M v - lambda v||_inf <=
+    eig_gate * ||M||_inf``; a violation raises :class:`NoConvergence`, and
+    so does a block that does not converge, naming its bottom row as a
+    row of M.  An empty matrix has no eigenpairs.
 
     The matrix decides a mirror split.  P^-1 M P is formed exactly on the
     integers of M, P's columns e_i + e_(n-1-i), the middle e_m of an odd
@@ -466,11 +323,13 @@ def eig_dense(M, ctx: PrecisionCtx):
         parts = [(0, [row[:h] for row in B[:h]]), (h, [row[h:] for row in B[h:]])]
     else:
         unit, coupling, parts = SA, None, [(0, AI)]
-    blocks, values, splits = [], [], []
+    blocks, values, splits, budget = [], [], [], 4 * mp.dps
     for lo, rows in parts:
         S, H = rescaled(rows, unit, width)
-        Zt = _hessenberg(H, width)
-        _real_schur(H, Zt, width, ctx, lo)
+        Zt, row = real_schur(H, width, ctx.prec_bits, budget)
+        if row is not None:
+            raise NoConvergence("QR found no deflation in %d sweeps at row %d"
+                                % (budget, lo + row), index=lo + row)
         blocks.append((S, H, Zt))
         values += mpf_rows([[H[k][k] for k in range(len(H))]], S, mp)[0]
         for k in range(len(H) - 1):

@@ -470,6 +470,22 @@ EXIT_CASES = [
     pytest.param(["plotdata", "--solution", "{sol}", "--spectrum", "{nobasis}",
                   "--out", "{out}"], 2, None, None,
                  id="spectrum-without-basis"),
+    # an artifact's stored constraint is read under the same bound
+    pytest.param(["plotdata", "--solution", "{sol}", "--spectrum", "{hugeconstraint}",
+                  "--out", "{out}"], 2, None,
+                 "spectrum artifact constraint a0 needs finite values with |v| < 10^24",
+                 id="spectrum-constraint-huge"),
+    pytest.param(["plotdata", "--solution", "{sol}", "--spectrum", "{tinyconstraint}",
+                  "--out", "{out}"], 2, None,
+                 "spectrum artifact constraint a0 needs a rational value, 0 or 10^-24",
+                 id="spectrum-constraint-tiny"),
+    pytest.param(["plotdata", "--solution", "{hugecoeff}", "--out", "{out}"], 2, None,
+                 "solution artifact coefficients needs finite values with |v| < 10^24",
+                 id="solution-coefficient-huge"),
+    pytest.param(["plotdata", "--solution", "{sol}", "--spectrum", "{hugevector}",
+                  "--out", "{out}"], 2, None,
+                 "spectrum artifact vector_re needs finite values with |v| < 10^24",
+                 id="spectrum-vector-huge"),
     pytest.param(["plotdata", "--solution", "{sol}", "--spectrum", "{short}",
                   "--out", "{out}"], 2, None, None,
                  id="vectors-off-the-basis-dimension"),
@@ -491,6 +507,9 @@ def _exit_code_artifacts(tmp_path):
     coeffs = ["1.0"] + ["0.0"] * 7
     vector = {"re": "1", "vector_re": ["1"] * 8}
     grid8 = {"kind": "cheb", "dimension": 8, "exact": False, "constraints": []}
+
+    def pinned(a0):
+        return {"kind": "monomial", "dimension": 8, "exact": False, "constraints": [[0, a0]]}
     files = {
         "empty": "",
         "negative": "0\t1.5\n# comment\n-1\t5\n",
@@ -508,6 +527,11 @@ def _exit_code_artifacts(tmp_path):
         "novectors": json.dumps({"basis": grid8, "eigenvalues": [{"re": "1"}]}),
         "nobasis": json.dumps({"eigenvalues": [vector]}),
         "short": json.dumps({"basis": dict(grid8, dimension=12), "eigenvalues": [vector]}),
+        "hugecoeff": json.dumps({"digits": 24, "cheb_coefficients": ["1e999999999999"] + coeffs}),
+        "hugevector": json.dumps({"basis": grid8, "eigenvalues": [
+            dict(vector, vector_re=["1e999999999999"] + vector["vector_re"][1:])]}),
+        "hugeconstraint": json.dumps({"basis": pinned("1e999999999999"), "eigenvalues": [vector]}),
+        "tinyconstraint": json.dumps({"basis": pinned("1e-999999999999"), "eigenvalues": [vector]}),
     }
     paths = {"absent": str(tmp_path / "absent.txt"), "out": str(tmp_path / "plots")}
     for name, text in files.items():

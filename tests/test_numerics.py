@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 import feigenbaum as fb
-from feigenbaum import fixed, numerics
+from feigenbaum import fixed
 from feigenbaum.numerics import lu_factor, lu_solve_factored, mat_norm_inf
 
 
@@ -260,7 +260,8 @@ ORACLE_DRAWS = (st.integers(16, 96), st.integers(2, 24),
 
 @settings(max_examples=30, deadline=None)
 @given(*ORACLE_DRAWS)
-# few, highly repeated eigenvalues, which need the last-resort deflation
+# few, highly repeated eigenvalues; seed 19 stalled for 107 sweeps while
+# every sweep started at the top of its active block
 @example(D=16, n=20, kind="repeated", mirror="split", seed=5113)
 @example(D=16, n=14, kind="repeated", mirror="split", seed=33)
 @example(D=16, n=16, kind="repeated", mirror="whole", seed=19)
@@ -390,7 +391,7 @@ def _mpf_eig_dense(M, ctx):
     that tie."""
     n, mp = len(M), ctx.mp
     A = [[ctx.mpf(x) for x in row] for row in M]
-    width = 2 * ctx.prec_bits + numerics.SCHUR_GUARD_BITS
+    width = 2 * ctx.prec_bits + fixed.SCHUR_GUARD_BITS
     SA, AI = fixed.fixed_rows(A, width, mp)
     # eig_dense's split: 2 P^-1 M P on the integers, so P^-1 M P is exact
     # at the unit 2^-(SA+1)
@@ -405,8 +406,8 @@ def _mpf_eig_dense(M, ctx):
     T = [[ctx.mpf(0)] * n for _ in range(n)]
     Zs = []
     for lo, (S, H) in parts:
-        Zt = fixed._hessenberg(H, width)
-        numerics._real_schur(H, Zt, width, ctx, lo)
+        Zt, row = fixed.real_schur(H, width, ctx.prec_bits, 4 * mp.dps)
+        assert row is None
         for row, hrow in zip(T[lo:], fixed.mpf_rows(H, S, mp)):
             row[lo:lo + len(H)] = hrow
         Zs.append(fixed.mpf_rows([list(col) for col in zip(*Zt)], width, mp))
@@ -495,31 +496,49 @@ def _hessenberg_rolled(H, F):
     return Z
 
 
-def _francis_step_rolled(H, Z, l, hi, exceptional, F):
-    """The Francis sweep with rolled reflectors and Z stored as is."""
+def _francis_step_rolled(H, Z, l, hi, exceptional, F, scale):
+    """The Francis sweep with rolled reflectors and Z stored as is, from
+    the start row of EISPACK's hqr, tested on hqr's own bulge (p, q, r)
+    in exact rationals; returns that row."""
     x, y = H[hi][hi], H[hi - 1][hi - 1]
     prod = H[hi][hi - 1] * H[hi - 1][hi]
     if exceptional:
         e = abs(H[hi][hi - 1]) + abs(H[hi - 1][hi - 2])
         x = y = x + 3 * e // 4
         prod = -7 * e * e // 16
-    a, b = H[l][l], H[l + 1][l]
-    v = [(x - a) * (y - a) - prod + H[l][l + 1] * b,
-         (H[l + 1][l + 1] - a - (x - a) - (y - a)) * b,
-         H[l + 2][l + 1] * b]
-    for k in range(l, hi):
-        m = min(3, hi + 1 - k)
-        if k > l:
-            v = [H[i][k - 1] for i in range(k, k + m)]
+    for m in range(hi - 2, l - 1, -1):
+        a, b = H[m][m], H[m + 1][m]
+        p = Fraction((x - a) * (y - a) - prod, b) + H[m][m + 1]
+        q, r = H[m + 1][m + 1] - a - (x - a) - (y - a), H[m + 2][m + 1]
+        if m == l or abs(H[m][m - 1]) * (abs(q) + abs(r)) < Fraction(abs(p), scale) * (
+                abs(H[m - 1][m - 1]) + abs(a) + abs(H[m + 1][m + 1])):
+            break
+    v = [int(p * b), q * b, r * b]
+    for k in range(m, hi):
+        size = min(3, hi + 1 - k)
+        if k > m:
+            v = [H[i][k - 1] for i in range(k, k + size)]
         if not any(v):
             continue
         s, u, w = fixed._reflector(v, F)
-        if k > l:
+        if k > m:
             H[k][k - 1] = -s
-            for i in range(k + 1, k + m):
+            for i in range(k + 1, k + size):
                 H[i][k - 1] = 0
-        _reflect_rows_rolled(H[k:k + m], u, w, k, F)
+        elif m > l:  # dlahqr's h (1 - tau); the fill below it is dropped
+            H[m][m - 1] -= (H[m][m - 1] * u[0]) >> F
+        _reflect_rows_rolled(H[k:k + size], u, w, k, F)
         _reflect_cols_rolled(H[:min(hi, k + 3) + 1] + Z, u, w, k, F)
+    return m
+
+
+def _sweep_both(H0, Z0, H, Zt, l, hi, exceptional, F):
+    """One sweep by each copy, which must agree bit for bit; the start row."""
+    scale = 100 * len(H) << (F - fixed.SCHUR_GUARD_BITS) // 2
+    m = _francis_step_rolled(H0, Z0, l, hi, exceptional, F, scale)
+    fixed._francis_step(H, Zt, l, hi, exceptional, F, scale)
+    assert H == H0 and Zt == [list(col) for col in zip(*Z0)]
+    return m
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -533,9 +552,43 @@ def test_unrolled_sweeps_with_transposed_z_are_bit_identical(seed):
     for _ in range(10):
         l = rng.randint(0, n - 3)
         hi, exceptional = rng.randint(l + 2, n - 1), rng.random() < 0.3
-        _francis_step_rolled(H0, Z0, l, hi, exceptional, F)
-        fixed._francis_step(H, Zt, l, hi, exceptional, F)
-        assert H == H0 and Zt == [list(col) for col in zip(*Z0)]
+        _sweep_both(H0, Z0, H, Zt, l, hi, exceptional, F)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_sweep_starts_below_a_small_subdiagonal_pair(seed):
+    # a Hessenberg H whose subdiagonals H[m][m-1] and H[m+1][m] are each
+    # far above the deflation threshold, but whose product is below eps:
+    # the sweep starts at m, above the top l of the active block
+    rng = random.Random(seed)
+    n, F = rng.randint(5, 12), rng.choice([64, 200, 522])
+    p = (F - fixed.SCHUR_GUARD_BITS) // 2
+    l = rng.randint(0, n - 5)
+    m = rng.randint(l + 1, n - 3)
+    small = 1 << (3 * p // 2 + 20)
+    H = [[rng.randint(-(1 << F), 1 << F) if j >= i - 1 else 0 for j in range(n)]
+         for i in range(n)]
+    H[m][m - 1], H[m + 1][m] = rng.randint(small, 2 * small), -rng.randint(small, 2 * small)
+    H0, Zt = [list(row) for row in H], [[1 << F if i == j else 0 for j in range(n)]
+                                        for i in range(n)]
+    Z0 = [list(row) for row in Zt]
+    assert _sweep_both(H0, Z0, H, Zt, l, n - 1, False, F) == m
+    assert all(H[i][j] == 0 for i in range(n) for j in range(i - 1))
+    for _ in range(5):
+        if not all(H[i][i - 1] for i in range(l + 1, n)):
+            break  # a block with a zero subdiagonal has split: no sweep spans it
+        _sweep_both(H0, Z0, H, Zt, l, n - 1, rng.random() < 0.3, F)
+
+
+def test_repeated_eigenvalues_converge_in_few_sweeps(monkeypatch):
+    # the seed-19 draw of the oracle test, which took 107 sweeps while
+    # every sweep started at the top of its active block
+    sweeps = []
+    step = fixed._francis_step
+    monkeypatch.setattr(fixed, "_francis_step", lambda *args: sweeps.append(step(*args)))
+    ctx, A, known = _oracle_draw(16, 16, "repeated", "whole", 19)
+    assert len(fb.eig_dense(A, ctx)) == len(known)
+    assert 0 < len(sweeps) <= 30
 
 
 def test_eig_dense_pivot_of_mirror_symmetric_matrices():
@@ -568,7 +621,7 @@ def test_fixed_rows_of_the_empty_matrix(ctx):
 def test_eig_dense_names_the_row_that_never_deflates(ctx, monkeypatch):
     # with the sweeps disabled nothing deflates: the budget runs out at the
     # bottom row of the active block
-    monkeypatch.setattr(fb.numerics, "_francis_step", lambda *args: None)
+    monkeypatch.setattr(fixed, "_francis_step", lambda *args: None)
     A = [[ctx.mpf((i + 2) ** j) for j in range(4)] for i in range(4)]
     with pytest.raises(fb.NoConvergence) as info:
         fb.eig_dense(A, ctx)
@@ -579,7 +632,7 @@ def test_eig_dense_names_the_row_of_the_whole_matrix_in_the_odd_block(ctx, monke
     # in mirror coordinates [[L_ee, L_eo], [0, L_oo]] with a diagonal L_ee,
     # which deflates at once, and a dense L_oo (rows 3-5), which without
     # sweeps never does
-    monkeypatch.setattr(fb.numerics, "_francis_step", lambda *args: None)
+    monkeypatch.setattr(fixed, "_francis_step", lambda *args: None)
     B = [[1, 0, 0, 1, 2, 3],
          [0, 2, 0, 4, 5, 6],
          [0, 0, 3, 7, 8, 9],

@@ -18,10 +18,13 @@ cannot explain.
 
 rewrites the expected files of the named cases (of every case when no
 name is given) from the current tree and prints what :func:`compare`
-finds against the files it replaces.  A change that is meant to move a
-report regenerates them and says which fields moved; a new case is
-added to ``commands.json`` and generated by name, leaving the others as
-they are.
+finds against the files it replaces.  It ends with a summary: for each
+case, file and field (a JSON key, or a CSV or TSV column) the count of
+moved decimals, their line range, the largest |delta| and whether every
+move is below 10^(-D/2), then every other difference.  A change that is
+meant to move a report regenerates them and says which fields moved; a
+new case is added to ``commands.json`` and generated by name, leaving
+the others as they are.
 """
 
 import contextlib
@@ -90,6 +93,23 @@ def _digits(case) -> int:
     return _digits(BY_NAME[case["inputs"][0]])
 
 
+def _pieces(x: str, y: str):
+    """(xs, ys), the lines x and y split around their numbers (the odd
+    pieces), or None when they differ in anything but their decimals."""
+    xs, ys = NUMBER.split(x), NUMBER.split(y)
+    if len(xs) != len(ys) or any(
+            p != q and (j % 2 == 0 or not set(".eE") & set(p + q))
+            for j, (p, q) in enumerate(zip(xs, ys))):
+        return None
+    return xs, ys
+
+
+def _delta(old: str, new: str, digits: int):
+    """(|new - old|, whether it is below 10^(-digits/2))."""
+    delta = abs(Fraction(new) - Fraction(old))
+    return delta, delta ** 2 * 10 ** digits < 1
+
+
 def compare(name, want: bytes, got: bytes, digits: int) -> list:
     """Lines saying how ``got`` differs from ``want``: one per moved
     decimal (line number, the text before it, old -> new, |delta| and
@@ -100,21 +120,96 @@ def compare(name, want: bytes, got: bytes, digits: int) -> list:
         return ["%s: expected %d lines, got %d" % (name, len(a), len(b))]
     out = []
     for i, (x, y) in enumerate(zip(a, b), 1):
-        xs, ys = NUMBER.split(x), NUMBER.split(y)
-        # odd pieces are numbers; only decimals may differ
-        if len(xs) != len(ys) or any(
-                p != q and (j % 2 == 0 or not set(".eE") & set(p + q))
-                for j, (p, q) in enumerate(zip(xs, ys))):
+        pieces = _pieces(x, y)
+        if pieces is None:
             out.append("%s line %d differs beyond its decimals:\n  expected %r\n  got      %r"
                        % (name, i, x, y))
             continue
+        xs, ys = pieces
         for j in range(1, len(xs), 2):
             if xs[j] != ys[j]:
-                delta = abs(Fraction(ys[j]) - Fraction(xs[j]))
+                delta, below = _delta(xs[j], ys[j], digits)
                 out.append("%s line %d %s%s -> %s  |delta| %.2g %s 10^-%g" % (
                     name, i, xs[j - 1].lstrip(), xs[j], ys[j], delta,
-                    "<" if delta ** 2 * 10 ** digits < 1 else ">=", digits / 2))
+                    "<" if below else ">=", digits / 2))
     return out or ["%s: line endings differ" % name]
+
+
+KEY = re.compile(r'"([^"]+)":')
+
+
+def _field_reader(lines):
+    """field(i, before): the field of a number on line i (from 0) after
+    the text ``before`` it on that line.  In a JSON file that is the
+    innermost key, in a CSV or TSV file the column of the last header
+    line (a "# " line of a TSV file, a line without digits of a CSV file),
+    else "line"."""
+    keys, stack, headers, header = [], [], [], None
+    for line in lines:
+        found = KEY.findall(line)
+        keys.append(found[-1] if found else stack[-1] if stack else "line")
+        body = line.strip().rstrip(",")
+        if body.endswith(("[", "{")):
+            stack.append(keys[-1])
+        elif body.startswith(("]", "}")) and stack:
+            stack.pop()
+        if line.startswith("# "):
+            header = ("\t", line[2:].split("\t"))
+        elif "," in line and not re.search(r"\d", line):
+            header = (",", line.split(","))
+        headers.append(header)
+
+    def field(i, before):
+        found = KEY.findall(before)
+        if found or headers[i] is None:
+            return found[-1] if found else keys[i]
+        sep, names = headers[i]
+        col = before.count(sep)
+        return names[col] if col < len(names) else "column %d" % col
+    return field
+
+
+def _tally(moves, other, case, rel, want: bytes, got: bytes, digits: int):
+    """Add the decimals that moved from ``want`` to ``got`` to ``moves``,
+    {(case, file, field): [count, first line, last line, largest |delta|,
+    every |delta| below 10^(-D/2)]}, and every other difference to
+    ``other``."""
+    a, b = want.decode().splitlines(), got.decode().splitlines()
+    if len(a) != len(b):
+        other.append("%s %s: expected %d lines, got %d" % (case, rel, len(a), len(b)))
+        return
+    field, clean = _field_reader(b), True
+    for i, (x, y) in enumerate(zip(a, b)):
+        pieces = _pieces(x, y)
+        if pieces is None:
+            other.append("%s %s line %d differs beyond its decimals" % (case, rel, i + 1))
+            clean = False
+            continue
+        xs, ys = pieces
+        for j in range(1, len(xs), 2):
+            if xs[j] != ys[j]:
+                delta, below = _delta(xs[j], ys[j], digits)
+                key = (case, rel, field(i, "".join(ys[:j])))
+                entry = moves.setdefault(key, [0, i + 1, i + 1, 0, True])
+                entry[0] += 1
+                entry[2] = i + 1
+                entry[3] = max(entry[3], delta)
+                entry[4] = entry[4] and below
+                clean = False
+    if clean:
+        other.append("%s %s: line endings differ" % (case, rel))
+
+
+def _summary(moves, other) -> list:
+    """The lines of the closing summary of :func:`regenerate`."""
+    cases = {key[0] for key in moves} | {line.split()[0] for line in other}
+    out = ["summary: %d decimals moved in %d cases; %d other differences"
+           % (sum(e[0] for e in moves.values()), len(cases), len(other))]
+    for (case, rel, field), (count, first, last, top, below) in sorted(moves.items()):
+        out.append("  %s %s %s: %d moved, lines %d-%d, largest |delta| %.2g, %s 10^(-D/2)"
+                   % (case, rel, field, count, first, last, top,
+                      "all below" if below else "NOT all below"))
+    return out + ["  " + line for line in other]
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
@@ -139,6 +234,7 @@ def regenerate(names=()):
     if unknown:
         raise SystemExit("no such case: %s" % ", ".join(sorted(unknown)))
     scratch = REPORTS / ".work"
+    moves, other = {}, []
     for case in [BY_NAME[name] for name in names] or CASES:
         target = REPORTS / case["name"]
         shutil.rmtree(scratch, ignore_errors=True)
@@ -147,15 +243,19 @@ def regenerate(names=()):
         want = _files(target) if target.exists() else {}
         for rel in sorted(set(want) | set(got)):
             if rel not in want or rel not in got:
-                print("%s/%s %s" % (case["name"], rel, "new" if rel in got else "gone"))
+                change = "new" if rel in got else "gone"
+                print("%s/%s %s" % (case["name"], rel, change))
+                other.append("%s %s %s" % (case["name"], rel, change))
             elif got[rel] != want[rel]:
                 for line in compare(rel, want[rel], got[rel], _digits(case)):
                     print("%s/%s" % (case["name"], line))
+                _tally(moves, other, case["name"], rel, want[rel], got[rel], _digits(case))
         shutil.rmtree(target, ignore_errors=True)
         for rel, data in got.items():
             (target / rel).parent.mkdir(parents=True, exist_ok=True)
             (target / rel).write_bytes(data)
     shutil.rmtree(scratch)
+    print("\n".join(_summary(moves, other)))
 
 
 if __name__ == "__main__":
