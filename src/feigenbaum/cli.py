@@ -35,7 +35,7 @@ import io
 import json
 import os
 import sys
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal
 from fractions import Fraction
 
 from . import __version__
@@ -188,8 +188,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _basis_spec(args, ctx) -> BasisSpec:
     kind = BasisKind(args.basis)
     if kind is BasisKind.CHEB_GRID:
-        if args.constrain:
-            raise ConfigError("--constrain applies to the coefficient bases only")
+        if args.constrain or args.dim is not None:
+            raise ConfigError("%s applies to the coefficient bases only"
+                              % ("--constrain" if args.constrain else "--dim"))
         return BasisSpec(kind, args.nodes)
     order = args.dim if args.dim is not None else (
         15 if kind in (BasisKind.LANFORD, BasisKind.EVEN_MONOMIAL) else 31)
@@ -276,23 +277,20 @@ def _run_newton(args, ctx, variant: Variant):
         )
     seed = (_load_coefficients(args.seed_file, ctx) if args.seed_file
             else default_seed(args.extremum_order, ctx))
+    spec = _basis_spec(args, ctx)  # the grid rejects --dim and --constrain
     if args.extremum_order != 1:
-        if BasisKind(args.basis) is not BasisKind.CHEB_GRID:
+        if spec.kind is not BasisKind.CHEB_GRID:
             raise ConfigError("higher extremum orders run on the Chebyshev grid")
         return solve_extremum_order(
             args.extremum_order, args.nodes, ctx, config=config, seed=seed)
-    basis = build_basis(_basis_spec(args, ctx), ctx)
-    return newton_solve(OperatorSpec(variant), basis, seed, config, ctx)
+    return newton_solve(OperatorSpec(variant), build_basis(spec, ctx), seed, config, ctx)
 
 
 def _floor_log10(x: Fraction) -> int:
     """floor(log10 x) of a positive rational, exactly."""
+    # x lies in (10^(e-1), 10^(e+1)): its floor is e - 1 or e
     e = len(str(x.numerator)) - len(str(x.denominator))
-    while Fraction(10) ** e > x:
-        e -= 1
-    while Fraction(10) ** (e + 1) <= x:
-        e += 1
-    return e
+    return e - 1 if Fraction(10) ** e > x else e
 
 
 def _coefficient_strings(coeffs, ctx, resolutions=None) -> list:
@@ -496,15 +494,38 @@ def _tsv(path, header, rows):
     _write(path, "\n".join(lines) + "\n")
 
 
+def _field(obj: dict, key: str, kind, what: str, items=None):
+    """obj[key] of a JSON object obj if it has the JSON type ``kind`` (a
+    list's entries the type ``items`` when given), else MissingArtifact
+    naming ``what``."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if (not isinstance(value, kind) or isinstance(value, bool)
+            or items and not all(isinstance(v, items) for v in value)):
+        raise MissingArtifact("%s needs %s of type %s" % (
+            what, key, kind.__name__ + (" of " + items.__name__ if items else "")))
+    return value
+
+
 def cmd_plotdata(args) -> int:
     if not args.solution:
         raise MissingArtifact("plotdata needs --solution (and optionally --spectrum)")
     sol = json.loads(_read(args.solution, "solution artifact"))
-    if "cheb_coefficients" not in sol:
-        raise MissingArtifact("solution artifact lacks cheb_coefficients")
-    ctx = PrecisionCtx(sol.get("digits", 64) if args.digits is None else args.digits)
+    texts = _field(sol, "cheb_coefficients", list, "solution artifact", str)
+    D = args.digits
+    if D is None:
+        # solve prints the largest coefficient inside |v| < 10^D with D
+        # significant digits: they bound D before any D-digit arithmetic
+        D = _field(sol, "digits", int, "solution artifact") if "digits" in sol else 64
+        exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[])  # bad strings become NaN
+        top = max((d for d in map(exact.create_decimal, texts)
+                   if d.is_finite() and d.adjusted() < D), key=Decimal.copy_abs, default=0)
+        carried = len(top.as_tuple().digits) if top else 0
+        if not 16 <= D <= carried:
+            raise ConfigError("solution artifact digits %d must be at least 16 and at most the %d "
+                              "significant digits of its largest coefficient" % (D, carried))
+    ctx = PrecisionCtx(D)
     coeffs = ChebSeries(tuple(_finite_value(c, ctx, "solution artifact coefficients")
-                              for c in sol["cheb_coefficients"]))
+                              for c in texts))
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     decay = decay_report(coeffs, ctx)
@@ -517,28 +538,28 @@ def cmd_plotdata(args) -> int:
          [(ctx.to_str(x), ctx.to_str(eval_series(coeffs, x, ctx))) for x in pts])
     if args.spectrum_file:
         srep = json.loads(_read(args.spectrum_file, "spectrum artifact"))
-        rows = srep.get("eigenvalues", [])
-        if not rows or "vector_re" not in rows[0]:
-            raise MissingArtifact(
-                "spectrum artifact lacks eigenvectors; rerun spectrum "
-                "with --include-vectors"
-            )
+        rows = _field(srep, "eigenvalues", list, "spectrum artifact", dict)
+        if not rows or not all("vector_re" in r for r in rows):
+            raise MissingArtifact("spectrum artifact lacks eigenvectors; rerun spectrum "
+                                  "with --include-vectors")
+        vectors = [_field(r, "vector_re", list, "spectrum artifact row %d" % (i + 1), str)
+                   for i, r in enumerate(rows)]
+        desc = dict(_field(srep, "basis", dict, "spectrum artifact"))
+        dim = _field(desc, "dimension", int, "spectrum artifact basis")
+        for vec in vectors:  # before a basis of that dimension is built
+            if len(vec) != dim:
+                raise MissingArtifact("eigenvector length %d does not match the dimension %d "
+                                      "of the artifact's basis" % (len(vec), dim))
         try:
-            desc = dict(srep["basis"])
             desc["constraints"] = [
                 (p, _exact_value(v, ctx, "spectrum artifact constraint a%s" % p))
                 for p, v in desc["constraints"]]
             basis = build_basis(spec_from_description(desc), ctx)
         except (KeyError, TypeError) as exc:
             raise MissingArtifact("spectrum artifact lacks a basis descriptor: %r" % exc) from exc
-        for i, r in enumerate(rows):
-            vec = [_finite_value(v, ctx, "spectrum artifact vector_re") for v in r["vector_re"]]
-            if len(vec) != basis.dim:
-                raise MissingArtifact(
-                    "eigenvector length %d does not match the dimension %d of "
-                    "the artifact's basis" % (len(vec), basis.dim)
-                )
-            h = basis.direction_series(vec, ctx)
+        for i, vec in enumerate(vectors):
+            h = basis.direction_series(
+                [_finite_value(v, ctx, "spectrum artifact vector_re") for v in vec], ctx)
             _tsv(os.path.join(out, "eigenfunction_%02d.tsv" % (i + 1)),
                  ["x", "h(x)"],
                  [(ctx.to_str(x), ctx.to_str(eval_series(h, x, ctx))) for x in pts])

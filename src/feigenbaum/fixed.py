@@ -77,16 +77,15 @@ Node values to a series: the same one rounding, on the cardinals'
 coefficients as integers floor(a_k 2^U) at the rows' unit
 (:func:`fixed_ints`), which err by less than 2^-U each.
 
-Schur kernel.  :func:`real_schur` takes an integer block to real Schur
-form: Householder reduction to Hessenberg form, then Francis double-shift
-sweeps (Golub & Van Loan, *Matrix Computations*, section 7.5, in the
-scaling of EISPACK's hqr2), with the orthogonal factor Z stored
-transposed.  :class:`SchurForm` finishes it on the same integers: one
-rotation per 2x2 block to a triangular factor, complex only in the rows
-and columns of complex-conjugate pairs, and eigenvectors by triangular
-back substitution (section 7.6; LAPACK's ``trevc``).  The eigensolver of
-:mod:`feigenbaum.numerics` computes only the eigenvalues at context
-precision.  With p that precision:
+Schur kernel.  :class:`SchurForm` converts a square matrix M to integers
+once, splits it (:func:`schur_blocks`), takes each block to real Schur
+form (:func:`real_schur`: Householder reduction to Hessenberg form, then
+Francis double-shift sweeps, Golub & Van Loan, *Matrix Computations*,
+section 7.5, in the scaling of EISPACK's hqr2, Z stored transposed), and
+finishes the whole on the same integers: one rotation per 2x2 block to a
+triangular T, complex only in the rows and columns of conjugate pairs,
+and eigenvectors by back substitution (section 7.6; LAPACK's ``trevc``).
+Only the eigenvalues are computed at context precision p:
 
 * width: F = 2p + :data:`SCHUR_GUARD_BITS` bits.  A block H is scaled
   once by a power of two, so that its largest entry becomes an integer
@@ -145,26 +144,25 @@ precision.  With p that precision:
   odd, so Z keeps that symmetry: an even-block vector is exactly
   mirror-symmetric, and when L_eo = 0, so that x has no even part, an
   odd-block vector is exactly antisymmetric;
-* residual: M is converted once at F bits, exactly for entries whose
-  exponents span fewer than F - p bits, and the eigenvalue at the same
-  unit; M V - lambda V is then exact on integers for the vector V at
+* residual and norm: M is converted once at F bits, exactly for entries
+  whose exponents span fewer than F - p bits, and the eigenvalue at the
+  same unit; M V - lambda V is then exact on integers for the vector V at
   2^-F, and rounds once to p bits (a complex modulus after an integer
   square root with p bits more).  What is not exact is the conversions'
-  floors, below n 2^(1-F) ||M||, and the rounding of V to the reported
-  p bits, below 2^-p (||M|| + |lambda|): far below the gate
-  10^(-D/2-4) ||M||, as F is about 6.6 D bits and p about 3.3 D;
-* norm: the same integers of M give ||M||_inf for the gates, summed
-  exactly and rounded once, and every block the Hessenberg reduction
-  starts from: M itself when it is the one block;
+  floors, below n 2^(1-F) ||M||, and the rounding of V to the reported p
+  bits, below 2^-p (||M|| + |lambda|): far below the gate 10^(-D/2-4)
+  ||M||, as F is about 6.6 D bits and p about 3.3 D.  The same integers
+  give ||M||_inf, summed exactly and rounded once, and the blocks;
 * bit-identical eigenvalues: the eigenvalues alone are read at context
   precision, each diagonal entry of a 1x1 block rounded once to p bits,
   and each 2x2 block's eigenvalues and rotation computed by the
-  ``rsf2csf`` formulas from its four entries rounded once to p bits.
-  They depend on the input conversion and the sweeps only (the mirror
-  transform is exact): the integer T, Z and x carry only vectors and
-  residuals.  So every eigenvalue is, bit for bit, the one an ``mpf``
-  triangularization of the same rounded Schur form gives (the tests
-  keep such a back end as an oracle).
+  ``rsf2csf`` formulas from its four entries, which no earlier rotation
+  touches, rounded once to p bits.  They depend on the input conversion
+  and the sweeps only (the mirror transform and the shifts are exact):
+  the integer T, Z and x carry only vectors and residuals.  So every
+  eigenvalue is, bit for bit, the one an ``mpf`` triangularization of
+  the same rounded Schur form gives (the tests keep such a back end as
+  an oracle).
 """
 
 from __future__ import annotations
@@ -392,28 +390,6 @@ def _shift(x, k):
     return x << k if k >= 0 else x >> -k
 
 
-def rescaled(rows, S, bits):
-    """(S', rows') of integer rows at the unit 2^-S, shifted by one power
-    of two so that the largest entry has ``bits`` bits, at the unit
-    2^-S' (floored when shifted down); a zero matrix keeps its unit."""
-    top = max((abs(x).bit_length() for row in rows for x in row), default=0)
-    k = bits - top if top else 0
-    return S + k, [[_shift(x, k) for x in row] for row in rows]
-
-
-def mirror_transform(rows):
-    """2 P^-1 A P of the integer square matrix A, exactly, by sums and
-    differences, for the mirror transform P: its columns e_i + e_(n-1-i)
-    (i < n // 2), then the middle e_m of an odd n, then e_i - e_(n-1-i)."""
-    def fold(v, middle):
-        m = len(v) // 2
-        return ([v[i] + v[~i] for i in range(m)] + [middle * x for x in v[m:len(v) - m]]
-                + [v[i] - v[~i] for i in range(m)])
-
-    AP = [fold(row, 1) for row in rows]
-    return [list(row) for row in zip(*(fold(col, 2) for col in zip(*AP)))]
-
-
 def mpf_rows(rows, S, mpx):
     """The integer rows times 2^-S as rows of ``mpf`` of the context mpx,
     each entry rounded once to its precision."""
@@ -614,33 +590,95 @@ def _div(a, d):
     return q if a >= 0 else -q
 
 
+def _split_block(a, b, c, d, mpx):
+    """(cs, sn, t00, t01, t11) for the 2x2 block [[a, b], [c, d]], c != 0,
+    of a real Schur form, in numbers of the context mpx: the rotation
+    U = [[cs, -sn], [sn, conj(cs)]], sn real and |cs|^2 + sn^2 = 1, with
+    U^H block U = [[t00, t01], [0, t11]].  Real eigenvalues split by a real
+    rotation; a complex pair by a unitary complex one (``rsf2csf``), and
+    then t00 is the +im eigenvalue and t11 its exact conjugate."""
+    p = (a - d) / 2
+    disc = p * p + b * c
+    if disc >= 0:
+        # eigenvalue d + z with no cancellation in z; eigenvector (z, c)
+        z = p + mpx.sqrt(disc) if p >= 0 else p - mpx.sqrt(disc)
+        tau = mpx.hypot(z, c)
+        cs, sn = z / tau, c / tau
+    else:
+        # eigenvalue d + mu, mu = p + i omega; eigenvector (mu, c)
+        mu = mpx.mpc(p, mpx.sqrt(-disc))
+        tau = mpx.hypot(abs(mu), c)
+        cs, sn = mu / tau, c / tau
+    cc = cs.conjugate()
+    r0, r1 = (cc * a + sn * c, cc * b + sn * d), (cs * c - sn * a, cs * d - sn * b)
+    t01 = cc * r0[1] - sn * r0[0]
+    if disc >= 0:
+        return cs, sn, cs * r0[0] + sn * r0[1], t01, cc * r1[1] - sn * r1[0]
+    return cs, sn, d + mu, t01, (d + mu).conjugate()
+
+
+def schur_blocks(M, SM, tol, F, mpx):
+    """(blocks, coupling) of the integer square matrix M at the unit 2^-SM:
+    the diagonal blocks (lo, S, H) for :func:`real_schur`, lo the first row
+    in the whole and H rescaled to F bits at the unit 2^-S, and None or
+    the coupling (S_c, integer rows at the unit 2^-S_c).  2 P^-1 M P is
+    formed exactly by sums and differences, for the mirror transform P
+    with columns e_i + e_(n-1-i) (i < n // 2), the middle e_m of an odd n,
+    then e_i - e_(n-1-i).  When M maps mirror-symmetric vectors to
+    mirror-symmetric ones, that is when its even-to-odd block L_oe has
+    ||L_oe||_inf <= tol, P^-1 M P = [[L_ee, L_eo], [0, L_oo]], exact at
+    2^-(SM+1), splits into two blocks with the coupling L_eo, and an
+    eigenvalue of L_ee has an exactly mirror-symmetric vector."""
+    def fold(v, middle):
+        m = len(v) // 2
+        return ([v[i] + v[~i] for i in range(m)] + [middle * x for x in v[m:len(v) - m]]
+                + [v[i] - v[~i] for i in range(m)])
+
+    def block(lo, rows, S):  # shifted so that the largest entry has F bits
+        top = max((abs(x).bit_length() for row in rows for x in row), default=0)
+        k = F - top if top else 0
+        return lo, S + k, [[_shift(x, k) for x in row] for row in rows]
+
+    n, h = len(M), len(M) - len(M) // 2
+    B = list(zip(*(fold(col, 2) for col in zip(*(fold(row, 1) for row in M)))))
+    if h < n and norm_inf([row[:h] for row in B[h:]], SM + 1, mpx) <= tol:
+        return ([block(0, [row[:h] for row in B[:h]], SM + 1),
+                 block(h, [row[h:] for row in B[h:]], SM + 1)],
+                (SM + 1, [row[h:] for row in B[:h]]))
+    return [block(0, M, SM)], None
+
+
 class SchurForm:
-    """The eigensolver's Schur form on integers, finished to a triangular
-    T = U^H Z^-1 M Z U (Z taking in the mirror transform P of
-    :func:`mirror_transform` when there are two blocks), from which it
-    reads eigenvectors and residuals.
+    """The eigensolver's triangular Schur form T = U^H Z^-1 M Z U of the
+    square matrix M of ``rows``, finite reals of the context mpx, on
+    integers, from which it reads eigenvectors and residuals; ``gate`` is
+    the relative tolerance of the mirror split and of a vector's pivot.
+    ``norm`` is ||M||_inf.  ``failed`` is None, or the row of M at the
+    bottom of a block in which ``budget`` sweeps found no deflation, and
+    then nothing more is made.  Else ``values`` are the eigenvalues in the
+    order of T's diagonal, numbers of mpx, and ``tops`` the positions k of
+    the +im member of a complex pair, its conjugate at k + 1."""
 
-    ``blocks`` holds (S, H, Z^T) of each diagonal block as
-    :func:`_hessenberg` and the sweeps leave them: H in real Schur form
-    at the unit 2^-S, its orthogonal Z at the unit 2^-F.  Two blocks are
-    the even and the odd block of P^-1 M P, and ``coupling`` is then its
-    even-row, odd-column block, as integer rows at the unit 2^-(S_M+1).
-    ``splits`` holds (k, cs, sn, t00, t01, t11) for each 2x2 block at
-    rows k, k + 1 of the whole: the rotation U = [[cs, -sn], [sn,
-    conj(cs)]] and the triangular block U^H T U = [[t00, t01], [0, t11]],
-    numbers of the context mpx.  ``matrix`` is (S_M, M) of
-    :func:`fixed_rows` at F bits, the matrix residuals are taken
-    against, and ``gate`` the relative tie in which a vector's pivot is
-    chosen.  The module docstring states the units and the error."""
-
-    def __init__(self, blocks, coupling, splits, matrix, gate, F, mpx):
-        self.SM, self.M = matrix
-        if len(blocks) == 1:
-            ((S, T, Zt),) = blocks
+    def __init__(self, rows, gate, mpx):
+        self.F = F = 2 * mpx.prec + SCHUR_GUARD_BITS
+        self.mpx, self.gate = mpx, mpf_to_fraction(gate)
+        self.SM, self.M = fixed_rows(rows, F, mpx)
+        self.norm = norm_inf(self.M, self.SM, mpx)
+        self.budget, self.failed = 4 * mpx.dps, None
+        blocks, coupling = schur_blocks(self.M, self.SM, gate * self.norm, F, mpx)
+        parts = []
+        for lo, S, H in blocks:
+            Zt, row = real_schur(H, F, mpx.prec, self.budget)
+            if row is not None:
+                self.failed = lo + row
+                return
+            parts.append((S, H, Zt))
+        if coupling is None:
+            ((S, T, Zt),) = parts
         else:
-            (Se, He, Ze), (So, Ho, Zo) = blocks
+            (Se, He, Ze), (So, Ho, Zo), (Sc, L) = *parts, coupling
             S = max(Se, So)
-            L = [[_shift(a, S - self.SM - 1) for a in row] for row in coupling]
+            L = [[_shift(a, S - Sc) for a in row] for row in L]
             LZ = list(zip(*[[sum(map(mul, row, z)) >> F for z in Zo] for row in L]))
             T = ([[x << (S - Se) for x in row] + [sum(map(mul, z, col)) >> F for col in LZ]
                   for row, z in zip(He, Ze)]
@@ -652,8 +690,15 @@ class SchurForm:
                   + [z + [0] * (len(Ze) - m) + [-x for x in z[::-1]] for z in Zo])
         n = len(T)
         Ti, Zi = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+        self.values = mpf_rows([[T[k][k] for k in range(n)]], S, mpx)[0]
         self.tops = set()
-        for k, cs, sn, *block in splits:
+        # one pass over the 2x2 blocks, each rotated away as it is met
+        for k in range(n - 1):
+            if not T[k + 1][k]:
+                continue
+            (a, b), (c, d) = mpf_rows([T[k][k:k + 2], T[k + 1][k:k + 2]], S, mpx)
+            cs, sn, *block = _split_block(a, b, c, d, mpx)
+            self.values[k], self.values[k + 1] = block[0], block[2]
             (cr, ci), (s, _) = _fix(cs, F), _fix(sn, F)
             pairs = [(T[k], Ti[k], T[k + 1], Ti[k + 1], -ci, k + 2),  # U^H from the left
                      (Zt[k], Zi[k], Zt[k + 1], Zi[k + 1], ci, 0)]      # Z U
@@ -668,9 +713,8 @@ class SchurForm:
             (T[k + 1][k + 1], Ti[k + 1][k + 1]), T[k + 1][k] = t11, 0
             if hasattr(cs, "_mpc_"):
                 self.tops.add(k)
-        self.F, self.S, self.T, self.Ti, self.mpx = F, S, T, Ti, mpx
+        self.S, self.T, self.Ti = S, T, Ti
         self.Z, self.Zi = list(zip(*Zt)), list(zip(*Zi))
-        self.gate = mpf_to_fraction(gate)
 
     def _solve(self, i):
         """(xr, xi) at the unit 2^-F, x[i] = 1, solving (T - T[i][i]) x = 0
@@ -697,8 +741,8 @@ class SchurForm:
             xi[j] = (nr * ti - ni * tr) // d
         return xr, xi
 
-    def eigenpair(self, i, lam):
-        """(vector, residual) of the eigenvalue lam at position i of T, in
+    def eigenpair(self, i):
+        """(vector, residual) of the eigenvalue lam = ``values[i]``, in
         ``mpf``/``mpc`` of the context, or None when Z x vanishes.  The
         vector is Z x normalized at its pivot, for a real lam its real
         part (real up to round-off); the residual is ||M v - lam v||_inf."""
@@ -718,7 +762,7 @@ class SchurForm:
         else:
             vec = tuple(mpx.make_mpc((from_man_exp(a, -F, prec, "n"),
                                       from_man_exp(b, -F, prec, "n"))) for a, b in zip(*V))
-        return vec, self._residual(V, lam)
+        return vec, self._residual(V, self.values[i])
 
     def _residual(self, V, lam):
         """||M V - lam V||_inf, exact on the integers M and V, rounded once

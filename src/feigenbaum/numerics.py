@@ -8,11 +8,9 @@ made it (in a binary operation, the left operand's), so package code
 never consults mpmath's process-global precision.  Matrices are plain
 lists of rows.  Exact work uses ``fractions.Fraction``.
 
-The eigensolver :func:`eig_dense` decides the mirror split and drives
-the integer Schur kernel of :mod:`feigenbaum.fixed` block by block; that
-module's docstring states the kernel's width, deflation, units, rounding
-and error.  Only the eigenvalues are computed here at context precision,
-from the Schur form's diagonal and its 2x2 blocks (:func:`_split_block`).
+The eigensolver :func:`eig_dense` checks, conjugates and sorts the
+eigenpairs of the integer Schur kernel :class:`feigenbaum.fixed.SchurForm`,
+whose module docstring states its width, deflation, units and error.
 
 Everything here is a pure function of its inputs given a context, so
 values can move freely between threads.  They do not pickle; exchange
@@ -28,8 +26,7 @@ from fractions import Fraction
 import mpmath
 
 from .errors import ExactlySingular, NoConvergence, SingularMatrix
-from .fixed import (SCHUR_GUARD_BITS, SchurForm, fixed_rows, mirror_transform, mpf_rows,
-                    norm_inf, real_schur, rescaled)
+from .fixed import SchurForm
 
 GUARD_BITS = 32
 
@@ -261,95 +258,31 @@ class EigenPair:
     residual: object
 
 
-def _split_block(a, b, c, d, mp):
-    """(cs, sn, t00, t01, t11) for the 2x2 block [[a, b], [c, d]], c != 0,
-    of a real Schur form: the rotation U = [[cs, -sn], [sn, conj(cs)]],
-    sn real and |cs|^2 + sn^2 = 1, with U^H block U = [[t00, t01], [0,
-    t11]].  Real eigenvalues split by a real rotation; a complex pair by
-    a unitary complex one (``rsf2csf``), and then t00 is the +im
-    eigenvalue and t11 its exact conjugate."""
-    p = (a - d) / 2
-    disc = p * p + b * c
-    if disc >= 0:
-        # eigenvalue d + z with no cancellation in z; eigenvector (z, c)
-        z = p + mp.sqrt(disc) if p >= 0 else p - mp.sqrt(disc)
-        tau = mp.hypot(z, c)
-        cs, sn = z / tau, c / tau
-    else:
-        # eigenvalue d + mu, mu = p + i omega; eigenvector (mu, c)
-        mu = mp.mpc(p, mp.sqrt(-disc))
-        tau = mp.hypot(abs(mu), c)
-        cs, sn = mu / tau, c / tau
-    cc = cs.conjugate()
-    r0, r1 = (cc * a + sn * c, cc * b + sn * d), (cs * c - sn * a, cs * d - sn * b)
-    t01 = cc * r0[1] - sn * r0[0]
-    if disc >= 0:
-        return cs, sn, cs * r0[0] + sn * r0[1], t01, cc * r1[1] - sn * r1[0]
-    return cs, sn, d + mu, t01, (d + mu).conjugate()
-
-
 def eig_dense(M, ctx: PrecisionCtx):
-    """All eigenpairs of a square real matrix, sorted by descending
-    modulus, then descending real and imaginary part (so a conjugate pair
-    comes +im first).  Real eigenvalues come back as ``mpf`` with real
-    vectors, complex ones as exact conjugate pairs.  A vector is scaled to
-    +1 at its first component within ``ctx.eig_gate`` of the largest in
-    modulus.  Each pair is checked against ``||M v - lambda v||_inf <=
-    eig_gate * ||M||_inf``; a violation raises :class:`NoConvergence`, and
-    so does a block that does not converge, naming its bottom row as a
-    row of M.  An empty matrix has no eigenpairs.
-
-    The matrix decides a mirror split.  P^-1 M P is formed exactly on the
-    integers of M, P's columns e_i + e_(n-1-i), the middle e_m of an odd
-    n, then e_i - e_(n-1-i).  When M maps mirror-symmetric vectors to
-    mirror-symmetric vectors, that is when its even-to-odd block L_oe has
-    ``||L_oe||_inf <= eig_gate * ||M||_inf``, P^-1 M P is block upper
-    triangular, [[L_ee, L_eo], [0, L_oo]]: the two diagonal blocks are
-    reduced to real Schur form separately and the coupling Z_e^T L_eo Z_o
-    completes the Schur form of the whole; an eigenvalue of L_ee has an
-    exactly mirror-symmetric vector.  Otherwise the whole matrix is the
-    one block.  The residual gate is always against M.
+    """All eigenpairs (:class:`EigenPair`) of a square real matrix, from
+    :class:`feigenbaum.fixed.SchurForm` and its mirror split, sorted by
+    descending modulus, then descending real and imaginary part (so a
+    conjugate pair comes +im first).  Each pair is checked against
+    ``||M v - lambda v||_inf <= eig_gate * ||M||_inf``; a violation raises
+    :class:`NoConvergence`, and so does a block that does not converge,
+    naming its bottom row as a row of M.  An empty matrix has none.
     """
-    n = len(M)
-    if not n:
+    if not M:
         return []
-    mp, gate, width = ctx.mp, ctx.eig_gate, 2 * ctx.prec_bits + SCHUR_GUARD_BITS
-    SA, AI = fixed_rows([[ctx.mpf(x) for x in row] for row in M], width, mp)
-    norm = norm_inf(AI, SA, mp)
-    h = n - n // 2
-    B = mirror_transform(AI)  # 2 P^-1 M P, so P^-1 M P is exact at 2^-(SA+1)
-    if h < n and norm_inf([row[:h] for row in B[h:]], SA + 1, mp) <= gate * norm:
-        unit, coupling = SA + 1, [row[h:] for row in B[:h]]
-        parts = [(0, [row[:h] for row in B[:h]]), (h, [row[h:] for row in B[h:]])]
-    else:
-        unit, coupling, parts = SA, None, [(0, AI)]
-    blocks, values, splits, budget = [], [], [], 4 * mp.dps
-    for lo, rows in parts:
-        S, H = rescaled(rows, unit, width)
-        Zt, row = real_schur(H, width, ctx.prec_bits, budget)
-        if row is not None:
-            raise NoConvergence("QR found no deflation in %d sweeps at row %d"
-                                % (budget, lo + row), index=lo + row)
-        blocks.append((S, H, Zt))
-        values += mpf_rows([[H[k][k] for k in range(len(H))]], S, mp)[0]
-        for k in range(len(H) - 1):
-            if H[k + 1][k]:
-                (a, b), (c, d) = mpf_rows([H[k][k:k + 2], H[k + 1][k:k + 2]], S, mp)
-                split = _split_block(a, b, c, d, mp)
-                values[lo + k], values[lo + k + 1] = split[2], split[4]
-                splits.append((lo + k,) + split)
-    form = SchurForm(blocks, coupling, splits, (SA, AI), gate, width, mp)
-
+    mp, gate = ctx.mp, ctx.eig_gate
+    form = SchurForm([[ctx.mpf(x) for x in row] for row in M], gate, mp)
+    if form.failed is not None:
+        raise NoConvergence("QR found no deflation in %d sweeps at row %d"
+                            % (form.budget, form.failed), index=form.failed)
     pairs = []
-    for i in range(n):
+    for i, lam in enumerate(form.values):
         if i - 1 in form.tops:
             continue  # the conjugate of the pair at i - 1
-        lam = values[i]
-        pair = form.eigenpair(i, lam)
+        pair = form.eigenpair(i)
         if pair is None:
             raise NoConvergence("zero eigenvector", index=i)
         vec, res = pair
-        if norm > 0 and res > gate * norm:
+        if form.norm > 0 and res > gate * form.norm:
             raise NoConvergence("eigenpair %d residual %s exceeds tolerance"
                                 % (i, mp.nstr(res, 5)), index=i)
         pairs.append(EigenPair(lam, vec, res))

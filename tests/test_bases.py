@@ -159,6 +159,18 @@ def test_dimension_floor_enforced():
         fb.BasisSpec(fb.BasisKind.LANFORD, 2)
 
 
+def test_float_monomial_matrix_does_not_verify_rationally(ctx):
+    basis = fb.build_basis(fb.BasisSpec(fb.BasisKind.MONOMIAL_FULL, 8), ctx)
+    assert not basis.matrix.exact
+    with pytest.raises(ValueError, match="only exact matrices verify rationally"):
+        basis.matrix.residual_vs_vandermonde()
+
+
+def test_only_the_full_grid_mirrors_its_nodes(ctx):
+    grid = fb.chebgrid(12, ctx)
+    assert grid.mirror_nodes and not even_half(grid, ctx).mirror_nodes
+
+
 def test_rational_nodes_respect_denominator_cap(ctx):
     basis = fb.build_basis(
         fb.BasisSpec(fb.BasisKind.RATIONAL_NODE_MONOMIAL, 19), ctx)

@@ -489,6 +489,37 @@ EXIT_CASES = [
     pytest.param(["plotdata", "--solution", "{sol}", "--spectrum", "{short}",
                   "--out", "{out}"], 2, None, None,
                  id="vectors-off-the-basis-dimension"),
+    # every artifact field is read by its type; digits and a basis dimension
+    # are bounded by the artifact's own size before anything is made of them
+    pytest.param(["plotdata", "--solution", "{digitsabc}"], 2, None,
+                 "solution artifact needs digits of type int", id="solution-digits-not-an-int"),
+    pytest.param(["plotdata", "--solution", "{digitsnull}"], 2, None,
+                 "solution artifact needs digits of type int", id="solution-digits-null"),
+    pytest.param(["plotdata", "--solution", "{digitshuge}"], 2, None,
+                 "digits 10000000 must be at least 16 and at most the 24 significant digits",
+                 id="solution-digits-past-its-coefficients"),
+    pytest.param(["plotdata", "--solution", "{coeffsint}"], 2, None,
+                 "solution artifact needs cheb_coefficients of type list of str",
+                 id="solution-coefficients-not-a-list"),
+    pytest.param(["plotdata", "--solution", "{sol}", "--spectrum", "{speclist}",
+                  "--out", "{out}"], 2, None, "spectrum artifact needs eigenvalues of type list",
+                 id="spectrum-not-an-object"),
+    pytest.param(["plotdata", "--solution", "{sol}", "--spectrum", "{eigint}",
+                  "--out", "{out}"], 2, None, "spectrum artifact needs eigenvalues of type list",
+                 id="spectrum-eigenvalues-not-a-list"),
+    pytest.param(["plotdata", "--solution", "{sol}", "--spectrum", "{vecint}",
+                  "--out", "{out}"], 2, None, "row 1 needs vector_re of type list of str",
+                 id="spectrum-vector-not-a-list"),
+    pytest.param(["plotdata", "--solution", "{sol}", "--spectrum", "{laternovec}",
+                  "--out", "{out}"], 2, None, "lacks eigenvectors",
+                 id="spectrum-later-row-without-vector"),
+    pytest.param(["plotdata", "--solution", "{sol}", "--spectrum", "{dimhuge}",
+                  "--out", "{out}"], 2, None, "does not match the dimension 1000000000",
+                 id="spectrum-dimension-past-its-vectors"),
+    pytest.param(["spectrum", "--nodes", "8", "--dim", "5"], 2, None,
+                 "--dim applies to the coefficient bases only", id="dim-with-grid"),
+    pytest.param(["solve", "--extremum-order", "2", "--dim", "5"], 2, None,
+                 "--dim applies to the coefficient bases only", id="dim-with-extremum-order"),
     pytest.param(["solve"], 3, fb.NoConvergence("budget", history=(1, 2)), None,
                  id="newton-no-convergence"),
     pytest.param(["spectrum"], 5, fb.NoConvergence("QR sweep budget", index=3), None,
@@ -504,7 +535,7 @@ EXIT_CASES = [
 
 
 def _exit_code_artifacts(tmp_path):
-    coeffs = ["1.0"] + ["0.0"] * 7
+    coeffs = ["1." + "0" * 23] + ["0.0"] * 7  # 24 digits, as solve prints them
     vector = {"re": "1", "vector_re": ["1"] * 8}
     grid8 = {"kind": "cheb", "dimension": 8, "exact": False, "constraints": []}
 
@@ -532,6 +563,15 @@ def _exit_code_artifacts(tmp_path):
             dict(vector, vector_re=["1e999999999999"] + vector["vector_re"][1:])]}),
         "hugeconstraint": json.dumps({"basis": pinned("1e999999999999"), "eigenvalues": [vector]}),
         "tinyconstraint": json.dumps({"basis": pinned("1e-999999999999"), "eigenvalues": [vector]}),
+        "digitsabc": json.dumps({"digits": "abc", "cheb_coefficients": coeffs}),
+        "digitsnull": json.dumps({"digits": None, "cheb_coefficients": coeffs}),
+        "digitshuge": json.dumps({"digits": 10000000, "cheb_coefficients": coeffs}),
+        "coeffsint": json.dumps({"digits": 24, "cheb_coefficients": 5}),
+        "speclist": json.dumps([vector]),
+        "eigint": json.dumps({"basis": grid8, "eigenvalues": 5}),
+        "vecint": json.dumps({"basis": grid8, "eigenvalues": [dict(vector, vector_re=7)]}),
+        "laternovec": json.dumps({"basis": grid8, "eigenvalues": [vector, {"re": "0.5"}]}),
+        "dimhuge": json.dumps({"basis": dict(grid8, dimension=10 ** 9), "eigenvalues": [vector]}),
     }
     paths = {"absent": str(tmp_path / "absent.txt"), "out": str(tmp_path / "plots")}
     for name, text in files.items():

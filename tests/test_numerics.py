@@ -384,7 +384,7 @@ def _unmirror(Ze, Zo, ctx):
 
 
 def _mpf_eig_dense(M, ctx):
-    """eig_dense with the mpf back end, on eig_dense's exact integer
+    """eig_dense with the mpf back end, on SchurForm's exact integer
     blocks.  The pivot of a vector is chosen by eig_dense's rule (the
     first component within the gate of the largest); the mpf back end
     took the largest, which lets round-off choose between components
@@ -393,19 +393,12 @@ def _mpf_eig_dense(M, ctx):
     A = [[ctx.mpf(x) for x in row] for row in M]
     width = 2 * ctx.prec_bits + fixed.SCHUR_GUARD_BITS
     SA, AI = fixed.fixed_rows(A, width, mp)
-    # eig_dense's split: 2 P^-1 M P on the integers, so P^-1 M P is exact
-    # at the unit 2^-(SA+1)
-    h, B = n - n // 2, fixed.mirror_transform(AI)
-    coupling = None
-    parts = [(0, fixed.rescaled(AI, SA, width))]
-    if h < n and (fixed.norm_inf([row[:h] for row in B[h:]], SA + 1, mp)
-                  <= ctx.eig_gate * fixed.norm_inf(AI, SA, mp)):
-        coupling = [row[h:] for row in B[:h]]
-        parts = [(0, fixed.rescaled([row[:h] for row in B[:h]], SA + 1, width)),
-                 (h, fixed.rescaled([row[h:] for row in B[h:]], SA + 1, width))]
+    # SchurForm's split, on its integers
+    blocks, coupling = fixed.schur_blocks(AI, SA, ctx.eig_gate * fixed.norm_inf(AI, SA, mp),
+                                          width, mp)
     T = [[ctx.mpf(0)] * n for _ in range(n)]
     Zs = []
-    for lo, (S, H) in parts:
+    for lo, S, H in blocks:
         Zt, row = fixed.real_schur(H, width, ctx.prec_bits, 4 * mp.dps)
         assert row is None
         for row, hrow in zip(T[lo:], fixed.mpf_rows(H, S, mp)):
@@ -414,10 +407,9 @@ def _mpf_eig_dense(M, ctx):
     if coupling is None:
         Z = Zs[0]
     else:
-        Ze, Zo = Zs
+        (Ze, Zo), (Sc, L) = Zs, coupling
         h = len(Ze)
-        LZ = [[mp.fdot(row, col) for col in zip(*Zo)]
-              for row in fixed.mpf_rows(coupling, SA + 1, mp)]
+        LZ = [[mp.fdot(row, col) for col in zip(*Zo)] for row in fixed.mpf_rows(L, Sc, mp)]
         for row, col in zip(T, zip(*Ze)):
             row[h:] = [mp.fdot(col, lz) for lz in zip(*LZ)]
         Z = _unmirror(Ze, Zo, ctx)

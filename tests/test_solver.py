@@ -192,6 +192,18 @@ def test_diagnostics_ignore_round_off_norms():
     assert moved.exponent != want
 
 
+def test_diagnostics_drop_the_last_norm_of_a_plateau_run():
+    # the update that tripped the plateau rule is round-off, however large,
+    # and stays out of the fit
+    steps = [mp.mpf(v) for v in ("1e-3", "4e-6", "3e-11", "2e-21")]
+    want = fb.convergence_diagnostics(_result_with(steps)).exponent
+    plateau = SimpleNamespace(iteration_history=tuple(steps) + (mp.mpf("1e-20"),),
+                              stopped_by="plateau", ctx=fb.PrecisionCtx(64))
+    assert fb.convergence_diagnostics(plateau).exponent == want
+    plateau.stopped_by = "update_tol"
+    assert fb.convergence_diagnostics(plateau).exponent != want
+
+
 def _iterated_dims(monkeypatch):
     """Record the dimension of every basis the Newton loop runs on."""
     dims = []
