@@ -87,16 +87,20 @@ triangular T, complex only in the rows and columns of conjugate pairs,
 and eigenvectors by back substitution (section 7.6; LAPACK's ``trevc``).
 Only the eigenvalues are computed at context precision p:
 
-* width: F = 2p + :data:`SCHUR_GUARD_BITS` bits.  A block H is scaled
-  once by a power of two, so that its largest entry becomes an integer
-  in [2^(F-1), 2^F): the unit is at most 2^(1-F) max|h|, and max|h| is
-  ||H||_inf within a factor n.  Z carries the unit 2^-F;
+* widths: H is reduced and swept at F = 2p + :data:`SCHUR_GUARD_BITS`
+  bits, and Z accumulated at W = p + :data:`SCHUR_Z_BITS`, since no
+  eigenvalue reads Z (as ``dlahqr`` keeps Z apart from the QR).  A block
+  H is scaled once by a power of two, so that its largest entry becomes
+  an integer in [2^(F-1), 2^F): the unit is at most 2^(1-F) max|h|, and
+  max|h| is ||H||_inf within a factor n.  Z carries the unit 2^-W;
 * reflectors: the vector a Householder reflector is built from (a
   column below the diagonal, or the bulge (p, q, r) of a sweep) is
   shifted by an exact power of two to F + 2 bits before ``math.isqrt``,
   so each reflector I - u w^T has coefficients within 2^-F of exact and
-  is orthogonal to the unit, however small the vector.  A sweep's first
-  bulge is H[m+1][m] times EISPACK's, made exactly from integer products;
+  is orthogonal to the unit, however small the vector; w_0 = 2^F is a
+  shift, and Z's update takes u and w floored to 2^-W, so that its
+  w_0 = 2^W stays exact.  A sweep's first bulge is H[m+1][m] times
+  EISPACK's, made exactly from integer products;
 * deflation: H[k+1][k] becomes 0 when below eps max(|H[k][k]| +
   |H[k+1][k+1]|, ||H||_F / n), eps = 2^-p / (100 n).  A sweep of the
   active block H[l..hi] starts its bulge at the lowest row m >= l with
@@ -116,7 +120,10 @@ Only the eigenvalues are computed at context precision p:
   them, so even 4 dps n sweeps stay below 2^-p ||H|| by a factor above
   2^p for n <= 100.  What is left is the deflations, below n eps 2 ||H||
   together, the fill a sweep from m > l drops, below 3 eps ||H|| each,
-  and the final rounding to p bits;
+  and the final rounding to p bits.  Z, at 2^-W, is orthogonal to within
+  about N sqrt(n) 2^-W, an error relative to the largest entry of a
+  vector Z x: even 4 dps n sweeps keep it below 2^-(p+32) for n <= 100
+  and D <= 1000, against the 2^-p of rounding that entry to p bits;
 * why 2p: near convergence the bulge a sweep chases shrinks with the
   subdiagonal it is to zero, to about the deflation threshold
   2^-p ||H||.  At the unit 2^-F it still carries p + 32 bits, so its
@@ -127,13 +134,16 @@ Only the eigenvalues are computed at context precision p:
   mirror blocks S is the larger of their scales, the other block
   shifted up exactly, and the coupling Z_e^T L_eo Z_o takes the exact
   L_eo shifted to 2^-S and two integer products, each shifted down by
-  F.  Z carries 2^-F; the back-transform by P copies and negates.  A
-  2x2 block's rotation is floored to 2^-F and applied to the rest of T
-  and to Z, complex ones as re/im integer pairs, each new entry shifted
-  down by F toward zero; the block itself becomes its rotated entries,
-  floored to 2^-S.  The vector x has x_i = 2^F, and each entry above
-  costs one floor division (two for a complex one), with the divisor
-  guard smin of LAPACK's ``ctrevc``.  Z x is exact at 2^-2F;
+  W; the back-transform by P copies and negates.  A 2x2 block's
+  rotation is floored to 2^-F and applied to the rest of T, and to 2^-W
+  and applied to Z, complex ones as re/im integer pairs, each new entry
+  shifted down by F or W toward zero; the block itself becomes its
+  rotated entries, floored to 2^-S.  The vector x has x_i = 2^F, and
+  each entry above costs one floor division (two for a complex one),
+  with the divisor guard smin of LAPACK's ``ctrevc``.  Z x is exact at
+  2^-(F+W), over x's support 0..i and with no imaginary products for a
+  real x; an even-block vector of a split form takes the first ceil(n/2)
+  node rows of Z and their mirror images (exact, see odd rounding);
 * odd rounding: the vector is Z x divided by its pivot, the first entry
   whose modulus is within the gate of the largest (so a tie up to
   round-off cannot choose it), rounded to 2^-F to the nearest, ties away
@@ -148,18 +158,20 @@ Only the eigenvalues are computed at context precision p:
   whose exponents span fewer than F - p bits, and the eigenvalue at the
   same unit; M V - lambda V is then exact on integers for the vector V at
   2^-F, and rounds once to p bits (a complex modulus after an integer
-  square root with p bits more).  What is not exact is the conversions'
-  floors, below n 2^(1-F) ||M||, and the rounding of V to the reported p
-  bits, below 2^-p (||M|| + |lambda|): far below the gate 10^(-D/2-4)
-  ||M||, as F is about 6.6 D bits and p about 3.3 D.  The same integers
-  give ||M||_inf, summed exactly and rounded once, and the blocks;
+  square root with p bits more); an exactly mirror-symmetric V takes M V
+  on M's folded columns M[r][c] + M[r][n-1-c], the same integers.  What
+  is not exact is the conversions' floors, below n 2^(1-F) ||M||, Z's
+  error, and the rounding of V to the reported p bits, below 2^-p
+  (||M|| + |lambda|): far below the gate 10^(-D/2-4) ||M||, as p is
+  about 3.3 D bits.  The same integers give ||M||_inf, summed exactly
+  and rounded once, and the blocks;
 * bit-identical eigenvalues: the eigenvalues alone are read at context
   precision, each diagonal entry of a 1x1 block rounded once to p bits,
   and each 2x2 block's eigenvalues and rotation computed by the
   ``rsf2csf`` formulas from its four entries, which no earlier rotation
   touches, rounded once to p bits.  They depend on the input conversion
   and the sweeps only (the mirror transform and the shifts are exact):
-  the integer T, Z and x carry only vectors and residuals.  So every
+  T above the blocks, Z and x carry only vectors and residuals.  So every
   eigenvalue is, bit for bit, the one an ``mpf`` triangularization of
   the same rounded Schur form gives (the tests keep such a back end as
   an oracle).
@@ -179,8 +191,10 @@ KERNEL_GUARD_BITS = 16
 # Bits the rows of the linearization carry beyond the context precision.
 ROW_GUARD_BITS = 32
 
-# Bits the integer Schur form carries beyond twice the context precision.
+# Bits the integer Schur form carries beyond twice the context precision,
+# and its Schur vectors beyond the context precision.
 SCHUR_GUARD_BITS = 32
+SCHUR_Z_BITS = 64
 
 
 def mpf_to_fraction(x) -> Fraction:
@@ -424,31 +438,42 @@ def _reflector(v, F):
 
 
 def _reflect_rows(rows, u, w, j, F):
-    """rows <- P rows in the columns j, j + 1, ..., for P = I - u w^T:
-    each column c becomes c - u ((w . c) >> F), each product shifted
-    down by F.  The 2- and 3-row cases of the sweeps are unrolled."""
+    """rows <- P rows in the columns j, j + 1, ..., for P = I - u w^T with
+    w_0 = 2^F: each column c becomes c - u t, t = (w . c) >> F =
+    c_0 + ((w_1 c_1 + ...) >> F), each product shifted down by F.  The
+    3-row case of the sweeps is unrolled."""
+    r0, tail = rows[0][j:], w[1:]
     if len(u) == 3:
-        (r0, r1, r2), (u0, u1, u2), (w0, w1, w2) = rows, u, w
-        ts = [(w0 * a + w1 * b + w2 * c) >> F for a, b, c in zip(r0[j:], r1[j:], r2[j:])]
-        r0[j:] = [a - ((t * u0) >> F) for a, t in zip(r0[j:], ts)]
-        r1[j:] = [b - ((t * u1) >> F) for b, t in zip(r1[j:], ts)]
-        r2[j:] = [c - ((t * u2) >> F) for c, t in zip(r2[j:], ts)]
-    elif len(u) == 2:
-        (r0, r1), (u0, u1), (w0, w1) = rows, u, w
-        ts = [(w0 * a + w1 * b) >> F for a, b in zip(r0[j:], r1[j:])]
-        r0[j:] = [a - ((t * u0) >> F) for a, t in zip(r0[j:], ts)]
-        r1[j:] = [b - ((t * u1) >> F) for b, t in zip(r1[j:], ts)]
+        w1, w2 = tail
+        ts = [a + ((w1 * b + w2 * c) >> F) for a, b, c in zip(r0, rows[1][j:], rows[2][j:])]
     else:
-        ts = [sum(map(mul, w, col)) >> F for col in zip(*(row[j:] for row in rows))]
-        for c, row in zip(u, rows):
-            row[j:] = [x - ((t * c) >> F) for x, t in zip(row[j:], ts)]
+        ts = [a + (sum(map(mul, tail, col)) >> F)
+              for a, col in zip(r0, zip(*(row[j:] for row in rows[1:])))]
+    for c, row in zip(u, rows):
+        row[j:] = [x - ((t * c) >> F) for x, t in zip(row[j:], ts)]
+
+
+def _reflect_z(Zt, u, w, F, W):
+    """Z <- Z P on the rows Zt of Z^T (Z's columns), for the reflector
+    (u, w) of :func:`_reflector` floored from 2^-F to Z's unit 2^-W, so
+    that w_0 = 2^W: each column c of Zt becomes c - w t, t = (u . c) >> W,
+    its first entry c_0 - t.  The 3-row case is unrolled."""
+    u, w = [_shift(x, W - F) for x in u], [_shift(x, W - F) for x in w]
+    if len(u) == 3:
+        u0, u1, u2 = u
+        ts = [(u0 * a + u1 * b + u2 * c) >> W for a, b, c in zip(*Zt)]
+    else:
+        ts = [sum(map(mul, u, col)) >> W for col in zip(*Zt)]
+    Zt[0][:] = [a - t for a, t in zip(Zt[0], ts)]
+    for c, row in zip(w[1:], Zt[1:]):
+        row[:] = [x - ((t * c) >> W) for x, t in zip(row, ts)]
 
 
 def _reflect_cols(rows, u, w, k, F):
     """row <- row P in the columns k .. k + len(u) - 1 of each row, for
     P = I - u w^T (symmetric, so row P = row - (row . u) w^T), with
-    w_0 = 2^F as :func:`_reflector` makes it.  The 2- and 3-column cases
-    of the sweeps are unrolled."""
+    w_0 = 2^F as :func:`_reflector` makes it, so that the first entry
+    becomes a - t.  The 3-column case of the sweeps is unrolled."""
     m = len(u)
     if m == 3:
         (u0, u1, u2), (_, w1, w2) = u, w
@@ -456,26 +481,20 @@ def _reflect_cols(rows, u, w, k, F):
             a, b, c = row[k:k + 3]
             t = (u0 * a + u1 * b + u2 * c) >> F
             row[k:k + 3] = a - t, b - ((t * w1) >> F), c - ((t * w2) >> F)
-    elif m == 2:
-        (u0, u1), (_, w1) = u, w
-        for row in rows:
-            a, b = row[k:k + 2]
-            t = (u0 * a + u1 * b) >> F
-            row[k:k + 2] = a - t, b - ((t * w1) >> F)
     else:
         for row in rows:
             seg = row[k:k + m]
             t = sum(map(mul, u, seg)) >> F
-            row[k:k + m] = [x - ((t * c) >> F) for x, c in zip(seg, w)]
+            row[k:k + m] = [seg[0] - t] + [x - ((t * c) >> F) for x, c in zip(seg[1:], w[1:])]
 
 
-def _hessenberg(H, F):
+def _hessenberg(H, F, W):
     """Reduce the integer matrix H (rows, overwritten) to upper Hessenberg
     form by Householder reflectors; returns Z^T, for the orthogonal Z at
-    the unit 2^-F with H_in = Z H_out Z^T: its rows are Z's columns, so
+    the unit 2^-W with H_in = Z H_out Z^T: its rows are Z's columns, so
     that Z <- Z P is the row reflection Z^T <- P^T Z^T."""
     n = len(H)
-    Zt = [[1 << F if i == j else 0 for j in range(n)] for i in range(n)]
+    Zt = [[1 << W if i == j else 0 for j in range(n)] for i in range(n)]
     for k in range(n - 2):
         v = [H[i][k] for i in range(k + 1, n)]
         if not any(v[1:]):
@@ -483,21 +502,21 @@ def _hessenberg(H, F):
         s, u, w = _reflector(v, F)
         _reflect_rows(H[k + 1:], u, w, k + 1, F)
         _reflect_cols(H, u, w, k + 1, F)
-        _reflect_rows(Zt[k + 1:], w, u, 0, F)
+        _reflect_z(Zt[k + 1:], u, w, F, W)
         H[k + 1][k] = -s
         for i in range(k + 2, n):
             H[i][k] = 0
     return Zt
 
 
-def _francis_step(H, Zt, l, hi, exceptional, F, scale):
+def _francis_step(H, Zt, l, hi, exceptional, F, W, scale):
     """One implicit double-shift QR sweep on the active block H[l..hi] of
     the integer Hessenberg H (Golub & Van Loan, Algorithm 7.5.1, in the
     scaling of EISPACK's hqr2), from the row m that the module docstring's
     start test picks, scale = 1 / eps: reflectors of 3-vectors, the last
     of a 2-vector, chase the bulge down the block.  They act on whole rows
-    and columns of H and on the rows of Zt, Z transposed, so that Z H Z^T
-    stays the input matrix."""
+    and columns of H and on the rows of Zt, Z transposed at 2^-W, so that
+    Z H Z^T stays the input matrix."""
     x, y = H[hi][hi], H[hi - 1][hi - 1]
     prod = H[hi][hi - 1] * H[hi - 1][hi]  # at the squared unit
     if exceptional:  # EISPACK's ad hoc shifts, which break a cycle of sweeps
@@ -529,17 +548,17 @@ def _francis_step(H, Zt, l, hi, exceptional, F, scale):
             for i in range(k + 1, k + r):
                 H[i][k - 1] = 0
         _reflect_cols(H[:min(hi, k + 3) + 1], u, w, k, F)
-        _reflect_rows(Zt[k:k + r], w, u, 0, F)
+        _reflect_z(Zt[k:k + r], u, w, F, W)
 
 
-def real_schur(H, F, prec, budget):
+def real_schur(H, F, W, prec, budget):
     """(Z^T, row) of the integer square matrix H (rows, overwritten), taken
-    to real Schur form by :func:`_hessenberg` and the sweeps of ``F`` bits
-    under the deflation rule of the module docstring, p = ``prec``: upper
-    triangular but for 2x2 diagonal blocks, each the last of its active
-    block to converge.  ``row`` is None, or the bottom row of the active
-    block in which ``budget`` sweeps found no deflation."""
-    Zt, n = _hessenberg(H, F), len(H)
+    to real Schur form by :func:`_hessenberg` and the sweeps of ``F`` bits,
+    Z at ``W`` bits, under the deflation rule of the module docstring,
+    p = ``prec``: upper triangular but for 2x2 diagonal blocks, each the
+    last of its active block to converge.  ``row`` is None, or the bottom
+    row of the active block in which ``budget`` sweeps found no deflation."""
+    Zt, n = _hessenberg(H, F, W), len(H)
     floor = math.isqrt(sum(x * x for row in H for x in row)) // n  # ||H||_F / n
     if not floor:
         return Zt, None
@@ -561,7 +580,7 @@ def real_schur(H, F, prec, budget):
             return Zt, hi
         else:
             its += 1
-            _francis_step(H, Zt, l, hi, its % 10 == 0, F, scale)
+            _francis_step(H, Zt, l, hi, its % 10 == 0, F, W, scale)
     return Zt, None
 
 
@@ -617,6 +636,21 @@ def _split_block(a, b, c, d, mpx):
     return cs, sn, d + mu, t01, (d + mu).conjugate()
 
 
+def schur_widths(prec):
+    """(F, W): the bits of the integer Schur form and of its Schur vectors
+    at the context precision p = ``prec``."""
+    return 2 * prec + SCHUR_GUARD_BITS, prec + SCHUR_Z_BITS
+
+
+def _fold(v, middle):
+    """(v_i + v_(n-1-i))_(i < n // 2), middle v_m for an odd n, then
+    (v_i - v_(n-1-i))_(i < n // 2): for the mirror transform P, v P with
+    middle 1 and 2 P^-1 v with middle 2."""
+    m = len(v) // 2
+    return ([v[i] + v[~i] for i in range(m)] + [middle * x for x in v[m:len(v) - m]]
+            + [v[i] - v[~i] for i in range(m)])
+
+
 def schur_blocks(M, SM, tol, F, mpx):
     """(blocks, coupling) of the integer square matrix M at the unit 2^-SM:
     the diagonal blocks (lo, S, H) for :func:`real_schur`, lo the first row
@@ -629,18 +663,13 @@ def schur_blocks(M, SM, tol, F, mpx):
     ||L_oe||_inf <= tol, P^-1 M P = [[L_ee, L_eo], [0, L_oo]], exact at
     2^-(SM+1), splits into two blocks with the coupling L_eo, and an
     eigenvalue of L_ee has an exactly mirror-symmetric vector."""
-    def fold(v, middle):
-        m = len(v) // 2
-        return ([v[i] + v[~i] for i in range(m)] + [middle * x for x in v[m:len(v) - m]]
-                + [v[i] - v[~i] for i in range(m)])
-
     def block(lo, rows, S):  # shifted so that the largest entry has F bits
         top = max((abs(x).bit_length() for row in rows for x in row), default=0)
         k = F - top if top else 0
         return lo, S + k, [[_shift(x, k) for x in row] for row in rows]
 
     n, h = len(M), len(M) - len(M) // 2
-    B = list(zip(*(fold(col, 2) for col in zip(*(fold(row, 1) for row in M)))))
+    B = list(zip(*(_fold(col, 2) for col in zip(*(_fold(row, 1) for row in M)))))
     if h < n and norm_inf([row[:h] for row in B[h:]], SM + 1, mpx) <= tol:
         return ([block(0, [row[:h] for row in B[:h]], SM + 1),
                  block(h, [row[h:] for row in B[h:]], SM + 1)],
@@ -660,15 +689,15 @@ class SchurForm:
     the +im member of a complex pair, its conjugate at k + 1."""
 
     def __init__(self, rows, gate, mpx):
-        self.F = F = 2 * mpx.prec + SCHUR_GUARD_BITS
-        self.mpx, self.gate = mpx, mpf_to_fraction(gate)
+        self.F, self.W = F, W = schur_widths(mpx.prec)
+        self.mpx, self.gate, self.even, self.folded = mpx, mpf_to_fraction(gate), 0, None
         self.SM, self.M = fixed_rows(rows, F, mpx)
         self.norm = norm_inf(self.M, self.SM, mpx)
         self.budget, self.failed = 4 * mpx.dps, None
         blocks, coupling = schur_blocks(self.M, self.SM, gate * self.norm, F, mpx)
         parts = []
         for lo, S, H in blocks:
-            Zt, row = real_schur(H, F, mpx.prec, self.budget)
+            Zt, row = real_schur(H, F, W, mpx.prec, self.budget)
             if row is not None:
                 self.failed = lo + row
                 return
@@ -679,13 +708,13 @@ class SchurForm:
             (Se, He, Ze), (So, Ho, Zo), (Sc, L) = *parts, coupling
             S = max(Se, So)
             L = [[_shift(a, S - Sc) for a in row] for row in L]
-            LZ = list(zip(*[[sum(map(mul, row, z)) >> F for z in Zo] for row in L]))
-            T = ([[x << (S - Se) for x in row] + [sum(map(mul, z, col)) >> F for col in LZ]
+            LZ = list(zip(*[[sum(map(mul, row, z)) >> W for z in Zo] for row in L]))
+            T = ([[x << (S - Se) for x in row] + [sum(map(mul, z, col)) >> W for col in LZ]
                   for row, z in zip(He, Ze)]
                  + [[0] * len(He) + [x << (S - So) for x in row] for row in Ho])
             # rows of (P diag(Ze, Zo))^T: node n-1-i copies node i of an even
             # column and negates it in an odd one; the middle of an odd n is 0
-            m = len(Zo)
+            m, self.even = len(Zo), len(Ze)
             Zt = ([z + z[:m][::-1] for z in Ze]
                   + [z + [0] * (len(Ze) - m) + [-x for x in z[::-1]] for z in Zo])
         n = len(T)
@@ -699,12 +728,13 @@ class SchurForm:
             (a, b), (c, d) = mpf_rows([T[k][k:k + 2], T[k + 1][k:k + 2]], S, mpx)
             cs, sn, *block = _split_block(a, b, c, d, mpx)
             self.values[k], self.values[k + 1] = block[0], block[2]
-            (cr, ci), (s, _) = _fix(cs, F), _fix(sn, F)
-            pairs = [(T[k], Ti[k], T[k + 1], Ti[k + 1], -ci, k + 2),  # U^H from the left
-                     (Zt[k], Zi[k], Zt[k + 1], Zi[k + 1], ci, 0)]      # Z U
-            for a, ai, b, bi, c, start in pairs:
+            (cr, ci), (s, _), (zr, zi), (zs, _) = (_fix(v, e) for e in (F, W) for v in (cs, sn))
+            # U^H from the left at F bits, Z U at W bits
+            pairs = [(T[k], Ti[k], T[k + 1], Ti[k + 1], (cr, -ci, s, F), k + 2),
+                     (Zt[k], Zi[k], Zt[k + 1], Zi[k + 1], (zr, zi, zs, W), 0)]
+            for a, ai, b, bi, rot, start in pairs:
                 for j in range(start, n):
-                    a[j], ai[j], b[j], bi[j] = _turn(a[j], ai[j], b[j], bi[j], cr, c, s, F)
+                    a[j], ai[j], b[j], bi[j] = _turn(a[j], ai[j], b[j], bi[j], *rot)
             for row, rowi in zip(T[:k], Ti[:k]):  # T U above the block
                 row[k], rowi[k], row[k + 1], rowi[k + 1] = _turn(
                     row[k], rowi[k], row[k + 1], rowi[k + 1], cr, ci, s, F)
@@ -741,23 +771,35 @@ class SchurForm:
             xi[j] = (nr * ti - ni * tr) // d
         return xr, xi
 
+    def _times_z(self, i):
+        """(vr, vi) = Z x at the unit 2^-(F+W) for the x of :meth:`_solve`,
+        vi None for a real eigenvalue, as the module docstring's units state;
+        h = ``even`` is the size of the even block of a split form."""
+        h, Z, Zi = self.even, self.Z, self.Zi
+        xr, xi = self._solve(i)
+        if i < h:
+            Z, Zi = Z[:h], Zi[:h]
+        vr = [sum(map(mul, z, xr)) for z in Z]
+        if any(xi):
+            vr = [a - sum(map(mul, z, xi)) for a, z in zip(vr, Zi)]
+        vi = None if i not in self.tops else [
+            sum(map(mul, z, xi)) + sum(map(mul, z2, xr)) for z, z2 in zip(Z, Zi)]
+        if i < h:
+            m = len(self.Z) - h
+            vr, vi = vr + vr[m - 1::-1], vi and vi + vi[m - 1::-1]
+        return vr, vi
+
     def eigenpair(self, i):
         """(vector, residual) of the eigenvalue lam = ``values[i]``, in
         ``mpf``/``mpc`` of the context, or None when Z x vanishes.  The
         vector is Z x normalized at its pivot, for a real lam its real
         part (real up to round-off); the residual is ||M v - lam v||_inf."""
-        F, Z, Zi = self.F, self.Z, self.Zi
-        xr, xi = self._solve(i)
-        # Z x at the unit 2^-2F
-        vr = [sum(map(mul, z, xr)) - sum(map(mul, z2, xi)) for z, z2 in zip(Z, Zi)]
-        real = i not in self.tops
-        vi = None if real else [sum(map(mul, z, xi)) + sum(map(mul, z2, xr))
-                                for z, z2 in zip(Z, Zi)]
-        V = _normalize(vr, vi, self.gate, F)
+        F = self.F
+        V = _normalize(*self._times_z(i), self.gate, F)
         if V is None:
             return None
         mpx, prec = self.mpx, self.mpx.prec
-        if real:
+        if V[1] is None:
             vec = tuple(mpx.make_mpf(from_man_exp(a, -F, prec, "n")) for a in V[0])
         else:
             vec = tuple(mpx.make_mpc((from_man_exp(a, -F, prec, "n"),
@@ -767,16 +809,25 @@ class SchurForm:
     def _residual(self, V, lam):
         """||M V - lam V||_inf, exact on the integers M and V, rounded once
         (a complex modulus after an integer square root with p more bits)."""
-        (Vr, Vi), M, SM, prec = V, self.M, self.SM, self.mpx.prec
+        (Vr, Vi), SM, prec = V, self.SM, self.mpx.prec
         lr, li = _fix(lam, SM)
         if Vi is None:
-            r = max(abs(sum(map(mul, row, Vr)) - lr * a) for row, a in zip(M, Vr))
+            r = max(abs(mv - lr * a) for mv, a in zip(self._apply(Vr), Vr))
             return self.mpx.make_mpf(from_man_exp(r, -SM - self.F, prec, "n"))
-        r2 = max((sum(map(mul, row, Vr)) - lr * a + li * b) ** 2
-                 + (sum(map(mul, row, Vi)) - lr * b - li * a) ** 2
-                 for row, a, b in zip(M, Vr, Vi))
+        r2 = max((mv - lr * a + li * b) ** 2 + (mvi - lr * b - li * a) ** 2
+                 for mv, mvi, a, b in zip(self._apply(Vr), self._apply(Vi), Vr, Vi))
         r = math.isqrt(r2 << (2 * prec))
         return self.mpx.make_mpf(from_man_exp(r, -SM - self.F - prec, prec, "n"))
+
+    def _apply(self, V):
+        """M V on the integers, on M's folded columns, made once, when V is
+        exactly mirror-symmetric."""
+        if V != V[::-1]:
+            return [sum(map(mul, row, V)) for row in self.M]
+        if self.folded is None:
+            h = len(V) - len(V) // 2
+            self.folded = [_fold(row, 1)[:h] for row in self.M]
+        return [sum(map(mul, row, V)) for row in self.folded]
 
 
 def _normalize(vr, vi, gate, F):

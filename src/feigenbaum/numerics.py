@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import mpmath
 
@@ -68,10 +69,11 @@ class PrecisionCtx:
         """10**e at context precision (e may be negative)."""
         return self.mp.mpf(10) ** e
 
-    @property
+    @cached_property
     def eig_gate(self):
-        """10**(-D//2-4): the eigensolver's relative gate, also that of an
-        even seed and of eigenfunction parity (``spectrum.eigenfunction_parity``)."""
+        """10**(-D//2-4), made once per context: the eigensolver's relative
+        gate, also that of an even seed and of eigenfunction parity
+        (``spectrum.eigenfunction_parity``)."""
         return self.ten_pow(-(self.decimal_digits // 2) - 4)
 
     def to_str(self, x) -> str:

@@ -111,13 +111,10 @@ def classify_spectrum(eigs, alpha, ctx: PrecisionCtx, parities):
     tol = ctx.mpf("1e-6")
     alpha = ctx.mpf(alpha)
     powers = {k: alpha ** (1 - k) for k in K_RANGE}
+    bounds = [(k, powers[k], tol * abs(powers[k])) for k in K_RANGE]
     tags = []
     for lam in eigs:
-        cands = [
-            (k, abs(lam - powers[k]))
-            for k in K_RANGE
-            if abs(lam - powers[k]) <= tol * abs(powers[k])
-        ]
+        cands = [(k, err) for k, power, bound in bounds if (err := abs(lam - power)) <= bound]
         if len(cands) > 1:
             vals = [powers[k] for k, _ in cands]
             spread = max(abs(a - b) for a in vals for b in vals)

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from operator import mul
+from unittest import mock
 
 import mpmath
 import pytest
@@ -391,7 +392,7 @@ def _mpf_eig_dense(M, ctx):
     that tie."""
     n, mp = len(M), ctx.mp
     A = [[ctx.mpf(x) for x in row] for row in M]
-    width = 2 * ctx.prec_bits + fixed.SCHUR_GUARD_BITS
+    width, zwidth = fixed.schur_widths(ctx.prec_bits)
     SA, AI = fixed.fixed_rows(A, width, mp)
     # SchurForm's split, on its integers
     blocks, coupling = fixed.schur_blocks(AI, SA, ctx.eig_gate * fixed.norm_inf(AI, SA, mp),
@@ -399,11 +400,11 @@ def _mpf_eig_dense(M, ctx):
     T = [[ctx.mpf(0)] * n for _ in range(n)]
     Zs = []
     for lo, S, H in blocks:
-        Zt, row = fixed.real_schur(H, width, ctx.prec_bits, 4 * mp.dps)
+        Zt, row = fixed.real_schur(H, width, zwidth, ctx.prec_bits, 4 * mp.dps)
         assert row is None
         for row, hrow in zip(T[lo:], fixed.mpf_rows(H, S, mp)):
             row[lo:lo + len(H)] = hrow
-        Zs.append(fixed.mpf_rows([list(col) for col in zip(*Zt)], width, mp))
+        Zs.append(fixed.mpf_rows([list(col) for col in zip(*Zt)], zwidth, mp))
     if coupling is None:
         Z = Zs[0]
     else:
@@ -471,25 +472,32 @@ def _reflect_cols_rolled(rows, u, w, k, F):
         row[k:k + m] = [x - ((t * c) >> F) for x, c in zip(seg, w)]
 
 
-def _hessenberg_rolled(H, F):
-    """The Hessenberg reduction with rolled reflectors and Z stored as is."""
+def _z_reflector(u, w, F, W):
+    """The reflector at F bits floored to the unit 2^-W of Z."""
+    return [fixed._shift(x, W - F) for x in u], [fixed._shift(x, W - F) for x in w]
+
+
+def _hessenberg_rolled(H, F, W):
+    """The Hessenberg reduction with rolled reflectors and Z stored as is,
+    at the unit 2^-W."""
     n = len(H)
-    Z = [[1 << F if i == j else 0 for j in range(n)] for i in range(n)]
+    Z = [[1 << W if i == j else 0 for j in range(n)] for i in range(n)]
     for k in range(n - 2):
         v = [H[i][k] for i in range(k + 1, n)]
         if not any(v[1:]):
             continue
         s, u, w = fixed._reflector(v, F)
         _reflect_rows_rolled(H[k + 1:], u, w, k + 1, F)
-        _reflect_cols_rolled(H + Z, u, w, k + 1, F)
+        _reflect_cols_rolled(H, u, w, k + 1, F)
+        _reflect_cols_rolled(Z, *_z_reflector(u, w, F, W), k + 1, W)
         H[k + 1][k] = -s
         for i in range(k + 2, n):
             H[i][k] = 0
     return Z
 
 
-def _francis_step_rolled(H, Z, l, hi, exceptional, F, scale):
-    """The Francis sweep with rolled reflectors and Z stored as is, from
+def _francis_step_rolled(H, Z, l, hi, exceptional, F, W, scale):
+    """The Francis sweep with rolled reflectors and Z stored as is at 2^-W, from
     the start row of EISPACK's hqr, tested on hqr's own bulge (p, q, r)
     in exact rationals; returns that row."""
     x, y = H[hi][hi], H[hi - 1][hi - 1]
@@ -520,15 +528,23 @@ def _francis_step_rolled(H, Z, l, hi, exceptional, F, scale):
         elif m > l:  # dlahqr's h (1 - tau); the fill below it is dropped
             H[m][m - 1] -= (H[m][m - 1] * u[0]) >> F
         _reflect_rows_rolled(H[k:k + size], u, w, k, F)
-        _reflect_cols_rolled(H[:min(hi, k + 3) + 1] + Z, u, w, k, F)
+        _reflect_cols_rolled(H[:min(hi, k + 3) + 1], u, w, k, F)
+        _reflect_cols_rolled(Z, *_z_reflector(u, w, F, W), k, W)
     return m
 
 
-def _sweep_both(H0, Z0, H, Zt, l, hi, exceptional, F):
+def _widths(F):
+    """(p, W): the context precision of the Schur width F and the kernel's
+    Z width at that precision."""
+    p = (F - fixed.SCHUR_GUARD_BITS) // 2
+    return p, fixed.schur_widths(p)[1]
+
+
+def _sweep_both(H0, Z0, H, Zt, l, hi, exceptional, F, W):
     """One sweep by each copy, which must agree bit for bit; the start row."""
-    scale = 100 * len(H) << (F - fixed.SCHUR_GUARD_BITS) // 2
-    m = _francis_step_rolled(H0, Z0, l, hi, exceptional, F, scale)
-    fixed._francis_step(H, Zt, l, hi, exceptional, F, scale)
+    scale = 100 * len(H) << _widths(F)[0]
+    m = _francis_step_rolled(H0, Z0, l, hi, exceptional, F, W, scale)
+    fixed._francis_step(H, Zt, l, hi, exceptional, F, W, scale)
     assert H == H0 and Zt == [list(col) for col in zip(*Z0)]
     return m
 
@@ -537,14 +553,15 @@ def _sweep_both(H0, Z0, H, Zt, l, hi, exceptional, F):
 def test_unrolled_sweeps_with_transposed_z_are_bit_identical(seed):
     rng = random.Random(seed)
     n, F = rng.randint(3, 12), rng.choice([64, 200, 522])
+    W = _widths(F)[1]
     H = [[rng.randint(-(1 << F), 1 << F) for _ in range(n)] for _ in range(n)]
     H0 = [list(row) for row in H]
-    Z0, Zt = _hessenberg_rolled(H0, F), fixed._hessenberg(H, F)
+    Z0, Zt = _hessenberg_rolled(H0, F, W), fixed._hessenberg(H, F, W)
     assert H == H0 and Zt == [list(col) for col in zip(*Z0)]
     for _ in range(10):
         l = rng.randint(0, n - 3)
         hi, exceptional = rng.randint(l + 2, n - 1), rng.random() < 0.3
-        _sweep_both(H0, Z0, H, Zt, l, hi, exceptional, F)
+        _sweep_both(H0, Z0, H, Zt, l, hi, exceptional, F, W)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -554,22 +571,85 @@ def test_a_sweep_starts_below_a_small_subdiagonal_pair(seed):
     # the sweep starts at m, above the top l of the active block
     rng = random.Random(seed)
     n, F = rng.randint(5, 12), rng.choice([64, 200, 522])
-    p = (F - fixed.SCHUR_GUARD_BITS) // 2
+    p, W = _widths(F)
     l = rng.randint(0, n - 5)
     m = rng.randint(l + 1, n - 3)
     small = 1 << (3 * p // 2 + 20)
     H = [[rng.randint(-(1 << F), 1 << F) if j >= i - 1 else 0 for j in range(n)]
          for i in range(n)]
     H[m][m - 1], H[m + 1][m] = rng.randint(small, 2 * small), -rng.randint(small, 2 * small)
-    H0, Zt = [list(row) for row in H], [[1 << F if i == j else 0 for j in range(n)]
+    H0, Zt = [list(row) for row in H], [[1 << W if i == j else 0 for j in range(n)]
                                         for i in range(n)]
     Z0 = [list(row) for row in Zt]
-    assert _sweep_both(H0, Z0, H, Zt, l, n - 1, False, F) == m
+    assert _sweep_both(H0, Z0, H, Zt, l, n - 1, False, F, W) == m
     assert all(H[i][j] == 0 for i in range(n) for j in range(i - 1))
     for _ in range(5):
         if not all(H[i][i - 1] for i in range(l + 1, n)):
             break  # a block with a zero subdiagonal has split: no sweep spans it
-        _sweep_both(H0, Z0, H, Zt, l, n - 1, rng.random() < 0.3, F)
+        _sweep_both(H0, Z0, H, Zt, l, n - 1, rng.random() < 0.3, F, W)
+
+
+def _full_width_form(A, ctx):
+    """SchurForm with the rolled Hessenberg reduction and sweeps above and
+    Z at the full width F: the reference of the kernel's Z at W bits."""
+    widths = fixed.schur_widths
+
+    def hessenberg(H, F, W):
+        return [list(col) for col in zip(*_hessenberg_rolled(H, F, F))]
+
+    def francis_step(H, Zt, l, hi, exceptional, F, W, scale):
+        Z = [list(col) for col in zip(*Zt)]
+        _francis_step_rolled(H, Z, l, hi, exceptional, F, F, scale)
+        Zt[:] = [list(col) for col in zip(*Z)]
+
+    with mock.patch.multiple(fixed, _hessenberg=hessenberg, _francis_step=francis_step,
+                             schur_widths=lambda p: (widths(p)[0],) * 2):
+        return fixed.SchurForm(A, ctx.eig_gate, ctx.mp)
+
+
+def _raw(x):
+    return x._mpc_ if hasattr(x, "_mpc_") else x._mpf_
+
+
+@settings(max_examples=100, deadline=None)
+@given(*ORACLE_DRAWS)
+@example(D=16, n=20, kind="repeated", mirror="split", seed=5113)
+@example(D=16, n=14, kind="repeated", mirror="split", seed=33)
+@example(D=16, n=16, kind="repeated", mirror="whole", seed=19)
+def test_z_at_w_bits_matches_the_full_width_reference(D, n, kind, mirror, seed):
+    # every eigenvalue bit for bit, every vector entry the same to p bits
+    # of the vector and every residual within the gate; on the kernel's
+    # integers, an even-block Z x on half the node rows is the full-row
+    # one, and a mirror-symmetric vector's M V on M's folded columns the
+    # unfolded one.  Z at W bits is exact to far below 2^-p relative to
+    # the vector, but an entry that is round-off in exact arithmetic keeps
+    # only that absolute accuracy: each part of an entry (the largest
+    # being about 1) is within one unit 2^(1-p) of the reference's
+    ctx, A, _ = _oracle_draw(D, n, kind, mirror, seed)
+    unit = ctx.mp.ldexp(1, 1 - ctx.prec_bits)
+    form, ref = fixed.SchurForm(A, ctx.eig_gate, ctx.mp), _full_width_form(A, ctx)
+    assert form.failed is None and ref.failed is None and form.W < form.F == ref.W
+    assert [_raw(v) for v in form.values] == [_raw(v) for v in ref.values]
+    if mirror == "split":
+        assert form.even == n - n // 2
+    for i in range(n):
+        if i - 1 in form.tops:
+            continue
+        (vec, res), (ref_vec, _) = form.eigenpair(i), ref.eigenpair(i)
+        assert all(abs((a - b).real) <= unit and abs((a - b).imag) <= unit
+                   for a, b in zip(vec, ref_vec))
+        assert res <= ctx.eig_gate * form.norm
+        xr, xi = form._solve(i)
+        vr, vi = form._times_z(i)
+        assert vr == [sum(map(mul, z, xr)) - sum(map(mul, zi, xi))
+                      for z, zi in zip(form.Z, form.Zi)]
+        assert vi == (None if i not in form.tops else
+                      [sum(map(mul, z, xi)) + sum(map(mul, zi, xr))
+                       for z, zi in zip(form.Z, form.Zi)])
+        V = [part for part in fixed._normalize(vr, vi, form.gate, form.F) if part]
+        assert i >= form.even or V[0] == V[0][::-1]
+        for part in V:
+            assert form._apply(part) == [sum(map(mul, row, part)) for row in form.M]
 
 
 def test_repeated_eigenvalues_converge_in_few_sweeps(monkeypatch):
