@@ -34,6 +34,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .chebyshev import (
     ChebSeries,
@@ -300,10 +301,21 @@ def build_basis(spec: BasisSpec, ctx: PrecisionCtx) -> Discretization:
     rounded to rationals for RATIONAL_NODE_MONOMIAL.  Pinning a_0 drops
     the origin: with no constant power its collocation row would vanish
     identically.  The pool keeps enough nodes, since the pin that drops
-    the one origin also removes one unknown."""
+    the one origin also removes one unknown.  A coefficient basis is made
+    once per (spec, decimal digits), and every context of that precision
+    shares it."""
     if spec.kind is BasisKind.CHEB_GRID:
         return chebgrid(spec.order, ctx)
+    return _coefficient_basis(spec, ctx.decimal_digits)
 
+
+@lru_cache(maxsize=64)
+def _coefficient_basis(spec: BasisSpec, digits: int) -> Discretization:
+    """The coefficient basis of :func:`build_basis` at the given decimal
+    digits, immutable and made in a context private to this cache, as the
+    node tables of :mod:`feigenbaum.chebyshev` are; its cardinals keep
+    their integer forms once made."""
+    ctx = PrecisionCtx(digits)
     m, pinned, powers, d = spec.order, spec.pinned, spec.powers, spec.dimension
     pool = ([Fraction(i, m) for i in range(m + 1)] if spec.kind in _EVEN_KINDS
             else cheb_nodes(m + 1, ctx))

@@ -6,8 +6,9 @@ normalizing its result, so the package's hot loops run on Python integers
 at a fixed binary point instead.  Only their inputs and results pass
 through mpmath's raw (sign, mantissa, exponent, bit count) tuples and
 ``libmp``'s ``to_fixed`` and ``from_man_exp``, a layout private to mpmath
-1.3; no other module of the package reads it.  This module imports
-nothing from the package.
+1.3; no other module of the package reads it.  The LU kernel alone keeps
+``mpf`` arithmetic, run by ``libmp`` on the raw tuples.  This module
+imports nothing from the package.
 
 Clenshaw kernel.  With p the precision of the coefficients' context and
 G = :data:`KERNEL_GUARD_BITS`:
@@ -76,6 +77,19 @@ U = p + :data:`ROW_GUARD_BITS` for the context precision p:
 Node values to a series: the same one rounding, on the cardinals'
 coefficients as integers floor(a_k 2^U) at the rows' unit
 (:func:`fixed_ints`), which err by less than 2^-U each.
+
+LU kernel.  Newton's solutions must stay bit for bit (the T4 family's
+delta sits at the round-off floor of its g: a relative 1e-40 on the
+solves moves it by 0.02 digits), so :func:`lu_rows` and
+:func:`lu_solve_rows` run the ``mpf`` loops of a partial-pivoted LU as
+``libmp``'s ``mpf_add``, ``mpf_sub``, ``mpf_mul``, ``mpf_div``,
+``mpf_abs`` and ``mpf_cmp`` on the raw tuples, at the context precision,
+to the nearest, in the loops' order: each row sum of ||A||_inf and each
+substitution sum adds from 0, the pivot search takes a later row only if
+strictly larger, a zero multiplier a/p skips its row update, and each
+update a - f b rounds the product and then the difference.  Every result
+is therefore the rounding the ``mpf`` operator gives, without its
+dispatch (the tests keep the ``mpf`` loops as an oracle).
 
 Schur kernel.  :class:`SchurForm` converts a square matrix M to integers
 once, splits it (:func:`schur_blocks`), takes each block to real Schur
@@ -183,7 +197,8 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from mpmath.libmp import from_man_exp, from_rational, fzero, to_fixed
+from mpmath.libmp import (finf, from_man_exp, from_rational, fzero, mpf_abs, mpf_add, mpf_cmp,
+                          mpf_div, mpf_mul, mpf_sub, to_fixed)
 
 # Bits the Clenshaw kernel carries beyond the coefficients' precision.
 KERNEL_GUARD_BITS = 16
@@ -384,6 +399,73 @@ def combine_rows(rows, U, mpx):
         out.append([mpx.make_mpf(from_man_exp(sum(map(mul, ms, col)), e0 - U, prec, "n"))
                     for col in cols])
     return out
+
+
+# ----------------------------------------------------------------------
+# LU kernel
+
+
+def lu_rows(rows, scale, mpx):
+    """Partial-pivoted LU of a square matrix of finite reals on their raw
+    tuples, every operation an ``mpf`` one of the context mpx, in the
+    order the module docstring states.  Returns (lu, perm, min_pivot,
+    norm, stop): the factor rows as raw tuples (L's multipliers below the
+    diagonal, U on and above it), the row order, the smallest pivot and
+    ||A||_inf as ``mpf`` of mpx, and None, or (k, pivot, floor) for the
+    first column k whose pivot is at most floor = scale ||A||_inf, where
+    the factorization stops."""
+    prec = mpx.prec
+    lu = [[_raw(a, mpx) for a in row] for row in rows]
+    norm = fzero
+    for row in lu:
+        s = fzero
+        for a in row:
+            s = mpf_add(s, mpf_abs(a, prec, "n"), prec, "n")
+        if mpf_cmp(s, norm) > 0:
+            norm = s
+    floor = mpf_mul(_raw(scale, mpx), norm, prec, "n")
+    n, min_pivot = len(lu), finf
+    perm = list(range(n))
+    for k in range(n):
+        piv, prow = mpf_abs(lu[k][k], prec, "n"), k
+        for r in range(k + 1, n):
+            a = mpf_abs(lu[r][k], prec, "n")
+            if mpf_cmp(a, piv) > 0:
+                piv, prow = a, r
+        if mpf_cmp(piv, floor) <= 0:
+            return lu, perm, None, None, (k, mpx.make_mpf(piv), mpx.make_mpf(floor))
+        if prow != k:
+            lu[k], lu[prow] = lu[prow], lu[k]
+            perm[k], perm[prow] = perm[prow], perm[k]
+        if mpf_cmp(piv, min_pivot) < 0:
+            min_pivot = piv
+        rowk = lu[k]
+        pk, tail = rowk[k], rowk[k + 1:]
+        for rowr in lu[k + 1:]:
+            f = rowr[k] = mpf_div(rowr[k], pk, prec, "n")
+            if f != fzero:
+                rowr[k + 1:] = [mpf_sub(a, mpf_mul(f, b, prec, "n"), prec, "n")
+                                for a, b in zip(rowr[k + 1:], tail)]
+    return lu, perm, mpx.make_mpf(min_pivot), mpx.make_mpf(norm), None
+
+
+def lu_solve_rows(lu, perm, b, mpx):
+    """x with A x = b, for the factors (lu, perm) of :func:`lu_rows` and
+    finite reals b, as ``mpf`` of mpx: forward and back substitution on
+    raw tuples, in the order the module docstring states."""
+    prec, n = mpx.prec, len(lu)
+    y = [_raw(b[i], mpx) for i in perm]
+    for i in range(n):
+        s = fzero
+        for a, v in zip(lu[i][:i], y):
+            s = mpf_add(s, mpf_mul(a, v, prec, "n"), prec, "n")
+        y[i] = mpf_sub(y[i], s, prec, "n")
+    for i in range(n - 1, -1, -1):
+        s = fzero
+        for a, v in zip(lu[i][i + 1:], y[i + 1:]):
+            s = mpf_add(s, mpf_mul(a, v, prec, "n"), prec, "n")
+        y[i] = mpf_div(mpf_sub(y[i], s, prec, "n"), lu[i][i], prec, "n")
+    return [mpx.make_mpf(v) for v in y]
 
 
 # ----------------------------------------------------------------------

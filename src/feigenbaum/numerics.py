@@ -8,9 +8,12 @@ made it (in a binary operation, the left operand's), so package code
 never consults mpmath's process-global precision.  Matrices are plain
 lists of rows.  Exact work uses ``fractions.Fraction``.
 
-The eigensolver :func:`eig_dense` checks, conjugates and sorts the
-eigenpairs of the integer Schur kernel :class:`feigenbaum.fixed.SchurForm`,
-whose module docstring states its width, deflation, units and error.
+The LU and its solves run in :func:`feigenbaum.fixed.lu_rows` and
+:func:`feigenbaum.fixed.lu_solve_rows`, ``mpf`` arithmetic on raw tuples
+that is bit for bit that of ``mpf`` loops.  The eigensolver
+:func:`eig_dense` checks, conjugates and sorts the eigenpairs of the
+integer Schur kernel :class:`feigenbaum.fixed.SchurForm`, whose module
+docstring states its width, deflation, units and error.
 
 Everything here is a pure function of its inputs given a context, so
 values can move freely between threads.  They do not pickle; exchange
@@ -27,7 +30,7 @@ from functools import cached_property
 import mpmath
 
 from .errors import ExactlySingular, NoConvergence, SingularMatrix
-from .fixed import SchurForm
+from .fixed import SchurForm, lu_rows, lu_solve_rows
 
 GUARD_BITS = 32
 
@@ -123,7 +126,9 @@ def identity_rows(n, ctx: PrecisionCtx):
 
 @dataclass
 class LUFactors:
-    """Row-pivoted LU factorization with pivot diagnostics."""
+    """Row-pivoted LU factorization with pivot diagnostics; ``lu`` holds
+    the factor rows in the kernel's form, read only by
+    :func:`lu_solve_factored`."""
 
     lu: list
     perm: list
@@ -136,55 +141,25 @@ class LUFactors:
 
 
 def lu_factor(A, ctx: PrecisionCtx) -> LUFactors:
-    """Partial-pivoted LU of a square matrix (rows of mpf).
+    """Partial-pivoted LU of a square matrix (rows of mpf), by the kernel
+    :func:`feigenbaum.fixed.lu_rows`, bit for bit ``mpf`` arithmetic.
 
     Raises :class:`SingularMatrix` when a pivot falls below
     ``10**(-D+8) * ||A||_inf``, which signals either genuine rank loss or
     a solution family.
     """
-    n = len(A)
-    lu = [list(row) for row in A]
-    norm = mat_norm_inf(lu)
-    pivot_floor = ctx.ten_pow(-ctx.decimal_digits + 8) * norm
-    perm = list(range(n))
-    min_pivot = ctx.mp.inf
-    for k in range(n):
-        piv, prow = abs(lu[k][k]), k
-        for r in range(k + 1, n):
-            if abs(lu[r][k]) > piv:
-                piv, prow = abs(lu[r][k]), r
-        if piv <= pivot_floor:
-            raise SingularMatrix(
-                "pivot %s at column %d below tolerance %s"
-                % (ctx.mp.nstr(piv, 5), k, ctx.mp.nstr(pivot_floor, 5))
-            )
-        if prow != k:
-            lu[k], lu[prow] = lu[prow], lu[k]
-            perm[k], perm[prow] = perm[prow], perm[k]
-        if piv < min_pivot:
-            min_pivot = piv
-        pk = lu[k][k]
-        for r in range(k + 1, n):
-            f = lu[r][k] / pk
-            lu[r][k] = f
-            if f:
-                rowr, rowk = lu[r], lu[k]
-                for c in range(k + 1, n):
-                    rowr[c] -= f * rowk[c]
+    lu, perm, min_pivot, norm, stop = lu_rows(A, ctx.ten_pow(-ctx.decimal_digits + 8), ctx.mp)
+    if stop is not None:
+        k, piv, floor = stop
+        raise SingularMatrix("pivot %s at column %d below tolerance %s"
+                             % (ctx.mp.nstr(piv, 5), k, ctx.mp.nstr(floor, 5)))
     return LUFactors(lu, perm, min_pivot, norm)
 
 
 def lu_solve_factored(fac: LUFactors, b, ctx: PrecisionCtx):
-    n = len(fac.lu)
-    y = [b[fac.perm[i]] for i in range(n)]
-    for i in range(n):
-        row = fac.lu[i]
-        y[i] -= sum(row[j] * y[j] for j in range(i))
-    x = y
-    for i in range(n - 1, -1, -1):
-        row = fac.lu[i]
-        x[i] = (x[i] - sum(row[j] * x[j] for j in range(i + 1, n))) / row[i]
-    return x
+    """x with A x = b for the factors of A, as ``mpf`` of the context, by
+    :func:`feigenbaum.fixed.lu_solve_rows`."""
+    return lu_solve_rows(fac.lu, fac.perm, b, ctx.mp)
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 import feigenbaum as fb
-from feigenbaum.bases import even_half, spec_from_description
+from feigenbaum.bases import _coefficient_basis, even_half, spec_from_description
 from feigenbaum.fixed import ROW_GUARD_BITS, mpf_to_fraction
 
 
@@ -311,3 +311,36 @@ def test_basis_descriptor_round_trips(kind, order, constraints):
     rebuilt = spec_from_description(json.loads(json.dumps(described)))
     assert rebuilt == spec
     assert fb.build_basis(rebuilt, ctx).describe(ctx) == described
+
+
+COEFFICIENT_SPECS = [
+    fb.BasisSpec(fb.BasisKind.LANFORD, 8),
+    fb.BasisSpec(fb.BasisKind.EVEN_MONOMIAL, 7),
+    fb.BasisSpec(fb.BasisKind.MONOMIAL_FULL, 12, ((0, 1), (1, 0))),
+    fb.BasisSpec(fb.BasisKind.RATIONAL_NODE_MONOMIAL, 15, ((0, 1), (1, 0))),
+]
+
+
+def test_contexts_of_one_precision_share_a_coefficient_basis():
+    spec = COEFFICIENT_SPECS[0]
+    basis = fb.build_basis(spec, fb.PrecisionCtx(64))
+    assert fb.build_basis(spec, fb.PrecisionCtx(64)) is basis
+    assert fb.build_basis(spec, fb.PrecisionCtx(24)) is not basis
+
+
+def _basis_bits(basis):
+    """Every node, interpolation entry, cardinal and fixed-part coefficient,
+    fixed-part node value and the condition estimate, as raw tuples (an
+    exact entry as its Fraction)."""
+    raw = lambda x: getattr(x, "_mpf_", x)  # noqa: E731
+    series = basis.cardinals + ((basis.fixed_series,) if basis.fixed_series else ())
+    return ([raw(x) for x in basis.nodes + basis.fixed_at_nodes],
+            basis.matrix.nodes, [raw(a) for row in basis.matrix.entries for a in row],
+            [c._mpf_ for s in series for c in s.coeffs], raw(basis.condition_estimate))
+
+
+@pytest.mark.parametrize("digits", [24, 64])
+@pytest.mark.parametrize("spec", COEFFICIENT_SPECS, ids=lambda s: s.kind.value)
+def test_cached_coefficient_basis_is_an_uncached_build_bit_for_bit(spec, digits):
+    cached = fb.build_basis(spec, fb.PrecisionCtx(digits))
+    assert _basis_bits(cached) == _basis_bits(_coefficient_basis.__wrapped__(spec, digits))

@@ -202,3 +202,16 @@ def test_cold_grid_build_fills_only_the_node_tables():
         "print(*sorted(f.__module__ + '.' + f.__qualname__ for f in caches.values()\n"
         "              if f.cache_info().currsize))")
     assert filled == ["feigenbaum.chebyshev._tables"]
+
+
+def test_cold_coefficient_build_fills_only_the_node_tables_and_the_basis_cache():
+    filled = _fresh_interpreter(
+        "import sys, feigenbaum as fb\n"
+        "spec = fb.BasisSpec(fb.BasisKind.RATIONAL_NODE_MONOMIAL, 15, ((0, 1), (1, 0)))\n"
+        "fb.build_basis(spec, fb.PrecisionCtx(64))\n"
+        "caches = {id(f): f for name, mod in list(sys.modules.items())\n"
+        "          if name.startswith('feigenbaum') for f in vars(mod).values()\n"
+        "          if hasattr(f, 'cache_info')}\n"
+        "print(*sorted(f.__module__ + '.' + f.__qualname__ for f in caches.values()\n"
+        "              if f.cache_info().currsize))")
+    assert filled == ["feigenbaum.bases._coefficient_basis", "feigenbaum.chebyshev._tables"]

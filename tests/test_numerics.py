@@ -180,6 +180,124 @@ def test_lu_reports_pivot_ratio(ctx):
     assert float(fac.pivot_ratio) == pytest.approx(1e-6, rel=1e-3)
 
 
+def _mpf_lu(A, ctx):
+    """The ``mpf`` loops that the raw-tuple LU kernel replaced, kept as its
+    oracle: (lu, perm, min_pivot, norm), or the SingularMatrix message."""
+    n = len(A)
+    lu = [list(row) for row in A]
+    norm = mat_norm_inf(lu)
+    pivot_floor = ctx.ten_pow(-ctx.decimal_digits + 8) * norm
+    perm = list(range(n))
+    min_pivot = ctx.mp.inf
+    for k in range(n):
+        piv, prow = abs(lu[k][k]), k
+        for r in range(k + 1, n):
+            if abs(lu[r][k]) > piv:
+                piv, prow = abs(lu[r][k]), r
+        if piv <= pivot_floor:
+            return "pivot %s at column %d below tolerance %s" % (
+                ctx.mp.nstr(piv, 5), k, ctx.mp.nstr(pivot_floor, 5))
+        if prow != k:
+            lu[k], lu[prow] = lu[prow], lu[k]
+            perm[k], perm[prow] = perm[prow], perm[k]
+        if piv < min_pivot:
+            min_pivot = piv
+        pk = lu[k][k]
+        for r in range(k + 1, n):
+            f = lu[r][k] / pk
+            lu[r][k] = f
+            if f:
+                rowr, rowk = lu[r], lu[k]
+                for c in range(k + 1, n):
+                    rowr[c] -= f * rowk[c]
+    return lu, perm, min_pivot, norm
+
+
+def _mpf_lu_solve(lu, perm, b):
+    n = len(lu)
+    y = [b[perm[i]] for i in range(n)]
+    for i in range(n):
+        row = lu[i]
+        y[i] -= sum(row[j] * y[j] for j in range(i))
+    for i in range(n - 1, -1, -1):
+        row = lu[i]
+        y[i] = (y[i] - sum(row[j] * y[j] for j in range(i + 1, n))) / row[i]
+    return y
+
+
+def _assert_lu_matches_oracle(A, b, ctx):
+    """lu_factor and lu_solve_factored give, raw tuple for raw tuple, what
+    the ``mpf`` loops give, or the same SingularMatrix message."""
+    want = _mpf_lu(A, ctx)
+    if isinstance(want, str):
+        with pytest.raises(fb.SingularMatrix) as err:
+            lu_factor(A, ctx)
+        assert str(err.value) == want
+        return
+    lu, perm, min_pivot, norm = want
+    fac = lu_factor(A, ctx)
+    assert fac.lu == [[a._mpf_ for a in row] for row in lu]
+    assert fac.perm == perm
+    assert (fac.min_pivot._mpf_, fac.norm._mpf_) == (min_pivot._mpf_, norm._mpf_)
+    assert fac.pivot_ratio._mpf_ == (min_pivot / norm)._mpf_
+    got = lu_solve_factored(fac, b, ctx)
+    assert [x._mpf_ for x in got] == [x._mpf_ for x in _mpf_lu_solve(lu, perm, list(b))]
+
+
+def _full_precision(rng, ctx):
+    """A uniform draw from [-1, 1) carrying every bit of the context."""
+    bits = ctx.prec_bits + 8
+    return ctx.mpf(Fraction(rng.randrange(-1 << bits, 1 << bits), 1 << bits))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(16, 100), st.integers(1, 20),
+       st.sampled_from(["dominant", "row-scaled", "rank-deficient", "small integers"]),
+       st.integers(0, 10 ** 9))
+@example(16, 1, "rank-deficient", 0)
+@example(100, 20, "row-scaled", 1)
+@example(32, 8, "small integers", 2)
+def test_lu_kernel_matches_mpf_loops(digits, n, draw, seed):
+    ctx, rng = fb.PrecisionCtx(digits), random.Random(seed)
+    A = [[_full_precision(rng, ctx) for _ in range(n)] for _ in range(n)]
+    if draw == "small integers":  # pivot ties, zero multipliers, exact rank loss
+        A = [[ctx.mpf(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+    elif draw == "dominant":
+        for i in range(n):
+            A[i][i] += n
+    elif draw == "row-scaled":
+        A = [[a * ctx.ten_pow(e) for a in row]
+             for row, e in zip(A, (rng.randint(-40, 40) for _ in range(n)))]
+    else:  # one row a rounded combination of two others, or zero at n = 1
+        A[-1] = [3 * a - b for a, b in zip(A[0], A[1])] if n > 1 else [ctx.mpf(0)]
+    b = [_full_precision(rng, ctx) for _ in range(n)]
+    _assert_lu_matches_oracle(A, b, ctx)
+
+
+def test_unpinned_t4_half_still_degenerates_bit_for_bit(monkeypatch):
+    # at D = 64 on 12 nodes the even half's third Jacobian has a pivot of
+    # 1.1e-19 ||A||_inf: above the floor 10^-56 ||A||_inf, below the
+    # degeneracy test, so pivot_ratio must be the one the mpf loops give
+    ctx = fb.PrecisionCtx(64)
+    seed = fb.monomial_to_series([ctx.mpf(1), ctx.mpf(0), ctx.mpf("-1.5")], ctx)
+    seen = []
+
+    def recording(A, c):
+        seen.append([list(row) for row in A])
+        return lu_factor(A, c)
+
+    monkeypatch.setattr(fb.solver, "lu_factor", recording)
+    with pytest.raises(fb.SingularJacobian) as err:
+        fb.newton_solve(fb.OperatorSpec(fb.Variant.T4, fb.Linearization.FULL_DERIVATIVE),
+                        None, seed, fb.NewtonConfig(), ctx, n=12)
+    assert str(err.value) == (
+        "Newton Jacobian degenerate (pivot ratio 1.13e-19): the operator has eigenvalue 1, "
+        "i.e. a one-parameter solution family; pin g(0) to select a member")
+    assert [len(A) for A in seen] == [6, 6, 6]
+    for A in seen:
+        _assert_lu_matches_oracle(A, [ctx.mpf(1)] * 6, ctx)
+
+
 def test_mpf_to_fraction_roundtrip(ctx):
     with ctx.activate():
         x = mp.mpf("1.375")

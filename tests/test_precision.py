@@ -11,7 +11,7 @@ import threading
 from mpmath import mp
 
 import feigenbaum as fb
-from feigenbaum.bases import even_half
+from feigenbaum.bases import _coefficient_basis, even_half
 from feigenbaum.cli import main
 
 PACKAGE = pathlib.Path(fb.__file__).parent
@@ -160,6 +160,49 @@ def test_threads_sharing_a_series_agree():
             def work():
                 start.wait()
                 results.append(_apply_bits(ctx, points=200, g=g))
+
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 12
+    assert all(run == reference for run in results)
+
+
+def _basis_use_bits(ctx):
+    """Raw tuples of the nodes of the rational a0 = 1, a1 = 0 basis of
+    order 12, of a series through node values, and its cardinals' kernel
+    integers at a few points."""
+    basis = fb.build_basis(fb.BasisSpec(fb.BasisKind.RATIONAL_NODE_MONOMIAL, 12,
+                                        ((0, 1), (1, 0))), ctx)
+    values = [ctx.mpf(i) / 7 for i in range(basis.dim)]
+    unit, rows = basis.cardinal_ints([ctx.mpf(i) / 5 - 1 for i in range(11)], ctx)
+    return ([x._mpf_ for x in basis.nodes] + [unit] + [v for row in rows for v in row]
+            + [c._mpf_ for c in basis.to_series(values, ctx).coeffs])
+
+
+def test_threads_racing_on_a_cold_basis_cache_agree():
+    # on a cold cache each thread may build the basis, and threads sharing
+    # one race to make its cardinals' integer forms: all must see the
+    # values of a serial build
+    _coefficient_basis.cache_clear()
+    reference = _basis_use_bits(fb.PrecisionCtx(64))
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            _coefficient_basis.cache_clear()
+            start = threading.Barrier(4)
+
+            def work():
+                ctx = fb.PrecisionCtx(64)
+                start.wait()
+                results.append(_basis_use_bits(ctx))
 
             threads = [threading.Thread(target=work) for _ in range(4)]
             for t in threads:
