@@ -92,103 +92,119 @@ is therefore the rounding the ``mpf`` operator gives, without its
 dispatch (the tests keep the ``mpf`` loops as an oracle).
 
 Schur kernel.  :class:`SchurForm` converts a square matrix M to integers
-once, splits it (:func:`schur_blocks`), takes each block to real Schur
-form (:func:`real_schur`: Householder reduction to Hessenberg form, then
-Francis double-shift sweeps, Golub & Van Loan, *Matrix Computations*,
-section 7.5, in the scaling of EISPACK's hqr2, Z stored transposed), and
-finishes the whole on the same integers: one rotation per 2x2 block to a
-triangular T, complex only in the rows and columns of conjugate pairs,
-and eigenvectors by back substitution (section 7.6; LAPACK's ``trevc``).
-Only the eigenvalues are computed at context precision p:
+once and splits it (:func:`schur_blocks`).  Each block is reduced to
+Hessenberg form H_0 by Householder reflectors (Golub & Van Loan, *Matrix
+Computations*, section 7.4), which accumulate Z_0, and then swept to the
+diagonal blocks of a real Schur form by Francis double-shift sweeps
+(:func:`francis_qr`, section 7.5, in the scaling of EISPACK's hqr) that
+only find eigenvalues.  Each eigenvector comes from one step of inverse
+iteration on H_0 (section 7.6.1; LAPACK's ``dhsein`` after ``dhseqr``
+with job 'E').  Only the eigenvalues are computed at context precision p:
 
 * widths: H is reduced and swept at F = 2p + :data:`SCHUR_GUARD_BITS`
-  bits, and Z accumulated at W = p + :data:`SCHUR_Z_BITS`, since no
-  eigenvalue reads Z (as ``dlahqr`` keeps Z apart from the QR).  A block
-  H is scaled once by a power of two, so that its largest entry becomes
-  an integer in [2^(F-1), 2^F): the unit is at most 2^(1-F) max|h|, and
-  max|h| is ||H||_inf within a factor n.  Z carries the unit 2^-W;
+  bits, and Z_0 accumulated at W = p + :data:`SCHUR_Z_BITS`, since no
+  eigenvalue reads it.  A block is scaled once by a power of two, so
+  that its largest entry becomes an integer in [2^(F-1), 2^F): the unit
+  is at most 2^(1-F) max|h|, and max|h| is ||H||_inf within a factor n;
 * reflectors: the vector a Householder reflector is built from (a
   column below the diagonal, or the bulge (p, q, r) of a sweep) is
   shifted by an exact power of two to F + 2 bits before ``math.isqrt``,
   so each reflector I - u w^T has coefficients within 2^-F of exact and
   is orthogonal to the unit, however small the vector; w_0 = 2^F is a
-  shift, and Z's update takes u and w floored to 2^-W, so that its
+  shift, and Z_0's update takes u and w floored to 2^-W, so that its
   w_0 = 2^W stays exact.  A sweep's first bulge is H[m+1][m] times
   EISPACK's, made exactly from integer products;
 * deflation: H[k+1][k] becomes 0 when below eps max(|H[k][k]| +
   |H[k+1][k+1]|, ||H||_F / n), eps = 2^-p / (100 n).  A sweep of the
-  active block H[l..hi] starts its bulge at the lowest row m >= l with
-  |H[m][m-1]| (|v_1| + |v_2|) < eps |v_0| (|H[m-1][m-1]| + |H[m][m]| +
-  |H[m+1][m+1]|) for the bulge v at m (EISPACK's hqr: Martin, Peters &
-  Wilkinson, Numer. Math. 14 (1970) 219-231; LAPACK's ``dlahqr``), so a
-  small subdiagonal pair inside the block cannot damp it.  From m > l
-  the first reflector also acts on column m - 1: H[m][m-1] becomes
-  h (1 - tau), and the fill below it, below the same eps, is set to 0.
-  Every tenth sweep without a deflation takes EISPACK's exceptional
-  shifts; after 4 dps sweeps without one (mpmath's budget) the block
-  has not converged;
+  active window H[l..hi][l..hi] starts its bulge at the lowest row
+  m >= l with |H[m][m-1]| (|v_1| + |v_2|) < eps |v_0| (|H[m-1][m-1]| +
+  |H[m][m]| + |H[m+1][m+1]|) for the bulge v at m (EISPACK's hqr: Martin,
+  Peters & Wilkinson, Numer. Math. 14 (1970) 219-231; LAPACK's
+  ``dlahqr``), so a small subdiagonal pair inside the window cannot
+  damp it.  From m > l the first reflector also acts on column m - 1:
+  H[m][m-1] becomes h (1 - tau), and the fill below it, below the same
+  eps, is set to 0.  Every tenth sweep without a deflation takes
+  EISPACK's exceptional shifts; after 4 dps sweeps without one
+  (mpmath's budget) the block has not converged;
+* window-only sweeps: a sweep's reflectors act on the rows and columns
+  of the window alone, with no Z and nothing of H outside the window.
+  A row reflection mixes the entries of one column, a column reflection
+  those of one row, so every entry written inside the window is the
+  integer a sweep on whole rows and columns would write; the deflation
+  scan, the shifts and the bulge start read only the window and the
+  subdiagonal entry just above it, which no sweep of that window writes.
+  The diagonal blocks are therefore, integer for integer, those of the
+  full real Schur form, and so is every eigenvalue (the tests keep the
+  full-sweep path as an oracle); the entries above the blocks are stale;
 * error: a reflector application misrounds each entry it writes by a
   few units and departs from orthogonality by about 2^-F, so after N
-  applications the integer Schur form is exactly similar to a matrix
-  within about N sqrt(n) 2^-F ||H|| of H.  A sweep applies n - 1 of
-  them, so even 4 dps n sweeps stay below 2^-p ||H|| by a factor above
-  2^p for n <= 100.  What is left is the deflations, below n eps 2 ||H||
+  applications the diagonal blocks are exactly those of a matrix within
+  about N sqrt(n) 2^-F ||H|| of H.  A sweep applies n - 1 of them, so
+  even 4 dps n sweeps stay below 2^-p ||H|| by a factor above 2^p for
+  n <= 100.  What is left is the deflations, below n eps 2 ||H||
   together, the fill a sweep from m > l drops, below 3 eps ||H|| each,
-  and the final rounding to p bits.  Z, at 2^-W, is orthogonal to within
-  about N sqrt(n) 2^-W, an error relative to the largest entry of a
-  vector Z x: even 4 dps n sweeps keep it below 2^-(p+32) for n <= 100
-  and D <= 1000, against the 2^-p of rounding that entry to p bits;
+  and the final rounding to p bits.  Z_0, at 2^-W, is orthogonal to
+  within about n sqrt(n) 2^-W, an error relative to the largest entry
+  of a vector Z_0 x far below the 2^-p of rounding that entry to p bits;
 * why 2p: near convergence the bulge a sweep chases shrinks with the
   subdiagonal it is to zero, to about the deflation threshold
   2^-p ||H||.  At the unit 2^-F it still carries p + 32 bits, so its
   reflector puts about 2^-(p+32) ||H|| back into that subdiagonal each
   sweep, below eps ||H||_F / n for n up to 6,000.  At a width of p + 24
   bits the bulge kept too few bits, and the QR stalled (D = 24, n = 12);
-* units: T, the Schur form of the whole, has one unit 2^-S.  With two
-  mirror blocks S is the larger of their scales, the other block
-  shifted up exactly, and the coupling Z_e^T L_eo Z_o takes the exact
-  L_eo shifted to 2^-S and two integer products, each shifted down by
-  W; the back-transform by P copies and negates.  A 2x2 block's
-  rotation is floored to 2^-F and applied to the rest of T, and to 2^-W
-  and applied to Z, complex ones as re/im integer pairs, each new entry
-  shifted down by F or W toward zero; the block itself becomes its
-  rotated entries, floored to 2^-S.  The vector x has x_i = 2^F, and
-  each entry above costs one floor division (two for a complex one),
-  with the divisor guard smin of LAPACK's ``ctrevc``.  Z x is exact at
-  2^-(F+W), over x's support 0..i and with no imaginary products for a
-  real x; an even-block vector of a split form takes the first ceil(n/2)
-  node rows of Z and their mirror images (exact, see odd rounding);
-* odd rounding: the vector is Z x divided by its pivot, the first entry
+* eigenvalues: each diagonal entry of a 1x1 block is rounded once to p
+  bits, and each 2x2 block's eigenvalues come from the ``rsf2csf``
+  formulas (:func:`_split_block`) on its four entries, each rounded once
+  to p bits: a complex pair's +im member first, then its exact
+  conjugate.  They depend on the input conversion and the sweeps only
+  (the mirror transform and the shifts are exact);
+* inverse iteration: the shift s is the eigenvalue at F bits, an
+  integer at the block's unit: a 1x1 block's entry, or a 2x2 block's
+  roots ((a + d) +- isqrt((a - d)^2 + 4 b c)) / 2, floored, the real one
+  nearer ``values[i]`` taken for vector i (the +im root for a complex
+  pair, its imaginary part at least one unit).  H_0 - s I, over the
+  leading rows down to the bottom of the unreduced block of H_0 that
+  holds the eigenvalue (below it the vector is exactly 0), is factored
+  by a partial-pivoted Hessenberg LU at F bits (:func:`_shifted_lu`),
+  multipliers floored to 2^-F and a pivot of modulus below
+  eps3 = max(||H_0||_inf 2^-F, 1) unit replaced by eps3, as in LAPACK's
+  ``dlaein``.  Then U x = 2^B (1, ..., 1), one floor division per entry
+  (two for a complex one), the starting vector being P^T L (1, ..., 1);
+  B = p + :data:`SCHUR_X_BITS` plus the bit length of the last pivot,
+  so |x_last| >= 2^(p+96) and each floor division errs by less than
+  2^-(p+96) max|x|.  One step suffices: the error of s, the
+  eigenvalue's own round-off, leaves the other eigenvectors a share of
+  x of about |lambda - s| / gap, the first-order error that the same
+  round-off puts into an exact eigenvector of the swept form (a
+  repeated eigenvalue's vector is any of its eigenspace, which the
+  residual checks).  The vector is Z_0 x, each entry shifted down by W,
+  at x's unit;
+* split form: an even-block vector y_e takes its node rows and their
+  mirror images, P [y_e; 0].  An odd-block one is P [x_e; y_o], with
+  x_e = 0 when L_eo = 0, else x_e = -(L_ee - s)^-1 L_eo y_o = Z_e w for
+  (H_e - s) w = -Z_e^T L_eo y_o, solved with both triangular factors
+  of the even block's LU of H_e - s I, with L_eo exact at 2^-S_c and
+  s shifted to the even block's unit; the back-transform by P adds,
+  subtracts and copies;
+* odd rounding: the vector is divided by its pivot, the first entry
   whose modulus is within the gate of the largest (so a tie up to
-  round-off cannot choose it), rounded to 2^-F to the nearest, ties away
-  from zero, and then to p bits, to the nearest even.  A node row and
-  its mirror image of P diag(Z_e, Z_o) hold the same integers, negated
-  in the odd columns, and the rotations mix even columns with even
-  ones, odd with odd, rounding toward zero.  All these roundings are
-  odd, so Z keeps that symmetry: an even-block vector is exactly
-  mirror-symmetric, and when L_eo = 0, so that x has no even part, an
-  odd-block vector is exactly antisymmetric;
+  round-off cannot choose it), rounded to 2^-F to the nearest, ties
+  away from zero, and then to p bits, to the nearest even.  These
+  roundings are odd, and P [y_e; 0] and P [0; y_o] are exactly mirror-
+  symmetric and antisymmetric: an even-block vector is exactly
+  mirror-symmetric, and when L_eo = 0 an odd-block vector is exactly
+  antisymmetric;
 * residual and norm: M is converted once at F bits, exactly for entries
   whose exponents span fewer than F - p bits, and the eigenvalue at the
   same unit; M V - lambda V is then exact on integers for the vector V at
   2^-F, and rounds once to p bits (a complex modulus after an integer
   square root with p bits more); an exactly mirror-symmetric V takes M V
   on M's folded columns M[r][c] + M[r][n-1-c], the same integers.  What
-  is not exact is the conversions' floors, below n 2^(1-F) ||M||, Z's
-  error, and the rounding of V to the reported p bits, below 2^-p
-  (||M|| + |lambda|): far below the gate 10^(-D/2-4) ||M||, as p is
+  is not exact is the conversions' floors, below n 2^(1-F) ||M||, the
+  vector's error, and the rounding of V to the reported p bits, below
+  2^-p (||M|| + |lambda|): far below the gate 10^(-D/2-4) ||M||, as p is
   about 3.3 D bits.  The same integers give ||M||_inf, summed exactly
-  and rounded once, and the blocks;
-* bit-identical eigenvalues: the eigenvalues alone are read at context
-  precision, each diagonal entry of a 1x1 block rounded once to p bits,
-  and each 2x2 block's eigenvalues and rotation computed by the
-  ``rsf2csf`` formulas from its four entries, which no earlier rotation
-  touches, rounded once to p bits.  They depend on the input conversion
-  and the sweeps only (the mirror transform and the shifts are exact):
-  T above the blocks, Z and x carry only vectors and residuals.  So every
-  eigenvalue is, bit for bit, the one an ``mpf`` triangularization of
-  the same rounded Schur form gives (the tests keep such a back end as
-  an oracle).
+  and rounded once, and the blocks.
 """
 
 from __future__ import annotations
@@ -207,9 +223,12 @@ KERNEL_GUARD_BITS = 16
 ROW_GUARD_BITS = 32
 
 # Bits the integer Schur form carries beyond twice the context precision,
-# and its Schur vectors beyond the context precision.
+# and its Hessenberg reduction's Z_0 beyond the context precision.
 SCHUR_GUARD_BITS = 32
 SCHUR_Z_BITS = 64
+
+# Bits an inverse-iteration vector carries beyond the context precision.
+SCHUR_X_BITS = 96
 
 
 def mpf_to_fraction(x) -> Fraction:
@@ -519,33 +538,30 @@ def _reflector(v, F):
     return _shift(s, -shift), u, w
 
 
-def _reflect_rows(rows, u, w, j, F):
-    """rows <- P rows in the columns j, j + 1, ..., for P = I - u w^T with
+def _reflect_rows(rows, u, w, j, end, F):
+    """rows <- P rows in the columns j .. end - 1, for P = I - u w^T with
     w_0 = 2^F: each column c becomes c - u t, t = (w . c) >> F =
     c_0 + ((w_1 c_1 + ...) >> F), each product shifted down by F.  The
     3-row case of the sweeps is unrolled."""
-    r0, tail = rows[0][j:], w[1:]
+    r0, tail = rows[0][j:end], w[1:]
     if len(u) == 3:
         w1, w2 = tail
-        ts = [a + ((w1 * b + w2 * c) >> F) for a, b, c in zip(r0, rows[1][j:], rows[2][j:])]
+        ts = [a + ((w1 * b + w2 * c) >> F)
+              for a, b, c in zip(r0, rows[1][j:end], rows[2][j:end])]
     else:
         ts = [a + (sum(map(mul, tail, col)) >> F)
-              for a, col in zip(r0, zip(*(row[j:] for row in rows[1:])))]
+              for a, col in zip(r0, zip(*(row[j:end] for row in rows[1:])))]
     for c, row in zip(u, rows):
-        row[j:] = [x - ((t * c) >> F) for x, t in zip(row[j:], ts)]
+        row[j:end] = [x - ((t * c) >> F) for x, t in zip(row[j:end], ts)]
 
 
 def _reflect_z(Zt, u, w, F, W):
     """Z <- Z P on the rows Zt of Z^T (Z's columns), for the reflector
     (u, w) of :func:`_reflector` floored from 2^-F to Z's unit 2^-W, so
     that w_0 = 2^W: each column c of Zt becomes c - w t, t = (u . c) >> W,
-    its first entry c_0 - t.  The 3-row case is unrolled."""
+    its first entry c_0 - t."""
     u, w = [_shift(x, W - F) for x in u], [_shift(x, W - F) for x in w]
-    if len(u) == 3:
-        u0, u1, u2 = u
-        ts = [(u0 * a + u1 * b + u2 * c) >> W for a, b, c in zip(*Zt)]
-    else:
-        ts = [sum(map(mul, u, col)) >> W for col in zip(*Zt)]
+    ts = [sum(map(mul, u, col)) >> W for col in zip(*Zt)]
     Zt[0][:] = [a - t for a, t in zip(Zt[0], ts)]
     for c, row in zip(w[1:], Zt[1:]):
         row[:] = [x - ((t * c) >> W) for x, t in zip(row, ts)]
@@ -582,7 +598,7 @@ def _hessenberg(H, F, W):
         if not any(v[1:]):
             continue
         s, u, w = _reflector(v, F)
-        _reflect_rows(H[k + 1:], u, w, k + 1, F)
+        _reflect_rows(H[k + 1:], u, w, k + 1, n, F)
         _reflect_cols(H, u, w, k + 1, F)
         _reflect_z(Zt[k + 1:], u, w, F, W)
         H[k + 1][k] = -s
@@ -591,14 +607,13 @@ def _hessenberg(H, F, W):
     return Zt
 
 
-def _francis_step(H, Zt, l, hi, exceptional, F, W, scale):
-    """One implicit double-shift QR sweep on the active block H[l..hi] of
-    the integer Hessenberg H (Golub & Van Loan, Algorithm 7.5.1, in the
-    scaling of EISPACK's hqr2), from the row m that the module docstring's
-    start test picks, scale = 1 / eps: reflectors of 3-vectors, the last
-    of a 2-vector, chase the bulge down the block.  They act on whole rows
-    and columns of H and on the rows of Zt, Z transposed at 2^-W, so that
-    Z H Z^T stays the input matrix."""
+def _francis_step(H, l, hi, exceptional, F, scale):
+    """One implicit double-shift QR sweep on the active window
+    H[l..hi][l..hi] of the integer Hessenberg H (Golub & Van Loan,
+    Algorithm 7.5.1, in the scaling of EISPACK's hqr), from the row m that
+    the module docstring's start test picks, scale = 1 / eps: reflectors
+    of 3-vectors, the last of a 2-vector, chase the bulge down the window.
+    Nothing outside the window is read or written."""
     x, y = H[hi][hi], H[hi - 1][hi - 1]
     prod = H[hi][hi - 1] * H[hi - 1][hi]  # at the squared unit
     if exceptional:  # EISPACK's ad hoc shifts, which break a cycle of sweeps
@@ -625,25 +640,25 @@ def _francis_step(H, Zt, l, hi, exceptional, F, W, scale):
         if k > m:
             H[k][k - 1] = -s
         # from m > l the first reflector acts on column m - 1 too
-        _reflect_rows(H[k:k + r], u, w, k - 1 if k == m > l else k, F)
+        _reflect_rows(H[k:k + r], u, w, k - 1 if k == m > l else k, hi + 1, F)
         if k > l:
             for i in range(k + 1, k + r):
                 H[i][k - 1] = 0
-        _reflect_cols(H[:min(hi, k + 3) + 1], u, w, k, F)
-        _reflect_z(Zt[k:k + r], u, w, F, W)
+        _reflect_cols(H[l:min(hi, k + 3) + 1], u, w, k, F)
 
 
-def real_schur(H, F, W, prec, budget):
-    """(Z^T, row) of the integer square matrix H (rows, overwritten), taken
-    to real Schur form by :func:`_hessenberg` and the sweeps of ``F`` bits,
-    Z at ``W`` bits, under the deflation rule of the module docstring,
-    p = ``prec``: upper triangular but for 2x2 diagonal blocks, each the
-    last of its active block to converge.  ``row`` is None, or the bottom
-    row of the active block in which ``budget`` sweeps found no deflation."""
-    Zt, n = _hessenberg(H, F, W), len(H)
+def francis_qr(H, F, prec, budget):
+    """None, or the bottom row of an active window in which ``budget``
+    sweeps found no deflation: the integer upper Hessenberg H (rows,
+    overwritten) swept by :func:`_francis_step` at ``F`` bits under the
+    deflation rule of the module docstring, p = ``prec``, until each
+    diagonal block is 1x1 or 2x2, a 2x2 block being the last of its window
+    to converge.  The diagonal blocks are those of a real Schur form of H;
+    the entries above them are left stale."""
+    n = len(H)
     floor = math.isqrt(sum(x * x for row in H for x in row)) // n  # ||H||_F / n
     if not floor:
-        return Zt, None
+        return None
     scale = 100 * n << prec  # |h| < eps t  <=>  |h| scale < t
     hi, start, its = n - 1, 0, 0
     while hi > 0:
@@ -659,11 +674,11 @@ def real_schur(H, F, W, prec, budget):
         if l >= hi - 1:
             hi = l - 1
         elif its == budget:
-            return Zt, hi
+            return hi
         else:
             its += 1
-            _francis_step(H, Zt, l, hi, its % 10 == 0, F, W, scale)
-    return Zt, None
+            _francis_step(H, l, hi, its % 10 == 0, F, scale)
+    return None
 
 
 def _fix(v, S):
@@ -671,16 +686,6 @@ def _fix(v, S):
     number."""
     re, im = v._mpc_ if hasattr(v, "_mpc_") else (v._mpf_, fzero)
     return to_fixed(_finite(re), S), to_fixed(_finite(im), S)
-
-
-def _turn(a, ai, b, bi, cr, ci, sn, F):
-    """(cs a + sn b, conj(cs) b - sn a) as re/im integer pairs, for the
-    complex integers a = a + i ai and b = b + i bi, cs = (cr + i ci) 2^-F
-    and sn 2^-F; each sum is shifted down by F toward zero, so that
-    negated a and b give exactly negated results."""
-    return tuple(x >> F if x >= 0 else -(-x >> F) for x in (
-        cr * a - ci * ai + sn * b, cr * ai + ci * a + sn * bi,
-        cr * b + ci * bi - sn * a, cr * bi - ci * b - sn * ai))
 
 
 def _div(a, d):
@@ -692,38 +697,43 @@ def _div(a, d):
 
 
 def _split_block(a, b, c, d, mpx):
-    """(cs, sn, t00, t01, t11) for the 2x2 block [[a, b], [c, d]], c != 0,
-    of a real Schur form, in numbers of the context mpx: the rotation
-    U = [[cs, -sn], [sn, conj(cs)]], sn real and |cs|^2 + sn^2 = 1, with
-    U^H block U = [[t00, t01], [0, t11]].  Real eigenvalues split by a real
-    rotation; a complex pair by a unitary complex one (``rsf2csf``), and
-    then t00 is the +im eigenvalue and t11 its exact conjugate."""
+    """The eigenvalues (t00, t11) of the 2x2 block [[a, b], [c, d]],
+    c != 0, of a real Schur form, in numbers of the context mpx: the
+    diagonal of U^H block U for the rotation U = [[cs, -sn], [sn, conj(cs)]]
+    of ``rsf2csf``, sn real and |cs|^2 + sn^2 = 1.  Real eigenvalues come
+    from a real rotation, t00 the one farther from d; a complex pair is
+    t00 = d + mu with +im and its exact conjugate."""
     p = (a - d) / 2
     disc = p * p + b * c
-    if disc >= 0:
-        # eigenvalue d + z with no cancellation in z; eigenvector (z, c)
-        z = p + mpx.sqrt(disc) if p >= 0 else p - mpx.sqrt(disc)
-        tau = mpx.hypot(z, c)
-        cs, sn = z / tau, c / tau
-    else:
-        # eigenvalue d + mu, mu = p + i omega; eigenvector (mu, c)
+    if disc < 0:
         mu = mpx.mpc(p, mpx.sqrt(-disc))
-        tau = mpx.hypot(abs(mu), c)
-        cs, sn = mu / tau, c / tau
-    cc = cs.conjugate()
-    r0, r1 = (cc * a + sn * c, cc * b + sn * d), (cs * c - sn * a, cs * d - sn * b)
-    t01 = cc * r0[1] - sn * r0[0]
-    if disc >= 0:
-        return cs, sn, cs * r0[0] + sn * r0[1], t01, cc * r1[1] - sn * r1[0]
-    return cs, sn, d + mu, t01, (d + mu).conjugate()
+        return d + mu, (d + mu).conjugate()
+    # eigenvalue d + z with no cancellation in z; eigenvector (z, c)
+    z = p + mpx.sqrt(disc) if p >= 0 else p - mpx.sqrt(disc)
+    tau = mpx.hypot(z, c)
+    cs, sn = z / tau, c / tau
+    return (cs * (cs * a + sn * c) + sn * (cs * b + sn * d),
+            cs * (cs * d - sn * b) - sn * (cs * c - sn * a))
+
+
+def _block_shifts(a, b, c, d, first):
+    """The eigenvalues of the integer 2x2 block [[a, b], [c, d]] as two
+    (re, im) pairs at its unit, floored: a complex pair's +im member first,
+    else the root nearer the integer ``first`` first."""
+    disc = (a - d) ** 2 + 4 * b * c  # 4 ((a - d)^2 / 4 + b c)
+    t = a + d
+    if disc < 0:  # an imaginary part of at least one unit, so the shift is complex
+        s = max(math.isqrt(-disc) >> 1, 1)
+        return (t >> 1, s), (t >> 1, -s)
+    s = math.isqrt(disc)
+    roots = [((t + s) >> 1, 0), ((t - s) >> 1, 0)]
+    return sorted(roots, key=lambda r: abs(r[0] - first))
 
 
 def schur_widths(prec):
-    """(F, W): the bits of the integer Schur form and of its Schur vectors
-    at the context precision p = ``prec``."""
+    """(F, W): the bits of the integer Schur form and of the Hessenberg
+    reduction's Z_0 at the context precision p = ``prec``."""
     return 2 * prec + SCHUR_GUARD_BITS, prec + SCHUR_Z_BITS
-
-
 def _fold(v, middle):
     """(v_i + v_(n-1-i))_(i < n // 2), middle v_m for an odd n, then
     (v_i - v_(n-1-i))_(i < n // 2): for the mirror transform P, v P with
@@ -735,7 +745,7 @@ def _fold(v, middle):
 
 def schur_blocks(M, SM, tol, F, mpx):
     """(blocks, coupling) of the integer square matrix M at the unit 2^-SM:
-    the diagonal blocks (lo, S, H) for :func:`real_schur`, lo the first row
+    the diagonal blocks (lo, S, H) for :class:`SchurForm`, lo the first row
     in the whole and H rescaled to F bits at the unit 2^-S, and None or
     the coupling (S_c, integer rows at the unit 2^-S_c).  2 P^-1 M P is
     formed exactly by sums and differences, for the mirror transform P
@@ -759,125 +769,205 @@ def schur_blocks(M, SM, tol, F, mpx):
     return [block(0, M, SM)], None
 
 
+
+
+def _unfold(e, o):
+    """P [e; o] for the mirror transform P: node i is e_i + o_i and node
+    n-1-i is e_i - o_i (i < len(o)), the middle of an odd n e_m."""
+    m = len(o)
+    return ([a + b for a, b in zip(e, o)] + e[m:]
+            + [a - b for a, b in zip(e[m - 1::-1], o[::-1])])
+
+
+def _dot_rows(rows, x, shift=0):
+    """rows x for integer rows and an integer vector x, over x's support
+    (its leading entries), each entry shifted down by ``shift``."""
+    return [sum(map(mul, row, x)) >> shift for row in rows]
+
+
+def _times(rows, xr, xi, shift):
+    """(rows x_r, rows x_i) shifted down by ``shift``, xi None for a real
+    x."""
+    return _dot_rows(rows, xr, shift), xi and _dot_rows(rows, xi, shift)
+
+
+def _shifted_lu(A, sr, si, eps3, F):
+    """(R, I, steps): the partial-pivoted LU of the integer upper
+    Hessenberg A - s I (A's rows overwritten), s = sr + i si.  R and I
+    hold U's real and imaginary rows (entries left of the diagonal are
+    stale), I None for a real s; steps[k] is (swap, fr, fi): whether rows k
+    and k + 1 were swapped, and the multiplier of row k + 1 floored to
+    2^-F.  A pivot of modulus below eps3 becomes eps3, as in LAPACK's
+    ``dlaein``."""
+    n, R, steps = len(A), A, []
+    for k in range(n):
+        R[k][k] -= sr
+    if not si:
+        for k in range(n - 1):
+            rk, rn = R[k], R[k + 1]
+            swap = abs(rn[k]) > abs(rk[k])
+            if swap:
+                R[k], R[k + 1] = rk, rn = rn, rk
+            if abs(rk[k]) < eps3:
+                rk[k] = eps3
+            f = (rn[k] << F) // rk[k]
+            if f:
+                rn[k + 1:] = [a - ((f * u) >> F) for a, u in zip(rn[k + 1:], rk[k + 1:])]
+            steps.append((swap, f, 0))
+        if abs(R[-1][-1]) < eps3:
+            R[-1][-1] = eps3
+        return R, None, steps
+    I = [[0] * n for _ in range(n)]
+    for k in range(n):
+        I[k][k] = -si
+    for k in range(n - 1):
+        rk, ik, rn, i_n = R[k], I[k], R[k + 1], I[k + 1]
+        swap = rn[k] ** 2 + i_n[k] ** 2 > rk[k] ** 2 + ik[k] ** 2
+        if swap:
+            R[k], R[k + 1], I[k], I[k + 1] = rk, rn, ik, i_n = rn, rk, i_n, ik
+        if rk[k] ** 2 + ik[k] ** 2 < eps3 * eps3:
+            rk[k], ik[k] = eps3, 0
+        ar, ai, br, bi, ur, ui = rk[k], ik[k], rn[k], i_n[k], rk[k + 1:], ik[k + 1:]
+        d = ar * ar + ai * ai
+        fr, fi = ((br * ar + bi * ai) << F) // d, ((bi * ar - br * ai) << F) // d
+        rn[k + 1:] = [a - ((fr * u - fi * v) >> F) for a, u, v in zip(rn[k + 1:], ur, ui)]
+        i_n[k + 1:] = [a - ((fr * v + fi * u) >> F) for a, u, v in zip(i_n[k + 1:], ur, ui)]
+        steps.append((swap, fr, fi))
+    if R[-1][-1] ** 2 + I[-1][-1] ** 2 < eps3 * eps3:
+        R[-1][-1], I[-1][-1] = eps3, 0
+    return R, I, steps
+
+
+def _lu_solve(lu, cr, ci, F, lower=True):
+    """(xr, xi) with U x = L^-1 c (with ``lower``) or U x = c, for the
+    factors ``lu`` of :func:`_shifted_lu` and the integer vector
+    c = cr + i ci, ci None for a real s: each entry of x one (complex)
+    floor division."""
+    R, I, steps = lu
+    cr, n = list(cr), len(R)
+    if not I:
+        if lower:
+            for k, (swap, f, _) in enumerate(steps):
+                if swap:
+                    cr[k], cr[k + 1] = cr[k + 1], cr[k]
+                cr[k + 1] -= (f * cr[k]) >> F
+        x = [0] * n
+        for j in range(n - 1, -1, -1):
+            x[j] = (cr[j] - sum(map(mul, R[j][j + 1:], x[j + 1:]))) // R[j][j]
+        return x, None
+    ci = list(ci)
+    if lower:
+        for k, (swap, fr, fi) in enumerate(steps):
+            if swap:
+                cr[k], cr[k + 1], ci[k], ci[k + 1] = cr[k + 1], cr[k], ci[k + 1], ci[k]
+            a, b = cr[k], ci[k]
+            cr[k + 1] -= (fr * a - fi * b) >> F
+            ci[k + 1] -= (fr * b + fi * a) >> F
+    xr, xi = [0] * n, [0] * n
+    for j in range(n - 1, -1, -1):
+        ur, ui, pr, pi = R[j][j + 1:], I[j][j + 1:], xr[j + 1:], xi[j + 1:]
+        nr = cr[j] - sum(map(mul, ur, pr)) + sum(map(mul, ui, pi))
+        ni = ci[j] - sum(map(mul, ur, pi)) - sum(map(mul, ui, pr))
+        dr, di = R[j][j], I[j][j]
+        d = dr * dr + di * di
+        xr[j], xi[j] = (nr * dr + ni * di) // d, (ni * dr - nr * di) // d
+    return xr, xi
+
+
+class _Block:
+    """One diagonal block of the split: its unit 2^-S, its Hessenberg
+    matrix H_0 at F bits, Z_0 at 2^-W as rows and as columns (Zt), and
+    the dlaein floor eps3 = max(||H_0||_inf 2^-F, 1) in units."""
+
+    def __init__(self, S, H0, Zt, F):
+        self.S, self.H0, self.Zt, self.Z = S, H0, Zt, [list(r) for r in zip(*Zt)]
+        self.eps3 = max(max(sum(map(abs, row)) for row in H0) >> F, 1)
+
+    def lu(self, sr, si, end, F):
+        """The factors of :func:`_shifted_lu` of H_0[:end][:end] - s I."""
+        return _shifted_lu([row[:end] for row in self.H0[:end]], sr, si, self.eps3, F)
+
+
 class SchurForm:
-    """The eigensolver's triangular Schur form T = U^H Z^-1 M Z U of the
-    square matrix M of ``rows``, finite reals of the context mpx, on
-    integers, from which it reads eigenvectors and residuals; ``gate`` is
-    the relative tolerance of the mirror split and of a vector's pivot.
-    ``norm`` is ||M||_inf.  ``failed`` is None, or the row of M at the
-    bottom of a block in which ``budget`` sweeps found no deflation, and
-    then nothing more is made.  Else ``values`` are the eigenvalues in the
-    order of T's diagonal, numbers of mpx, and ``tops`` the positions k of
-    the +im member of a complex pair, its conjugate at k + 1."""
+    """The eigenpairs of the square matrix M of ``rows``, finite reals of
+    the context mpx, on integers: the eigenvalues from the diagonal blocks
+    of a real Schur form, each vector from one step of inverse iteration
+    on the Hessenberg matrix of its block, as the module docstring states;
+    ``gate`` is the relative tolerance of the mirror split and of a
+    vector's pivot.  ``norm`` is ||M||_inf.  ``failed`` is None, or the
+    row of M at the bottom of a window in which ``budget`` sweeps found no
+    deflation, and then nothing more is made.  Else ``values`` are the
+    eigenvalues, numbers of mpx, in the order of the blocks' diagonals
+    (the even block first), and ``tops`` the positions k of the +im member
+    of a complex pair, its conjugate at k + 1."""
 
     def __init__(self, rows, gate, mpx):
         self.F, self.W = F, W = schur_widths(mpx.prec)
-        self.mpx, self.gate, self.even, self.folded = mpx, mpf_to_fraction(gate), 0, None
+        self.mpx, self.gate, self.folded = mpx, mpf_to_fraction(gate), None
         self.SM, self.M = fixed_rows(rows, F, mpx)
         self.norm = norm_inf(self.M, self.SM, mpx)
         self.budget, self.failed = 4 * mpx.dps, None
-        blocks, coupling = schur_blocks(self.M, self.SM, gate * self.norm, F, mpx)
-        parts = []
-        for lo, S, H in blocks:
-            Zt, row = real_schur(H, F, W, mpx.prec, self.budget)
+        split, self.coupling = schur_blocks(self.M, self.SM, gate * self.norm, F, mpx)
+        self.even = len(split[0][2]) if self.coupling else 0
+        self.blocks, self.values, self.tops, self.shifts = [], [], set(), []
+        for lo, S, H in split:
+            Zt = _hessenberg(H, F, W)
+            H0 = [row[:] for row in H]
+            row = francis_qr(H, F, mpx.prec, self.budget)
             if row is not None:
                 self.failed = lo + row
                 return
-            parts.append((S, H, Zt))
-        if coupling is None:
-            ((S, T, Zt),) = parts
-        else:
-            (Se, He, Ze), (So, Ho, Zo), (Sc, L) = *parts, coupling
-            S = max(Se, So)
-            L = [[_shift(a, S - Sc) for a in row] for row in L]
-            LZ = list(zip(*[[sum(map(mul, row, z)) >> W for z in Zo] for row in L]))
-            T = ([[x << (S - Se) for x in row] + [sum(map(mul, z, col)) >> W for col in LZ]
-                  for row, z in zip(He, Ze)]
-                 + [[0] * len(He) + [x << (S - So) for x in row] for row in Ho])
-            # rows of (P diag(Ze, Zo))^T: node n-1-i copies node i of an even
-            # column and negates it in an odd one; the middle of an odd n is 0
-            m, self.even = len(Zo), len(Ze)
-            Zt = ([z + z[:m][::-1] for z in Ze]
-                  + [z + [0] * (len(Ze) - m) + [-x for x in z[::-1]] for z in Zo])
-        n = len(T)
-        Ti, Zi = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
-        self.values = mpf_rows([[T[k][k] for k in range(n)]], S, mpx)[0]
-        self.tops = set()
-        # one pass over the 2x2 blocks, each rotated away as it is met
-        for k in range(n - 1):
-            if not T[k + 1][k]:
-                continue
-            (a, b), (c, d) = mpf_rows([T[k][k:k + 2], T[k + 1][k:k + 2]], S, mpx)
-            cs, sn, *block = _split_block(a, b, c, d, mpx)
-            self.values[k], self.values[k + 1] = block[0], block[2]
-            (cr, ci), (s, _), (zr, zi), (zs, _) = (_fix(v, e) for e in (F, W) for v in (cs, sn))
-            # U^H from the left at F bits, Z U at W bits
-            pairs = [(T[k], Ti[k], T[k + 1], Ti[k + 1], (cr, -ci, s, F), k + 2),
-                     (Zt[k], Zi[k], Zt[k + 1], Zi[k + 1], (zr, zi, zs, W), 0)]
-            for a, ai, b, bi, rot, start in pairs:
-                for j in range(start, n):
-                    a[j], ai[j], b[j], bi[j] = _turn(a[j], ai[j], b[j], bi[j], *rot)
-            for row, rowi in zip(T[:k], Ti[:k]):  # T U above the block
-                row[k], rowi[k], row[k + 1], rowi[k + 1] = _turn(
-                    row[k], rowi[k], row[k + 1], rowi[k + 1], cr, ci, s, F)
-            t00, t01, t11 = (_fix(t, S) for t in block)
-            (T[k][k], Ti[k][k]), (T[k][k + 1], Ti[k][k + 1]) = t00, t01
-            (T[k + 1][k + 1], Ti[k + 1][k + 1]), T[k + 1][k] = t11, 0
-            if hasattr(cs, "_mpc_"):
-                self.tops.add(k)
-        self.S, self.T, self.Ti = S, T, Ti
-        self.Z, self.Zi = list(zip(*Zt)), list(zip(*Zi))
+            n = len(H)
+            values = mpf_rows([[H[k][k] for k in range(n)]], S, mpx)[0]
+            shifts = [(H[k][k], 0) for k in range(n)]
+            for k in range(n - 1):
+                if H[k + 1][k]:
+                    (a, b), (c, d) = H[k][k:k + 2], H[k + 1][k:k + 2]
+                    values[k:k + 2] = _split_block(*mpf_rows([[a, b, c, d]], S, mpx)[0], mpx)
+                    shifts[k:k + 2] = _block_shifts(a, b, c, d, _fix(values[k], S)[0])
+                    if hasattr(values[k], "_mpc_"):
+                        self.tops.add(lo + k)
+            self.shifts += [(len(self.blocks), k, s) for k, s in enumerate(shifts)]
+            self.values += values
+            self.blocks.append(_Block(S, H0, Zt, F))
 
-    def _solve(self, i):
-        """(xr, xi) at the unit 2^-F, x[i] = 1, solving (T - T[i][i]) x = 0
-        in the rows above i by back substitution, one division per real
-        and one per imaginary part.  A divisor of modulus below smin =
-        max(eps |T[i][i]|, 2^(-30 p) n / eps, one unit), eps = 2^(1-p),
-        is replaced by smin, the guard of mpmath's ``eig_tr_r`` (after
-        LAPACK's ``ctrevc``)."""
-        F, T, Ti, prec, n = self.F, self.T, self.Ti, self.mpx.prec, len(self.T)
-        sr, si = T[i][i], Ti[i][i]
-        e = self.S - 29 * prec - 1
-        smin = max(math.isqrt(sr * sr + si * si) >> (prec - 1),
-                   n << e if e >= 0 else n >> -e, 1)
-        xr, xi = [0] * i + [1 << F], [0] * (i + 1)
-        for j in range(i - 1, -1, -1):
-            a, ai, pr, pi = T[j][j + 1:], Ti[j][j + 1:], xr[j + 1:], xi[j + 1:]
-            nr = sum(map(mul, a, pr)) - sum(map(mul, ai, pi))
-            ni = sum(map(mul, a, pi)) + sum(map(mul, ai, pr))
-            tr, ti = T[j][j] - sr, Ti[j][j] - si
-            d = tr * tr + ti * ti
-            if d < smin * smin:
-                tr, ti, d = smin, 0, smin * smin
-            xr[j] = -(nr * tr + ni * ti) // d
-            xi[j] = (nr * ti - ni * tr) // d
-        return xr, xi
-
-    def _times_z(self, i):
-        """(vr, vi) = Z x at the unit 2^-(F+W) for the x of :meth:`_solve`,
-        vi None for a real eigenvalue, as the module docstring's units state;
-        h = ``even`` is the size of the even block of a split form."""
-        h, Z, Zi = self.even, self.Z, self.Zi
-        xr, xi = self._solve(i)
-        if i < h:
-            Z, Zi = Z[:h], Zi[:h]
-        vr = [sum(map(mul, z, xr)) for z in Z]
-        if any(xi):
-            vr = [a - sum(map(mul, z, xi)) for a, z in zip(vr, Zi)]
-        vi = None if i not in self.tops else [
-            sum(map(mul, z, xi)) + sum(map(mul, z2, xr)) for z, z2 in zip(Z, Zi)]
-        if i < h:
-            m = len(self.Z) - h
-            vr, vi = vr + vr[m - 1::-1], vi and vi + vi[m - 1::-1]
-        return vr, vi
+    def _vector(self, i):
+        """(vr, vi): the eigenvector of ``values[i]`` on M's rows, integers
+        at one unit, vi None for a real eigenvalue, as the module docstring
+        states."""
+        F, W = self.F, self.W
+        b, k, (sr, si) = self.shifts[i]
+        block = self.blocks[b]
+        end, H0 = k + 1, block.H0
+        while end < len(H0) and H0[end][end - 1]:
+            end += 1
+        lu = block.lu(sr, si, end, F)
+        last = lu[0][-1][-1] ** 2 + (lu[1][-1][-1] ** 2 if si else 0)
+        B = self.mpx.prec + SCHUR_X_BITS + (last.bit_length() + 1) // 2
+        y = _times(block.Z, *_lu_solve(lu, [1 << B] * end, si and [0] * end, F, lower=False), W)
+        if self.coupling is None:
+            return y
+        if b == 0:
+            return tuple(v and _unfold(v, [0] * (len(self.M) - self.even)) for v in y)
+        # x_e = -(L_ee - s)^-1 L_eo y: Z_e w, with (H_e - s) w = -Z_e^T L_eo y
+        Sc, L = self.coupling
+        even = self.blocks[0]
+        e = [[0] * self.even for _ in y]
+        if any(map(any, L)):
+            c = [v and [_shift(-a, even.S - Sc - W) for a in _dot_rows(even.Zt, _dot_rows(L, v))]
+                 for v in y]
+            ds = even.S - block.S
+            lu = even.lu(_shift(sr, ds), _shift(si, ds), self.even, F)
+            e = _times(even.Z, *_lu_solve(lu, *c, F), W)
+        return tuple(v and _unfold(ev, v) for ev, v in zip(e, y))
 
     def eigenpair(self, i):
         """(vector, residual) of the eigenvalue lam = ``values[i]``, in
-        ``mpf``/``mpc`` of the context, or None when Z x vanishes.  The
-        vector is Z x normalized at its pivot, for a real lam its real
-        part (real up to round-off); the residual is ||M v - lam v||_inf."""
+        ``mpf``/``mpc`` of the context, or None when the vector vanishes.
+        The vector is normalized at its pivot, for a real lam its real
+        part; the residual is ||M v - lam v||_inf."""
         F = self.F
-        V = _normalize(*self._times_z(i), self.gate, F)
+        V = _normalize(*self._vector(i), self.gate, F)
         if V is None:
             return None
         mpx, prec = self.mpx, self.mpx.prec

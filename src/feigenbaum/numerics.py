@@ -12,8 +12,10 @@ The LU and its solves run in :func:`feigenbaum.fixed.lu_rows` and
 :func:`feigenbaum.fixed.lu_solve_rows`, ``mpf`` arithmetic on raw tuples
 that is bit for bit that of ``mpf`` loops.  The eigensolver
 :func:`eig_dense` checks, conjugates and sorts the eigenpairs of the
-integer Schur kernel :class:`feigenbaum.fixed.SchurForm`, whose module
-docstring states its width, deflation, units and error.
+integer kernel :class:`feigenbaum.fixed.SchurForm`: eigenvalues from
+Francis sweeps that find eigenvalues only, each vector from one step of
+inverse iteration on the Hessenberg matrix; its module docstring states
+the widths, deflation, units and error.
 
 Everything here is a pure function of its inputs given a context, so
 values can move freely between threads.  They do not pickle; exchange

@@ -1,6 +1,8 @@
 """Precision context, dense solves, exact elimination, eigensolver."""
 
+import math
 import random
+import threading
 from fractions import Fraction
 from operator import mul
 from unittest import mock
@@ -503,8 +505,8 @@ def _unmirror(Ze, Zo, ctx):
 
 
 def _mpf_eig_dense(M, ctx):
-    """eig_dense with the mpf back end, on SchurForm's exact integer
-    blocks.  The pivot of a vector is chosen by eig_dense's rule (the
+    """eig_dense with the mpf back end, on the full-sweep Schur form of
+    SchurForm's exact integer blocks.  The pivot of a vector is chosen by eig_dense's rule (the
     first component within the gate of the largest); the mpf back end
     took the largest, which lets round-off choose between components
     that tie."""
@@ -518,11 +520,11 @@ def _mpf_eig_dense(M, ctx):
     T = [[ctx.mpf(0)] * n for _ in range(n)]
     Zs = []
     for lo, S, H in blocks:
-        Zt, row = fixed.real_schur(H, width, zwidth, ctx.prec_bits, 4 * mp.dps)
+        Z, row = _full_sweep_schur(H, width, zwidth, ctx.prec_bits, 4 * mp.dps)
         assert row is None
         for row, hrow in zip(T[lo:], fixed.mpf_rows(H, S, mp)):
             row[lo:lo + len(H)] = hrow
-        Zs.append(fixed.mpf_rows([list(col) for col in zip(*Zt)], zwidth, mp))
+        Zs.append(fixed.mpf_rows(Z, zwidth, mp))
     if coupling is None:
         Z = Zs[0]
     else:
@@ -658,17 +660,31 @@ def _widths(F):
     return p, fixed.schur_widths(p)[1]
 
 
-def _sweep_both(H0, Z0, H, Zt, l, hi, exceptional, F, W):
-    """One sweep by each copy, which must agree bit for bit; the start row."""
+def _window(H, l, hi):
+    return [row[l:hi + 1] for row in H[l:hi + 1]]
+
+
+def _sweep_both(H0, Z0, H, l, hi, exceptional, F, W):
+    """One sweep by each: the rolled one on whole rows and columns of H0
+    and on Z0, the kernel's on the window of H alone.  The windows must
+    agree bit for bit and nothing of H outside its window may change;
+    then H takes H0's entries, so that the next sweep starts from one
+    matrix.  Returns the start row."""
     scale = 100 * len(H) << _widths(F)[0]
+    before = [list(row) for row in H]
     m = _francis_step_rolled(H0, Z0, l, hi, exceptional, F, W, scale)
-    fixed._francis_step(H, Zt, l, hi, exceptional, F, W, scale)
-    assert H == H0 and Zt == [list(col) for col in zip(*Z0)]
+    fixed._francis_step(H, l, hi, exceptional, F, scale)
+    assert _window(H, l, hi) == _window(H0, l, hi)
+    assert all(H[i][j] == before[i][j] for i in range(len(H)) for j in range(len(H))
+               if not (l <= i <= hi and l <= j <= hi))
+    H[:] = [list(row) for row in H0]
     return m
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_unrolled_sweeps_with_transposed_z_are_bit_identical(seed):
+    # the reduction's Z, stored transposed, bit for bit the rolled one's;
+    # each window-only sweep bit for bit the rolled full sweep in its window
     rng = random.Random(seed)
     n, F = rng.randint(3, 12), rng.choice([64, 200, 522])
     W = _widths(F)[1]
@@ -679,7 +695,7 @@ def test_unrolled_sweeps_with_transposed_z_are_bit_identical(seed):
     for _ in range(10):
         l = rng.randint(0, n - 3)
         hi, exceptional = rng.randint(l + 2, n - 1), rng.random() < 0.3
-        _sweep_both(H0, Z0, H, Zt, l, hi, exceptional, F, W)
+        _sweep_both(H0, Z0, H, l, hi, exceptional, F, W)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -696,37 +712,241 @@ def test_a_sweep_starts_below_a_small_subdiagonal_pair(seed):
     H = [[rng.randint(-(1 << F), 1 << F) if j >= i - 1 else 0 for j in range(n)]
          for i in range(n)]
     H[m][m - 1], H[m + 1][m] = rng.randint(small, 2 * small), -rng.randint(small, 2 * small)
-    H0, Zt = [list(row) for row in H], [[1 << W if i == j else 0 for j in range(n)]
+    H0, Z0 = [list(row) for row in H], [[1 << W if i == j else 0 for j in range(n)]
                                         for i in range(n)]
-    Z0 = [list(row) for row in Zt]
-    assert _sweep_both(H0, Z0, H, Zt, l, n - 1, False, F, W) == m
+    assert _sweep_both(H0, Z0, H, l, n - 1, False, F, W) == m
     assert all(H[i][j] == 0 for i in range(n) for j in range(i - 1))
     for _ in range(5):
         if not all(H[i][i - 1] for i in range(l + 1, n)):
             break  # a block with a zero subdiagonal has split: no sweep spans it
-        _sweep_both(H0, Z0, H, Zt, l, n - 1, rng.random() < 0.3, F, W)
+        _sweep_both(H0, Z0, H, l, n - 1, rng.random() < 0.3, F, W)
 
 
-def _full_width_form(A, ctx):
-    """SchurForm with the rolled Hessenberg reduction and sweeps above and
-    Z at the full width F: the reference of the kernel's Z at W bits."""
-    widths = fixed.schur_widths
+# ----------------------------------------------------------------------
+# The full-sweep Schur path the kernel replaced, kept as an oracle: the
+# sweeps act on whole rows and columns of H and accumulate Z at 2^-W;
+# T is assembled with the mirror coupling Z_e^T L_eo Z_o, each 2x2 block
+# is rotated away at once (at F bits in T, at W bits in Z), and each
+# vector is Z x for x from back substitution on T, all on integers
 
-    def hessenberg(H, F, W):
-        return [list(col) for col in zip(*_hessenberg_rolled(H, F, F))]
 
-    def francis_step(H, Zt, l, hi, exceptional, F, W, scale):
-        Z = [list(col) for col in zip(*Zt)]
-        _francis_step_rolled(H, Z, l, hi, exceptional, F, F, scale)
-        Zt[:] = [list(col) for col in zip(*Z)]
+def _full_sweep_schur(H, F, W, prec, budget):
+    """(Z, row): H (rows, overwritten) taken to real Schur form by the
+    rolled reduction and sweeps above, whole rows and columns, with Z at
+    2^-W stored as is, under the kernel's deflation rule; row is None, or
+    the bottom row of a block that ``budget`` sweeps did not deflate."""
+    Z, n = _hessenberg_rolled(H, F, W), len(H)
+    floor = math.isqrt(sum(x * x for row in H for x in row)) // n
+    if not floor:
+        return Z, None
+    scale = 100 * n << prec
+    hi, start, its = n - 1, 0, 0
+    while hi > 0:
+        l = hi
+        while l > 0:
+            if abs(H[l][l - 1]) * scale < max(abs(H[l - 1][l - 1]) + abs(H[l][l]), floor):
+                H[l][l - 1] = 0
+                break
+            l -= 1
+        if l != start:
+            start, its = l, 0
+        if l >= hi - 1:
+            hi = l - 1
+        elif its == budget:
+            return Z, hi
+        else:
+            its += 1
+            _francis_step_rolled(H, Z, l, hi, its % 10 == 0, F, W, scale)
+    return Z, None
 
-    with mock.patch.multiple(fixed, _hessenberg=hessenberg, _francis_step=francis_step,
-                             schur_widths=lambda p: (widths(p)[0],) * 2):
-        return fixed.SchurForm(A, ctx.eig_gate, ctx.mp)
+
+def _rsf2csf(a, b, c, d, mpx):
+    """(cs, sn, t00, t01, t11): the rotation U = [[cs, -sn], [sn, conj(cs)]]
+    with U^H block U = [[t00, t01], [0, t11]] of a 2x2 Schur block."""
+    p = (a - d) / 2
+    disc = p * p + b * c
+    if disc >= 0:
+        z = p + mpx.sqrt(disc) if p >= 0 else p - mpx.sqrt(disc)
+        tau = mpx.hypot(z, c)
+        cs, sn = z / tau, c / tau
+    else:
+        mu = mpx.mpc(p, mpx.sqrt(-disc))
+        tau = mpx.hypot(abs(mu), c)
+        cs, sn = mu / tau, c / tau
+    cc = cs.conjugate()
+    r0, r1 = (cc * a + sn * c, cc * b + sn * d), (cs * c - sn * a, cs * d - sn * b)
+    t01 = cc * r0[1] - sn * r0[0]
+    if disc >= 0:
+        return cs, sn, cs * r0[0] + sn * r0[1], t01, cc * r1[1] - sn * r1[0]
+    return cs, sn, d + mu, t01, (d + mu).conjugate()
+
+
+def _turn(a, ai, b, bi, cr, ci, sn, F):
+    """(cs a + sn b, conj(cs) b - sn a) as re/im integer pairs, each sum
+    shifted down by F toward zero."""
+    return tuple(x >> F if x >= 0 else -(-x >> F) for x in (
+        cr * a - ci * ai + sn * b, cr * ai + ci * a + sn * bi,
+        cr * b + ci * bi - sn * a, cr * bi - ci * b - sn * ai))
+
+
+class _FullSweepForm:
+    """The integer Schur form T = U^H Z^-1 M Z U with its Schur vectors, as
+    the package made it before the eigenvalue-only sweeps."""
+
+    def __init__(self, rows, ctx):
+        mpx = ctx.mp
+        self.F, self.W = F, W = fixed.schur_widths(ctx.prec_bits)
+        self.mpx, self.gate, self.even = mpx, fixed.mpf_to_fraction(ctx.eig_gate), 0
+        SM, M = fixed.fixed_rows(rows, F, mpx)
+        blocks, coupling = fixed.schur_blocks(M, SM, ctx.eig_gate * fixed.norm_inf(M, SM, mpx),
+                                              F, mpx)
+        parts = []
+        for lo, S, H in blocks:
+            Z, row = _full_sweep_schur(H, F, W, ctx.prec_bits, 4 * mpx.dps)
+            assert row is None
+            parts.append((S, H, [list(col) for col in zip(*Z)]))
+        if coupling is None:
+            ((S, T, Zt),) = parts
+        else:
+            (Se, He, Ze), (So, Ho, Zo), (Sc, L) = *parts, coupling
+            S = max(Se, So)
+            L = [[fixed._shift(a, S - Sc) for a in row] for row in L]
+            LZ = list(zip(*[[sum(map(mul, row, z)) >> W for z in Zo] for row in L]))
+            T = ([[x << (S - Se) for x in row] + [sum(map(mul, z, col)) >> W for col in LZ]
+                  for row, z in zip(He, Ze)]
+                 + [[0] * len(He) + [x << (S - So) for x in row] for row in Ho])
+            m, self.even = len(Zo), len(Ze)
+            Zt = ([z + z[:m][::-1] for z in Ze]
+                  + [z + [0] * (len(Ze) - m) + [-x for x in z[::-1]] for z in Zo])
+        n = len(T)
+        Ti, Zi = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+        self.values = fixed.mpf_rows([[T[k][k] for k in range(n)]], S, mpx)[0]
+        self.tops = set()
+        for k in range(n - 1):
+            if not T[k + 1][k]:
+                continue
+            (a, b), (c, d) = fixed.mpf_rows([T[k][k:k + 2], T[k + 1][k:k + 2]], S, mpx)
+            cs, sn, *block = _rsf2csf(a, b, c, d, mpx)
+            self.values[k], self.values[k + 1] = block[0], block[2]
+            (cr, ci), (s, _), (zr, zi), (zs, _) = (fixed._fix(v, e) for e in (F, W)
+                                                   for v in (cs, sn))
+            pairs = [(T[k], Ti[k], T[k + 1], Ti[k + 1], (cr, -ci, s, F), k + 2),
+                     (Zt[k], Zi[k], Zt[k + 1], Zi[k + 1], (zr, zi, zs, W), 0)]
+            for a, ai, b, bi, rot, start in pairs:
+                for j in range(start, n):
+                    a[j], ai[j], b[j], bi[j] = _turn(a[j], ai[j], b[j], bi[j], *rot)
+            for row, rowi in zip(T[:k], Ti[:k]):
+                row[k], rowi[k], row[k + 1], rowi[k + 1] = _turn(
+                    row[k], rowi[k], row[k + 1], rowi[k + 1], cr, ci, s, F)
+            t00, t01, t11 = (fixed._fix(t, S) for t in block)
+            (T[k][k], Ti[k][k]), (T[k][k + 1], Ti[k][k + 1]) = t00, t01
+            (T[k + 1][k + 1], Ti[k + 1][k + 1]), T[k + 1][k] = t11, 0
+            if hasattr(cs, "_mpc_"):
+                self.tops.add(k)
+        self.S, self.T, self.Ti = S, T, Ti
+        self.Z, self.Zi = list(zip(*Zt)), list(zip(*Zi))
+
+    def _solve(self, i):
+        """x with x[i] = 2^F solving (T - T[i][i]) x = 0 above row i, with
+        the divisor guard of LAPACK's ctrevc."""
+        F, T, Ti, prec, n = self.F, self.T, self.Ti, self.mpx.prec, len(self.T)
+        sr, si = T[i][i], Ti[i][i]
+        e = self.S - 29 * prec - 1
+        smin = max(math.isqrt(sr * sr + si * si) >> (prec - 1),
+                   n << e if e >= 0 else n >> -e, 1)
+        xr, xi = [0] * i + [1 << F], [0] * (i + 1)
+        for j in range(i - 1, -1, -1):
+            a, ai, pr, pi = T[j][j + 1:], Ti[j][j + 1:], xr[j + 1:], xi[j + 1:]
+            nr = sum(map(mul, a, pr)) - sum(map(mul, ai, pi))
+            ni = sum(map(mul, a, pi)) + sum(map(mul, ai, pr))
+            tr, ti = T[j][j] - sr, Ti[j][j] - si
+            d = tr * tr + ti * ti
+            if d < smin * smin:
+                tr, ti, d = smin, 0, smin * smin
+            xr[j] = -(nr * tr + ni * ti) // d
+            xi[j] = (nr * ti - ni * tr) // d
+        return xr, xi
+
+    def vector(self, i):
+        """The vector of values[i] as eig_dense reports it: Z x normalized
+        at its pivot and rounded to p bits."""
+        h, Z, Zi, F = self.even, self.Z, self.Zi, self.F
+        xr, xi = self._solve(i)
+        if i < h:
+            Z, Zi = Z[:h], Zi[:h]
+        vr = [sum(map(mul, z, xr)) - sum(map(mul, zi, xi)) for z, zi in zip(Z, Zi)]
+        vi = None if i not in self.tops else [
+            sum(map(mul, z, xi)) + sum(map(mul, z2, xr)) for z, z2 in zip(Z, Zi)]
+        if i < h:
+            m = len(self.Z) - h
+            vr, vi = vr + vr[m - 1::-1], vi and vi + vi[m - 1::-1]
+        V = fixed._normalize(vr, vi, self.gate, F)
+        mpx = self.mpx
+        if V[1] is None:
+            return tuple(mpx.make_mpf(fixed.from_man_exp(a, -F, mpx.prec, "n")) for a in V[0])
+        return tuple(mpx.make_mpc((fixed.from_man_exp(a, -F, mpx.prec, "n"),
+                                   fixed.from_man_exp(b, -F, mpx.prec, "n"))) for a, b in zip(*V))
+
+
+def _full_sweep_eig_dense(A, ctx):
+    """(value, vector) of every eigenpair of the full-sweep path, in
+    eig_dense's order."""
+    form = _FullSweepForm([[ctx.mpf(x) for x in row] for row in A], ctx)
+    pairs = []
+    for i, lam in enumerate(form.values):
+        if i - 1 in form.tops:
+            continue
+        vec = form.vector(i)
+        pairs.append((lam, vec))
+        if i in form.tops:
+            pairs.append((lam.conjugate(), tuple(v.conjugate() for v in vec)))
+    pairs.sort(key=lambda p: (-abs(p[0]), -p[0].real, -p[0].imag))
+    return pairs
 
 
 def _raw(x):
     return x._mpc_ if hasattr(x, "_mpc_") else x._mpf_
+
+
+def _assert_matches_full_sweep_oracle(A, ctx):
+    # every eigenvalue bit for bit.  Where an eigenvalue is apart from the
+    # others by more than sqrt(gate) ||M|| (the back-end rule), its vector
+    # is within one unit 2^(1-p) times (1 + ||M|| / gap) of the oracle's,
+    # each part of each entry: one unit for the rounding of an entry to p
+    # bits, and ||M|| / gap units for how far an eigenvector moves under a
+    # backward error of one unit of ||M||.  The oracle's vectors are not
+    # exact to one unit themselves: on random draws they stood up to six
+    # units 2^-p from 1500-bit eigenvectors, the kernel's within 1e-13
+    pairs, oracle = fb.eig_dense(A, ctx), _full_sweep_eig_dense(A, ctx)
+    assert [(type(p.value), _raw(p.value)) for p in pairs] == \
+        [(type(lam), _raw(lam)) for lam, _ in oracle]
+    mpx, norm = ctx.mp, mat_norm_inf(A)
+    unit = mpx.ldexp(1, 1 - ctx.prec_bits)
+    for i, (p, (_, vec)) in enumerate(zip(pairs, oracle)):
+        assert p.residual <= ctx.eig_gate * norm
+        gap = min((abs(p.value - q.value) for j, q in enumerate(pairs) if j != i), default=norm)
+        if gap > mpx.sqrt(ctx.eig_gate) * norm:
+            tol = unit * (1 + norm / gap)
+            assert all(abs((a - b).real) <= tol and abs((a - b).imag) <= tol
+                       for a, b in zip(p.vector, vec))
+
+
+@settings(max_examples=30, deadline=None)
+@given(*ORACLE_DRAWS)
+@example(D=16, n=20, kind="repeated", mirror="split", seed=5113)
+@example(D=16, n=16, kind="repeated", mirror="whole", seed=19)
+@example(D=64, n=24, kind="random", mirror="split", seed=7)
+def test_eig_dense_matches_the_full_sweep_oracle(D, n, kind, mirror, seed):
+    ctx, A, _ = _oracle_draw(D, n, kind, mirror, seed)
+    _assert_matches_full_sweep_oracle(A, ctx)
+
+
+def _full_width_form(A, ctx):
+    """SchurForm with Z_0 at the full width F: the reference of the
+    kernel's Z_0 at W bits.  The inverse iteration runs at F bits in both."""
+    widths = fixed.schur_widths
+    with mock.patch.object(fixed, "schur_widths", lambda p: (widths(p)[0],) * 2):
+        return fixed.SchurForm(A, ctx.eig_gate, ctx.mp)
 
 
 @settings(max_examples=100, deadline=None)
@@ -736,13 +956,14 @@ def _raw(x):
 @example(D=16, n=16, kind="repeated", mirror="whole", seed=19)
 def test_z_at_w_bits_matches_the_full_width_reference(D, n, kind, mirror, seed):
     # every eigenvalue bit for bit, every vector entry the same to p bits
-    # of the vector and every residual within the gate; on the kernel's
-    # integers, an even-block Z x on half the node rows is the full-row
-    # one, and a mirror-symmetric vector's M V on M's folded columns the
-    # unfolded one.  Z at W bits is exact to far below 2^-p relative to
-    # the vector, but an entry that is round-off in exact arithmetic keeps
-    # only that absolute accuracy: each part of an entry (the largest
-    # being about 1) is within one unit 2^(1-p) of the reference's
+    # of the vector and every residual within the gate; an even-block
+    # vector is exactly mirror-symmetric, an odd-block one without
+    # coupling exactly antisymmetric, and a mirror-symmetric vector's M V
+    # on M's folded columns is the unfolded one.  Z_0 at W bits is exact
+    # to far below 2^-p relative to the vector, but an entry that is
+    # round-off in exact arithmetic keeps only that absolute accuracy:
+    # each part of an entry (the largest being about 1) is within one unit
+    # 2^(1-p) of the reference's
     ctx, A, _ = _oracle_draw(D, n, kind, mirror, seed)
     unit = ctx.mp.ldexp(1, 1 - ctx.prec_bits)
     form, ref = fixed.SchurForm(A, ctx.eig_gate, ctx.mp), _full_width_form(A, ctx)
@@ -757,15 +978,10 @@ def test_z_at_w_bits_matches_the_full_width_reference(D, n, kind, mirror, seed):
         assert all(abs((a - b).real) <= unit and abs((a - b).imag) <= unit
                    for a, b in zip(vec, ref_vec))
         assert res <= ctx.eig_gate * form.norm
-        xr, xi = form._solve(i)
-        vr, vi = form._times_z(i)
-        assert vr == [sum(map(mul, z, xr)) - sum(map(mul, zi, xi))
-                      for z, zi in zip(form.Z, form.Zi)]
-        assert vi == (None if i not in form.tops else
-                      [sum(map(mul, z, xi)) + sum(map(mul, zi, xr))
-                       for z, zi in zip(form.Z, form.Zi)])
-        V = [part for part in fixed._normalize(vr, vi, form.gate, form.F) if part]
-        assert i >= form.even or V[0] == V[0][::-1]
+        V = [part for part in fixed._normalize(*form._vector(i), form.gate, form.F) if part]
+        if mirror == "split":
+            assert V[0] == V[0][::-1] if i < form.even else (
+                any(map(any, form.coupling[1])) or V[0] == [-a for a in V[0][::-1]])
         for part in V:
             assert form._apply(part) == [sum(map(mul, row, part)) for row in form.M]
 
@@ -946,3 +1162,173 @@ def test_odd_fixed_point_term_keeps_one_block(g13_32, ctx32):
     pairs = fb.eig_dense(L, ctx)
     assert not any(p.vector == p.vector[::-1] for p in pairs)
     _assert_matches_oracle(pairs, L, ctx)
+
+
+# ----------------------------------------------------------------------
+# Inverse iteration on the benchmark's matrices and on edge cases
+
+
+@pytest.fixture(scope="module")
+def benchmark_matrices():
+    """The matrices eig_dense takes in the benchmark's workloads, at
+    D = 64: L of T at n = 16; of T4 at n = 20 for mu = 1, 1.2 and 1.5; and
+    in the Lanford basis at m = 12 and the rational-node monomial basis at
+    m = 15 with a0 and a1 pinned."""
+    ctx, seen = fb.PrecisionCtx(64), []
+    solve = fb.spectrum.eig_dense
+
+    def recording(M, c):
+        seen.append(M)
+        return solve(M, c)
+
+    spec = fb.OperatorSpec(fb.Variant.T, FULL)
+    seed = fb.monomial_to_series([ctx.mpf(1), ctx.mpf(0), ctx.mpf("-1.5")], ctx)
+    with mock.patch.object(fb.spectrum, "eig_dense", recording):
+        config = fb.NewtonConfig(jacobian_mode=fb.JacobianMode.EXACT)
+        g = fb.newton_solve(spec, None, seed, config, ctx, n=16).solution_series
+        fb.spectrum_at(g, spec, ctx, fb.chebgrid(16, ctx))
+        g = fb.newton_solve(spec, None, seed, fb.NewtonConfig(), ctx, n=20).solution_series
+        fb.family_spectrum_check(g, [ctx.mpf(m) for m in ("1", "1.2", "1.5")], fb.Variant.T4,
+                                 ctx, n=20, compared=4)
+        for basis in (fb.BasisSpec(fb.BasisKind.LANFORD, 12),
+                      fb.BasisSpec(fb.BasisKind.RATIONAL_NODE_MONOMIAL, 15, ((0, 1), (1, 0)))):
+            fb.spectrum_in_basis(spec, basis, ctx, seed=seed)
+    assert [len(M) for M in seen] == [16, 20, 20, 20, 12, 14]
+    return ctx, seen
+
+
+@pytest.mark.parametrize("which", range(6))
+def test_benchmark_matrices_match_the_full_sweep_oracle(benchmark_matrices, which):
+    ctx, seen = benchmark_matrices
+    _assert_matches_full_sweep_oracle(seen[which], ctx)
+
+
+def _real_blocks(A, ctx):
+    """The positions k of the 2x2 blocks with two real eigenvalues in the
+    eigenvalue sweeps of SchurForm's blocks of A."""
+    mpx = ctx.mp
+    F, _ = fixed.schur_widths(ctx.prec_bits)
+    SM, M = fixed.fixed_rows(A, F, mpx)
+    found = []
+    for lo, S, H in fixed.schur_blocks(M, SM, ctx.eig_gate * fixed.norm_inf(M, SM, mpx), F,
+                                       mpx)[0]:
+        fixed._hessenberg(H, F, F)
+        assert fixed.francis_qr(H, F, ctx.prec_bits, 4 * mpx.dps) is None
+        found += [lo + k for k in range(len(H) - 1) if H[k + 1][k]
+                  and (H[k][k] - H[k + 1][k + 1]) ** 2 + 4 * H[k][k + 1] * H[k + 1][k] >= 0]
+    return found
+
+
+def _assert_pairs_hold(A, ctx, form=None):
+    """Every eigenpair of SchurForm passes the residual gate against its
+    own eigenvalue."""
+    form = form or fixed.SchurForm(A, ctx.eig_gate, ctx.mp)
+    pairs = [(i, *form.eigenpair(i)) for i in range(len(A)) if i - 1 not in form.tops]
+    for i, vec, res in pairs:
+        assert res <= ctx.eig_gate * form.norm
+    return form, pairs
+
+
+def test_a_real_2x2_block_gives_each_eigenvalue_its_own_vector(benchmark_matrices):
+    # the rational m = 15 spectrum's -0.0638 / -0.0573 pair converges as one
+    # 2x2 block with two real eigenvalues; vector k must belong to values[k]:
+    # against the other eigenvalue its residual is about the gap
+    ctx, seen = benchmark_matrices
+    A = [[ctx.mpf(x) for x in row] for row in seen[5]]
+    blocks = _real_blocks(A, ctx)
+    form, pairs = _assert_pairs_hold(A, ctx)
+    values = {i: form.values[i] for i in blocks}
+    assert any(abs(values[k] + ctx.mpf("0.0638")) < ctx.mpf("1e-3")
+               and abs(form.values[k + 1] + ctx.mpf("0.0573")) < ctx.mpf("1e-3")
+               or abs(values[k] + ctx.mpf("0.0573")) < ctx.mpf("1e-3")
+               and abs(form.values[k + 1] + ctx.mpf("0.0638")) < ctx.mpf("1e-3")
+               for k in blocks)
+    vectors = {i: vec for i, vec, _ in pairs}
+    for k in blocks:
+        for i, j in ((k, k + 1), (k + 1, k)):
+            V = fixed._normalize(*form._vector(i), form.gate, form.F)
+            other = form._residual(V, form.values[j])
+            assert other > ctx.mpf("1e-3") * abs(form.values[i] - form.values[j])
+        assert vectors[k] != vectors[k + 1]
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2], [3, -1]],                      # roots +-sqrt(7)
+    [[-638, 1], [5, -573]],                 # two close real roots
+    [[2, 1, 0], [1, 2, 0], [0, 0, 5]],      # 3 and 1 in one block, 5 alone
+])
+def test_small_real_blocks_give_each_eigenvalue_its_own_vector(ctx, rows):
+    A = [[ctx.mpf(x) for x in row] for row in rows]
+    assert _real_blocks(A, ctx) == [0]
+    pairs = fb.eig_dense(A, ctx)
+    assert all(isinstance(p.value, ctx.mp.mpf) for p in pairs)
+    assert len({p.vector for p in pairs}) == len(rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6])
+def test_inverse_iteration_on_the_zero_matrix(ctx, n):
+    # every pivot of H_0 - 0 I is below eps3 and every subdiagonal of H_0
+    # is 0: vector k is the sum of the first k + 1 columns of Z_0
+    A = [[ctx.mpf(0)] * n for _ in range(n)]
+    pairs = fb.eig_dense(A, ctx)
+    assert [p.value for p in pairs] == [0] * n
+    assert all(p.residual == 0 and 1 in p.vector for p in pairs)
+
+
+def test_inverse_iteration_on_a_reduced_hessenberg_matrix(ctx):
+    # M = diag(A1, A2) with dense 3x3 blocks: its Hessenberg H_0 has an
+    # exact zero at H_0[3][2], and a vector of A1 lives on the leading
+    # three rows, exactly zero on A2's
+    rng = random.Random(3)
+    n = 6
+    A = [[ctx.mpf(0)] * n for _ in range(n)]
+    for lo in (0, 3):
+        for i in range(lo, lo + 3):
+            for j in range(lo, lo + 3):
+                A[i][j] = ctx.mpf(Fraction(rng.randint(-9, 9), 4))
+    form = fixed.SchurForm(A, ctx.eig_gate, ctx.mp)
+    assert form.coupling is None and form.blocks[0].H0[3][2] == 0
+    top = ctx.mp.matrix([row[:3] for row in A[:3]])
+    own = ctx.mp.eig(top, right=False)
+    form, pairs = _assert_pairs_hold(A, ctx, form)
+    mine = [vec for i, vec, _ in pairs
+            if min(abs(form.values[i] - mu) for mu in own) < ctx.ten_pow(-30)]
+    assert mine and all(v == 0 for vec in mine for v in vec[3:])
+
+
+@pytest.mark.parametrize("mirror", ["split", "whole"])
+@pytest.mark.parametrize("seed", range(4))
+def test_inverse_iteration_on_exactly_repeated_eigenvalues(mirror, seed):
+    ctx, A, known = _oracle_draw(32, 12, "repeated", mirror, seed)
+    pairs = fb.eig_dense(A, ctx)  # raises on a residual above the gate
+    assert len(set(known)) < len(known) == len(pairs)
+    for reps in ([[ctx.mpf(2) if i == j else ctx.mpf(0) for j in range(5)] for i in range(5)],
+                 [[ctx.mpf(int(i != j)) for j in range(4)] for i in range(4)]):
+        fb.eig_dense(reps, ctx)  # 2 five times; -1 three times and 3
+
+
+def test_eig_dense_is_bit_identical_across_threads():
+    # the kernel keeps no shared state: two threads at once give the pairs
+    # of a sequential run, raw tuple for raw tuple
+    cases = []
+    for D, seed in ((24, 1), (64, 2)):
+        ctx, A, _ = _oracle_draw(D, 14, "random", "split" if seed == 1 else "whole", seed)
+        cases.append((A, ctx))
+
+    def run(A, ctx):
+        return [(_raw(p.value), [_raw(v) for v in p.vector], _raw(p.residual))
+                for p in fb.eig_dense(A, ctx)]
+
+    alone = [run(A, ctx) for A, ctx in cases]
+    together = [None, None]
+
+    def worker(k):
+        together[k] = run(*cases[k])
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    assert together == alone
