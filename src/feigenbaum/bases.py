@@ -32,6 +32,7 @@ only when polynomials are evaluated.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -40,13 +41,12 @@ from .chebyshev import (
     ChebSeries,
     _cardinal_sum,
     _eval,
-    _eval_rows,
     _tables,
     cheb_nodes,
     monomial_to_series,
 )
 from .errors import ConfigError, ExactlySingular
-from .fixed import ROW_GUARD_BITS, mpf_rows, mpf_to_fraction
+from .fixed import ROW_GUARD_BITS, BarycentricCardinals, mpf_rows, mpf_to_fraction
 from .numerics import (
     PrecisionCtx,
     identity_rows,
@@ -165,6 +165,7 @@ class Discretization:
     fixed_series: object         # ChebSeries or None
     fixed_at_nodes: tuple
     condition_estimate: object = 1
+    kernel: object = None        # BarycentricCardinals of the cardinals' values
 
     @property
     def dim(self) -> int:
@@ -198,14 +199,11 @@ class Discretization:
     def cardinal_ints(self, points, ctx: PrecisionCtx):
         """(U, E) with E[i][j] 2^-U = cardinal_j(points[i]), E of integers
         and U at least p + ``ROW_GUARD_BITS``: row i maps node values to
-        the value of the direction they span at points[i].  The Chebyshev
-        grid sums each row barycentrically in O(n); the coefficient bases
-        take each cardinal series' exact Clenshaw kernel values.  See
-        :mod:`feigenbaum.fixed` for the kernels."""
-        if self.spec.kind is BasisKind.CHEB_GRID:
-            kernel = _tables(self.dim, ctx.prec_bits)[2]
-            return kernel.U, kernel.rows(points, ctx.mp)
-        return _eval_rows(self.cardinals, points, ctx.prec_bits + ROW_GUARD_BITS)
+        the value of the direction they span at points[i].  Every basis
+        sums each row barycentrically, in O(d) per point on the Chebyshev
+        grid and O(d (1 + g)) on a coefficient basis with g missing powers
+        (:class:`feigenbaum.fixed.BarycentricCardinals`)."""
+        return self.kernel.U, self.kernel.rows(points, ctx.mp)
 
     def cardinal_rows(self, points, ctx: PrecisionCtx) -> list:
         """The rows of :meth:`cardinal_ints` in ``mpf``, each entry
@@ -239,9 +237,9 @@ def spec_from_description(d: dict) -> BasisSpec:
 def chebgrid(n: int, ctx: PrecisionCtx) -> Discretization:
     """The identity pairing with the Chebyshev-root grid, from the cached
     node tables."""
-    nodes, cards, _, _, cond = _tables(n, ctx.prec_bits)
+    nodes, cards, kernel, _, cond = _tables(n, ctx.prec_bits)
     return Discretization(BasisSpec(BasisKind.CHEB_GRID, n), nodes, None, cards, None,
-                          (ctx.mpf(0),) * n, cond)
+                          (ctx.mpf(0),) * n, cond, kernel)
 
 
 @dataclass(frozen=True)
@@ -313,8 +311,9 @@ def build_basis(spec: BasisSpec, ctx: PrecisionCtx) -> Discretization:
 def _coefficient_basis(spec: BasisSpec, digits: int) -> Discretization:
     """The coefficient basis of :func:`build_basis` at the given decimal
     digits, immutable and made in a context private to this cache, as the
-    node tables of :mod:`feigenbaum.chebyshev` are; its cardinals keep
-    their integer forms once made."""
+    node tables of :mod:`feigenbaum.chebyshev` are, with the barycentric
+    kernel of its cardinals' values; its cardinals keep their integer
+    forms once made."""
     ctx = PrecisionCtx(digits)
     m, pinned, powers, d = spec.order, spec.pinned, spec.powers, spec.dimension
     pool = ([Fraction(i, m) for i in range(m + 1)] if spec.kind in _EVEN_KINDS
@@ -322,9 +321,9 @@ def _coefficient_basis(spec: BasisSpec, digits: int) -> Discretization:
     if 0 in pinned:
         cut = ctx.ten_pow(-(ctx.decimal_digits // 2))
         pool = [x for x in pool if abs(ctx.mpf(x)) > cut]
-    points = pool[:d]
     if spec.kind is BasisKind.RATIONAL_NODE_MONOMIAL:
-        points = [mpf_to_fraction(x).limit_denominator(1000) for x in points]
+        pool = [mpf_to_fraction(x).limit_denominator(1000) for x in pool]
+    points = pool[:d]
     nodes = tuple(ctx.mpf(x) for x in points)
 
     exact = isinstance(points[0], Fraction)
@@ -354,5 +353,25 @@ def _coefficient_basis(spec: BasisSpec, digits: int) -> Discretization:
     else:
         fixed_series = None
         fixed_at_nodes = (ctx.mpf(0),) * d
-    return Discretization(spec, nodes, mat, cards, fixed_series, fixed_at_nodes, cond)
+    return Discretization(spec, nodes, mat, cards, fixed_series, fixed_at_nodes, cond,
+                          _cardinal_kernel(spec, pool, entries, ctx.prec_bits))
 
+
+def _cardinal_kernel(spec: BasisSpec, pool, entries, prec_bits: int):
+    """The barycentric kernel of a coefficient basis's cardinals
+    (:mod:`feigenbaum.fixed` states it): the nodes in v = x^2 for the even
+    kinds and v = x otherwise, then the next points of the pool, one per
+    power missing between the lowest and the top unknown one (each is a
+    pin, and each pin leaves a pool point unused), with the cardinals'
+    exact values there from the exact entries."""
+    step = 2 if spec.kind in _EVEN_KINDS else 1
+    qs = [p // step for p in spec.powers]
+    s, d = qs[0], len(qs)
+    vs = [mpf_to_fraction(x) ** step for x in pool[:qs[-1] - s + 1]]
+    E = [[mpf_to_fraction(a) for a in row] for row in entries]
+    values = [[sum(e[j] * u ** (q - s) for e, q in zip(E, qs)) for j in range(d)]
+              for u in vs[d:]]
+    prods = [math.prod(v - u for u in vs if u != v) for v in vs]
+    top = max(map(abs, prods))  # weights w_i = top / prod_i, the least of modulus 1
+    return BarycentricCardinals(vs, [top / pr for pr in prods], prec_bits + ROW_GUARD_BITS,
+                                values, s, step == 2, ROW_GUARD_BITS)

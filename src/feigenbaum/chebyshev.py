@@ -29,8 +29,8 @@ from functools import cached_property, lru_cache
 
 import mpmath
 
-from .fixed import (ROW_GUARD_BITS, GridCardinals, _FixedSeries, combine_rows, fixed_ints,
-                    mpf_to_fraction, round_fraction)
+from .fixed import (ROW_GUARD_BITS, BarycentricCardinals, _FixedSeries, combine_rows,
+                    fixed_ints, mpf_to_fraction, round_fraction)
 from .numerics import PrecisionCtx, ls_slope
 
 
@@ -101,7 +101,7 @@ class DecayReport:
 def _tables(n: int, prec_bits: int):
     """At the given precision: the nodes x_i; the grid's cardinals, with
     coefficients (2/n) cos(k theta_j), their integer form made; the integer
-    kernel of their values (:class:`feigenbaum.fixed.GridCardinals`, the
+    kernel of their values (:class:`feigenbaum.fixed.BarycentricCardinals`, the
     second barycentric formula of Berrut & Trefethen, SIAM Rev. 46 (2004)
     501-517), weights (-1)^i sin(theta_i); the even half's cardinals
     l_j + l_(n-1-j), the grid's doubled on even k and zero on odd k; and
@@ -124,7 +124,8 @@ def _tables(n: int, prec_bits: int):
     U, ints = cards[0]._ints[0], [c._ints[1] for c in cards]
     row_sum, col_sum = (max(sum(map(abs, r)) for r in m) for m in (ints, zip(*ints)))
     cond = round_fraction(n * row_sum * col_sum, 1 << (2 * U + 1), private)
-    return nodes, cards, GridCardinals(nodes, weights, prec_bits + ROW_GUARD_BITS), even, cond
+    kernel = BarycentricCardinals(nodes, weights, prec_bits + ROW_GUARD_BITS)
+    return nodes, cards, kernel, even, cond
 
 
 def cheb_nodes(n: int, ctx: PrecisionCtx):
@@ -142,16 +143,14 @@ def _eval(series: ChebSeries, x):
     return fixed.value(fixed.fix(x))
 
 
-def _eval_rows(series, points, U):
+def _eval_rows(series: ChebSeries, points, U):
     """(unit, rows) with rows[i] the exact Clenshaw kernel values of the
-    series, of one precision, at points[i] (a complex series gives its
-    real and then its imaginary part), all as integers at the unit
-    2^-unit, unit = max(U, the series' own units), so that no bit of the
-    kernel's values is lost.  Each point is converted to integer form
-    once, and each series once in its life."""
-    fixed = [s._fixed for s in series]
-    fix, unit = fixed[0].fix, max([U] + [f.unit for f in fixed])
-    return unit, [[v for f in fixed for v in f.ints(X, unit)] for X in map(fix, points)]
+    series at points[i] (a complex series gives its real and then its
+    imaginary part) as integers at the unit 2^-unit, unit = max(U, the
+    series' own unit), so that no bit of the kernel's values is lost."""
+    fixed = series._fixed
+    unit = max(U, fixed.unit)
+    return unit, [fixed.ints(X, unit) for X in map(fixed.fix, points)]
 
 
 def eval_series(s: ChebSeries, x, ctx: PrecisionCtx):

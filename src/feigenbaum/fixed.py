@@ -39,29 +39,51 @@ Linearization rows.  Each entry of the collocation matrix L = dT(g) of
 at a few points z per row.  Those values are integers at one unit 2^-U,
 U = p + :data:`ROW_GUARD_BITS` for the context precision p:
 
-* grid rows (:class:`GridCardinals`): the second barycentric formula
-  l_j(z) = (w_j / (z - x_j)) / S, S = sum_k w_k / (z - x_k), on the
-  p-bit nodes x_j and weights w_j.  The nodes are integers X_j at the
-  unit 2^-E of the finest of them, and a point Z at the finer of its
-  own unit and 2^-E (the nodes and weights shifted up exactly when the
-  point's is finer), so d_j = Z - X_j is exact, and a point equal to a
-  node gives that node's unit row.  Then t_j = floor(w_j 2^(U+E) / d_j),
-  within one unit of w_j 2^U / (z - x_j), and T = sum_j t_j, within n
-  units of S 2^U;
-* reciprocal scaling: r = floor(2^(b+U) / |T|), b the bit length of
-  |T|, has U + 1 bits whatever |T| is (it grows like 1/|z - x_k| near a
-  node), and l_j = floor(t_j r 2^-b), one product and one shift per
-  entry, so a point near a node keeps its relative precision;
-* error: against the exact cardinals of the p-bit nodes and weights,
-  |l_j 2^-U - l_j(z)| <= 2^-U (2 + |l_j(z)| + (1 + n |l_j(z)|) / |S|).
-  For the Chebyshev roots S = +-n / T_n(z), so |S| >= n on [-1, 1] and
-  the error is a few units 2^-U there; off the interval |S| shrinks like
-  n / |T_n(z)|, the cancellation of the barycentric sum that an ``mpf``
-  sum suffers at 2^-p;
+* formula (:class:`BarycentricCardinals`, one kernel for every basis):
+  card_j(z) = v^s sum_i l_i(v) y_ij, l_i(v) = (w_i / (v - v_i)) / S,
+  S = sum_k w_k / (v - v_k), the second barycentric formula on N nodes
+  v_i with weights w_i.  The Chebyshev grid has v = z, s = 0, y = I and
+  its p-bit nodes and weights, so card_j = l_j.  On a coefficient basis
+  with interpolation entries E, card_j(z) = sum_k E_kj z^(p_k) is
+  v^s q_j(v) in v = z^2 for the even kinds and v = z otherwise, s the
+  lowest unknown power in v; q_j, of degree below N = d + g, takes
+  y_ij = delta_ij / v_i^s at the d nodes and y_aj = card_j(u_a) / u_a^s,
+  from E at its exact values, at g auxiliary nodes u_a, one per power
+  missing between s and the top one: the first unused points of the
+  basis's pool (each missing power is a pin, and each pin leaves a pool
+  point unused).  These nodes are rationals, with exact weights
+  1 / prod_k (v_i - v_k) scaled so that the least has modulus 1;
+* exact differences: the nodes are integers X_i at the unit
+  1 / (L 2^E), L odd (1 on the grid), and v goes to the finer of its own
+  unit and that one (the nodes and weights shifted up exactly when v's
+  is finer), so d_i = v - v_i is exact, and a point on a node gives the
+  row there: a unit row, or an auxiliary node's exact values floored;
+* arithmetic at F = U + K bits, K guard bits (0 on the grid,
+  :data:`ROW_GUARD_BITS` on a coefficient basis): t_i =
+  floor(w_i L 2^(E+F) / d_i), T = sum_i t_i, and r =
+  floor(|v|^s 2^(b+F) / |T|), b the bit length of |T|, so |v|^s / S
+  keeps its relative precision whatever |T| is (it grows like
+  1/|v - v_k| near a node).  Entry j is R_j = floor(t_j r 2^-(b+K))
+  where y = I, and R_j = floor(n_j r 2^-(b+K+F)), n_j =
+  sum_i t_i floor(y_ij 2^F), otherwise: one rounding per entry, O(N)
+  work per point on the grid and O(d (1 + g)) on a coefficient basis;
+* grid error: against the exact cardinals of the p-bit nodes and
+  weights, |R_j 2^-U - l_j(z)| <= 2^-U (2 + |l_j(z)| + (1 + n |l_j(z)|)
+  / |S|).  For the Chebyshev roots S = +-n / T_n(z), so |S| >= n on
+  [-1, 1] and the error is a few units 2^-U there; off the interval |S|
+  shrinks like n / |T_n(z)|, the cancellation of the barycentric sum that
+  an ``mpf`` sum suffers at 2^-p;
+* coefficient-basis error: with Lambda = sum_i |l_i(v)|,
+  Delta = max_i |v - v_i| and q_j = card_j(z) / v^s,
+  |R_j 2^-U - card_j(z)| <= 2^-U (1 + 2^(1-K) (|q_j| + |v|^s
+  (sum_i |l_i| ((1 + Delta) |y_ij| + 1) + (1 + Delta) Lambda |q_j|))).
+  On [-1, 1] Lambda and |y| stay small on the package's bases, and the
+  rows are within two units 2^-U of the exact cardinals (within one on
+  Lanford m = 12 and rational m = 15); off the interval the bound grows
+  with Lambda.  The monomial kind's E is a float inverse of the
+  Vandermonde V, so its rows are the exact cardinals of its nodes, which
+  differ from sum_k E_kj z^(p_k) by the interpolant of V E - I;
 * the even half folds a full row by integer adds, l_j + l_(n-1-j);
-* coefficient-basis rows are the Clenshaw kernel's integers before
-  ``from_man_exp``, shifted up exactly to 2^-U (to the series' own unit
-  2^-(S+1) if finer), so they carry the kernel's error and no other;
 * why p + 32: an entry of L sums two to four products of order-one
   scalars and row values, so a row error of a few units 2^-(p+32) is
   about 2^-30 of the final rounding of an entry that does not cancel:
@@ -346,46 +368,72 @@ def _signed(raw):
     return -raw[1] if raw[0] else raw[1]
 
 
-class GridCardinals:
-    """Integer form of the n Lagrange cardinals of fixed nodes x_j with
-    barycentric weights w_j (finite reals, the nodes distinct):
-    l_j(z) = (w_j / (z - x_j)) / sum_k w_k / (z - x_k), O(n) per point and
-    forward stable near the nodes (Higham, IMA J. Numer. Anal. 24 (2004)
-    547-556), at the unit 2^-U; the module docstring states the scaling
-    and the error."""
+class BarycentricCardinals:
+    """Integer form, at the unit 2^-U, of d cardinals
+    card_j(z) = v^s sum_i l_i(v) y_ij in v = z^2 (``square``) or v = z:
+    l_i are the Lagrange cardinals of N distinct nodes v_i with exact
+    barycentric weights w_i, by the second barycentric formula, forward
+    stable near the nodes (Higham, IMA J. Numer. Anal. 24 (2004) 547-556);
+    y_ij = delta_ij / v_i^s at the first d nodes and ``values[a][j]`` at
+    the last N - d.  The module docstring states the scaling, the
+    ``guard`` bits and the error."""
 
-    def __init__(self, nodes, weights, U):
-        xs = [_finite(x._mpf_) for x in nodes]
-        ws = [_finite(w._mpf_) for w in weights]
-        # every node is an integer at the unit 2^-E
-        self.E = E = max((-exp for _, man, exp, _ in xs if man), default=0)
-        self.U, self.n = U, len(xs)
-        self.X = [_signed(r) << (r[2] + E) for r in xs]
-        self.W = [_signed(r) << (r[2] + E + U) for r in ws]  # w_j 2^(E+U)
+    def __init__(self, nodes, weights, U, values=(), power=0, square=False, guard=0):
+        vs = [mpf_to_fraction(x) for x in nodes]
+        lcm = math.lcm(*(v.denominator for v in vs))
+        # every node is an integer X_i at the unit 1 / (L 2^E), L odd
+        self.E = E = (lcm & -lcm).bit_length() - 1
+        self.L = L = lcm >> E
+        self.U, self.K, self.s, self.square = U, guard, power, square
+        self.d = d = len(vs) - len(values)
+        F = U + guard
+        self.X = [v.numerator * (lcm // v.denominator) for v in vs]
+        self.W = [math.floor(mpf_to_fraction(w) * (L << (E + F))) for w in weights]
+        self.Y = self.Yaux = None
+        if power or values:  # y_ij at 2^-F
+            self.Y = [math.floor(Fraction(1 << F) / v ** power) for v in vs[:d]]
+            self.Yaux = [[math.floor(y * (1 << F)) for y in row] for row in values]
+        # the rows at the auxiliary nodes, from their exact values
+        self.at_aux = [[math.floor(u ** power * y * (1 << U)) for y in row]
+                       for u, row in zip(vs[d:], values)]
 
     def rows(self, points, mpx):
-        """One row (l_j(z) 2^U)_j of integers per point z."""
-        U, out = self.U, []
+        """One row (card_j(z) 2^U)_j of integers per point z."""
+        U, K, s, E, L, Y, d, out = self.U, self.K, self.s, self.E, self.L, self.Y, self.d, []
+        shift = K if Y is None else 2 * K + U
         for z in points:
             raw = _raw(z, mpx)
-            Z, k = _signed(raw), -raw[2] - self.E
-            X, W = self.X, self.W
-            if k > 0:  # z needs a finer unit than the nodes
+            Z, e = _signed(raw), -raw[2]
+            if self.square:
+                Z, e = Z * Z, 2 * e
+            neg = s & 1 and Z < 0  # the sign of v^s
+            V, ev = abs(Z) ** s, e * s  # |v|^s = V 2^-ev
+            X, W, k = self.X, self.W, e - E
+            if k > 0:  # v needs a finer unit than the nodes
                 X, W = [x << k for x in X], [w << k for w in W]
+                Z *= L
             else:
-                Z <<= -k
+                Z = Z * L << -k
             ds = [Z - x for x in X]  # exact
             if 0 in ds:
-                j = ds.index(0)
-                out.append([1 << U if i == j else 0 for i in range(self.n)])
+                i = ds.index(0)
+                out.append([1 << U if i == j else 0 for j in range(d)] if i < d
+                           else list(self.at_aux[i - d]))
                 continue
-            t = [w // d for w, d in zip(W, ds)]
+            t = [w // dx for w, dx in zip(W, ds)]
             total = sum(t)
-            if total < 0:
-                t, total = [-a for a in t], -total
-            b = total.bit_length()
-            r = (1 << (b + U)) // total
-            out.append([(a * r) >> b for a in t])
+            T = abs(total)
+            b = T.bit_length()
+            sh = b + U + K - ev
+            r = (V << sh) // T if sh >= 0 else V // (T << -sh)
+            if (total < 0) != neg:
+                r = -r
+            if Y is not None:
+                nums = [a * y for a, y in zip(t, Y)]
+                for a, row in zip(t[d:], self.Yaux):
+                    nums = [c + a * y for c, y in zip(nums, row)]
+                t = nums
+            out.append([(a * r) >> (b + shift) for a in t])
         return out
 
 

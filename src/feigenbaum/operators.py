@@ -160,7 +160,7 @@ def linearized_apply_at(
     """Values of the linearized operator applied to h, at given points
     (see :func:`_linearized_rows` for the formula); complex for a complex h."""
     U = ctx.prec_bits + ROW_GUARD_BITS
-    rows = _linearized_rows(spec, g, points, lambda zs: _eval_rows([h], zs, U), ctx)
+    rows = _linearized_rows(spec, g, points, lambda zs: _eval_rows(h, zs, U), ctx)
     return [row[0] if len(row) == 1 else ctx.mp.mpc(*row) for row in rows]
 
 

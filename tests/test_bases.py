@@ -331,12 +331,14 @@ def test_contexts_of_one_precision_share_a_coefficient_basis():
 def _basis_bits(basis):
     """Every node, interpolation entry, cardinal and fixed-part coefficient,
     fixed-part node value and the condition estimate, as raw tuples (an
-    exact entry as its Fraction)."""
+    exact entry as its Fraction), and the integers of the cardinals'
+    kernel."""
     raw = lambda x: getattr(x, "_mpf_", x)  # noqa: E731
     series = basis.cardinals + ((basis.fixed_series,) if basis.fixed_series else ())
     return ([raw(x) for x in basis.nodes + basis.fixed_at_nodes],
             basis.matrix.nodes, [raw(a) for row in basis.matrix.entries for a in row],
-            [c._mpf_ for s in series for c in s.coeffs], raw(basis.condition_estimate))
+            [c._mpf_ for s in series for c in s.coeffs], raw(basis.condition_estimate),
+            vars(basis.kernel))
 
 
 @pytest.mark.parametrize("digits", [24, 64])

@@ -1,6 +1,7 @@
 """Operator variants, scaling constants, linearizations, closed forms."""
 
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import mpmath
@@ -12,7 +13,7 @@ import feigenbaum as fb
 from feigenbaum import chebyshev, operators
 from feigenbaum.bases import even_half
 from feigenbaum.chebyshev import ChebSeries, _eval
-from feigenbaum.fixed import KERNEL_GUARD_BITS, ROW_GUARD_BITS
+from feigenbaum.fixed import KERNEL_GUARD_BITS, ROW_GUARD_BITS, mpf_to_fraction
 from feigenbaum.spectrum import expected_explicit_eigenvalue
 
 FULL = fb.Linearization.FULL_DERIVATIVE
@@ -219,7 +220,11 @@ def test_linearization_matrix_matches_columns(variant, lin, ctx32):
 # bits on the same p-bit inputs (nodes, weights, cardinal coefficients,
 # and the per-point scalars of the formula)
 
-KINDS = ("cheb", "even-half", "lanford", "rational", "monomial")
+KINDS = ("cheb", "even-half", "lanford", "rational", "monomial",
+         # coefficient bases whose unknown powers have a gap (a1 or a2 pinned,
+         # so that the kernel takes an auxiliary node) or lose their top one
+         "rational-a1", "rational-a2", "rational-top", "monomial-a1", "monomial-a2",
+         "monomial-top")
 
 
 def _draw_basis(kind, n, ctx):
@@ -235,10 +240,10 @@ def _draw_basis(kind, n, ctx):
     m = max(4, n // 3)
     if kind == "lanford":
         return fb.build_basis(fb.BasisSpec(fb.BasisKind.LANFORD, m), ctx)
-    if kind == "rational":
-        return fb.build_basis(fb.BasisSpec(fb.BasisKind.RATIONAL_NODE_MONOMIAL, m,
-                                           ((0, 1), (1, 0))), ctx)
-    return fb.build_basis(fb.BasisSpec(fb.BasisKind.MONOMIAL_FULL, m), ctx)
+    name, _, pin = kind.partition("-")
+    pins = {"": ((0, 1), (1, 0)) if name == "rational" else (), "a1": ((1, 0),),
+            "a2": ((2, 0),), "top": ((m, 0),)}[pin]
+    return fb.build_basis(fb.BasisSpec(fb.BasisKind(name), m, pins), ctx)
 
 
 def _grid_oracle(basis, points, ctx, hi, fold):
@@ -292,10 +297,70 @@ def _clenshaw_oracle(basis, points, ctx, hi):
     return rows, bounds
 
 
+def _exact_oracle(basis, points, ctx, hi):
+    """(rows, bounds) of a coefficient basis: its cardinals
+    card_j(z) = sum_k E_kj z^(p_k), E its interpolation entries, each summed
+    exactly from E and z at their exact values and then taken at 2p bits,
+    and the kernel's error bound of :mod:`feigenbaum.fixed` for each entry,
+    2^-U (1 + 2^(1-K) (|q_j| + |v|^s (sum_i |l_i| ((1 + Delta) |y_ij| + 1)
+    + (1 + Delta) Lambda |q_j|))), taken at 2p bits on the kernel's nodes v_i
+    (the basis's nodes in v, then its auxiliary nodes): l_i are their
+    Lagrange cardinals at v, Lambda = sum_i |l_i(v)|, Delta = max_i |v - v_i|,
+    y_ij = card_j / v^s at v_i and q_j = card_j(z) / v^s.  The kernel
+    interpolates y_ij = delta_ij / v_i^s at the basis's nodes; where E is
+    not the exact inverse of the Vandermonde V (the monomial kind's float
+    inverse) the bound adds what that leaves, |v|^s sum_i |l_i| |R_ij| / |v_i|^s
+    with R = V E - I, which is zero for the exact kinds."""
+    kernel = basis.kernel
+    s, K, U, d, step = kernel.s, kernel.K, kernel.U, basis.dim, 1 + kernel.square
+    E = [[mpf_to_fraction(a) for a in row] for row in basis.matrix.entries]
+    qs = [p // step for p in basis.spec.powers]
+    vs = [Fraction(x, kernel.L << kernel.E) for x in kernel.X]
+
+    def cards(v):  # card_j at a point whose v is given, exact
+        vq = [v ** q for q in qs]
+        return [sum(E[k][j] * vq[k] for k in range(d)) for j in range(d)]
+
+    def at_hi(f):
+        return hi.mpf(f.numerator) / f.denominator
+
+    at = [cards(u) for u in vs]
+    y = [[at_hi(c) / at_hi(u) ** s for c in row] for u, row in zip(vs, at)]
+    y[:d] = [[hi.mpf(i == j) / at_hi(u) ** s for j in range(d)] for i, u in enumerate(vs[:d])]
+    left = [[abs(at_hi(c - (i == j))) / abs(at_hi(u)) ** s for j, c in enumerate(row)]
+            for i, (u, row) in enumerate(zip(vs, at[:d]))]
+    rows, bounds, unit = [], [], hi.mpf(2) ** -U
+    for z in points:
+        v = mpf_to_fraction(z) ** step
+        rows.append([at_hi(c) for c in cards(v)])
+        if v in vs:  # the kernel's value at a node is exact but for its floor
+            i = vs.index(v)
+            bounds.append([unit + (abs(at_hi(v)) ** s * r if i < d else 0)
+                           for r in (left[i] if i < d else [0] * d)])
+            continue
+        t = [1 / (at_hi(v - u) * hi.fprod(at_hi(u - w) for w in vs if w != u)) for u in vs]
+        total = hi.fsum(t)
+        ls = [a / total for a in t]
+        lam = hi.fsum(abs(a) for a in ls)
+        delta = max(abs(at_hi(v - u)) for u in vs)
+        vp = abs(at_hi(v)) ** s
+        bound = []
+        for j in range(d):
+            q = hi.fsum(a * row[j] for a, row in zip(ls, y))
+            kern = abs(q) + vp * (hi.fsum(abs(a) * ((1 + delta) * abs(row[j]) + 1)
+                                          for a, row in zip(ls, y)) + (1 + delta) * lam * abs(q))
+            lost = vp * hi.fsum(abs(a) * row[j] for a, row in zip(ls, left))
+            bound.append(unit * (1 + kern * hi.mpf(2) ** (1 - K)) + lost)
+        bounds.append(bound)
+    return rows, bounds
+
+
 def _row_oracle(kind, basis, points, ctx, hi):
     if kind in ("cheb", "even-half"):
         return _grid_oracle(basis, points, ctx, hi, fold=kind == "even-half")
-    return _clenshaw_oracle(basis, points, ctx, hi)
+    if kind == "series":
+        return _clenshaw_oracle(basis, points, ctx, hi)
+    return _exact_oracle(basis, points, ctx, hi)
 
 
 def _special_points(basis, ctx, rng):
@@ -321,17 +386,19 @@ def test_cardinal_ints_match_the_oracle(D, n, kind, seed):
     assert U >= ctx.prec_bits + ROW_GUARD_BITS
     rows, bounds = _row_oracle(kind, basis, points, ctx, hi)
     scale = hi.mpf(2) ** -U
+    # on [-1, 1] an exact coefficient basis's rows are within two units of
+    # its exact cardinals; elsewhere, and for the monomial kind's float
+    # inverse, within the oracle's bound
+    few = kind not in ("cheb", "even-half") and not kind.startswith("monomial")
     for z, got, want, bound in zip(points, ints, rows, bounds):
         for a, b, e in zip(got, want, bound):
-            assert abs(a * scale - b) <= e + abs(b) * 2 ** -(2 * ctx.prec_bits - 8), (kind, z)
-    # the mpf rows round each integer once: for the coefficient bases these
-    # are the Clenshaw values themselves, bit for bit
+            slack = abs(b) * 2 ** -(2 * ctx.prec_bits - 8)
+            assert abs(a * scale - b) <= e + slack, (kind, z)
+            assert not few or abs(z) > 1 or abs(a * scale - b) <= 2 * scale + slack, (kind, z)
+    # the mpf rows round each integer once
     if n == 2 and kind == "cheb":
         return
-    mpf_rows = basis.cardinal_rows(points, ctx)
-    assert mpf_rows == [[ctx.mpf(v * scale) for v in row] for row in ints]
-    if kind not in ("cheb", "even-half"):
-        assert mpf_rows == [[_eval(c, z) for c in basis.cardinals] for z in points]
+    assert basis.cardinal_rows(points, ctx) == [[ctx.mpf(v * scale) for v in row] for row in ints]
 
 
 def _oracle_matrix(spec, g, kind, basis, points, ctx, hi):

@@ -216,6 +216,43 @@ def test_threads_racing_on_a_cold_basis_cache_agree():
     assert all(run == reference for run in results)
 
 
+def _cold_kernel_rows(digits):
+    """The cardinal rows, as the kernel's integers, of the rational a1 = 0
+    basis of order 12 (a gap in its powers, so its kernel takes an
+    auxiliary node) built at the given digits, at points inside and
+    beyond [-1, 1]."""
+    ctx = fb.PrecisionCtx(digits)
+    basis = fb.build_basis(fb.BasisSpec(fb.BasisKind.RATIONAL_NODE_MONOMIAL, 12, ((1, 0),)), ctx)
+    return basis.cardinal_ints([ctx.mpf(i) / 5 - 1 for i in range(11)] + [ctx.mpf("1.2")], ctx)
+
+
+def test_two_precisions_building_cold_kernels_at_once_match_a_sequential_run():
+    # two threads each build the basis at its own precision on a cold cache
+    # at the same moment, kernel included, and take its rows
+    _coefficient_basis.cache_clear()
+    reference = {D: _cold_kernel_rows(D) for D in (24, 64)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            _coefficient_basis.cache_clear()
+            start, results = threading.Barrier(2), {}
+
+            def work(digits):
+                start.wait()
+                results[digits] = _cold_kernel_rows(digits)
+
+            threads = [threading.Thread(target=work, args=(D,)) for D in (24, 64)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert results == reference
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def _is_activate_method(node, parents):
     return (isinstance(node, ast.FunctionDef) and node.name == "activate"
             and isinstance(parents.get(node), ast.ClassDef)
