@@ -45,7 +45,7 @@ from .chebyshev import (
     cheb_nodes,
     monomial_to_series,
 )
-from .errors import ConfigError, ExactlySingular
+from .errors import ConfigError
 from .fixed import ROW_GUARD_BITS, BarycentricCardinals, mpf_rows, mpf_to_fraction
 from .numerics import (
     PrecisionCtx,
@@ -329,7 +329,9 @@ def _coefficient_basis(spec: BasisSpec, digits: int) -> Discretization:
     exact = isinstance(points[0], Fraction)
     if exact:
         if len(set(points)) != d:
-            raise ExactlySingular("repeated interpolation nodes")
+            raise ConfigError("rational basis of order m = %d repeats interpolation nodes: its "
+                              "Chebyshev pool rounded to denominators <= 1000 stays distinct "
+                              "only up to m = 148" % m)
         V = [[x ** p for p in powers] for x in points]
         entries = tuple(map(tuple, solve_linear_exact(
             V, [[Fraction(int(i == j)) for j in range(d)] for i in range(d)])))

@@ -6,9 +6,8 @@ normalizing its result, so the package's hot loops run on Python integers
 at a fixed binary point instead.  Only their inputs and results pass
 through mpmath's raw (sign, mantissa, exponent, bit count) tuples and
 ``libmp``'s ``to_fixed`` and ``from_man_exp``, a layout private to mpmath
-1.3; no other module of the package reads it.  The LU kernel alone keeps
-``mpf`` arithmetic, run by ``libmp`` on the raw tuples.  This module
-imports nothing from the package.
+1.3; no other module of the package reads it.  This module imports
+nothing from the package.
 
 Clenshaw kernel.  With p the precision of the coefficients' context and
 G = :data:`KERNEL_GUARD_BITS`:
@@ -100,18 +99,27 @@ Node values to a series: the same one rounding, on the cardinals'
 coefficients as integers floor(a_k 2^U) at the rows' unit
 (:func:`fixed_ints`), which err by less than 2^-U each.
 
-LU kernel.  Newton's solutions must stay bit for bit (the T4 family's
-delta sits at the round-off floor of its g: a relative 1e-40 on the
-solves moves it by 0.02 digits), so :func:`lu_rows` and
-:func:`lu_solve_rows` run the ``mpf`` loops of a partial-pivoted LU as
-``libmp``'s ``mpf_add``, ``mpf_sub``, ``mpf_mul``, ``mpf_div``,
-``mpf_abs`` and ``mpf_cmp`` on the raw tuples, at the context precision,
-to the nearest, in the loops' order: each row sum of ||A||_inf and each
-substitution sum adds from 0, the pivot search takes a later row only if
-strictly larger, a zero multiplier a/p skips its row update, and each
-update a - f b rounds the product and then the difference.  Every result
-is therefore the rounding the ``mpf`` operator gives, without its
-dispatch (the tests keep the ``mpf`` loops as an oracle).
+LU kernel.  Newton's LU (:func:`lu_ints`, :func:`lu_ints_solve`) pivots
+by rows on integers at F = 2p + :data:`LU_GUARD_BITS` bits.  A is
+converted once by :func:`fixed_rows`, at a unit u <= 2^(1-F) ||A||_inf, so
+||A||_inf, the floor test and the smallest pivot are exact.  In the Crout
+order each entry of column k of L and of row k of U is
+a_rc - ((sum_j l_rj u_jc) >> F), one floor; the pivot is the first row of
+largest modulus, and the multipliers floor(c_rk 2^F / u_kk) at 2^-F have
+modulus at most 1.  b is converted once, at a unit v <= 2^(1-F) ||b||_inf,
+each substitution floors once per entry, and each entry of x is rounded
+once to p bits.  Every floor is below one unit and a multiplier leaves
+below rho units, rho = 2^-F max|U| in units, so L U = P (A + E) with
+||E||_inf <= (2 + rho) n u, (A + E) x^ = b + e with ||e||_inf <=
+(2 + n rho) v, and ||x^ - x||_inf <= ||A^-1||_inf 2^(1-F) ((2 + rho) n
+||A||_inf ||x^||_inf + (2 + n rho) ||b||_inf), plus 2^-p |x^_i| from the
+rounding.  Pivots clear the floor 10^(-D+8) ||A||_inf, near
+2^(58-p) ||A||_inf, so unless L^-1 and U^-1 grow by some 2^90 / n,
+kappa(A) n is far below 2^(p+32) and x is within a few units
+2^-p ||x||_inf.  The pivots are exactly those of P (A + E): the pivot
+order and the floor test follow the exact elimination unless two of its
+values lie within about ||E||_inf of each other (the tests take
+2^-p ||A||_inf as that margin).
 
 Schur kernel.  :class:`SchurForm` converts a square matrix M to integers
 once and splits it (:func:`schur_blocks`).  Each block is reduced to
@@ -235,14 +243,16 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from mpmath.libmp import (finf, from_man_exp, from_rational, fzero, mpf_abs, mpf_add, mpf_cmp,
-                          mpf_div, mpf_mul, mpf_sub, to_fixed)
+from mpmath.libmp import from_man_exp, from_rational, fzero, to_fixed
 
 # Bits the Clenshaw kernel carries beyond the coefficients' precision.
 KERNEL_GUARD_BITS = 16
 
 # Bits the rows of the linearization carry beyond the context precision.
 ROW_GUARD_BITS = 32
+
+# Bits the integer LU carries beyond twice the context precision.
+LU_GUARD_BITS = 32
 
 # Bits the integer Schur form carries beyond twice the context precision,
 # and its Hessenberg reduction's Z_0 beyond the context precision.
@@ -472,67 +482,49 @@ def combine_rows(rows, U, mpx):
 # LU kernel
 
 
-def lu_rows(rows, scale, mpx):
-    """Partial-pivoted LU of a square matrix of finite reals on their raw
-    tuples, every operation an ``mpf`` one of the context mpx, in the
-    order the module docstring states.  Returns (lu, perm, min_pivot,
-    norm, stop): the factor rows as raw tuples (L's multipliers below the
-    diagonal, U on and above it), the row order, the smallest pivot and
-    ||A||_inf as ``mpf`` of mpx, and None, or (k, pivot, floor) for the
-    first column k whose pivot is at most floor = scale ||A||_inf, where
-    the factorization stops."""
-    prec = mpx.prec
-    lu = [[_raw(a, mpx) for a in row] for row in rows]
-    norm = fzero
-    for row in lu:
-        s = fzero
-        for a in row:
-            s = mpf_add(s, mpf_abs(a, prec, "n"), prec, "n")
-        if mpf_cmp(s, norm) > 0:
-            norm = s
-    floor = mpf_mul(_raw(scale, mpx), norm, prec, "n")
-    n, min_pivot = len(lu), finf
-    perm = list(range(n))
+def lu_ints(rows, digits, mpx):
+    """Partial-pivoted LU of a square matrix A of finite reals, as the
+    module docstring states: (lu, perm, min_pivot, norm, None), lu =
+    (F, S, L, U) with L's k multipliers of row k at 2^-F and U's row k
+    from the diagonal on at 2^-S, the least pivot and ||A||_inf as ``mpf``
+    of mpx; or (None, perm, None, norm, (k, pivot)) at the first column k
+    whose pivot is at most 10^-digits ||A||_inf."""
+    F = 2 * mpx.prec + LU_GUARD_BITS
+    S, A = fixed_rows(rows, F, mpx)
+    top, scale, n = max(sum(map(abs, row)) for row in A), 10 ** digits, len(A)
+    perm, low = list(range(n)), math.inf
+    L, cols = [[] for _ in range(n)], [[] for _ in range(n)]  # U by columns
     for k in range(n):
-        piv, prow = mpf_abs(lu[k][k], prec, "n"), k
+        col = [A[r][k] - (sum(map(mul, L[r], cols[k])) >> F) for r in range(k, n)]
+        i = max(range(n - k), key=lambda j: abs(col[j]))
+        piv = abs(col[i])
+        if piv * scale <= top:
+            piv, norm = mpf_rows([[piv, top]], S, mpx)[0]
+            return None, perm, None, norm, (k, piv)
+        r = k + i
+        A[k], A[r], L[k], L[r], perm[k], perm[r] = A[r], A[k], L[r], L[k], perm[r], perm[k]
+        col[0], col[i] = col[i], col[0]
+        low = min(low, piv)
+        cols[k].append(col[0])
+        for c in range(k + 1, n):
+            cols[c].append(A[k][c] - (sum(map(mul, L[k], cols[c])) >> F))
         for r in range(k + 1, n):
-            a = mpf_abs(lu[r][k], prec, "n")
-            if mpf_cmp(a, piv) > 0:
-                piv, prow = a, r
-        if mpf_cmp(piv, floor) <= 0:
-            return lu, perm, None, None, (k, mpx.make_mpf(piv), mpx.make_mpf(floor))
-        if prow != k:
-            lu[k], lu[prow] = lu[prow], lu[k]
-            perm[k], perm[prow] = perm[prow], perm[k]
-        if mpf_cmp(piv, min_pivot) < 0:
-            min_pivot = piv
-        rowk = lu[k]
-        pk, tail = rowk[k], rowk[k + 1:]
-        for rowr in lu[k + 1:]:
-            f = rowr[k] = mpf_div(rowr[k], pk, prec, "n")
-            if f != fzero:
-                rowr[k + 1:] = [mpf_sub(a, mpf_mul(f, b, prec, "n"), prec, "n")
-                                for a, b in zip(rowr[k + 1:], tail)]
-    return lu, perm, mpx.make_mpf(min_pivot), mpx.make_mpf(norm), None
+            L[r].append((col[r - k] << F) // col[0])
+    U = [[cols[c][k] for c in range(k, n)] for k in range(n)]
+    min_pivot, norm = mpf_rows([[low, top]], S, mpx)[0]
+    return (F, S, L, U), perm, min_pivot, norm, None
 
 
-def lu_solve_rows(lu, perm, b, mpx):
-    """x with A x = b, for the factors (lu, perm) of :func:`lu_rows` and
-    finite reals b, as ``mpf`` of mpx: forward and back substitution on
-    raw tuples, in the order the module docstring states."""
-    prec, n = mpx.prec, len(lu)
-    y = [_raw(b[i], mpx) for i in perm]
-    for i in range(n):
-        s = fzero
-        for a, v in zip(lu[i][:i], y):
-            s = mpf_add(s, mpf_mul(a, v, prec, "n"), prec, "n")
-        y[i] = mpf_sub(y[i], s, prec, "n")
-    for i in range(n - 1, -1, -1):
-        s = fzero
-        for a, v in zip(lu[i][i + 1:], y[i + 1:]):
-            s = mpf_add(s, mpf_mul(a, v, prec, "n"), prec, "n")
-        y[i] = mpf_div(mpf_sub(y[i], s, prec, "n"), lu[i][i], prec, "n")
-    return [mpx.make_mpf(v) for v in y]
+def lu_ints_solve(lu, perm, b, mpx):
+    """x with A x = b, for the factors (lu, perm) of :func:`lu_ints` and
+    finite reals b, as ``mpf`` of mpx."""
+    F, S, L, U = lu
+    Sb, y = _to_fixed([_raw(b[i], mpx) for i in perm], F)
+    for i, row in enumerate(L):
+        y[i] -= sum(map(mul, row, y)) >> F
+    for i in range(len(U) - 1, -1, -1):
+        y[i] = ((y[i] << F) - sum(map(mul, U[i][1:], y[i + 1:]))) // U[i][0]
+    return mpf_rows([y], F + Sb - S, mpx)[0]
 
 
 # ----------------------------------------------------------------------

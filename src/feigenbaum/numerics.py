@@ -8,9 +8,9 @@ made it (in a binary operation, the left operand's), so package code
 never consults mpmath's process-global precision.  Matrices are plain
 lists of rows.  Exact work uses ``fractions.Fraction``.
 
-The LU and its solves run in :func:`feigenbaum.fixed.lu_rows` and
-:func:`feigenbaum.fixed.lu_solve_rows`, ``mpf`` arithmetic on raw tuples
-that is bit for bit that of ``mpf`` loops.  The eigensolver
+The LU and its solves run on integers at 2p + 32 bits in
+:func:`feigenbaum.fixed.lu_ints` and :func:`feigenbaum.fixed.lu_ints_solve`,
+whose module docstring states their error.  The eigensolver
 :func:`eig_dense` checks, conjugates and sorts the eigenpairs of the
 integer kernel :class:`feigenbaum.fixed.SchurForm`: eigenvalues from
 Francis sweeps that find eigenvalues only, each vector from one step of
@@ -32,7 +32,7 @@ from functools import cached_property
 import mpmath
 
 from .errors import ExactlySingular, NoConvergence, SingularMatrix
-from .fixed import SchurForm, lu_rows, lu_solve_rows
+from .fixed import SchurForm, lu_ints, lu_ints_solve
 
 GUARD_BITS = 32
 
@@ -129,10 +129,10 @@ def identity_rows(n, ctx: PrecisionCtx):
 @dataclass
 class LUFactors:
     """Row-pivoted LU factorization with pivot diagnostics; ``lu`` holds
-    the factor rows in the kernel's form, read only by
+    the integer factors of :func:`feigenbaum.fixed.lu_ints`, read only by
     :func:`lu_solve_factored`."""
 
-    lu: list
+    lu: tuple
     perm: list
     min_pivot: object
     norm: object
@@ -143,16 +143,17 @@ class LUFactors:
 
 
 def lu_factor(A, ctx: PrecisionCtx) -> LUFactors:
-    """Partial-pivoted LU of a square matrix (rows of mpf), by the kernel
-    :func:`feigenbaum.fixed.lu_rows`, bit for bit ``mpf`` arithmetic.
+    """Partial-pivoted LU of a square matrix (rows of mpf), by the integer
+    kernel :func:`feigenbaum.fixed.lu_ints`.
 
     Raises :class:`SingularMatrix` when a pivot falls below
     ``10**(-D+8) * ||A||_inf``, which signals either genuine rank loss or
     a solution family.
     """
-    lu, perm, min_pivot, norm, stop = lu_rows(A, ctx.ten_pow(-ctx.decimal_digits + 8), ctx.mp)
+    lu, perm, min_pivot, norm, stop = lu_ints(A, ctx.decimal_digits - 8, ctx.mp)
     if stop is not None:
-        k, piv, floor = stop
+        k, piv = stop
+        floor = ctx.ten_pow(-ctx.decimal_digits + 8) * norm
         raise SingularMatrix("pivot %s at column %d below tolerance %s"
                              % (ctx.mp.nstr(piv, 5), k, ctx.mp.nstr(floor, 5)))
     return LUFactors(lu, perm, min_pivot, norm)
@@ -160,8 +161,8 @@ def lu_factor(A, ctx: PrecisionCtx) -> LUFactors:
 
 def lu_solve_factored(fac: LUFactors, b, ctx: PrecisionCtx):
     """x with A x = b for the factors of A, as ``mpf`` of the context, by
-    :func:`feigenbaum.fixed.lu_solve_rows`."""
-    return lu_solve_rows(fac.lu, fac.perm, b, ctx.mp)
+    :func:`feigenbaum.fixed.lu_ints_solve`."""
+    return lu_ints_solve(fac.lu, fac.perm, b, ctx.mp)
 
 
 # ----------------------------------------------------------------------

@@ -516,6 +516,10 @@ EXIT_CASES = [
     pytest.param(["plotdata", "--solution", "{sol}", "--spectrum", "{dimhuge}",
                   "--out", "{out}"], 2, None, "does not match the dimension 1000000000",
                  id="spectrum-dimension-past-its-vectors"),
+    # the rational pool rounded to denominators <= 1000 repeats a node from
+    # m = 149 on, which is a flag out of range, not a singular solve
+    pytest.param(["spectrum", "--digits", "24", "--basis", "rational", "--dim", "160"], 2, None,
+                 "order m = 160 repeats interpolation nodes", id="rational-order-past-its-pool"),
     pytest.param(["spectrum", "--nodes", "8", "--dim", "5"], 2, None,
                  "--dim applies to the coefficient bases only", id="dim-with-grid"),
     pytest.param(["solve", "--extremum-order", "2", "--dim", "5"], 2, None,

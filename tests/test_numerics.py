@@ -182,68 +182,70 @@ def test_lu_reports_pivot_ratio(ctx):
     assert float(fac.pivot_ratio) == pytest.approx(1e-6, rel=1e-3)
 
 
-def _mpf_lu(A, ctx):
-    """The ``mpf`` loops that the raw-tuple LU kernel replaced, kept as its
-    oracle: (lu, perm, min_pivot, norm), or the SingularMatrix message."""
+def _exact_pivots(A, perm, stop):
+    """(|pivot|, largest |candidate|) of each column of the exact
+    elimination of A's rows taken in the order perm, without pivoting, up
+    to the column ``stop`` (None for all): fraction-free on A's exact
+    binary values, so pivot k is d_k / d_(k-1) for the leading minors."""
     n = len(A)
-    lu = [list(row) for row in A]
-    norm = mat_norm_inf(lu)
-    pivot_floor = ctx.ten_pow(-ctx.decimal_digits + 8) * norm
-    perm = list(range(n))
-    min_pivot = ctx.mp.inf
-    for k in range(n):
-        piv, prow = abs(lu[k][k]), k
+    M = [[fb.mpf_to_fraction(a) for a in A[i]] for i in perm]
+    scale = math.lcm(*(a.denominator for row in M for a in row))
+    M = [[int(a * scale) for a in row] for row in M]
+    out, prev = [], 1
+    for k in range(n if stop is None else stop + 1):
+        out.append((Fraction(abs(M[k][k]), abs(prev) * scale),
+                    Fraction(max(abs(M[r][k]) for r in range(k, n)), abs(prev) * scale)))
+        if not M[k][k]:
+            break
         for r in range(k + 1, n):
-            if abs(lu[r][k]) > piv:
-                piv, prow = abs(lu[r][k]), r
-        if piv <= pivot_floor:
-            return "pivot %s at column %d below tolerance %s" % (
-                ctx.mp.nstr(piv, 5), k, ctx.mp.nstr(pivot_floor, 5))
-        if prow != k:
-            lu[k], lu[prow] = lu[prow], lu[k]
-            perm[k], perm[prow] = perm[prow], perm[k]
-        if piv < min_pivot:
-            min_pivot = piv
-        pk = lu[k][k]
-        for r in range(k + 1, n):
-            f = lu[r][k] / pk
-            lu[r][k] = f
-            if f:
-                rowr, rowk = lu[r], lu[k]
-                for c in range(k + 1, n):
-                    rowr[c] -= f * rowk[c]
-    return lu, perm, min_pivot, norm
+            M[r][k + 1:] = [(a * M[k][k] - M[r][k] * b) // prev
+                            for a, b in zip(M[r][k + 1:], M[k][k + 1:])]
+        prev = M[k][k]
+    return out
 
 
-def _mpf_lu_solve(lu, perm, b):
-    n = len(lu)
-    y = [b[perm[i]] for i in range(n)]
-    for i in range(n):
-        row = lu[i]
-        y[i] -= sum(row[j] * y[j] for j in range(i))
-    for i in range(n - 1, -1, -1):
-        row = lu[i]
-        y[i] = (y[i] - sum(row[j] * y[j] for j in range(i + 1, n))) / row[i]
-    return y
-
-
-def _assert_lu_matches_oracle(A, b, ctx):
-    """lu_factor and lu_solve_factored give, raw tuple for raw tuple, what
-    the ``mpf`` loops give, or the same SingularMatrix message."""
-    want = _mpf_lu(A, ctx)
-    if isinstance(want, str):
+def _assert_lu_within_its_bound(A, b, ctx):
+    """lu_factor and lu_solve_factored against the exact rational solution
+    of A x = b on the entries' exact binary values, within the bound the
+    ``fixed`` docstring states, and SingularMatrix exactly when the exact
+    elimination in the kernel's row order meets a pivot at or below the
+    floor 10^(-D+8) ||A||_inf, that order being partial pivoting, both to
+    within the kernel's margin 2^-p ||A||_inf."""
+    n, p = len(A), ctx.prec_bits
+    exact = [[fb.mpf_to_fraction(a) for a in row] for row in A]
+    norm = max(sum(map(abs, row)) for row in exact)
+    floor, margin = norm / 10 ** (ctx.decimal_digits - 8), norm / 2 ** p
+    lu, perm, _, _, stop = fixed.lu_ints(A, ctx.decimal_digits - 8, ctx.mp)
+    pivots = _exact_pivots(A, perm, stop and stop[0])
+    # partial pivoting up to the stop, whose test reads the column's largest
+    assert all(piv >= top - margin for piv, top in pivots[:stop and stop[0]])
+    if any(abs(top - floor) < margin for _, top in pivots):
+        return  # too near the floor to decide
+    low = next((k for k, (_, top) in enumerate(pivots) if top <= floor), None)
+    if low is not None:
+        assert stop is not None and stop[0] == low
         with pytest.raises(fb.SingularMatrix) as err:
             lu_factor(A, ctx)
-        assert str(err.value) == want
+        k, piv = stop
+        assert str(err.value) == "pivot %s at column %d below tolerance %s" % (
+            ctx.mp.nstr(piv, 5), k, ctx.mp.nstr(ctx.ten_pow(8 - ctx.decimal_digits) * norm, 5))
         return
-    lu, perm, min_pivot, norm = want
+    assert stop is None
+    F, S, _, U = lu
+    assert F == 2 * p + fixed.LU_GUARD_BITS
     fac = lu_factor(A, ctx)
-    assert fac.lu == [[a._mpf_ for a in row] for row in lu]
-    assert fac.perm == perm
-    assert (fac.min_pivot._mpf_, fac.norm._mpf_) == (min_pivot._mpf_, norm._mpf_)
-    assert fac.pivot_ratio._mpf_ == (min_pivot / norm)._mpf_
-    got = lu_solve_factored(fac, b, ctx)
-    assert [x._mpf_ for x in got] == [x._mpf_ for x in _mpf_lu_solve(lu, perm, list(b))]
+    assert abs(fb.mpf_to_fraction(fac.norm) - norm) <= n * Fraction(1, 2 ** S) + margin
+    assert abs(fb.mpf_to_fraction(fac.min_pivot) - min(piv for piv, _ in pivots)) <= margin
+    got = [fb.mpf_to_fraction(x) for x in lu_solve_factored(fac, b, ctx)]
+    cols = fb.solve_linear_exact(exact, [[fb.mpf_to_fraction(v)] + [int(i == j) for j in range(n)]
+                                         for i, v in enumerate(b)])
+    x, inverse = [row[0] for row in cols], max(sum(map(abs, row[1:])) for row in cols)
+    rho = Fraction(max(abs(a) for row in U for a in row), 2 ** F)
+    xhat = max(map(abs, got)) * (1 + Fraction(2, 2 ** p))
+    bnorm = max(abs(fb.mpf_to_fraction(v)) for v in b)
+    bound = (inverse * Fraction(2, 2 ** F) * ((2 + rho) * n * norm * xhat + (2 + n * rho) * bnorm)
+             + xhat / 2 ** p)
+    assert max(abs(g - e) for g, e in zip(got, x)) <= bound
 
 
 def _full_precision(rng, ctx):
@@ -259,7 +261,7 @@ def _full_precision(rng, ctx):
 @example(16, 1, "rank-deficient", 0)
 @example(100, 20, "row-scaled", 1)
 @example(32, 8, "small integers", 2)
-def test_lu_kernel_matches_mpf_loops(digits, n, draw, seed):
+def test_lu_kernel_matches_the_exact_solution(digits, n, draw, seed):
     ctx, rng = fb.PrecisionCtx(digits), random.Random(seed)
     A = [[_full_precision(rng, ctx) for _ in range(n)] for _ in range(n)]
     if draw == "small integers":  # pivot ties, zero multipliers, exact rank loss
@@ -273,13 +275,13 @@ def test_lu_kernel_matches_mpf_loops(digits, n, draw, seed):
     else:  # one row a rounded combination of two others, or zero at n = 1
         A[-1] = [3 * a - b for a, b in zip(A[0], A[1])] if n > 1 else [ctx.mpf(0)]
     b = [_full_precision(rng, ctx) for _ in range(n)]
-    _assert_lu_matches_oracle(A, b, ctx)
+    _assert_lu_within_its_bound(A, b, ctx)
 
 
 def test_unpinned_t4_half_still_degenerates_bit_for_bit(monkeypatch):
     # at D = 64 on 12 nodes the even half's third Jacobian has a pivot of
     # 1.1e-19 ||A||_inf: above the floor 10^-56 ||A||_inf, below the
-    # degeneracy test, so pivot_ratio must be the one the mpf loops give
+    # degeneracy test, whose message must read the same pivot ratio
     ctx = fb.PrecisionCtx(64)
     seed = fb.monomial_to_series([ctx.mpf(1), ctx.mpf(0), ctx.mpf("-1.5")], ctx)
     seen = []
@@ -297,7 +299,7 @@ def test_unpinned_t4_half_still_degenerates_bit_for_bit(monkeypatch):
         "i.e. a one-parameter solution family; pin g(0) to select a member")
     assert [len(A) for A in seen] == [6, 6, 6]
     for A in seen:
-        _assert_lu_matches_oracle(A, [ctx.mpf(1)] * 6, ctx)
+        _assert_lu_within_its_bound(A, [ctx.mpf(1)] * 6, ctx)
 
 
 def test_mpf_to_fraction_roundtrip(ctx):

@@ -13,6 +13,7 @@ from mpmath import mp
 import feigenbaum as fb
 from feigenbaum.bases import _coefficient_basis, even_half
 from feigenbaum.cli import main
+from feigenbaum.numerics import lu_factor, lu_solve_factored
 
 PACKAGE = pathlib.Path(fb.__file__).parent
 
@@ -243,6 +244,54 @@ def test_two_precisions_building_cold_kernels_at_once_match_a_sequential_run():
                 results[digits] = _cold_kernel_rows(digits)
 
             threads = [threading.Thread(target=work, args=(D,)) for D in (24, 64)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert results == reference
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _newton_jacobians(digits):
+    """(context, Jacobians) at the given digits: the FD and the exact
+    Newton Jacobian of T on the 12-node grid at g = 1 - 1.5 x^2."""
+    ctx = fb.PrecisionCtx(digits)
+    g = fb.monomial_to_series([ctx.mpf(1), ctx.mpf(0), ctx.mpf("-1.5")], ctx)
+    spec = fb.OperatorSpec(fb.Variant.T, fb.Linearization.FULL_DERIVATIVE)
+    return ctx, [fb.assemble_jacobian(spec, g, 12, fb.NewtonConfig(jacobian_mode=mode), ctx)
+                 for mode in fb.JacobianMode]
+
+
+def _lu_bits(ctx, jacobians):
+    """The integer factors, row order, pivot diagnostics and solution of
+    each Jacobian's LU, for a right-hand side with every entry distinct."""
+    out = []
+    for A in jacobians:
+        fac = lu_factor(A, ctx)
+        x = lu_solve_factored(fac, [ctx.mpf(i + 1) / 7 for i in range(len(A))], ctx)
+        out.append((fac.lu, fac.perm, fac.min_pivot._mpf_, fac.norm._mpf_, [v._mpf_ for v in x]))
+    return out
+
+
+def test_two_precisions_solving_newton_jacobians_at_once_match_a_sequential_run():
+    # Newton's integer LU keeps its width and units in its own factors, so
+    # two threads at D = 24 and D = 64 factoring and solving at the same
+    # moment must give the integers and x of a sequential run
+    work = {D: _newton_jacobians(D) for D in (24, 64)}
+    reference = {D: _lu_bits(*work[D]) for D in work}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            start, results = threading.Barrier(2), {}
+
+            def run(digits):
+                start.wait()
+                results[digits] = _lu_bits(*work[digits])
+
+            threads = [threading.Thread(target=run, args=(D,)) for D in work]
             for t in threads:
                 t.start()
             for t in threads:
