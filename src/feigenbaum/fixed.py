@@ -7,7 +7,9 @@ at a fixed binary point instead.  Only their inputs and results pass
 through mpmath's raw (sign, mantissa, exponent, bit count) tuples and
 ``libmp``'s ``to_fixed`` and ``from_man_exp``, a layout private to mpmath
 1.3; no other module of the package reads it.  This module imports
-nothing from the package.
+nothing from the package.  No kernel here does arithmetic at context
+precision: each converts its inputs once, to integers or exact
+rationals, and rounds each output once to p bits.
 
 Clenshaw kernel.  With p the precision of the coefficients' context and
 G = :data:`KERNEL_GUARD_BITS`:
@@ -129,7 +131,7 @@ diagonal blocks of a real Schur form by Francis double-shift sweeps
 (:func:`francis_qr`, section 7.5, in the scaling of EISPACK's hqr) that
 only find eigenvalues.  Each eigenvector comes from one step of inverse
 iteration on H_0 (section 7.6.1; LAPACK's ``dhsein`` after ``dhseqr``
-with job 'E').  Only the eigenvalues are computed at context precision p:
+with job 'E'):
 
 * widths: H is reduced and swept at F = 2p + :data:`SCHUR_GUARD_BITS`
   bits, and Z_0 accumulated at W = p + :data:`SCHUR_Z_BITS`, since no
@@ -182,33 +184,34 @@ with job 'E').  Only the eigenvalues are computed at context precision p:
   reflector puts about 2^-(p+32) ||H|| back into that subdiagonal each
   sweep, below eps ||H||_F / n for n up to 6,000.  At a width of p + 24
   bits the bulge kept too few bits, and the QR stalled (D = 24, n = 12);
-* eigenvalues: each diagonal entry of a 1x1 block is rounded once to p
-  bits, and each 2x2 block's eigenvalues come from the ``rsf2csf``
-  formulas (:func:`_split_block`) on its four entries, each rounded once
-  to p bits: a complex pair's +im member first, then its exact
-  conjugate.  They depend on the input conversion and the sweeps only
-  (the mirror transform and the shifts are exact);
-* inverse iteration: the shift s is the eigenvalue at F bits, an
-  integer at the block's unit: a 1x1 block's entry, or a 2x2 block's
-  roots ((a + d) +- isqrt((a - d)^2 + 4 b c)) / 2, floored, the real one
-  nearer ``values[i]`` taken for vector i (the +im root for a complex
-  pair, its imaginary part at least one unit).  H_0 - s I, over the
-  leading rows down to the bottom of the unreduced block of H_0 that
-  holds the eigenvalue (below it the vector is exactly 0), is factored
-  by a partial-pivoted Hessenberg LU at F bits (:func:`_shifted_lu`),
-  multipliers floored to 2^-F and a pivot of modulus below
-  eps3 = max(||H_0||_inf 2^-F, 1) unit replaced by eps3, as in LAPACK's
-  ``dlaein``.  Then U x = 2^B (1, ..., 1), one floor division per entry
-  (two for a complex one), the starting vector being P^T L (1, ..., 1);
-  B = p + :data:`SCHUR_X_BITS` plus the bit length of the last pivot,
-  so |x_last| >= 2^(p+96) and each floor division errs by less than
-  2^-(p+96) max|x|.  One step suffices: the error of s, the
-  eigenvalue's own round-off, leaves the other eigenvectors a share of
-  x of about |lambda - s| / gap, the first-order error that the same
-  round-off puts into an exact eigenvector of the swept form (a
-  repeated eigenvalue's vector is any of its eigenspace, which the
-  residual checks).  The vector is Z_0 x, each entry shifted down by W,
-  at x's unit;
+* eigenvalues (:func:`_block_roots`): a 1x1 block's entry is rounded
+  once to p bits.  A 2x2 block [[a, b], [c, d]] takes t = a + d,
+  disc = (a - d)^2 + 4 b c and det = a d - b c exactly, and
+  r = isqrt(|disc| 2^(2G)), G = p + 32, which errs by less than 2^-G of
+  itself (r >= 2^G unless disc = 0).  A complex pair is
+  (t +- i r 2^-G) / 2, +im first; real roots are the larger in modulus,
+  lambda_1 = (t + sgn(t) r 2^-G) / 2 (sgn(0) = 1), then det / lambda_1,
+  an exact quotient: neither cancels.  Each part, rounded once to p
+  bits, is the p-bit number nearest that of the exact root of the
+  integer block but for a tie within about 2^-32 ulp, and depends on
+  the input conversion and the sweeps only;
+* inverse iteration: the shift s is the same root floored to the block's
+  unit, a complex one's imaginary part at least one unit so that it stays
+  complex.  H_0 - s I, over the leading rows down to the bottom of the
+  unreduced block of H_0 that holds the eigenvalue (below it the vector is
+  exactly 0), is factored by a partial-pivoted Hessenberg LU at F bits
+  (:func:`_shifted_lu`), multipliers floored to 2^-F and a pivot of
+  modulus below eps3 = max(||H_0||_inf 2^-F, 1) unit replaced by eps3, as
+  in LAPACK's ``dlaein``.  Then U x = 2^B (1, ..., 1), one floor division
+  per entry (two for a complex one), the starting vector being P^T L
+  (1, ..., 1); B = p + :data:`SCHUR_X_BITS` plus the bit length of the last
+  pivot, so |x_last| >= 2^(p+96) and each floor division errs by less than
+  2^-(p+96) max|x|.  One step suffices: the error of s, the eigenvalue's
+  own round-off, leaves the other eigenvectors a share of x of about
+  |lambda - s| / gap, the first-order error that the same round-off puts
+  into an exact eigenvector of the swept form (a repeated eigenvalue's
+  vector is any of its eigenspace, which the residual checks).  The vector
+  is Z_0 x, each entry shifted down by W, at x's unit;
 * split form: an even-block vector y_e takes its node rows and their
   mirror images, P [y_e; 0].  An odd-block one is P [x_e; y_o], with
   x_e = 0 when L_eo = 0, else x_e = -(L_ee - s)^-1 L_eo y_o = Z_e w for
@@ -491,7 +494,7 @@ def lu_ints(rows, digits, mpx):
     whose pivot is at most 10^-digits ||A||_inf."""
     F = 2 * mpx.prec + LU_GUARD_BITS
     S, A = fixed_rows(rows, F, mpx)
-    top, scale, n = max(sum(map(abs, row)) for row in A), 10 ** digits, len(A)
+    top, scale, n = _inf_norm(A), 10 ** digits, len(A)
     perm, low = list(range(n)), math.inf
     L, cols = [[] for _ in range(n)], [[] for _ in range(n)]  # U by columns
     for k in range(n):
@@ -552,11 +555,9 @@ def mpf_rows(rows, S, mpx):
     return [[mpx.make_mpf(from_man_exp(a, -S, prec, "n")) for a in row] for row in rows]
 
 
-def norm_inf(rows, S, mpx):
-    """||A||_inf of the integer rows times 2^-S, exact and rounded once to
-    the precision of the context mpx."""
-    top = max(sum(map(abs, row)) for row in rows)
-    return mpx.make_mpf(from_man_exp(top, -S, mpx.prec, "n"))
+def _inf_norm(rows):
+    """||A||_inf of integer rows, exact, in their unit."""
+    return max(sum(map(abs, row)) for row in rows)
 
 
 def _reflector(v, F):
@@ -736,44 +737,33 @@ def _div(a, d):
     return q if a >= 0 else -q
 
 
-def _split_block(a, b, c, d, mpx):
-    """The eigenvalues (t00, t11) of the 2x2 block [[a, b], [c, d]],
-    c != 0, of a real Schur form, in numbers of the context mpx: the
-    diagonal of U^H block U for the rotation U = [[cs, -sn], [sn, conj(cs)]]
-    of ``rsf2csf``, sn real and |cs|^2 + sn^2 = 1.  Real eigenvalues come
-    from a real rotation, t00 the one farther from d; a complex pair is
-    t00 = d + mu with +im and its exact conjugate."""
-    p = (a - d) / 2
-    disc = p * p + b * c
-    if disc < 0:
-        mu = mpx.mpc(p, mpx.sqrt(-disc))
-        return d + mu, (d + mu).conjugate()
-    # eigenvalue d + z with no cancellation in z; eigenvector (z, c)
-    z = p + mpx.sqrt(disc) if p >= 0 else p - mpx.sqrt(disc)
-    tau = mpx.hypot(z, c)
-    cs, sn = z / tau, c / tau
-    return (cs * (cs * a + sn * c) + sn * (cs * b + sn * d),
-            cs * (cs * d - sn * b) - sn * (cs * c - sn * a))
-
-
-def _block_shifts(a, b, c, d, first):
-    """The eigenvalues of the integer 2x2 block [[a, b], [c, d]] as two
-    (re, im) pairs at its unit, floored: a complex pair's +im member first,
-    else the root nearer the integer ``first`` first."""
-    disc = (a - d) ** 2 + 4 * b * c  # 4 ((a - d)^2 / 4 + b c)
-    t = a + d
-    if disc < 0:  # an imaginary part of at least one unit, so the shift is complex
-        s = max(math.isqrt(-disc) >> 1, 1)
-        return (t >> 1, s), (t >> 1, -s)
-    s = math.isqrt(disc)
-    roots = [((t + s) >> 1, 0), ((t - s) >> 1, 0)]
-    return sorted(roots, key=lambda r: abs(r[0] - first))
+def _block_roots(a, b, c, d, S, mpx):
+    """(values, shifts) of the integer 2x2 block [[a, b], [c, d]], c != 0,
+    of a real Schur form at the unit 2^-S, as the module docstring states:
+    its eigenvalues, each part rounded once to the precision of the
+    context mpx, and the same roots at the block's unit, floored, as
+    (re, im) pairs.  A complex pair's +im member comes first, else the
+    root larger in modulus."""
+    prec, G = mpx.prec, mpx.prec + SCHUR_GUARD_BITS
+    t, disc, det = a + d, (a - d) ** 2 + 4 * b * c, a * d - b * c
+    r = math.isqrt(abs(disc) << 2 * G)  # sqrt|disc| at 2^-(S+G), floored
+    if disc < 0:  # t / 2 +- i sqrt(-disc) / 2; rounding is odd, so these are conjugates
+        re, s = from_man_exp(t, -S - 1, prec, "n"), max(r >> (G + 1), 1)
+        return ([mpx.make_mpc((re, from_man_exp(x, -S - G - 1, prec, "n"))) for x in (r, -r)],
+                [(t >> 1, s), (t >> 1, -s)])
+    # 2 lambda_1 = t + sgn(t) sqrt(disc) at 2^-(S+G), lambda_2 2^S = num / n1
+    n1, num = (t << G) + (r if t >= 0 else -r), det << (G + 1)
+    second = from_rational(num << max(-S, 0), n1 << max(S, 0), prec, "n") if n1 else fzero
+    return ([mpx.make_mpf(from_man_exp(n1, -S - G - 1, prec, "n")), mpx.make_mpf(second)],
+            [(n1 >> (G + 1), 0), (num // n1 if n1 else 0, 0)])
 
 
 def schur_widths(prec):
     """(F, W): the bits of the integer Schur form and of the Hessenberg
     reduction's Z_0 at the context precision p = ``prec``."""
     return 2 * prec + SCHUR_GUARD_BITS, prec + SCHUR_Z_BITS
+
+
 def _fold(v, middle):
     """(v_i + v_(n-1-i))_(i < n // 2), middle v_m for an odd n, then
     (v_i - v_(n-1-i))_(i < n // 2): for the mirror transform P, v P with
@@ -783,7 +773,7 @@ def _fold(v, middle):
             + [v[i] - v[~i] for i in range(m)])
 
 
-def schur_blocks(M, SM, tol, F, mpx):
+def schur_blocks(M, SM, gate, F):
     """(blocks, coupling) of the integer square matrix M at the unit 2^-SM:
     the diagonal blocks (lo, S, H) for :class:`SchurForm`, lo the first row
     in the whole and H rescaled to F bits at the unit 2^-S, and None or
@@ -792,7 +782,8 @@ def schur_blocks(M, SM, tol, F, mpx):
     with columns e_i + e_(n-1-i) (i < n // 2), the middle e_m of an odd n,
     then e_i - e_(n-1-i).  When M maps mirror-symmetric vectors to
     mirror-symmetric ones, that is when its even-to-odd block L_oe has
-    ||L_oe||_inf <= tol, P^-1 M P = [[L_ee, L_eo], [0, L_oo]], exact at
+    ||L_oe||_inf <= gate ||M||_inf for the Fraction ``gate`` (an exact
+    integer test), P^-1 M P = [[L_ee, L_eo], [0, L_oo]], exact at
     2^-(SM+1), splits into two blocks with the coupling L_eo, and an
     eigenvalue of L_ee has an exactly mirror-symmetric vector."""
     def block(lo, rows, S):  # shifted so that the largest entry has F bits
@@ -802,13 +793,13 @@ def schur_blocks(M, SM, tol, F, mpx):
 
     n, h = len(M), len(M) - len(M) // 2
     B = list(zip(*(_fold(col, 2) for col in zip(*(_fold(row, 1) for row in M)))))
-    if h < n and norm_inf([row[:h] for row in B[h:]], SM + 1, mpx) <= tol:
+    # ||L_oe|| 2^-(SM+1) <= gate ||M|| 2^-SM, on the integers
+    if h < n and (_inf_norm([row[:h] for row in B[h:]]) * gate.denominator
+                  <= 2 * gate.numerator * _inf_norm(M)):
         return ([block(0, [row[:h] for row in B[:h]], SM + 1),
                  block(h, [row[h:] for row in B[h:]], SM + 1)],
                 (SM + 1, [row[h:] for row in B[:h]]))
     return [block(0, M, SM)], None
-
-
 
 
 def _unfold(e, o):
@@ -921,7 +912,7 @@ class _Block:
 
     def __init__(self, S, H0, Zt, F):
         self.S, self.H0, self.Zt, self.Z = S, H0, Zt, [list(r) for r in zip(*Zt)]
-        self.eps3 = max(max(sum(map(abs, row)) for row in H0) >> F, 1)
+        self.eps3 = max(_inf_norm(H0) >> F, 1)
 
     def lu(self, sr, si, end, F):
         """The factors of :func:`_shifted_lu` of H_0[:end][:end] - s I."""
@@ -945,9 +936,9 @@ class SchurForm:
         self.F, self.W = F, W = schur_widths(mpx.prec)
         self.mpx, self.gate, self.folded = mpx, mpf_to_fraction(gate), None
         self.SM, self.M = fixed_rows(rows, F, mpx)
-        self.norm = norm_inf(self.M, self.SM, mpx)
+        self.norm = mpf_rows([[_inf_norm(self.M)]], self.SM, mpx)[0][0]
         self.budget, self.failed = 4 * mpx.dps, None
-        split, self.coupling = schur_blocks(self.M, self.SM, gate * self.norm, F, mpx)
+        split, self.coupling = schur_blocks(self.M, self.SM, self.gate, F)
         self.even = len(split[0][2]) if self.coupling else 0
         self.blocks, self.values, self.tops, self.shifts = [], [], set(), []
         for lo, S, H in split:
@@ -963,8 +954,7 @@ class SchurForm:
             for k in range(n - 1):
                 if H[k + 1][k]:
                     (a, b), (c, d) = H[k][k:k + 2], H[k + 1][k:k + 2]
-                    values[k:k + 2] = _split_block(*mpf_rows([[a, b, c, d]], S, mpx)[0], mpx)
-                    shifts[k:k + 2] = _block_shifts(a, b, c, d, _fix(values[k], S)[0])
+                    values[k:k + 2], shifts[k:k + 2] = _block_roots(a, b, c, d, S, mpx)
                     if hasattr(values[k], "_mpc_"):
                         self.tops.add(lo + k)
             self.shifts += [(len(self.blocks), k, s) for k, s in enumerate(shifts)]

@@ -32,7 +32,7 @@ from functools import cached_property
 import mpmath
 
 from .errors import ExactlySingular, NoConvergence, SingularMatrix
-from .fixed import SchurForm, lu_ints, lu_ints_solve
+from .fixed import SchurForm, lu_ints, lu_ints_solve, round_fraction
 
 GUARD_BITS = 32
 
@@ -66,8 +66,9 @@ class PrecisionCtx:
         return mpmath.mp.workprec(self.prec_bits)
 
     def mpf(self, x):
+        """x as a number of this context, rounded once to the nearest."""
         if isinstance(x, Fraction):
-            return self.mp.mpf(x.numerator) / x.denominator
+            return round_fraction(x.numerator, x.denominator, self.mp)
         return self.mp.mpf(x)
 
     def ten_pow(self, e: int):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .bases import BasisSpec, build_basis
 from .chebyshev import ChebSeries, _eval, cheb_nodes
-from .errors import AmbiguousMatch
+from .errors import AmbiguousMatch, NoExplicitForm
 from .numerics import PrecisionCtx, eig_dense
 from .operators import (
     Linearization,
@@ -234,14 +234,18 @@ def verify_explicit(g: ChebSeries, spec: OperatorSpec, k: int, lam_expected,
     """Relative residual ||Lin(g) h - lambda h||_inf / ||h||_inf for the
     closed-form eigenfunction h of :func:`explicit_eigenfunction` indexed
     by (spec, k), at the Chebyshev roots of h's length; raises as that
-    function does where (spec, k) has no closed form."""
+    function does where (spec, k) has no closed form, and
+    :class:`NoExplicitForm` where h vanishes at every root (at g = 1 or
+    g = x, say)."""
     h = explicit_eigenfunction(spec, g, k, ctx)
     n = len(h.coeffs)
     pts = cheb_nodes(n, ctx)
-    image = linearized_apply_at(spec, g, h, pts, ctx)
-    lam = ctx.mpf(lam_expected)
     hv = [_eval(h, x) for x in pts]
     hn = max(abs(v) for v in hv)
+    if not hn:
+        raise NoExplicitForm("the closed form of k = %d vanishes at this g" % k)
+    image = linearized_apply_at(spec, g, h, pts, ctx)
+    lam = ctx.mpf(lam_expected)
     return max(abs(image[i] - lam * hv[i]) for i in range(n)) / hn
 
 

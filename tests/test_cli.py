@@ -2,6 +2,9 @@
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from mpmath import mp
@@ -647,6 +650,24 @@ def test_singular_pinned_solve_hints_at_another_pin(capsys):
     payload = _last_error(err)
     assert code == 3 and "g(0) pinned to 0.0" in payload["message"]
     assert "--pin g0=1" not in payload["hint"] and "another --pin g0 value" in payload["hint"]
+
+
+@pytest.mark.parametrize("lines, skipped", [
+    ("0\t2\n1\t0\n2\t0\n", ["k=%d (full)" % k for k in (0, 2, 3, 4, 5)]),  # g = 1
+    ("0\t0\n1\t1\n2\t0\n", ["k=0 (full)", "k=0 (frozen)"]),                # g = x
+])
+def test_verify_lists_a_vanishing_closed_form_as_skipped(tmp_path, lines, skipped):
+    # h = 0 has no relative residual: the row is skipped, not a traceback
+    seed = tmp_path / "g.txt"
+    seed.write_text(lines)
+    path = [str(pathlib.Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, "-m", "feigenbaum.cli", "verify", "--digits", "24",
+                           "--seed-file", str(seed)], capture_output=True, text=True, env=env)
+    assert done.returncode == 4 and "Traceback" not in done.stderr
+    rows = json.loads(done.stdout)["checks"]
+    assert [r["check"] for r in rows if r["ok"] is None] == [
+        "eigenfunction %s [skipped: NoExplicitForm]" % name for name in skipped]
 
 
 def test_verify_g1_zero_is_a_solver_error(capsys, tmp_path):

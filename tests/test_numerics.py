@@ -28,6 +28,35 @@ def test_precision_ctx_roundtrips_decimal_literal(ctx):
     assert ctx.to_str(x) == digits
 
 
+def _nearest(x, p):
+    """The p-bit binary number nearest the Fraction x, ties to even."""
+    a = abs(x)
+    if not a:
+        return a
+    e = a.numerator.bit_length() - a.denominator.bit_length() - p
+    while a >= Fraction(2) ** (e + p):
+        e += 1
+    while a < Fraction(2) ** (e + p - 1):
+        e -= 1
+    m = round(a / Fraction(2) ** e)  # half to even
+    return (m if x > 0 else -m) * Fraction(2) ** e
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(16, 100), st.integers(0, 10 ** 9), st.booleans())
+def test_precision_ctx_rounds_a_fraction_once(D, seed, tie):
+    # the number at the context's precision p nearest x, ties to even, not
+    # the quotient of a numerator already rounded to p bits: x a 400-bit
+    # numerator over a 60-bit denominator, or -(m + 1/2) for a p-bit m
+    ctx, rng = fb.PrecisionCtx(D), random.Random(seed)
+    p = ctx.prec_bits
+    if tie:
+        x = -Fraction(2 * (rng.getrandbits(p - 1) | 1 << (p - 1)) + 1, 2)
+    else:
+        x = Fraction(rng.getrandbits(400) - (1 << 399), rng.getrandbits(60) | 1)
+    assert fb.mpf_to_fraction(ctx.mpf(x)) == _nearest(x, p)
+
+
 def test_guard_bits_margin(ctx):
     assert ctx.prec_bits >= 64 * 3.32
 
@@ -439,6 +468,14 @@ def test_eig_dense_matches_mpmath_oracle(D, n, kind, mirror, seed):
 # rotations, the back substitution and the residual at context precision
 
 
+def _block_values(T, k, S, mpx, first):
+    """The eigenvalues of the integer 2x2 block of T at (k, k) at the unit
+    2^-S by the kernel's rule, the one nearer ``first`` (rsf2csf's t00)
+    first."""
+    (a, b), (c, d) = T[k][k:k + 2], T[k + 1][k:k + 2]
+    return sorted(fixed._block_roots(a, b, c, d, S, mpx)[0], key=lambda v: abs(v - first))
+
+
 def _rotate(T, Z, k, cs, sn):
     """T <- U^H T U and Z <- Z U for the rotation U = [[cs, -sn], [sn, conj(cs)]]
     in the plane (k, k+1), with sn real and |cs|^2 + sn^2 = 1."""
@@ -517,8 +554,7 @@ def _mpf_eig_dense(M, ctx):
     width, zwidth = fixed.schur_widths(ctx.prec_bits)
     SA, AI = fixed.fixed_rows(A, width, mp)
     # SchurForm's split, on its integers
-    blocks, coupling = fixed.schur_blocks(AI, SA, ctx.eig_gate * fixed.norm_inf(AI, SA, mp),
-                                          width, mp)
+    blocks, coupling = fixed.schur_blocks(AI, SA, fixed.mpf_to_fraction(ctx.eig_gate), width)
     T = [[ctx.mpf(0)] * n for _ in range(n)]
     Zs = []
     for lo, S, H in blocks:
@@ -537,11 +573,18 @@ def _mpf_eig_dense(M, ctx):
             row[h:] = [mp.fdot(col, lz) for lz in zip(*LZ)]
         Z = _unmirror(Ze, Zo, ctx)
     tops = _triangularize(T, Z, ctx)
+    # each 2x2 block's eigenvalues from the kernel's rule on its integers;
+    # the vectors from rsf2csf's T
+    values = [T[i][i] for i in range(n)]
+    for lo, S, H in blocks:
+        for k in range(len(H) - 1):
+            if H[k + 1][k]:
+                values[lo + k:lo + k + 2] = _block_values(H, k, S, mp, T[lo + k][lo + k])
     pairs = []
     for i in range(n):
         if i - 1 in tops:
             continue
-        lam = T[i][i]
+        lam = values[i]
         vec = _eigenvector(T, Z, i, ctx)
         if i not in tops:
             vec = [v.real for v in vec]
@@ -800,8 +843,7 @@ class _FullSweepForm:
         self.F, self.W = F, W = fixed.schur_widths(ctx.prec_bits)
         self.mpx, self.gate, self.even = mpx, fixed.mpf_to_fraction(ctx.eig_gate), 0
         SM, M = fixed.fixed_rows(rows, F, mpx)
-        blocks, coupling = fixed.schur_blocks(M, SM, ctx.eig_gate * fixed.norm_inf(M, SM, mpx),
-                                              F, mpx)
+        blocks, coupling = fixed.schur_blocks(M, SM, self.gate, F)
         parts = []
         for lo, S, H in blocks:
             Z, row = _full_sweep_schur(H, F, W, ctx.prec_bits, 4 * mpx.dps)
@@ -829,7 +871,7 @@ class _FullSweepForm:
                 continue
             (a, b), (c, d) = fixed.mpf_rows([T[k][k:k + 2], T[k + 1][k:k + 2]], S, mpx)
             cs, sn, *block = _rsf2csf(a, b, c, d, mpx)
-            self.values[k], self.values[k + 1] = block[0], block[2]
+            self.values[k:k + 2] = _block_values(T, k, S, mpx, block[0])
             (cr, ci), (s, _), (zr, zi), (zs, _) = (fixed._fix(v, e) for e in (F, W)
                                                    for v in (cs, sn))
             pairs = [(T[k], Ti[k], T[k + 1], Ti[k + 1], (cr, -ci, s, F), k + 2),
@@ -1205,20 +1247,25 @@ def test_benchmark_matrices_match_the_full_sweep_oracle(benchmark_matrices, whic
     _assert_matches_full_sweep_oracle(seen[which], ctx)
 
 
-def _real_blocks(A, ctx):
-    """The positions k of the 2x2 blocks with two real eigenvalues in the
-    eigenvalue sweeps of SchurForm's blocks of A."""
+def _swept_blocks(A, ctx):
+    """SchurForm's blocks (lo, S, H) of A, each H after the eigenvalue
+    sweeps, its diagonal blocks 1x1 or 2x2."""
     mpx = ctx.mp
     F, _ = fixed.schur_widths(ctx.prec_bits)
     SM, M = fixed.fixed_rows(A, F, mpx)
-    found = []
-    for lo, S, H in fixed.schur_blocks(M, SM, ctx.eig_gate * fixed.norm_inf(M, SM, mpx), F,
-                                       mpx)[0]:
+    blocks = fixed.schur_blocks(M, SM, fixed.mpf_to_fraction(ctx.eig_gate), F)[0]
+    for lo, S, H in blocks:
         fixed._hessenberg(H, F, F)
         assert fixed.francis_qr(H, F, ctx.prec_bits, 4 * mpx.dps) is None
-        found += [lo + k for k in range(len(H) - 1) if H[k + 1][k]
-                  and (H[k][k] - H[k + 1][k + 1]) ** 2 + 4 * H[k][k + 1] * H[k + 1][k] >= 0]
-    return found
+    return blocks
+
+
+def _real_blocks(A, ctx):
+    """The positions k of the 2x2 blocks with two real eigenvalues in the
+    eigenvalue sweeps of SchurForm's blocks of A."""
+    return [lo + k for lo, S, H in _swept_blocks(A, ctx) for k in range(len(H) - 1)
+            if H[k + 1][k]
+            and (H[k][k] - H[k + 1][k + 1]) ** 2 + 4 * H[k][k + 1] * H[k + 1][k] >= 0]
 
 
 def _assert_pairs_hold(A, ctx, form=None):
@@ -1261,6 +1308,144 @@ def test_small_real_blocks_give_each_eigenvalue_its_own_vector(ctx, rows):
     pairs = fb.eig_dense(A, ctx)
     assert all(isinstance(p.value, ctx.mp.mpf) for p in pairs)
     assert len({p.vector for p in pairs}) == len(rows)
+
+
+# ----------------------------------------------------------------------
+# Eigenvalues of the diagonal blocks: the exact roots of the integers,
+# rounded once
+
+
+def _exact_roots(T, k, size, S, F):
+    """The eigenvalues of the integer diagonal block of T at (k, k), 1x1 or
+    2x2, at the unit 2^-S, at 4F bits and in the kernel's order: a complex
+    pair's +im member first, else the root larger in modulus (the
+    positive one of a tie)."""
+    hi = mpmath.MPContext()
+    hi.prec = 4 * F
+    if size == 1:
+        return [hi.ldexp(T[k][k], -S)]
+    (a, b), (c, d) = T[k][k:k + 2], T[k + 1][k:k + 2]
+    t, disc, half = a + d, (a - d) ** 2 + 4 * b * c, hi.ldexp(1, -S - 1)
+    if disc < 0:
+        top = hi.mpc(t, hi.sqrt(-disc)) * half
+        return [top, top.conjugate()]
+    root = hi.sqrt(disc)
+    return sorted([(t + root) * half, (t - root) * half], key=lambda x: -abs(x))
+
+
+def _assert_nearest(value, exact, mpx):
+    """Each part of ``value``, a number of the context mpx, is the number
+    at mpx's precision nearest the same part of ``exact``, but for a tie
+    within 2^-31 ulp: the kernel's rounding margin of about 2^-32 ulp."""
+    hi = exact.context
+    for v, x in ((value.real, exact.real), (value.imag, exact.imag)):
+        near = mpx.mpf(x)  # x rounded once, to the nearest
+        if v != near:
+            ulp = abs(hi.mpf(v) - hi.mpf(near))
+            assert abs(x - (hi.mpf(v) + hi.mpf(near)) / 2) <= hi.ldexp(ulp, -31)
+
+
+def _assert_values_are_rounded_roots(A, ctx):
+    """Every eigenvalue of SchurForm is the exact root of its diagonal
+    block of the swept integer form, rounded once; returns the number of
+    2x2 blocks."""
+    form, pairs = fixed.SchurForm(A, ctx.eig_gate, ctx.mp), 0
+    for lo, S, H in _swept_blocks(A, ctx):
+        k = 0
+        while k < len(H):
+            size = 2 if k + 1 < len(H) and H[k + 1][k] else 1
+            for v, x in zip(form.values[lo + k:lo + k + size],
+                            _exact_roots(H, k, size, S, form.F)):
+                _assert_nearest(v, x, ctx.mp)
+            assert (lo + k in form.tops) == (size == 2 and hasattr(x, "_mpc_"))
+            pairs += size == 2
+            k += size
+    return pairs
+
+
+@settings(max_examples=30, deadline=None)
+@given(*ORACLE_DRAWS)
+@example(D=16, n=20, kind="repeated", mirror="split", seed=5113)
+@example(D=64, n=24, kind="random", mirror="split", seed=7)
+def test_eigenvalues_are_the_exact_block_roots_rounded_once(D, n, kind, mirror, seed):
+    ctx, A, _ = _oracle_draw(D, n, kind, mirror, seed)
+    _assert_values_are_rounded_roots(A, ctx)
+
+
+@pytest.mark.parametrize("which", range(6))
+def test_benchmark_eigenvalues_are_the_exact_block_roots_rounded_once(benchmark_matrices,
+                                                                     which):
+    # delta and 1 share a real 2x2 block of the T4 family's matrices
+    ctx, seen = benchmark_matrices
+    A = [[ctx.mpf(x) for x in row] for row in seen[which]]
+    assert _assert_values_are_rounded_roots(A, ctx) >= 1
+
+
+BIG = 1 << 100
+
+
+@pytest.mark.parametrize("block", [
+    [[0, 1], [1, 0]],              # t = 0: 1 and -1
+    [[1, 1], [1, 1]],              # 2 and 0
+    [[1, 1], [-1, -1]],            # 0 twice: t = disc = det = 0
+    [[2, 1], [-1, 0]],             # 1 twice
+    [[-638, 1], [5, -573]],        # two close real roots
+    [[1, 2], [3, -1]],             # +-sqrt(7)
+    [[3, -2], [2, 3]],             # 3 +- 2i
+    [[BIG + 1, 1], [-1, BIG]],     # BIG + 1/2 +- i sqrt(3)/2: below one unit
+    [[-BIG, 7], [-3, BIG - 5]],    # t < 0, lambda_2 far below lambda_1
+])
+@pytest.mark.parametrize("S", [0, 64, -50])
+def test_block_roots_of_hand_blocks(ctx, block, S):
+    # each eigenvalue the exact root rounded once, at the block's own scale
+    # and with its entries shifted up to the Schur width F; each shift the
+    # same root floored to the unit, a complex one's imaginary part at
+    # least one unit
+    F = fixed.schur_widths(ctx.prec_bits)[0]
+    for up in (0, F - max(abs(x) for row in block for x in row).bit_length()):
+        T = [[x << up for x in row] for row in block]
+        values, shifts = fixed._block_roots(*T[0], *T[1], S + up, ctx.mp)
+        exact = _exact_roots(T, 0, 2, S + up, F)
+        for v, x, (sr, si) in zip(values, exact, shifts):
+            _assert_nearest(v, x, ctx.mp)
+            hi, x = x.context, x * x.context.ldexp(1, S + up)
+            im = max(int(hi.floor(abs(x.imag))), 1) if x.imag else 0
+            assert (sr, si) == (int(hi.floor(x.real)), im if x.imag >= 0 else -im)
+
+
+def test_schur_form_does_no_arithmetic_at_context_precision(monkeypatch):
+    # with every arithmetic operator of the context's mpf and mpc, and its
+    # sqrt, hypot, fsum and fdot, raising, SchurForm still gives the
+    # eigenpairs of a context that computes, raw tuple for raw tuple: it
+    # converts the matrix once and rounds each output once
+    def raw(x):
+        return x._mpc_ if hasattr(x, "_mpc_") else x._mpf_
+
+    def run(A, ctx):
+        form = fixed.SchurForm(A, ctx.eig_gate, ctx.mp)
+        pairs = [form.eigenpair(i) for i in range(len(A)) if i - 1 not in form.tops]
+        return ([raw(v) for v in form.values], sorted(form.tops), raw(form.norm),
+                [([raw(v) for v in vec], raw(res)) for vec, res in pairs])
+
+    cases = [_oracle_draw(32, 12, "random", mirror, 4)[:2] for mirror in ("split", "whole")]
+    cases.append(_oracle_draw(24, 10, "pairs", "whole", 1)[:2])
+    want = [run(A, ctx) for ctx, A in cases]
+
+    def boom(*args):
+        raise AssertionError("arithmetic at context precision")
+
+    for ctx, A in cases:
+        mpx = ctx.mp
+        for cls in (mpx.mpf, mpx.mpc):
+            for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                         "__truediv__", "__rtruediv__", "__pow__", "__rpow__", "__neg__"):
+                monkeypatch.setattr(cls, name, boom)
+        for name in ("sqrt", "hypot", "fsum", "fdot"):
+            monkeypatch.setattr(mpx, name, boom)
+        with pytest.raises(AssertionError, match="context precision"):
+            A[0][0] * A[0][1]
+    assert [run(A, ctx) for ctx, A in cases] == want
+    assert all(tops for _, tops, _, _ in want)  # complex pairs among the blocks
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 6])

@@ -20,8 +20,9 @@ rewrites the expected files of the named cases (of every case when no
 name is given) from the current tree and prints what :func:`compare`
 finds against the files it replaces.  It ends with a summary: for each
 case, file and field (a JSON key, or a CSV or TSV column) the count of
-moved decimals, their line range, the largest |delta| and whether every
-move is below 10^(-D/2), then every other difference.  A change that is
+moved decimals, how many of them went down and how many up, their line
+range, the largest |delta| and whether every move is below 10^(-D/2),
+then every other difference.  A change that is
 meant to move a report regenerates them and says which fields moved; a
 new case is added to ``commands.json`` and generated by name, leaving
 the others as they are.
@@ -172,8 +173,8 @@ def _field_reader(lines):
 def _tally(moves, other, case, rel, want: bytes, got: bytes, digits: int):
     """Add the decimals that moved from ``want`` to ``got`` to ``moves``,
     {(case, file, field): [count, first line, last line, largest |delta|,
-    every |delta| below 10^(-D/2)]}, and every other difference to
-    ``other``."""
+    every |delta| below 10^(-D/2), count down, count up]}, and every other
+    difference to ``other``."""
     a, b = want.decode().splitlines(), got.decode().splitlines()
     if len(a) != len(b):
         other.append("%s %s: expected %d lines, got %d" % (case, rel, len(a), len(b)))
@@ -190,8 +191,9 @@ def _tally(moves, other, case, rel, want: bytes, got: bytes, digits: int):
             if xs[j] != ys[j]:
                 delta, below = _delta(xs[j], ys[j], digits)
                 key = (case, rel, field(i, "".join(ys[:j])))
-                entry = moves.setdefault(key, [0, i + 1, i + 1, 0, True])
+                entry = moves.setdefault(key, [0, i + 1, i + 1, 0, True, 0, 0])
                 entry[0] += 1
+                entry[5 if Fraction(ys[j]) < Fraction(xs[j]) else 6] += 1
                 entry[2] = i + 1
                 entry[3] = max(entry[3], delta)
                 entry[4] = entry[4] and below
@@ -205,10 +207,10 @@ def _summary(moves, other) -> list:
     cases = {key[0] for key in moves} | {line.split()[0] for line in other}
     out = ["summary: %d decimals moved in %d cases; %d other differences"
            % (sum(e[0] for e in moves.values()), len(cases), len(other))]
-    for (case, rel, field), (count, first, last, top, below) in sorted(moves.items()):
-        out.append("  %s %s %s: %d moved, lines %d-%d, largest |delta| %.2g, %s 10^(-D/2)"
-                   % (case, rel, field, count, first, last, top,
-                      "all below" if below else "NOT all below"))
+    for (case, rel, field), (count, first, last, top, below, down, up) in sorted(moves.items()):
+        out.append("  %s %s %s: %d moved (%d down, %d up), lines %d-%d, largest |delta| %.2g,"
+                   " %s 10^(-D/2)" % (case, rel, field, count, down, up, first, last, top,
+                                      "all below" if below else "NOT all below"))
     return out + ["  " + line for line in other]
 
 
@@ -227,6 +229,17 @@ def test_reports_hold_one_directory_per_case():
     # a case removed from commands.json must not leave its fixture behind
     held = {(p.name, p.is_dir()) for p in REPORTS.iterdir()}
     assert held == {("commands.json", False)} | {(name, True) for name in BY_NAME}
+
+
+def test_summary_counts_the_moves_down_and_up():
+    want = b'{\n  "residual": "1.5e-30",\n  "residual": "2.0e-30",\n  "k": 3\n}\n'
+    got = b'{\n  "residual": "1.2e-30",\n  "residual": "2.5e-30",\n  "k": 3\n}\n'
+    moves, other = {}, []
+    _tally(moves, other, "case", "stdout", want, got, 24)
+    assert _summary(moves, other) == [
+        "summary: 2 decimals moved in 1 cases; 0 other differences",
+        "  case stdout residual: 2 moved (1 down, 1 up), lines 2-3, largest |delta| 5e-31,"
+        " all below 10^(-D/2)"]
 
 
 def regenerate(names=()):

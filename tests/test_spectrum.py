@@ -100,6 +100,23 @@ def test_explicit_forms_reject_invalid_k(k, lin, g32, alpha64, ctx):
         fb.verify_explicit(g32, spec, k, 1, ctx)
 
 
+@pytest.mark.parametrize("coeffs, vanishing", [
+    (("2", "0", "0"), {(FULL, k) for k in (0, 2, 3, 4, 5)}),  # g = 1 (a_0 / 2)
+    (("0", "1", "0"), {(FULL, 0), (FROZEN, 0)}),             # g = x
+])
+def test_verify_explicit_skips_a_closed_form_that_vanishes(coeffs, vanishing, ctx):
+    # h = 0 at every node: no relative residual, so the form has none
+    g = fb.ChebSeries(tuple(ctx.mpf(c) for c in coeffs))
+    for lin in (FULL, FROZEN):
+        for k in (-1, 0, 2, 3, 4, 5):
+            spec = fb.OperatorSpec(fb.Variant.T, lin)
+            if (lin, k) in vanishing:
+                with pytest.raises(fb.NoExplicitForm, match="k = %d vanishes" % k):
+                    fb.verify_explicit(g, spec, k, 1, ctx)
+            else:
+                assert fb.verify_explicit(g, spec, k, 1, ctx) >= 0
+
+
 def test_verify_explicit_odd_k_signflip_works(g32, alpha64, ctx):
     spec = fb.OperatorSpec(fb.Variant.T2, FULL)
     with ctx.activate():
